@@ -16,13 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainExceeded, KinkAtSeed
-from .flow import FlowSettings, PhasePoint, Trajectory, trajectory
+from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, trajectory
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .lax_oleinik import lagrangian_batch, lax_negative, potential
 
 KINK_RATIO = 50.0
 KINK_FLOOR = 1e-9
+
+
+def grid_kink_mask(values: np.ndarray) -> np.ndarray:
+    """Kink cells along the last (periodic) axis: second differences above
+    KINK_RATIO times their median, and above a floor relative to the range."""
+    d2 = np.abs(np.roll(values, -1, axis=-1) - 2.0 * values + np.roll(values, 1, axis=-1))
+    med = np.median(d2, axis=-1, keepdims=True)
+    scale = np.maximum(KINK_FLOOR * (1.0 + np.ptp(values, axis=-1, keepdims=True)), KINK_RATIO * med)
+    return d2 > scale
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,7 @@ class SpaceTimeFunction:
                 raise ValueError(f"knot jump {jump} exceeds continuity budget")
         splines = [GridFunction(row).periodic_spline() for row in ks]
         object.__setattr__(self, "_splines", splines)
-        d2 = np.abs(np.roll(ks, -1, axis=1) - 2.0 * ks + np.roll(ks, 1, axis=1))
-        med = np.median(d2, axis=1)
-        scale = np.maximum(KINK_FLOOR * (1.0 + np.ptp(ks, axis=1)), KINK_RATIO * med)
-        object.__setattr__(self, "_kinks", d2 > scale[:, None])
+        object.__setattr__(self, "_kinks", grid_kink_mask(ks))
 
     @property
     def resolution(self) -> int:
@@ -201,9 +207,7 @@ def domination_check(
         axis=1,
     )
 
-    w = np.ones(m + 1)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= span / (3.0 * m)
+    w = simpson_pattern(m) * (span / (3.0 * m))
     lag = np.empty_like(gamma)
     for j, tau in enumerate(taus):
         lag[:, j] = lagrangian_batch(h, float(tau), gamma[:, j], dgamma[:, j])

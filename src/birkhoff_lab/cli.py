@@ -4,6 +4,9 @@ Subcommands: flow, potential, lax, mane, barrier, spectral, calibrate,
 birkhoff, recurrence, invariance. Global flags --config/--out/--seed/
 --resolution/--quiet. Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE, >= 10
 errors (details on stderr unless --quiet).
+
+Potentials use the config's quad_nodes and max_span; alpha0 comes from
+experiments.resolve_alpha0, except in `mane`, the estimator, which ignores it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .experiments import (
     ExperimentConfig,
     lax_spacetime,
     load_config,
+    resolve_alpha0,
     run_autonomous_invariance,
     run_iteration_experiment,
     run_recurrence_experiment,
@@ -85,7 +89,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--steps", type=int, default=8)
     sp.add_argument("--direction", choices=("negative", "positive"), default="negative")
 
-    sub.add_parser("mane", help="critical value estimate")
+    sub.add_parser("mane", help="critical value estimate (a pinned alpha0 is not used)")
 
     sp = sub.add_parser("barrier", help="long-horizon barrier matrix")
     sp.add_argument("--n-min", type=int, default=8)
@@ -138,7 +142,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "potential":
-            pm = potential(h, args.t0, args.t1, config.resolution)
+            pm = potential(h, args.t0, args.t1, config.resolution, config.max_span, quad_nodes=config.quad_nodes)
             out.mkdir(parents=True, exist_ok=True)
             potential_to_csv(pm, out / "potential.csv")
             say(f"potential [{args.t0},{args.t1}] written; min={float(pm.entries.min())!r}")
@@ -146,10 +150,8 @@ def main(argv=None) -> int:
 
         if args.command == "lax":
             u = grid_from_trig(config.initial_potential, config.resolution)
-            pm = potential(h, 0.0, 1.0, config.resolution)
-            alpha0 = config.alpha0 if config.alpha0 is not None else mane_critical_value(
-                h, 48, config.resolution
-            ).alpha0
+            pm = potential(h, 0.0, 1.0, config.resolution, config.max_span, quad_nodes=config.quad_nodes)
+            alpha0 = resolve_alpha0(config)
             for _ in range(args.steps):
                 u = (
                     lax_negative(u, pm, alpha0)
@@ -162,7 +164,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "mane":
-            est = mane_critical_value(h, 64, config.resolution)
+            est = mane_critical_value(h, 64, config.resolution, quad_nodes=config.quad_nodes, max_span=config.max_span)
             _write_json(out, "mane.json", {
                 "alpha0": est.alpha0,
                 "half_width": est.half_width,
@@ -172,12 +174,13 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "barrier":
-            est = mane_critical_value(h, 48, config.resolution)
-            res = peierls_barrier(h, est.alpha0, 0.0, 0.0, args.n_min, args.n_max, config.resolution)
+            alpha0 = resolve_alpha0(config)
+            res = peierls_barrier(h, alpha0, 0.0, 0.0, args.n_min, args.n_max, config.resolution,
+                                  max_span=config.max_span, quad_nodes=config.quad_nodes)
             out.mkdir(parents=True, exist_ok=True)
             potential_to_csv(res.matrix, out / "barrier.csv")
             _write_json(out, "barrier.json", {
-                "alpha0": est.alpha0,
+                "alpha0": alpha0,
                 "converged": res.converged,
                 "final_change": res.sup_changes[-1],
             })

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import SpaceTimeFunction, spacetime_from_lax
+from .calibration import SpaceTimeFunction, grid_kink_mask, spacetime_from_lax
 from .curves import (
     LagrangianCurve,
     evolve,
@@ -100,38 +100,8 @@ class ReportBundle:
 
 
 # ---------------------------------------------------------------------------
-# config files (INI, utf-8, '#' comments)
-
-_DEFAULT_INI = """
-[hamiltonian]
-family = shifted_quadratic
-kinetic = 1.0
-potential_coeffs =
-shift_coeffs = 1 1 0.0 0.05
-drift = 0.3
-offset = 0.0
-
-[experiment]
-initial_potential_coeffs = 0 1 0.0 0.05
-n_max = 8
-m_max = 8
-resolution = 256
-initial_nodes = 1024
-spacing = 2e-3
-hausdorff_tol = 1e-4
-gauge_tol = 1e-4
-window = 4
-seed = 0
-
-[flow]
-macro_step = 1e-2
-integrator = auto
-substeps_per_macro = 4
-
-[output]
-outdir = out
-"""
-
+# config files (INI, utf-8, '#' comments); a key missing from the file takes
+# the fallback given where it is read below (README lists them all)
 
 def parse_trig_coeffs(text: str) -> TrigPolynomial:
     """Parse ';'-separated 'j k a b' terms into a trig polynomial."""
@@ -150,7 +120,7 @@ def parse_trig_coeffs(text: str) -> TrigPolynomial:
 
 def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian:
     sec = cp["hamiltonian"]
-    family = sec.get("family", "mechanical").strip().lower()
+    family = sec.get("family", "shifted_quadratic").strip().lower()
     kinetic = sec.getfloat("kinetic", 1.0)
     offset = sec.getfloat("offset", 0.0)
     if family == "mechanical":
@@ -161,8 +131,8 @@ def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian
         )
     if family == "shifted_quadratic":
         return shifted_quadratic(
-            parse_trig_coeffs(sec.get("shift_coeffs", "")).terms,
-            drift=sec.getfloat("drift", 0.0),
+            parse_trig_coeffs(sec.get("shift_coeffs", "1 1 0.0 0.05")).terms,
+            drift=sec.getfloat("drift", 0.3),
             offset=offset,
         )
     raise ValueError(f"config cannot declare family {family!r} (custom is API-only)")
@@ -170,7 +140,7 @@ def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian
 
 def load_config(path: str | Path | None = None) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
-    cp.read_string(_DEFAULT_INI)
+    cp.read_dict({section: {} for section in ("hamiltonian", "experiment", "flow", "output")})
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -179,7 +149,7 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     limit_text = exp.get("limit_potential_coeffs", "").strip()
     return ExperimentConfig(
         hamiltonian=hamiltonian_from_config(cp),
-        initial_potential=parse_trig_coeffs(exp.get("initial_potential_coeffs", "")),
+        initial_potential=parse_trig_coeffs(exp.get("initial_potential_coeffs", "0 1 0.0 0.05")),
         limit_potential=parse_trig_coeffs(limit_text) if limit_text else None,
         n_max=exp.getint("n_max", 8),
         m_max=exp.getint("m_max", 8),
@@ -371,12 +341,14 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def grid_kink_mask(values: np.ndarray) -> np.ndarray:
-    """Second-difference kink cells (shares the calibration detector rule)."""
-    d2 = np.abs(np.roll(values, -1) - 2.0 * values + np.roll(values, 1))
-    med = float(np.median(d2))
-    scale = max(1e-9 * (1.0 + float(np.ptp(values))), 50.0 * med)
-    return d2 > scale
+def resolve_alpha0(config: ExperimentConfig) -> float:
+    """The pinned alpha0, else the value-iteration estimate under the config's
+    potential settings (resolution, quad_nodes, max_span)."""
+    if config.alpha0 is not None:
+        return config.alpha0
+    return mane_critical_value(
+        config.hamiltonian, 48, config.resolution, quad_nodes=config.quad_nodes, max_span=config.max_span
+    ).alpha0
 
 
 def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -384,11 +356,7 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
     n = config.resolution
     h = config.hamiltonian
     u0 = grid_from_trig(config.initial_potential, n)
-    alpha0 = (
-        config.alpha0
-        if config.alpha0 is not None
-        else mane_critical_value(h, 48, n, quad_nodes=config.quad_nodes, max_span=config.max_span).alpha0
-    )
+    alpha0 = resolve_alpha0(config)
     pm = potential(h, 0.0, 1.0, n, quad_nodes=config.quad_nodes, max_span=config.max_span)
 
     fwd = [u0]
@@ -464,11 +432,7 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
         if j != 0 and (a != 0.0 or b != 0.0):
             raise ValueError("invariance experiment needs an autonomous Hamiltonian")
     n = config.resolution
-    alpha0 = (
-        config.alpha0
-        if config.alpha0 is not None
-        else mane_critical_value(h, 48, n, quad_nodes=config.quad_nodes, max_span=config.max_span).alpha0
-    )
+    alpha0 = resolve_alpha0(config)
     pm = potential(h, 0.0, 1.0, n, quad_nodes=config.quad_nodes, max_span=config.max_span)
     u = grid_from_trig(config.initial_potential, n)
     budget = 512
@@ -530,11 +494,7 @@ def lax_spacetime(config: ExperimentConfig, t0: float, t1: float) -> SpaceTimeFu
     """Candidate solution window for the calibration pipeline."""
     n = config.resolution
     h = config.hamiltonian
-    alpha0 = (
-        config.alpha0
-        if config.alpha0 is not None
-        else mane_critical_value(h, 48, n, quad_nodes=config.quad_nodes, max_span=config.max_span).alpha0
-    )
+    alpha0 = resolve_alpha0(config)
     u0 = grid_from_trig(config.initial_potential, n)
     pm = potential(h, 0.0, 1.0, n, quad_nodes=config.quad_nodes, max_span=config.max_span)
     cur = u0

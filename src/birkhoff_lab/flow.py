@@ -5,22 +5,21 @@ arrays) and accumulates the action integrand p*qdot - H by composite Simpson
 quadrature on the same solution samples, so the discrete primitives stay
 consistent with the discrete flow.
 
-Integrator paths:
-  - mechanical family: Strang kinetic/potential splitting (symplectic, order 2);
-  - shifted-quadratic family: exact integration in the shear frame
-    P = p - du/dq, where the dynamics is free (P constant, qdot = P + drift);
-  - custom callables: RK4 with step-doubling error control.
+This module owns quadrature and RK4 only: the closed-form families bring
+their native substep (hamiltonians.py); custom callables, and
+integrator="rk4", step by RK4 with step-doubling error control.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import StepSizeUnderflow
-from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
+from .hamiltonians import TonelliHamiltonian, wrap_unit
 
 
 @dataclass(frozen=True)
@@ -89,34 +88,6 @@ class Trajectory:
         return float(np.max(np.abs(vals - vals[0])))
 
 
-def _resolve_integrator(h: TonelliHamiltonian, settings: FlowSettings) -> str:
-    if settings.integrator == "rk4":
-        return "rk4"
-    if settings.integrator == "strang" or settings.integrator == "auto":
-        if h.family is Family.MECHANICAL:
-            return "strang"
-        if h.family is Family.SHIFTED_QUADRATIC:
-            return "shear"
-        if settings.integrator == "strang":
-            raise ValueError("Strang splitting needs a closed-form separable family")
-        return "rk4"
-    raise AssertionError
-
-
-def _strang_substep(h, tau, q, p, dt):
-    p1 = p - (0.5 * dt) * h.potential.deriv(tau, q, 0, 1)
-    q1 = q + dt * h.kinetic_coefficient * p1
-    p2 = p1 - (0.5 * dt) * h.potential.deriv(tau + dt, q1, 0, 1)
-    return q1, p2
-
-
-def _shear_substep(h, tau, q, p, dt):
-    big_p = p - h.shift_profile.deriv(tau, q, 0, 1)
-    q1 = q + dt * (big_p + h.drift)
-    p1 = big_p + h.shift_profile.deriv(tau + dt, q1, 0, 1)
-    return q1, p1
-
-
 def _rk4_fixed(h, tau, q, p, dt):
     def f(t, q, p):
         return h.dH_dp(t, q, p), -h.dH_dq(t, q, p)
@@ -153,17 +124,10 @@ def _rk4_substep(h, tau, q, p, dt, tol):
     return q, p
 
 
-_SIMPSON_CACHE: dict[int, np.ndarray] = {}
-
-
-def _simpson_weights(m: int) -> np.ndarray:
-    w = _SIMPSON_CACHE.get(m)
-    if w is None:
-        w = np.ones(m + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        w /= 3.0
-        _SIMPSON_CACHE[m] = w
+def simpson_pattern(m: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on m (even) intervals, unscaled."""
+    w = np.ones(m + 1)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     return w
 
 
@@ -198,13 +162,17 @@ def integrate_batch(
             return q, p, zeros, rec
         return q, p, zeros
 
-    method = _resolve_integrator(h, settings)
+    substep = h.ops.substep
+    if settings.integrator == "rk4" or substep is None:
+        if settings.integrator == "strang":
+            raise ValueError("Strang splitting needs a closed-form separable family")
+        substep = functools.partial(_rk4_substep, tol=settings.rk4_tol)
     span = t - s
     n_macro = max(1, int(np.ceil(abs(span) / settings.macro_step - 1e-12)))
     dt_macro = span / n_macro
     m = settings.substeps_per_macro
     dt_sub = dt_macro / m
-    weights = _simpson_weights(m) * dt_sub
+    weights = simpson_pattern(m) / 3.0 * dt_sub
 
     action = np.zeros_like(q)
     knot_times = [s]
@@ -220,12 +188,7 @@ def integrate_batch(
         inc += weights[0] * f
         for j in range(m):
             tau = tau0 + j * dt_sub
-            if method == "strang":
-                q, p = _strang_substep(h, tau, q, p, dt_sub)
-            elif method == "shear":
-                q, p = _shear_substep(h, tau, q, p, dt_sub)
-            else:
-                q, p = _rk4_substep(h, tau, q, p, dt_sub, settings.rk4_tol)
+            q, p = substep(h, tau, q, p, dt_sub)
             qdot = np.asarray(h.dH_dp(tau + dt_sub, q, p), dtype=float) + np.zeros_like(q)
             f = qdot * p - np.asarray(h.value(tau + dt_sub, q, p))
             inc += weights[j + 1] * f

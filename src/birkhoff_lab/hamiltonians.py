@@ -5,6 +5,10 @@ shifted-quadratic family that solves the Hamilton-Jacobi equation in closed
 form, and user-supplied callables. Potentials and shift profiles are finite
 trigonometric polynomials, so evaluation and all needed derivatives are
 closed-form and exactly 1-periodic in time and position.
+
+Each family is one object here that owns H and its derivatives, the
+vectorized Lagrangian, the closed-form Legendre maximizer and the native flow
+substep (Strang, exact shear, or none for custom callables, which use RK4).
 """
 
 from __future__ import annotations
@@ -77,9 +81,6 @@ class TrigPolynomial:
     def value(self, t, q):
         return self.deriv(t, q, 0, 0)
 
-    def is_zero(self) -> bool:
-        return all(a == 0.0 and b == 0.0 for _, _, a, b in self.terms)
-
 
 class Family(enum.Enum):
     MECHANICAL = "mechanical"
@@ -95,6 +96,131 @@ class LagrangianFnValue:
     optimal_momentum: float
 
 
+class _Mechanical:
+    """Mechanical family; native substep: Strang kinetic/potential splitting."""
+
+    def value(self, h, t, q, p):
+        return (
+            0.5 * h.kinetic_coefficient * np.asarray(p) ** 2
+            + h.potential.value(t, q)
+            + h.constant_offset
+        )
+
+    def dH_dp(self, h, t, q, p):
+        return h.kinetic_coefficient * np.asarray(p)
+
+    def dH_dq(self, h, t, q, p):
+        return h.potential.deriv(t, q, 0, 1) + 0.0 * np.asarray(p)
+
+    def dH_dt(self, h, t, q, p):
+        return h.potential.deriv(t, q, 1, 0) + 0.0 * np.asarray(p)
+
+    def d2H_dpp(self, h, t, q, p, step):
+        return h.kinetic_coefficient + 0.0 * np.asarray(p)
+
+    def lagrangian(self, h, t, q, v):
+        return v * v / (2.0 * h.kinetic_coefficient) - h.potential.value(t, q) - h.constant_offset
+
+    def maximizer(self, h, t, q, v):
+        return v / h.kinetic_coefficient
+
+    def substep(self, h, tau, q, p, dt):
+        """Symplectic, order 2."""
+        p1 = p - (0.5 * dt) * h.potential.deriv(tau, q, 0, 1)
+        q1 = q + dt * h.kinetic_coefficient * p1
+        p2 = p1 - (0.5 * dt) * h.potential.deriv(tau + dt, q1, 0, 1)
+        return q1, p2
+
+
+class _ShiftedQuadratic:
+    """Shifted-quadratic family; native substep: exact shear flow."""
+
+    def value(self, h, t, q, p):
+        r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
+        return 0.5 * r**2 + h.drift * r - h.shift_profile.deriv(t, q, 1, 0) + h.constant_offset
+
+    def dH_dp(self, h, t, q, p):
+        return (np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)) + h.drift
+
+    def dH_dq(self, h, t, q, p):
+        r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
+        return -(r + h.drift) * h.shift_profile.deriv(t, q, 0, 2) - h.shift_profile.deriv(t, q, 1, 1)
+
+    def dH_dt(self, h, t, q, p):
+        r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
+        return -(r + h.drift) * h.shift_profile.deriv(t, q, 1, 1) - h.shift_profile.deriv(t, q, 2, 0)
+
+    def d2H_dpp(self, h, t, q, p, step):
+        return 1.0 + 0.0 * np.asarray(p)
+
+    def lagrangian(self, h, t, q, v):
+        w = h.shift_profile.deriv(t, q, 0, 1)
+        return w * v + 0.5 * (v - h.drift) ** 2 + h.shift_profile.deriv(t, q, 1, 0) - h.constant_offset
+
+    def maximizer(self, h, t, q, v):
+        return h.shift_profile.deriv(t, q, 0, 1) + (v - h.drift)
+
+    def substep(self, h, tau, q, p, dt):
+        """In the shear frame P = p - du/dq the flow is free: P constant, qdot = P + drift."""
+        big_p = p - h.shift_profile.deriv(tau, q, 0, 1)
+        q1 = q + dt * (big_p + h.drift)
+        p1 = big_p + h.shift_profile.deriv(tau + dt, q1, 0, 1)
+        return q1, p1
+
+
+class _Custom:
+    """Custom callables: finite differences; no closed-form maximizer, no native substep (RK4)."""
+
+    maximizer = None
+    substep = None
+
+    def value(self, h, t, q, p):
+        return h.custom_fn(t, q, p)
+
+    def dH_dp(self, h, t, q, p):
+        e = 1e-6
+        return (h.custom_fn(t, q, p + e) - h.custom_fn(t, q, p - e)) / (2 * e)
+
+    def dH_dq(self, h, t, q, p):
+        e = 1e-6
+        return (h.custom_fn(t, q + e, p) - h.custom_fn(t, q - e, p)) / (2 * e)
+
+    def dH_dt(self, h, t, q, p):
+        e = 1e-6
+        return (h.custom_fn(t + e, q, p) - h.custom_fn(t - e, q, p)) / (2 * e)
+
+    def d2H_dpp(self, h, t, q, p, step):
+        return (
+            h.custom_fn(t, q, p + step)
+            - 2.0 * h.custom_fn(t, q, p)
+            + h.custom_fn(t, q, p - step)
+        ) / step**2
+
+    def lagrangian(self, h, t, q, v):
+        """Momentum-grid maximization with one parabolic refinement step."""
+        qb, vb = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+        shape = qb.shape
+        qf, vf = qb.ravel(), vb.ravel()
+        lo, hi = h.momentum_box
+        ps = np.linspace(lo, hi, 257)
+        vals = ps[:, None] * vf[None, :] - h.custom_fn(t, qf[None, :], ps[:, None])
+        k = np.clip(np.argmax(vals, axis=0), 1, len(ps) - 2)
+        f0 = np.take_along_axis(vals, (k - 1)[None, :], axis=0)[0]
+        f1 = np.take_along_axis(vals, k[None, :], axis=0)[0]
+        f2 = np.take_along_axis(vals, (k + 1)[None, :], axis=0)[0]
+        denom = f0 - 2.0 * f1 + f2
+        # parabolic vertex through the three best samples (concave in p)
+        refined = np.where(denom < -1e-300, f1 - (f2 - f0) ** 2 / (8.0 * denom), f1)
+        return refined.reshape(shape)
+
+
+_FAMILY_OPS = {
+    Family.MECHANICAL: _Mechanical(),
+    Family.SHIFTED_QUADRATIC: _ShiftedQuadratic(),
+    Family.CUSTOM: _Custom(),
+}
+
+
 @dataclass(frozen=True)
 class TonelliHamiltonian:
     """Closed-form Hamiltonian family, 1-periodic in time and position.
@@ -105,6 +231,9 @@ class TonelliHamiltonian:
                        du/dt + H(t, q, du/dq) = offset identically.
     custom:            user callable H(t,q,p), smooth in p, with a declared
                        momentum search box for the conjugacy.
+
+    `ops` is the family's object; its methods take the Hamiltonian first. It
+    is not a field, so hashing and equality ignore it.
     """
 
     family: Family = Family.MECHANICAL
@@ -121,63 +250,22 @@ class TonelliHamiltonian:
             raise ValueError("kinetic coefficient must be positive")
         if self.family is Family.CUSTOM and self.custom_fn is None:
             raise ValueError("custom family requires a callable")
-
-    # -- closed-form pieces ------------------------------------------------
-
-    def _shift_q(self, t, q):
-        return self.shift_profile.deriv(t, q, 0, 1)
-
-    def _shift_t(self, t, q):
-        return self.shift_profile.deriv(t, q, 1, 0)
+        object.__setattr__(self, "ops", _FAMILY_OPS[self.family])
 
     def value(self, t, q, p):
-        if self.family is Family.MECHANICAL:
-            return (
-                0.5 * self.kinetic_coefficient * np.asarray(p) ** 2
-                + self.potential.value(t, q)
-                + self.constant_offset
-            )
-        if self.family is Family.SHIFTED_QUADRATIC:
-            r = np.asarray(p) - self._shift_q(t, q)
-            return 0.5 * r**2 + self.drift * r - self._shift_t(t, q) + self.constant_offset
-        return self.custom_fn(t, q, p)
+        return self.ops.value(self, t, q, p)
 
     def dH_dp(self, t, q, p):
-        if self.family is Family.MECHANICAL:
-            return self.kinetic_coefficient * np.asarray(p)
-        if self.family is Family.SHIFTED_QUADRATIC:
-            return (np.asarray(p) - self._shift_q(t, q)) + self.drift
-        e = 1e-6
-        return (self.custom_fn(t, q, p + e) - self.custom_fn(t, q, p - e)) / (2 * e)
+        return self.ops.dH_dp(self, t, q, p)
 
     def dH_dq(self, t, q, p):
-        if self.family is Family.MECHANICAL:
-            return self.potential.deriv(t, q, 0, 1) + 0.0 * np.asarray(p)
-        if self.family is Family.SHIFTED_QUADRATIC:
-            r = np.asarray(p) - self._shift_q(t, q)
-            return -(r + self.drift) * self.shift_profile.deriv(t, q, 0, 2) - self.shift_profile.deriv(t, q, 1, 1)
-        e = 1e-6
-        return (self.custom_fn(t, q + e, p) - self.custom_fn(t, q - e, p)) / (2 * e)
+        return self.ops.dH_dq(self, t, q, p)
 
     def dH_dt(self, t, q, p):
-        if self.family is Family.MECHANICAL:
-            return self.potential.deriv(t, q, 1, 0) + 0.0 * np.asarray(p)
-        if self.family is Family.SHIFTED_QUADRATIC:
-            r = np.asarray(p) - self._shift_q(t, q)
-            return -(r + self.drift) * self.shift_profile.deriv(t, q, 1, 1) - self.shift_profile.deriv(t, q, 2, 0)
-        e = 1e-6
-        return (self.custom_fn(t + e, q, p) - self.custom_fn(t - e, q, p)) / (2 * e)
+        return self.ops.dH_dt(self, t, q, p)
 
     def d2H_dpp(self, t, q, p, step: float = 1e-4):
-        if self.family is Family.MECHANICAL:
-            return self.kinetic_coefficient + 0.0 * np.asarray(p)
-        if self.family is Family.SHIFTED_QUADRATIC:
-            return 1.0 + 0.0 * np.asarray(p)
-        return (
-            self.custom_fn(t, q, p + step)
-            - 2.0 * self.custom_fn(t, q, p)
-            + self.custom_fn(t, q, p - step)
-        ) / step**2
+        return self.ops.d2H_dpp(self, t, q, p, step)
 
 
 def eval_hamiltonian(h: TonelliHamiltonian, t: float, q: float, p: float) -> float:
@@ -196,16 +284,9 @@ def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> L
     Closed form for the mechanical and shifted-quadratic families; bracketed
     golden-section search followed by a Newton polish for custom callables.
     """
-    if h.family is Family.MECHANICAL:
-        p_star = v / h.kinetic_coefficient
-        val = v * v / (2.0 * h.kinetic_coefficient) - h.potential.value(t, q) - h.constant_offset
-        return LagrangianFnValue(float(val), float(p_star))
-    if h.family is Family.SHIFTED_QUADRATIC:
-        w = h._shift_q(t, q)
-        p_star = w + (v - h.drift)
-        val = w * v + 0.5 * (v - h.drift) ** 2 + h._shift_t(t, q) - h.constant_offset
-        return LagrangianFnValue(float(val), float(p_star))
-    return _legendre_numeric(h, t, q, v)
+    if h.ops.maximizer is None:
+        return _legendre_numeric(h, t, q, v)
+    return LagrangianFnValue(float(h.ops.lagrangian(h, t, q, v)), float(h.ops.maximizer(h, t, q, v)))
 
 
 def _legendre_numeric(h: TonelliHamiltonian, t, q, v, newton_budget: int = 50, tol: float = 1e-12):

@@ -21,7 +21,7 @@ from .errors import (
     NoStoredArgmin,
 )
 from .grids import GridFunction
-from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
+from .hamiltonians import TonelliHamiltonian, wrap_unit
 
 SINGLE_STEP_SPAN = 0.25
 WINDING_WINDOW = 2
@@ -29,30 +29,8 @@ QUAD_NODES = 8
 
 
 def lagrangian_batch(h: TonelliHamiltonian, t: float, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized convex conjugate L(t, q, v) for the closed-form families.
-
-    Custom callables fall back to a momentum-grid maximization with one
-    parabolic refinement step.
-    """
-    if h.family is Family.MECHANICAL:
-        return v**2 / (2.0 * h.kinetic_coefficient) - h.potential.value(t, q) - h.constant_offset
-    if h.family is Family.SHIFTED_QUADRATIC:
-        w = h.shift_profile.deriv(t, q, 0, 1)
-        return w * v + 0.5 * (v - h.drift) ** 2 + h.shift_profile.deriv(t, q, 1, 0) - h.constant_offset
-    qb, vb = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
-    shape = qb.shape
-    qf, vf = qb.ravel(), vb.ravel()
-    lo, hi = h.momentum_box
-    ps = np.linspace(lo, hi, 257)
-    vals = ps[:, None] * vf[None, :] - h.custom_fn(t, qf[None, :], ps[:, None])
-    k = np.clip(np.argmax(vals, axis=0), 1, len(ps) - 2)
-    f0 = np.take_along_axis(vals, (k - 1)[None, :], axis=0)[0]
-    f1 = np.take_along_axis(vals, k[None, :], axis=0)[0]
-    f2 = np.take_along_axis(vals, (k + 1)[None, :], axis=0)[0]
-    denom = f0 - 2.0 * f1 + f2
-    # parabolic vertex through the three best samples (concave in p)
-    refined = np.where(denom < -1e-300, f1 - (f2 - f0) ** 2 / (8.0 * denom), f1)
-    return refined.reshape(shape)
+    """Vectorized convex conjugate L(t, q, v), as the family computes it."""
+    return h.ops.lagrangian(h, t, q, v)
 
 
 @dataclass(frozen=True)

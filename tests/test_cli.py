@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from birkhoff_lab.cli import main
+from birkhoff_lab.experiments import load_config
+from birkhoff_lab.lax_oleinik import clear_potential_cache, potential
 from birkhoff_lab.spectral import fqi_to_csv, sample_fqi
 
 
@@ -141,3 +143,23 @@ def test_byte_identical_reruns(tmp_path, small_config):
     run(["--config", small_config, "--out", b, "--quiet", "birkhoff"])
     for name in ("diagnostics.csv", "report.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
+    cfg = tmp_path / "pinned.ini"
+    cfg.write_text(
+        "[experiment]\n"
+        "resolution = 32\n"
+        "quad_nodes = 4\n"
+        "alpha0 = 0.25\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "--quiet", "potential"]) == 0
+    rows = (out / "potential.csv").read_text().splitlines()[1:]
+    written = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
+    clear_potential_cache()
+    expected = potential(load_config(cfg).hamiltonian, 0, 1, 32, quad_nodes=4)
+    assert np.array_equal(written, expected.entries)
+    assert run(["--config", cfg, "--out", out, "--quiet", "barrier", "--n-min", "4", "--n-max", "8"]) in (0, 2)
+    assert json.loads((out / "barrier.json").read_text())["alpha0"] == 0.25

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from birkhoff_lab.errors import ConvexityViolation, MaximizerNotFound
+from birkhoff_lab.flow import FlowSettings, integrate_batch
 from birkhoff_lab.hamiltonians import (
     Family,
     SampleSpec,
@@ -18,6 +19,7 @@ from birkhoff_lab.hamiltonians import (
     shifted_quadratic,
     tonelli_report,
 )
+from birkhoff_lab.lax_oleinik import lagrangian_batch
 
 SQ = shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3, offset=0.2)
 
@@ -171,3 +173,42 @@ def test_legendre_maximizer_not_found_for_concave():
     )
     with pytest.raises(MaximizerNotFound):
         legendre_transform(bad, 0.0, 0.0, 0.5)
+
+
+CONTRACT_FAMILIES = {
+    "mechanical_time_dependent": mechanical([(1, 1, 0.3, -0.2), (0, 2, 0.1, 0.05)], kinetic=1.5, offset=0.1),
+    "shifted_quadratic": shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
+    "custom_quartic": custom_quartic(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_FAMILIES))
+def test_family_contract(name):
+    h = CONTRACT_FAMILIES[name]
+    rng = np.random.default_rng(5)
+    t, q, p = rng.uniform(0, 1, 40), rng.uniform(0, 1, 40), rng.uniform(-2, 2, 40)
+    e = 1e-5
+    assert np.allclose(h.dH_dp(t, q, p), (h.value(t, q, p + e) - h.value(t, q, p - e)) / (2 * e), rtol=0, atol=1e-6)
+    assert np.allclose(h.dH_dq(t, q, p), (h.value(t, q + e, p) - h.value(t, q - e, p)) / (2 * e), rtol=0, atol=1e-6)
+    assert np.allclose(h.dH_dt(t, q, p), (h.value(t + e, q, p) - h.value(t - e, q, p)) / (2 * e), rtol=0, atol=1e-6)
+    assert np.all(h.d2H_dpp(t, q, p) > 0)
+
+    qs, vs = np.meshgrid([0.1, 0.45, 0.8], [-2.0, -0.7, 0.0, 0.6, 1.9])
+    for tt in (0.0, 0.3, 0.7):
+        batch = lagrangian_batch(h, tt, qs, vs)
+        scalar = np.vectorize(lambda qq, vv: legendre_transform(h, tt, qq, vv).value)(qs, vs)
+        if h.family is Family.CUSTOM:
+            assert np.max(np.abs(batch - scalar)) <= 1e-3
+        else:
+            assert np.array_equal(batch, scalar)
+
+    # "auto" steps by the family's native substep, or by RK4 for custom callables
+    q0, p0 = np.array([0.3, 0.6]), np.array([0.8, -0.4])
+    auto = integrate_batch(h, q0, p0, 0.0, 0.01, FlowSettings(integrator="auto", substeps_per_macro=2))
+    if h.family is Family.CUSTOM:
+        expected = integrate_batch(h, q0, p0, 0.0, 0.01, FlowSettings(integrator="rk4", substeps_per_macro=2))
+        assert np.array_equal(auto[0], expected[0]) and np.array_equal(auto[1], expected[1])
+    else:
+        q1, p1 = h.ops.substep(h, 0.0, q0, p0, 0.005)
+        q2, p2 = h.ops.substep(h, 0.005, q1, p1, 0.005)
+        assert np.array_equal(auto[0], q2) and np.array_equal(auto[1], p2)
