@@ -19,7 +19,7 @@ from .errors import DomainExceeded, KinkAtSeed
 from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, trajectory
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
-from .lax_oleinik import lagrangian_batch, lax_negative, potential
+from .lax_oleinik import SINGLE_STEP_SPAN, lagrangian_batch, lax_negative, potential
 
 KINK_RATIO = 50.0
 KINK_FLOOR = 1e-9
@@ -126,6 +126,7 @@ def spacetime_from_lax(
     knot_step: float = 1.0 / 16.0,
     n: int | None = None,
     quad_nodes: int = 8,
+    max_span: float = SINGLE_STEP_SPAN,
 ) -> SpaceTimeFunction:
     """Viscosity-type evolution of u0 sampled on a uniform knot ladder."""
     n = n or u0.resolution
@@ -136,7 +137,7 @@ def spacetime_from_lax(
     rows = [u0.values.copy()]
     cur = u0
     for j in range(k):
-        pm = potential(h, float(times[j]), float(times[j + 1]), n, quad_nodes=quad_nodes)
+        pm = potential(h, float(times[j]), float(times[j + 1]), n, max_span, quad_nodes)
         cur = lax_negative(cur, pm, alpha0)
         rows.append(cur.values.copy())
     return SpaceTimeFunction(times, np.array(rows), alpha0)

@@ -5,8 +5,9 @@ birkhoff, recurrence, invariance. Global flags --config/--out/--seed/
 --resolution/--quiet. Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE, >= 10
 errors (details on stderr unless --quiet).
 
-Potentials use the config's quad_nodes and max_span; alpha0 comes from
-experiments.resolve_alpha0, except in `mane`, the estimator, which ignores it.
+Potentials take their settings from experiments.resolve_potential_settings
+and alpha0 from experiments.resolve_alpha0, except in `mane`, the estimator,
+which ignores a pinned alpha0.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .experiments import (
     lax_spacetime,
     load_config,
     resolve_alpha0,
+    resolve_potential_settings,
     run_autonomous_invariance,
     run_iteration_experiment,
     run_recurrence_experiment,
@@ -41,7 +43,7 @@ from .lax_oleinik import (
     potential,
 )
 from .reports import emit_reports, grid_to_csv, potential_to_csv
-from .spectral import fqi_from_csv, selector_function, spectral_top, spectral_unit
+from .spectral import fqi_from_csv, global_invariants, selector_function
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 10
 
@@ -129,6 +131,7 @@ def main(argv=None) -> int:
         out = Path(config.outdir)
         say = (lambda *a: None) if args.quiet else print
         h = config.hamiltonian
+        settings = resolve_potential_settings(config)
 
         if args.command == "flow":
             tr = trajectory(h, PhasePoint(args.q, args.p), args.t0, args.t1, config.flow_settings)
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "potential":
-            pm = potential(h, args.t0, args.t1, config.resolution, config.max_span, quad_nodes=config.quad_nodes)
+            pm = potential(h, args.t0, args.t1, **settings)
             out.mkdir(parents=True, exist_ok=True)
             potential_to_csv(pm, out / "potential.csv")
             say(f"potential [{args.t0},{args.t1}] written; min={float(pm.entries.min())!r}")
@@ -150,7 +153,7 @@ def main(argv=None) -> int:
 
         if args.command == "lax":
             u = grid_from_trig(config.initial_potential, config.resolution)
-            pm = potential(h, 0.0, 1.0, config.resolution, config.max_span, quad_nodes=config.quad_nodes)
+            pm = potential(h, 0.0, 1.0, **settings)
             alpha0 = resolve_alpha0(config)
             for _ in range(args.steps):
                 u = (
@@ -164,7 +167,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "mane":
-            est = mane_critical_value(h, 64, config.resolution, quad_nodes=config.quad_nodes, max_span=config.max_span)
+            est = mane_critical_value(h, 64, **settings)
             _write_json(out, "mane.json", {
                 "alpha0": est.alpha0,
                 "half_width": est.half_width,
@@ -175,8 +178,7 @@ def main(argv=None) -> int:
 
         if args.command == "barrier":
             alpha0 = resolve_alpha0(config)
-            res = peierls_barrier(h, alpha0, 0.0, 0.0, args.n_min, args.n_max, config.resolution,
-                                  max_span=config.max_span, quad_nodes=config.quad_nodes)
+            res = peierls_barrier(h, alpha0, 0.0, 0.0, args.n_min, args.n_max, **settings)
             out.mkdir(parents=True, exist_ok=True)
             potential_to_csv(res.matrix, out / "barrier.csv")
             _write_json(out, "barrier.json", {
@@ -190,19 +192,18 @@ def main(argv=None) -> int:
         if args.command == "spectral":
             s = fqi_from_csv(args.fqi)
             payload = {"index": s.index, "fiber_dims": s.fiber_dims}
-            if s.index <= 1:
-                sv = spectral_unit(s)
-                payload["unit"] = {"value": sv.value, "certificate": sv.certificate.value,
-                                   "witness": list(sv.witness)}
-            if s.fiber_dims - s.index <= 1:
-                sv = spectral_top(s)
-                payload["top"] = {"value": sv.value, "certificate": sv.certificate.value,
-                                  "witness": list(sv.witness)}
             if s.base_resolution:
                 sel = selector_function(s)
+                unit, top = sel.unit, sel.top
                 payload["selector_oscillation"] = sel.values.oscillation()
                 payload["selector_lipschitz"] = sel.lipschitz
                 payload["bounds_ok"] = sel.bounds_ok
+            else:
+                unit, top = global_invariants(s)
+            for key, sv in (("unit", unit), ("top", top)):
+                if sv is not None:
+                    payload[key] = {"value": sv.value, "certificate": sv.certificate.value,
+                                    "witness": list(sv.witness)}
             _write_json(out, "spectral.json", payload)
             say(json.dumps(payload, sort_keys=True))
             return EXIT_PASS

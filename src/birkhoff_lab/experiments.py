@@ -32,6 +32,7 @@ from .errors import FixedPointNotReached, ResamplingBudgetExceeded
 from .flow import FlowSettings
 from .grids import GridFunction, grid_from_trig
 from .hamiltonians import (
+    Family,
     TonelliHamiltonian,
     TrigPolynomial,
     mechanical,
@@ -341,14 +342,17 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
+def resolve_potential_settings(config: ExperimentConfig) -> dict:
+    """Keyword settings of every potential built from the config."""
+    return {"n": config.resolution, "quad_nodes": config.quad_nodes, "max_span": config.max_span}
+
+
 def resolve_alpha0(config: ExperimentConfig) -> float:
     """The pinned alpha0, else the value-iteration estimate under the config's
-    potential settings (resolution, quad_nodes, max_span)."""
+    potential settings."""
     if config.alpha0 is not None:
         return config.alpha0
-    return mane_critical_value(
-        config.hamiltonian, 48, config.resolution, quad_nodes=config.quad_nodes, max_span=config.max_span
-    ).alpha0
+    return mane_critical_value(config.hamiltonian, 48, **resolve_potential_settings(config)).alpha0
 
 
 def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -357,7 +361,7 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
     h = config.hamiltonian
     u0 = grid_from_trig(config.initial_potential, n)
     alpha0 = resolve_alpha0(config)
-    pm = potential(h, 0.0, 1.0, n, quad_nodes=config.quad_nodes, max_span=config.max_span)
+    pm = potential(h, 0.0, 1.0, **resolve_potential_settings(config))
 
     fwd = [u0]
     for _ in range(config.n_max):
@@ -428,12 +432,17 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
 def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     """Fixed-point construction and flow invariance of its graph (autonomous)."""
     h = config.hamiltonian
-    for j, _, a, b in (*h.potential.terms, *h.shift_profile.terms):
-        if j != 0 and (a != 0.0 or b != 0.0):
-            raise ValueError("invariance experiment needs an autonomous Hamiltonian")
+    if h.family is Family.CUSTOM:  # a time-independent callable has dH/dt exactly 0 on the sample
+        q, p = np.meshgrid(np.arange(8) / 8, np.linspace(-2.0, 2.0, 5))
+        time_dependent = any(np.any(h.dH_dt(t, q, p) != 0.0) for t in (0.1, 0.4, 0.7))
+    else:  # closed forms: exact, no term with a time harmonic
+        terms = (*h.potential.terms, *h.shift_profile.terms)
+        time_dependent = any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
+    if time_dependent:
+        raise ValueError("invariance experiment needs an autonomous Hamiltonian")
     n = config.resolution
     alpha0 = resolve_alpha0(config)
-    pm = potential(h, 0.0, 1.0, n, quad_nodes=config.quad_nodes, max_span=config.max_span)
+    pm = potential(h, 0.0, 1.0, **resolve_potential_settings(config))
     u = grid_from_trig(config.initial_potential, n)
     budget = 512
     residual = np.inf
@@ -492,12 +501,11 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
 
 def lax_spacetime(config: ExperimentConfig, t0: float, t1: float) -> SpaceTimeFunction:
     """Candidate solution window for the calibration pipeline."""
-    n = config.resolution
     h = config.hamiltonian
     alpha0 = resolve_alpha0(config)
-    u0 = grid_from_trig(config.initial_potential, n)
-    pm = potential(h, 0.0, 1.0, n, quad_nodes=config.quad_nodes, max_span=config.max_span)
-    cur = u0
+    settings = resolve_potential_settings(config)
+    cur = grid_from_trig(config.initial_potential, config.resolution)
+    pm = potential(h, 0.0, 1.0, **settings)
     for _ in range(int(max(0, round(t0)))):
         cur = lax_negative(cur, pm, alpha0)
-    return spacetime_from_lax(h, cur, t0, t1, alpha0, n=n, quad_nodes=config.quad_nodes)
+    return spacetime_from_lax(h, cur, t0, t1, alpha0, **settings)

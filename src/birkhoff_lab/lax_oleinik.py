@@ -72,14 +72,14 @@ def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
 _POTENTIAL_CACHE: dict[tuple, PotentialMatrix] = {}
 
 
-def _single_step(h, s, t, n, windings, quad_nodes):
+def _single_step(h, s, t, n, quad_nodes):
     grid = np.arange(n) / n
     span = t - s
     best = None
     best_w = None
     taus = s + (np.arange(quad_nodes) + 0.5) * span / quad_nodes
     fracs = (taus - s) / span
-    for w in range(-windings, windings + 1):
+    for w in range(-WINDING_WINDOW, WINDING_WINDOW + 1):
         delta = grid[None, :] - grid[:, None] + w
         vel = delta / span
         acc = np.zeros((n, n))
@@ -94,7 +94,7 @@ def _single_step(h, s, t, n, windings, quad_nodes):
             mask = acc < best
             best = np.where(mask, acc, best)
             best_w = np.where(mask, w, best_w)
-    at_boundary = bool(np.any(np.abs(best_w) >= windings)) if windings > 0 else False
+    at_boundary = bool(np.any(np.abs(best_w) >= WINDING_WINDOW))
     return PotentialMatrix(s, t, best, at_boundary)
 
 
@@ -104,24 +104,23 @@ def potential(
     t: float,
     n: int = 256,
     max_span: float = SINGLE_STEP_SPAN,
-    windings: int = WINDING_WINDOW,
     quad_nodes: int = QUAD_NODES,
 ) -> PotentialMatrix:
     """Action potential matrix between times s < t on the n-point grid."""
     if t <= s:
         raise NonpositiveDuration(f"need t > s, got [{s}, {t}]")
     base = np.floor(s)
-    key = (h, round(s - base, 12), round(t - s, 12), n, max_span, windings, quad_nodes)
+    key = (h, round(s - base, 12), round(t - s, 12), n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)
     if hit is not None:
         return PotentialMatrix(s, t, hit.entries, hit.boundary_winding_active)
     if t - s <= max_span + 1e-12:
-        out = _single_step(h, s - base, t - base, n, windings, quad_nodes)
+        out = _single_step(h, s - base, t - base, n, quad_nodes)
     else:
         mid = 0.5 * (s + t)
         out = minplus_compose(
-            potential(h, s, mid, n, max_span, windings, quad_nodes),
-            potential(h, mid, t, n, max_span, windings, quad_nodes),
+            potential(h, s, mid, n, max_span, quad_nodes),
+            potential(h, mid, t, n, max_span, quad_nodes),
         )
         out = PotentialMatrix(s - base, t - base, out.entries, out.boundary_winding_active)
     _POTENTIAL_CACHE[key] = out
@@ -235,32 +234,22 @@ def peierls_barrier(
     if not n_max > n_min >= 4:
         raise ValueError("need n_max > n_min >= 4")
     one_period = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes)
-    current = potential(h, s, 1.0 + t, n, max_span, quad_nodes=quad_nodes) if 1.0 + t > s else None
-    if current is None:
-        raise NonpositiveDuration("barrier window starts before its anchor")
+    current = potential(h, s, 1.0 + t, n, max_span, quad_nodes=quad_nodes)
     running = None
     changes = []
-    horizon = 1
-    while horizon < n_max:
-        if horizon >= n_min:
-            cand = current.entries + alpha0 * (horizon + t - s)
-            if running is None:
-                running = cand.copy()
-                changes.append(float(np.max(np.abs(cand))))
-            else:
-                new = np.minimum(running, cand)
-                changes.append(float(np.max(np.abs(new - running))))
-                running = new
-        current = minplus_compose(current, one_period)
-        horizon += 1
-    cand = current.entries + alpha0 * (horizon + t - s)
-    if running is None:
-        running = cand.copy()
-        changes.append(float(np.max(np.abs(cand))))
-    else:
-        new = np.minimum(running, cand)
-        changes.append(float(np.max(np.abs(new - running))))
-        running = new
+    for horizon in range(1, n_max + 1):
+        if horizon > 1:
+            current = minplus_compose(current, one_period)
+        if horizon < n_min:
+            continue
+        cand = current.entries + alpha0 * (horizon + t - s)
+        if running is None:
+            running = cand.copy()
+            changes.append(float(np.max(np.abs(cand))))
+        else:
+            new = np.minimum(running, cand)
+            changes.append(float(np.max(np.abs(new - running))))
+            running = new
     window = max(1, len(changes) // 4)
     converged = bool(max(changes[-window:]) < tol)
     return BarrierResult(

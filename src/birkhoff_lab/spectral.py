@@ -98,23 +98,18 @@ class SampledFqi:
     def fiber_step(self) -> float:
         return float(max(2 * self.fiber_halfwidth / (m - 1) for m in self.fiber_shape))
 
+    def fiber_grids(self) -> tuple[np.ndarray, ...]:
+        return np.meshgrid(*(self.fiber_axis(i) for i in range(self.fiber_dims)), indexing="ij")
+
     def quadratic_part(self) -> np.ndarray:
-        axes = [self.fiber_axis(i) for i in range(self.fiber_dims)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        q = sum(s * g**2 for s, g in zip(self.signature, grids))
-        if self.base_resolution:
-            q = np.broadcast_to(q, self.values.shape)
-        return np.asarray(q)
+        q = sum(s * g**2 for s, g in zip(self.signature, self.fiber_grids()))
+        return np.broadcast_to(q, self.values.shape)
 
     def _shell_mask(self) -> np.ndarray:
-        axes = [self.fiber_axis(i) for i in range(self.fiber_dims)]
-        grids = np.meshgrid(*axes, indexing="ij")
         mask = np.zeros(self.fiber_shape, dtype=bool)
-        for g in grids:
+        for g in self.fiber_grids():
             mask |= np.abs(g) > SHELL_FRACTION * self.fiber_halfwidth
-        if self.base_resolution:
-            mask = np.broadcast_to(mask, self.values.shape)
-        return np.asarray(mask)
+        return np.broadcast_to(mask, self.values.shape)
 
     def shell_error(self) -> float:
         mask = self._shell_mask()
@@ -138,34 +133,19 @@ def sample_fqi(
     The outer 10% of the fiber box is overwritten with constant + quadratic,
     which keeps the two far ends unambiguous for the percolation sentinels.
     """
-    k = len(signature)
     if isinstance(fiber_resolution, int):
-        fiber_resolution = (fiber_resolution,) * k
-    axes = [np.linspace(-halfwidth, halfwidth, m) for m in fiber_resolution]
-    grids = list(np.meshgrid(*axes, indexing="ij"))
+        fiber_resolution = (fiber_resolution,) * len(signature)
+    shape = ((base_resolution,) if base_resolution else ()) + tuple(fiber_resolution)
+    s = SampledFqi(np.zeros(shape), signature, halfwidth, constant, base_resolution, shell_enforced=False)
+    grids = s.fiber_grids()
     if base_resolution:
-        q = np.arange(base_resolution) / base_resolution
-        shape = (base_resolution,) + tuple(fiber_resolution)
-        qb = q.reshape((-1,) + (1,) * k)
-        vals = np.broadcast_to(fn(qb, *[g[None] for g in grids]), shape).astype(float).copy()
+        q = (np.arange(base_resolution) / base_resolution).reshape((-1,) + (1,) * len(signature))
+        s.values[...] = fn(q, *[g[None] for g in grids])
     else:
-        vals = np.asarray(fn(*grids), dtype=float).copy()
-    quad = sum(s * g**2 for s, g in zip(signature, grids))
-    mask = np.zeros(tuple(fiber_resolution), dtype=bool)
-    for g in grids:
-        mask |= np.abs(g) > SHELL_FRACTION * halfwidth
-    target = constant + quad
-    if base_resolution:
-        vals[:, mask] = np.broadcast_to(target, vals.shape[1:])[mask]
-    else:
-        vals[mask] = target[mask]
-    return SampledFqi(
-        values=vals,
-        signature=tuple(signature),
-        fiber_halfwidth=halfwidth,
-        constant_at_infinity=constant,
-        base_resolution=base_resolution,
-    )
+        s.values[...] = fn(*grids)
+    mask = s._shell_mask()
+    s.values[mask] = (constant + s.quadratic_part())[mask]
+    return replace(s, shell_enforced=True)
 
 
 def negate(s: SampledFqi) -> SampledFqi:
@@ -298,9 +278,15 @@ def spectral_top(s: SampledFqi) -> SpectralValue:
     return SpectralValue(-r.value, cert, r.witness)
 
 
+def global_invariants(s: SampledFqi) -> tuple[SpectralValue | None, SpectralValue | None]:
+    """(unit, top) invariants of S, None for each one its quadratic index does
+    not support: the unit class needs index <= 1, the top class co-index <= 1."""
+    unit = spectral_unit(s) if s.index <= 1 else None
+    top = spectral_top(s) if s.fiber_dims - s.index <= 1 else None
+    return unit, top
+
+
 def _restrict_to_fiber(s: SampledFqi, q_index: int) -> SampledFqi:
-    if not s.base_resolution:
-        raise ValueError("restriction needs a circle base")
     return SampledFqi(
         values=s.values[q_index].copy(),
         signature=s.signature,
@@ -312,61 +298,64 @@ def _restrict_to_fiber(s: SampledFqi, q_index: int) -> SampledFqi:
 
 
 def fiber_selector(s: SampledFqi, q_index: int) -> float:
-    """Invariant of the fiber over one base point.
+    """Invariant of the fiber over one base point (q_index is ignored without a base).
 
-    Index 0 is the fiber minimum, full index the fiber maximum; the mixed 2-D
-    signature goes through the fiber percolation, with (-1,+1) routed through
-    duality so that selector(-S) = -selector(S) holds exactly.
+    Index 0 and the mixed 2-D signature (+1,-1) take the unit invariant (fiber
+    minimum, fiber percolation); full index and (-1,+1) take the top one, so
+    that selector(-S) = -selector(S) holds exactly.
     """
     fq = _restrict_to_fiber(s, q_index) if s.base_resolution else s
-    m = fq.index
-    k = fq.fiber_dims
-    if m == 0:
-        return float(fq.values.min())
-    if m == k:
-        return float(fq.values.max())
-    if k == 2 and fq.signature == (1, -1):
-        val, _ = sublevel_percolation_threshold(fq.values, 1, (False, False))
-        return val
-    if k == 2 and fq.signature == (-1, 1):
-        return -fiber_selector(negate(fq), 0)
+    if fq.index == fq.fiber_dims or fq.signature == (-1, 1):
+        return spectral_top(fq).value
+    if fq.index == 0 or fq.signature == (1, -1):
+        return spectral_unit(fq).value
     raise UnsupportedIndex(f"fiber signature {fq.signature} unsupported")
+
+
+def _fiber_selectors(s: SampledFqi) -> np.ndarray:
+    if not s.base_resolution:
+        raise ValueError("the selector needs a circle base")
+    return np.array([fiber_selector(s, i) for i in range(s.base_resolution)])
 
 
 @dataclass(frozen=True)
 class SelectorResult:
+    """Base-wise selector with the global invariants that bound it.
+
+    The unit invariant bounds the selector from below and the top invariant
+    from above; slack 1e-9 covers float noise (the discrete inequalities are
+    exact). lower, upper and bounds_ok are None when no invariant exists.
+    """
+
     values: GridFunction
     lipschitz: float
-    lower: float | None
-    upper: float | None
-    bounds_ok: bool | None
+    unit: SpectralValue | None
+    top: SpectralValue | None
+
+    @property
+    def lower(self) -> float | None:
+        return None if self.unit is None else self.unit.value
+
+    @property
+    def upper(self) -> float | None:
+        return None if self.top is None else self.top.value
+
+    @property
+    def bounds_ok(self) -> bool | None:
+        if self.unit is None and self.top is None:
+            return None
+        vals = self.values.values
+        return (self.unit is None or self.unit.value <= float(vals.min()) + 1e-9) and (
+            self.top is None or float(vals.max()) <= self.top.value + 1e-9
+        )
 
 
 def selector_function(s: SampledFqi) -> SelectorResult:
-    """Base-wise invariant as a grid function, with the global two-sided bounds.
-
-    The unit invariant bounds the selector from below and the top invariant
-    from above whenever their indices are supported; slack 1e-9 covers float
-    noise (the discrete inequalities are exact).
-    """
-    if not s.base_resolution:
-        raise ValueError("selector_function needs a circle base")
-    vals = np.array([fiber_selector(s, i) for i in range(s.base_resolution)])
+    """Base-wise invariant as a grid function, with the global invariants."""
+    vals = _fiber_selectors(s)
     step = 1.0 / s.base_resolution
     lip = float(np.max(np.abs(np.diff(np.append(vals, vals[0]))))) / step
-    lower = upper = None
-    if s.index <= 1:
-        lower = spectral_unit(s).value
-    if s.fiber_dims - s.index <= 1:
-        upper = spectral_top(s).value
-    ok = None
-    if lower is not None or upper is not None:
-        ok = True
-        if lower is not None and lower > float(vals.min()) + 1e-9:
-            ok = False
-        if upper is not None and float(vals.max()) > upper + 1e-9:
-            ok = False
-    return SelectorResult(GridFunction(vals), lip, lower, upper, ok)
+    return SelectorResult(GridFunction(vals), lip, *global_invariants(s))
 
 
 def fibred_sum_fqi(s1: SampledFqi, s2: SampledFqi, negate_second: bool = False) -> SampledFqi:
@@ -409,10 +398,8 @@ class AdditivityReport:
 
 def sum_additivity_check(s1: SampledFqi, s2: SampledFqi, q_index: int) -> AdditivityReport:
     """Selector of the product-fiber sum against the sum of fiber selectors."""
-    total = fibred_sum_fqi(s1, s2)
-    a = fiber_selector(s1, q_index) if s1.base_resolution else fiber_selector(s1, 0)
-    b = fiber_selector(s2, q_index) if s2.base_resolution else fiber_selector(s2, 0)
-    c = fiber_selector(total, q_index) if total.base_resolution else fiber_selector(total, 0)
+    a, b = fiber_selector(s1, q_index), fiber_selector(s2, q_index)
+    c = fiber_selector(fibred_sum_fqi(s1, s2), q_index)
     tol = 2.0 * max(s1.fiber_step, s2.fiber_step)
     return AdditivityReport(c, (a, b), c - (a + b), tol)
 
@@ -442,13 +429,10 @@ def selector_difference_bounds(s1: SampledFqi, s2: SampledFqi) -> DifferenceBoun
     supported; mismatched signatures leave one side open.
     """
     diff = fibred_sum_fqi(s1, s2, negate_second=True)
-    lower = spectral_unit(diff).value if diff.index <= 1 else None
-    upper = spectral_top(diff).value if diff.fiber_dims - diff.index <= 1 else None
+    lower, upper = (None if sv is None else sv.value for sv in global_invariants(diff))
     if lower is None and upper is None:
         raise UnsupportedIndex(f"difference signature {diff.signature} unsupported")
-    u1 = selector_function(s1).values.values
-    u2 = selector_function(s2).values.values
-    gaps = u1 - u2
+    gaps = _fiber_selectors(s1) - _fiber_selectors(s2)
     tol = 2.0 * max(s1.fiber_step, s2.fiber_step)
     return DifferenceBoundsReport(lower, upper, float(gaps.min()), float(gaps.max()), tol)
 
@@ -523,27 +507,34 @@ def fqi_to_csv(s: SampledFqi, path) -> None:
 
 
 def fqi_from_csv(path) -> SampledFqi:
+    """Read an instance written by fqi_to_csv.
+
+    Raises ValueError on a line whose column count is wrong, an index outside
+    the shape, or a cell that is missing or listed twice.
+    """
     path = Path(path)
     with open(path.with_suffix(".meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    fiber_shape = tuple(meta["fiber_resolution"])
     base = meta["base_resolution"]
-    shape = ((base,) if base else ()) + fiber_shape
-    vals = np.zeros(shape)
+    rows_shape = (base or 1,) + tuple(meta["fiber_resolution"])  # the q column is 0 without a base
+    row = np.dtype([("cell", np.int32, (len(rows_shape),)), ("value", float)])
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        ncols = len(header.strip().split(","))
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != ncols:
-                continue
-            q = int(parts[0])
-            fiber_idx = tuple(int(x) for x in parts[1:-1])
-            value = float(parts[-1])
-            idx = ((q,) if base else ()) + fiber_idx
-            vals[idx] = value
+        if fh.readline().count(",") != len(rows_shape):
+            raise ValueError(f"{path}: the header does not have {len(rows_shape) + 1} columns")
+        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
+    try:
+        flat = np.ravel_multi_index(rows["cell"].T, rows_shape)
+    except ValueError as exc:
+        raise ValueError(f"{path}: a cell index lies outside the shape {rows_shape}") from exc
+    vals = np.empty(rows_shape)
+    filled = np.zeros(vals.size, dtype=bool)
+    filled[flat] = True
+    listed = np.count_nonzero(filled)
+    if listed != vals.size or listed != flat.size:  # every cell listed, and no row left over
+        raise ValueError(f"{path}: {vals.size - listed} cells missing, {flat.size - listed} rows repeat a cell")
+    vals.flat[flat] = rows["value"]
     return SampledFqi(
-        values=vals,
+        values=vals if base else vals[0],
         signature=tuple(meta["signature"]),
         fiber_halfwidth=float(meta["fiber_halfwidth"]),
         constant_at_infinity=float(meta["constant_at_infinity"]),

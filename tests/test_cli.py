@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from birkhoff_lab import spectral
 from birkhoff_lab.cli import main
 from birkhoff_lab.experiments import load_config
 from birkhoff_lab.lax_oleinik import clear_potential_cache, potential
-from birkhoff_lab.spectral import fqi_to_csv, sample_fqi
+from birkhoff_lab.spectral import fibred_sum_fqi, fqi_to_csv, sample_fqi
 
 
 @pytest.fixture
@@ -163,3 +164,37 @@ def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
     assert np.array_equal(written, expected.entries)
     assert run(["--config", cfg, "--out", out, "--quiet", "barrier", "--n-min", "4", "--n-max", "8"]) in (0, 2)
     assert json.loads((out / "barrier.json").read_text())["alpha0"] == 0.25
+
+
+def test_spectral_runs_each_global_percolation_once(tmp_path, monkeypatch):
+    f = lambda q, x: x**2 + 0.2 * np.sin(2 * np.pi * q)
+    g = lambda q, x: x**2 + 0.1 * np.cos(2 * np.pi * q)
+    s1 = sample_fqi(f, (1,), base_resolution=8, fiber_resolution=9)
+    s2 = sample_fqi(g, (1,), base_resolution=8, fiber_resolution=9)
+    inst = tmp_path / "sum.csv"
+    fqi_to_csv(fibred_sum_fqi(s1, s2, negate_second=True), inst)
+    shapes = []
+    percolate = spectral.sublevel_percolation_threshold
+
+    def counting(values, *args):
+        shapes.append(values.shape)
+        return percolate(values, *args)
+
+    monkeypatch.setattr(spectral, "sublevel_percolation_threshold", counting)
+    out = tmp_path / "out"
+    assert run(["--out", out, "--quiet", "spectral", "--fqi", inst]) == 0
+    assert shapes.count((8, 9, 9)) == 2
+    payload = json.loads((out / "spectral.json").read_text())
+    assert payload["bounds_ok"] is True
+    assert payload["unit"]["certificate"] == payload["top"]["certificate"] == "percolation_threshold"
+
+
+def test_spectral_rejects_damaged_csv(tmp_path):
+    saddle = lambda x, y: x**2 - y**2 + np.exp(-(x**2 + y**2))
+    inst = tmp_path / "saddle.csv"
+    fqi_to_csv(sample_fqi(saddle, (1, -1), fiber_resolution=65), inst)
+    header, *rows = inst.read_text().splitlines()
+    rows.remove("0,32,32,1.0")  # the saddle cell
+    rows[-1] += ",0.0"
+    inst.write_text("\n".join([header, *rows]) + "\n")
+    assert run(["--out", tmp_path / "out", "--quiet", "spectral", "--fqi", inst]) == 11

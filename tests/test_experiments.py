@@ -10,6 +10,7 @@ from birkhoff_lab.experiments import (
     ReportBundle,
     config_echo,
     grid_kink_mask,
+    lax_spacetime,
     load_config,
     longest_nondecreasing_gap_run,
     parse_trig_coeffs,
@@ -17,7 +18,16 @@ from birkhoff_lab.experiments import (
     run_iteration_experiment,
     run_recurrence_experiment,
 )
-from birkhoff_lab.hamiltonians import Family, TrigPolynomial, free_hamiltonian, pendulum, shifted_quadratic
+from birkhoff_lab.grids import grid_from_trig
+from birkhoff_lab.hamiltonians import (
+    Family,
+    TonelliHamiltonian,
+    TrigPolynomial,
+    free_hamiltonian,
+    pendulum,
+    shifted_quadratic,
+)
+from birkhoff_lab.lax_oleinik import lax_negative, potential
 from birkhoff_lab.reports import emit_reports
 
 MANUFACTURED = ExperimentConfig(
@@ -141,6 +151,18 @@ def test_recurrence_nonexpansive_return_bound():
 def test_invariance_autonomous_guard():
     with pytest.raises(ValueError):
         run_autonomous_invariance(MANUFACTURED)  # time-dependent shift
+    moving_well = TonelliHamiltonian(
+        family=Family.CUSTOM,
+        custom_fn=lambda t, q, p: p**2 / 2 + 0.3 * np.cos(2 * np.pi * (q - t)),
+    )
+    cfg = ExperimentConfig(
+        hamiltonian=moving_well,
+        initial_potential=TrigPolynomial(),
+        resolution=16,
+        quad_nodes=2,
+    )
+    with pytest.raises(ValueError, match="autonomous"):
+        run_autonomous_invariance(cfg)
 
 
 def test_invariance_shifted():
@@ -210,3 +232,17 @@ def test_emit_reports_deterministic(tmp_path):
     emit_reports(run_iteration_experiment(MANUFACTURED), b)
     for name in ("diagnostics.csv", "report.json", "phase_portrait.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_lax_spacetime_knots_use_configured_potential_settings():
+    from dataclasses import replace
+
+    cfg = replace(MANUFACTURED, resolution=64, quad_nodes=4, max_span=1 / 32, alpha0=0.0)
+    u = lax_spacetime(cfg, 0.0, 0.25)
+    cur = grid_from_trig(cfg.initial_potential, 64)
+    rows = [cur.values]
+    for j in range(4):
+        pm = potential(cfg.hamiltonian, j / 16, (j + 1) / 16, 64, max_span=1 / 32, quad_nodes=4)
+        cur = lax_negative(cur, pm, 0.0)
+        rows.append(cur.values)
+    assert np.array_equal(u.knots, np.array(rows))

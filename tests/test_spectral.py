@@ -9,6 +9,7 @@ from birkhoff_lab.spectral import (
     fibred_sum_fqi,
     fqi_from_csv,
     fqi_to_csv,
+    global_invariants,
     negate,
     sample_fqi,
     selector_difference_bounds,
@@ -107,7 +108,8 @@ def test_selector_function_bounds_and_lipschitz():
     sel = selector_function(s)
     qs = np.arange(64) / 64
     assert np.max(np.abs(sel.values.values - f(qs))) <= 1e-12
-    assert sel.bounds_ok
+    assert sel.bounds_ok is True
+    assert (sel.unit, sel.top) == (spectral_unit(s), spectral_top(s)) == global_invariants(s)
     assert sel.lower == pytest.approx(float(f(qs).min()), abs=1e-12)
     assert sel.upper == pytest.approx(float(f(qs).max()), abs=1e-12)
     assert sel.lipschitz <= 2 * np.pi * (0.3 + 0.1) + 1e-6
@@ -209,6 +211,7 @@ def test_percolation_base_connectivity():
     sv = spectral_unit(s)
     qs = np.arange(32) / 32
     assert sv.value == pytest.approx(float(f(qs).min()), abs=1e-12)
+    assert selector_function(s).unit == sv
 
 
 def test_percolation_one_dimensional_is_max():
@@ -240,3 +243,24 @@ def test_fibred_sum_not_shell_enforced():
     total = fibred_sum_fqi(s1, s2)
     assert not total.shell_enforced
     assert total.signature == (1, -1)
+
+
+@pytest.mark.parametrize("damage", [
+    "extra column", "negative index", "index past the shape", "missing cell", "duplicate cell",
+])
+def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
+    s = sample_fqi(lambda q, x: x**2 + 0.1 * np.sin(2 * np.pi * q), (1,), base_resolution=4, fiber_resolution=5)
+    path = tmp_path / "inst.csv"
+    fqi_to_csv(s, path)
+    header, *rows = path.read_text().splitlines()
+    head, cell, tail = rows[:12], rows[12], rows[13:]  # cell (2, 2), inside the shell
+    rows = {
+        "extra column": head + [cell + ",0"] + tail,
+        "negative index": head + ["2,-1,0.5"] + tail,
+        "index past the shape": head + ["2,5,0.5"] + tail,
+        "missing cell": head + tail,
+        "duplicate cell": rows + [cell],
+    }[damage]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError):
+        fqi_from_csv(path)
