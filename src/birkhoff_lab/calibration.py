@@ -10,7 +10,6 @@ exactly across shared knots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, traject
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .lax_oleinik import SINGLE_STEP_SPAN, lagrangian_batch, lax_negative, potential
+from .textio import json_text
 
 KINK_RATIO = 50.0
 KINK_FLOOR = 1e-9
@@ -229,18 +229,18 @@ class CalibratedCurveReport:
     seed_t: float
     seed_q: float
 
+    def to_dict(self) -> dict:
+        """The scalar results, as calibrate writes each shot."""
+        return {
+            "defect": self.defect,
+            "momentum_residual": self.max_momentum_residual,
+            "hj_residual": self.max_hj_residual,
+            "seed_t": self.seed_t,
+            "seed_q": self.seed_q,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "defect": self.defect,
-                "momentum_residual": self.max_momentum_residual,
-                "hj_residual": self.max_hj_residual,
-                "seed_t": self.seed_t,
-                "seed_q": self.seed_q,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json_text(self.to_dict())
 
 
 def calibrated_curve(

@@ -27,6 +27,7 @@ from .experiments import (
     ExperimentConfig,
     lax_spacetime,
     load_config,
+    one_period,
     resolve_alpha0,
     resolve_potential_settings,
     run_autonomous_invariance,
@@ -34,7 +35,6 @@ from .experiments import (
     run_recurrence_experiment,
 )
 from .flow import PhasePoint, trajectory
-from .grids import grid_from_trig
 from .lax_oleinik import (
     lax_negative,
     lax_positive,
@@ -44,6 +44,7 @@ from .lax_oleinik import (
 )
 from .reports import emit_reports, grid_to_csv, potential_to_csv
 from .spectral import fqi_from_csv, global_invariants, selector_function
+from .textio import write_csv, write_json
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 10
 
@@ -52,15 +53,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits with 2; that slot is taken
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _write_json(out: Path, name: str, payload: dict) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    return path
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -135,40 +127,29 @@ def main(argv=None) -> int:
 
         if args.command == "flow":
             tr = trajectory(h, PhasePoint(args.q, args.p), args.t0, args.t1, config.flow_settings)
-            out.mkdir(parents=True, exist_ok=True)
-            with open(out / "trajectory.csv", "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("t,q,p,action_increment\n")
-                inc = np.append(tr.action_increments, np.nan)
-                for t, q, p, a in zip(tr.times, tr.q, tr.p, inc):
-                    fh.write(f"{float(t)!r},{float(q)!r},{float(p)!r},{'' if np.isnan(a) else repr(float(a))}\n")
+            write_csv(out / "trajectory.csv", ["t", "q", "p", "action_increment"],
+                      [tr.times, tr.q, tr.p, tr.action_increments])  # no increment after the last knot
             say(f"endpoint q={float(tr.q[-1])!r} p={float(tr.p[-1])!r} action={tr.total_action!r}")
             return EXIT_PASS
 
         if args.command == "potential":
             pm = potential(h, args.t0, args.t1, **settings)
-            out.mkdir(parents=True, exist_ok=True)
             potential_to_csv(pm, out / "potential.csv")
             say(f"potential [{args.t0},{args.t1}] written; min={float(pm.entries.min())!r}")
             return EXIT_PASS
 
         if args.command == "lax":
-            u = grid_from_trig(config.initial_potential, config.resolution)
-            pm = potential(h, 0.0, 1.0, **settings)
-            alpha0 = resolve_alpha0(config)
+            u, pm, alpha0 = one_period(config)
+            step = lax_negative if args.direction == "negative" else lax_positive
             for _ in range(args.steps):
-                u = (
-                    lax_negative(u, pm, alpha0)
-                    if args.direction == "negative"
-                    else lax_positive(u, pm, alpha0)
-                )
-            out.mkdir(parents=True, exist_ok=True)
+                u = step(u, pm, alpha0)
             grid_to_csv(u, out / f"lax_{args.direction}_{args.steps}.csv")
             say(f"after {args.steps} {args.direction} periods: osc={u.oscillation()!r}")
             return EXIT_PASS
 
         if args.command == "mane":
             est = mane_critical_value(h, 64, **settings)
-            _write_json(out, "mane.json", {
+            write_json(out / "mane.json", {
                 "alpha0": est.alpha0,
                 "half_width": est.half_width,
                 "horizon_used": est.horizon_used,
@@ -179,9 +160,8 @@ def main(argv=None) -> int:
         if args.command == "barrier":
             alpha0 = resolve_alpha0(config)
             res = peierls_barrier(h, alpha0, 0.0, 0.0, args.n_min, args.n_max, **settings)
-            out.mkdir(parents=True, exist_ok=True)
             potential_to_csv(res.matrix, out / "barrier.csv")
-            _write_json(out, "barrier.json", {
+            write_json(out / "barrier.json", {
                 "alpha0": alpha0,
                 "converged": res.converged,
                 "final_change": res.sup_changes[-1],
@@ -204,7 +184,7 @@ def main(argv=None) -> int:
                 if sv is not None:
                     payload[key] = {"value": sv.value, "certificate": sv.certificate.value,
                                     "witness": list(sv.witness)}
-            _write_json(out, "spectral.json", payload)
+            write_json(out / "spectral.json", payload)
             say(json.dumps(payload, sort_keys=True))
             return EXIT_PASS
 
@@ -218,15 +198,9 @@ def main(argv=None) -> int:
                     rep = calibrated_curve(u, h, 0.0, float(q0), args.horizon, config.flow_settings)
                 except KinkAtSeed:
                     continue
-                shots.append({
-                    "defect": rep.defect,
-                    "momentum_residual": rep.max_momentum_residual,
-                    "hj_residual": rep.max_hj_residual,
-                    "seed_t": rep.seed_t,
-                    "seed_q": rep.seed_q,
-                })
+                shots.append(rep.to_dict())
             ok = dom.min_defect >= -args.tolerance
-            _write_json(out, "calibration.json", {
+            write_json(out / "calibration.json", {
                 "min_defect": dom.min_defect,
                 "curves": dom.count,
                 "tolerance": args.tolerance,

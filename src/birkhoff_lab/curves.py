@@ -23,9 +23,10 @@ from .errors import (
     TooFewSamples,
     WindingMismatch,
 )
-from .flow import FlowSettings, PhasePoint, integrate_batch
+from .flow import FlowSettings, integrate_batch
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
+from .textio import write_csv
 
 MIN_NODES = 16
 
@@ -61,10 +62,6 @@ class LagrangianCurve:
     @property
     def q(self) -> np.ndarray:
         return wrap_unit(self.q_lift)
-
-    @property
-    def nodes(self) -> list[PhasePoint]:
-        return [PhasePoint(qi, pi) for qi, pi in zip(self.q, self.p)]
 
     def closed_lift(self) -> np.ndarray:
         """Lift with the first node repeated one winding up (length n+1)."""
@@ -239,8 +236,7 @@ def evolve(
     settings: FlowSettings = FlowSettings(),
     spacing: float = 0.02,
     node_cap: int = 2**16,
-    return_thetas: bool = False,
-):
+) -> LagrangianCurve:
     """Flow the curve from time s to t, transporting the primitive.
 
     Each node follows the Hamiltonian flow and its primitive value advances by
@@ -305,15 +301,13 @@ def evolve(
             keep.append(i)
         if len(keep) < n:
             idx = np.array(keep)
-            thetas, lift_t, p_t, h_t = thetas[idx], lift_t[idx], p_t[idx], h_t[idx]
+            lift_t, p_t, h_t = lift_t[idx], p_t[idx], h_t[idx]
 
     shift = np.floor(lift_t[0])
     out = LagrangianCurve(lift_t - shift, p_t, h_t, curve.winding)
     tol = 1e-6 * max(1.0, out.length()) * (1.0 + float(np.max(np.abs(out.p))))
     if abs(loop_integral(out)) > 50 * tol:
         raise ValueError("exactness lost during evolution; refine spacing or steps")
-    if return_thetas:
-        return out, wrap_unit(thetas)
     return out
 
 
@@ -475,12 +469,7 @@ def _points_off_line(bx, by, ex, ey, ax1, ay1, ax2, ay2) -> bool:
 
 def curve_to_csv(curve: LagrangianCurve, path) -> None:
     """Write `index,q,p,h` rows (h blank when absent)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,q,p,h\n")
-        hvals = curve.primitive
-        for i in range(curve.n_nodes):
-            h = "" if hvals is None else repr(float(hvals[i]))
-            fh.write(f"{i},{float(curve.q[i])!r},{float(curve.p[i])!r},{h}\n")
+    write_csv(path, ["index", "q", "p", "h"], [np.arange(curve.n_nodes), curve.q, curve.p, curve.primitive])
 
 
 def curve_from_csv(path) -> LagrangianCurve:

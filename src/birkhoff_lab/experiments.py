@@ -38,7 +38,7 @@ from .hamiltonians import (
     mechanical,
     shifted_quadratic,
 )
-from .lax_oleinik import lax_negative, lax_positive, mane_critical_value, potential
+from .lax_oleinik import PotentialMatrix, lax_negative, lax_positive, mane_critical_value, potential
 
 
 @dataclass(frozen=True)
@@ -355,13 +355,20 @@ def resolve_alpha0(config: ExperimentConfig) -> float:
     return mane_critical_value(config.hamiltonian, 48, **resolve_potential_settings(config)).alpha0
 
 
+def one_period(config: ExperimentConfig) -> tuple[GridFunction, PotentialMatrix, float]:
+    """The initial value grid, the one-period potential and alpha0: what every
+    iteration of the one-period Lax operators starts from."""
+    u0 = grid_from_trig(config.initial_potential, config.resolution)
+    alpha0 = resolve_alpha0(config)
+    pm = potential(config.hamiltonian, 0.0, 1.0, **resolve_potential_settings(config))
+    return u0, pm, alpha0
+
+
 def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
     """Value-function recurrence under the one-period operators."""
     n = config.resolution
     h = config.hamiltonian
-    u0 = grid_from_trig(config.initial_potential, n)
-    alpha0 = resolve_alpha0(config)
-    pm = potential(h, 0.0, 1.0, **resolve_potential_settings(config))
+    u0, pm, alpha0 = one_period(config)
 
     fwd = [u0]
     for _ in range(config.n_max):
@@ -441,9 +448,7 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     if time_dependent:
         raise ValueError("invariance experiment needs an autonomous Hamiltonian")
     n = config.resolution
-    alpha0 = resolve_alpha0(config)
-    pm = potential(h, 0.0, 1.0, **resolve_potential_settings(config))
-    u = grid_from_trig(config.initial_potential, n)
+    u, pm, alpha0 = one_period(config)
     budget = 512
     residual = np.inf
     for _ in range(budget):
@@ -501,11 +506,7 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
 
 def lax_spacetime(config: ExperimentConfig, t0: float, t1: float) -> SpaceTimeFunction:
     """Candidate solution window for the calibration pipeline."""
-    h = config.hamiltonian
-    alpha0 = resolve_alpha0(config)
-    settings = resolve_potential_settings(config)
-    cur = grid_from_trig(config.initial_potential, config.resolution)
-    pm = potential(h, 0.0, 1.0, **settings)
+    cur, pm, alpha0 = one_period(config)
     for _ in range(int(max(0, round(t0)))):
         cur = lax_negative(cur, pm, alpha0)
-    return spacetime_from_lax(h, cur, t0, t1, alpha0, **settings)
+    return spacetime_from_lax(config.hamiltonian, cur, t0, t1, alpha0, **resolve_potential_settings(config))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -73,10 +72,6 @@ class Trajectory:
         dt = np.diff(self.times)
         if not (np.all(dt > 0) or np.all(dt < 0)):
             raise ValueError("times must be strictly monotone")
-
-    @property
-    def points(self) -> Iterator[PhasePoint]:
-        return (PhasePoint(qi, pi) for qi, pi in zip(self.q, self.p))
 
     @property
     def total_action(self) -> float:
@@ -178,13 +173,14 @@ def integrate_batch(
     knot_times = [s]
     knot_q = [q.copy()]
     knot_p = [p.copy()]
-    knot_qdot = [np.asarray(h.dH_dp(s, q, p), dtype=float) + np.zeros_like(q)]
+    qdot = np.asarray(h.dH_dp(s, q, p), dtype=float) + np.zeros_like(q)
+    knot_qdot = [qdot]
     increments = []
 
     for i in range(n_macro):
         tau0 = s + i * dt_macro
         inc = np.zeros_like(q)
-        f = knot_qdot[-1] * p - np.asarray(h.value(tau0, q, p))
+        f = qdot * p - np.asarray(h.value(tau0, q, p))
         inc += weights[0] * f
         for j in range(m):
             tau = tau0 + j * dt_sub

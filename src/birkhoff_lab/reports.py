@@ -1,13 +1,14 @@
 """Report emission: diagnostics CSV, versioned JSON, self-contained SVG plots.
 
-Everything written here is byte-deterministic for a fixed bundle: floats go
-through repr (shortest round-trip), JSON keys are sorted, and the SVG writer
-formats coordinates with a fixed precision and embeds no external assets.
+Everything written here is byte-deterministic for a fixed bundle: textio
+writes the files (CSV cells by its one rule, JSON with sorted keys), and the
+SVG writer formats coordinates with a fixed precision and embeds no external
+assets.
 """
 
 from __future__ import annotations
 
-import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ import numpy as np
 from . import __version__
 from .curves import curve_to_csv
 from .errors import IoFailure
-from .experiments import ReportBundle
-from .grids import GridFunction
+from .experiments import DiagnosticsRecord, ReportBundle
+from .grids import GridFunction, place_cells
 from .lax_oleinik import PotentialMatrix
+from .textio import write_csv, write_json, write_text
 
 SCHEMA_VERSION = 1
 
@@ -30,67 +32,60 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 def grid_to_csv(u: GridFunction, path) -> None:
     """`index,q[,q2],value` rows over the uniform grid."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if u.dim == 1:
-            fh.write("index,q,value\n")
-            for i, val in enumerate(u.values):
-                fh.write(f"{i},{i / u.resolution!r},{float(val)!r}\n")
-        else:
-            fh.write("index,q,q2,value\n")
-            n = u.values.shape[1]
-            for i in range(u.values.shape[0]):
-                for j in range(n):
-                    flat = i * n + j
-                    fh.write(f"{flat},{i / u.values.shape[0]!r},{j / n!r},{float(u.values[i, j])!r}\n")
+    shape = u.values.shape
+    coords = [lambda rows, k=k: np.unravel_index(rows, shape)[k] / shape[k] for k in range(u.dim)]
+    write_csv(path, ["index", "q", "q2"][: u.dim + 1] + ["value"],
+              [lambda rows: rows, *coords, u.values.ravel()])
 
 
 def grid_from_csv(path) -> GridFunction:
-    rows = []
+    """Read a grid written by grid_to_csv: its shape from the q/q2 columns,
+    each row placed by its index.
+
+    Raises ValueError on another header, or an index that is missing, repeated
+    or outside the grid.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(line.split(","))
-    if header == ["index", "q", "value"]:
-        return GridFunction(np.array([float(r[2]) for r in rows]))
-    if header == ["index", "q", "q2", "value"]:
-        n = int(round(np.sqrt(len(rows))))
-        vals = np.array([float(r[3]) for r in rows]).reshape(n, n)
-        return GridFunction(vals)
-    raise ValueError(f"unexpected grid CSV header {header}")
+        if header not in (["index", "q", "value"], ["index", "q", "q2", "value"]):
+            raise ValueError(f"unexpected grid CSV header {header}")
+        row = np.dtype([("index", np.int64), ("q", float, (len(header) - 2,)), ("value", float)])
+        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
+    shape = tuple(len(np.unique(q)) for q in rows["q"].T)
+    return GridFunction(place_cells(path, rows["index"], rows["value"], shape))
 
 
 def potential_to_csv(pm: PotentialMatrix, path) -> None:
     """Matrix CSV with coordinate row/column headers."""
-    n = pm.resolution
-    grid = [repr(i / n) for i in range(n)]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("y\\x," + ",".join(grid) + "\n")
-        for i in range(n):
-            row = ",".join(repr(float(v)) for v in pm.entries[i])
-            fh.write(f"{grid[i]},{row}\n")
+    grid = np.arange(pm.resolution) / pm.resolution
+    write_csv(path, ["y\\x", *grid], [grid, *pm.entries.T])
 
 
 # ---------------------------------------------------------------------------
 # SVG plotting (hand-rolled for byte determinism)
 
 
-def _svg_header(width, height, title):
-    return (
+def _svg_frame(width, height, title):
+    """The opening parts of a plot (page, title, axis box) and the box corners."""
+    x0, y0, x1, y1 = 60, 30, width - 20, height - 45
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
         f'<text x="{width / 2:.1f}" y="18" font-family="monospace" font-size="13" '
-        f'text-anchor="middle">{title}</text>\n'
-    )
-
-
-def _axis_box(x0, y0, x1, y1):
-    return (
+        f'text-anchor="middle">{title}</text>\n',
         f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
-        f'fill="none" stroke="black" stroke-width="1"/>\n'
-    )
+        f'fill="none" stroke="black" stroke-width="1"/>\n',
+    ]
+    return parts, (x0, y0, x1, y1)
+
+
+def _x_ticks(x0, x1, y1, lo, hi):
+    return [
+        f'<text x="{x0 + frac * (x1 - x0):.1f}" y="{y1 + 16}" font-family="monospace" '
+        f'font-size="11" text-anchor="middle">{val:.4g}</text>\n'
+        for frac, val in ((0.0, lo), (1.0, hi))
+    ]
 
 
 def _scale(vals, lo, hi, out_lo, out_hi):
@@ -100,7 +95,6 @@ def _scale(vals, lo, hi, out_lo, out_hi):
 
 def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, height=420):
     """series: list of (name, xs, ys); one polyline per entry."""
-    x0, y0, x1, y1 = 60, 30, width - 20, height - 45
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
@@ -109,7 +103,7 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, heig
     lo_y, hi_y = min(ys_all), max(ys_all)
     if hi_y == lo_y:
         hi_y = lo_y + 1.0
-    parts = [_svg_header(width, height, title), _axis_box(x0, y0, x1, y1)]
+    parts, (x0, y0, x1, y1) = _svg_frame(width, height, title)
     for k, (name, xs, ys) in enumerate(series):
         if len(xs) == 0:
             continue
@@ -125,11 +119,7 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, heig
                 f'<text x="{x1 - 8}" y="{y0 + 14 + 13 * k}" font-family="monospace" '
                 f'font-size="11" text-anchor="end" fill="{color}">{name}</text>\n'
             )
-    for frac, val in ((0.0, lo_x), (1.0, hi_x)):
-        parts.append(
-            f'<text x="{x0 + frac * (x1 - x0):.1f}" y="{y1 + 16}" font-family="monospace" '
-            f'font-size="11" text-anchor="middle">{val:.4g}</text>\n'
-        )
+    parts.extend(_x_ticks(x0, x1, y1, lo_x, hi_x))
     for frac, val in ((0.0, lo_y), (1.0, hi_y)):
         parts.append(
             f'<text x="{x0 - 6}" y="{y1 - frac * (y1 - y0) + 4:.1f}" font-family="monospace" '
@@ -145,15 +135,12 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, heig
             f'<text x="14" y="{(y0 + y1) / 2:.1f}" font-family="monospace" font-size="12" '
             f'text-anchor="middle" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">{ylabel}</text>\n'
         )
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+    write_text(path, "".join(parts) + "</svg>\n")
 
 
 def histogram_svg(path, values, title, bins=24, width=640, height=420):
     values = np.asarray(list(values), dtype=float)
-    x0, y0, x1, y1 = 60, 30, width - 20, height - 45
-    parts = [_svg_header(width, height, title), _axis_box(x0, y0, x1, y1)]
+    parts, (x0, y0, x1, y1) = _svg_frame(width, height, title)
     if len(values):
         counts, edges = np.histogram(values, bins=bins)
         top = max(1, counts.max())
@@ -164,14 +151,8 @@ def histogram_svg(path, values, title, bins=24, width=640, height=420):
                 f'<rect x="{x0 + i * bw:.3f}" y="{y1 - bh:.3f}" width="{bw:.3f}" '
                 f'height="{bh:.3f}" fill="#1f77b4" stroke="black" stroke-width="0.5"/>\n'
             )
-        for frac, val in ((0.0, edges[0]), (1.0, edges[-1])):
-            parts.append(
-                f'<text x="{x0 + frac * (x1 - x0):.1f}" y="{y1 + 16}" font-family="monospace" '
-                f'font-size="11" text-anchor="middle">{val:.4g}</text>\n'
-            )
-    parts.append("</svg>\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(parts))
+        parts.extend(_x_ticks(x0, x1, y1, edges[0], edges[-1]))
+    write_text(path, "".join(parts) + "</svg>\n")
 
 
 # ---------------------------------------------------------------------------
@@ -182,20 +163,12 @@ def emit_reports(bundle: ReportBundle, outdir) -> list[Path]:
     """Write diagnostics.csv, report.json, SVG plots, and any witness curve."""
     out = Path(outdir)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        written = []
-
         csv_path = out / "diagnostics.csv"
-        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n,hausdorff_to_candidate,gauge,is_graph,fold_count,node_count,primitive_osc\n")
-            for r in bundle.records:
-                fh.write(
-                    f"{r.n},{float(r.hausdorff_to_candidate)!r},{float(r.gauge)!r},"
-                    f"{str(r.is_graph).lower()},{r.fold_count},{r.node_count},{float(r.primitive_osc)!r}\n"
-                )
-        written.append(csv_path)
+        names = [f.name for f in fields(DiagnosticsRecord)]
+        write_csv(csv_path, names, [[getattr(r, name) for r in bundle.records] for name in names])
 
-        payload = {
+        json_path = out / "report.json"
+        write_json(json_path, {
             "schema_version": SCHEMA_VERSION,
             "tool": {"name": "birkhoff-lab", "version": __version__},
             "kind": bundle.kind,
@@ -208,12 +181,8 @@ def emit_reports(bundle: ReportBundle, outdir) -> list[Path]:
             "config": bundle.config_echo,
             "seed": bundle.seed,
             "record_count": len(bundle.records),
-        }
-        json_path = out / "report.json"
-        with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        written.append(json_path)
+        })
+        written = [csv_path, json_path]
 
         portrait = []
         for n in sorted(bundle.curves):

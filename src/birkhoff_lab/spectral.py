@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedIndex
-from .grids import GridFunction
+from .grids import GridFunction, place_cells
+from .textio import write_csv, write_json
 
 SHELL_FRACTION = 0.9
 SHELL_TOL = 1e-9
@@ -480,30 +481,18 @@ def witness_consistent(s: SampledFqi, sv: SpectralValue) -> bool:
 
 def fqi_to_csv(s: SampledFqi, path) -> None:
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if s.fiber_dims == 1:
-            fh.write("q_index,xi1_index,value\n")
-        else:
-            fh.write("q_index,xi1_index,xi2_index,value\n")
-        it = np.ndindex(s.values.shape)
-        for idx in it:
-            if s.base_resolution:
-                q, rest = idx[0], idx[1:]
-            else:
-                q, rest = 0, idx
-            cols = [str(q)] + [str(i) for i in rest] + [repr(float(s.values[idx]))]
-            fh.write(",".join(cols) + "\n")
-    meta = {
+    rows_shape = (s.base_resolution or 1,) + s.fiber_shape  # the q column is 0 without a base
+    header = ["q_index", *(f"xi{i + 1}_index" for i in range(s.fiber_dims)), "value"]
+    indices = [lambda rows, k=k: np.unravel_index(rows, rows_shape)[k] for k in range(len(rows_shape))]
+    write_csv(path, header, [*indices, s.values.ravel()])
+    write_json(path.with_suffix(".meta.json"), {
         "base_resolution": s.base_resolution,
         "fiber_resolution": list(s.fiber_shape),
         "fiber_halfwidth": s.fiber_halfwidth,
         "signature": list(s.signature),
         "constant_at_infinity": s.constant_at_infinity,
         "shell_enforced": s.shell_enforced,
-    }
-    with open(path.with_suffix(".meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def fqi_from_csv(path) -> SampledFqi:
@@ -526,13 +515,7 @@ def fqi_from_csv(path) -> SampledFqi:
         flat = np.ravel_multi_index(rows["cell"].T, rows_shape)
     except ValueError as exc:
         raise ValueError(f"{path}: a cell index lies outside the shape {rows_shape}") from exc
-    vals = np.empty(rows_shape)
-    filled = np.zeros(vals.size, dtype=bool)
-    filled[flat] = True
-    listed = np.count_nonzero(filled)
-    if listed != vals.size or listed != flat.size:  # every cell listed, and no row left over
-        raise ValueError(f"{path}: {vals.size - listed} cells missing, {flat.size - listed} rows repeat a cell")
-    vals.flat[flat] = rows["value"]
+    vals = place_cells(path, flat, rows["value"], rows_shape)
     return SampledFqi(
         values=vals if base else vals[0],
         signature=tuple(meta["signature"]),

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from birkhoff_lab import spectral
+from birkhoff_lab import cli, spectral
+from birkhoff_lab.calibration import calibrated_curve
 from birkhoff_lab.cli import main
-from birkhoff_lab.experiments import load_config
+from birkhoff_lab.experiments import load_config, resolve_potential_settings
+from birkhoff_lab.flow import PhasePoint, trajectory
 from birkhoff_lab.lax_oleinik import clear_potential_cache, potential
 from birkhoff_lab.spectral import fibred_sum_fqi, fqi_to_csv, sample_fqi
 
@@ -198,3 +200,44 @@ def test_spectral_rejects_damaged_csv(tmp_path):
     rows[-1] += ",0.0"
     inst.write_text("\n".join([header, *rows]) + "\n")
     assert run(["--out", tmp_path / "out", "--quiet", "spectral", "--fqi", inst]) == 11
+
+
+def test_trajectory_csv_reads_back_bitwise(tmp_path, small_config):
+    out = tmp_path / "out"
+    assert run(["--config", small_config, "--out", out, "--quiet", "flow", "--q", "0.2", "--p", "0.7"]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()[1:]
+    cells = [line.split(",") for line in lines]
+    config = load_config(small_config)
+    tr = trajectory(config.hamiltonian, PhasePoint(0.2, 0.7), 0.0, 1.0, config.flow_settings)
+    for k, expected in enumerate((tr.times, tr.q, tr.p)):
+        assert np.array_equal([float(c[k]) for c in cells], expected)
+    assert np.array_equal([float(c[3]) for c in cells[:-1]], tr.action_increments)
+    assert cells[-1][3] == ""  # no increment after the last knot
+
+
+def test_potential_csv_reads_back_bitwise(tmp_path, small_config):
+    out = tmp_path / "out"
+    assert run(["--config", small_config, "--out", out, "--quiet", "potential", "--t1", "0.5"]) == 0
+    header, *rows = [line.split(",") for line in (out / "potential.csv").read_text().splitlines()]
+    clear_potential_cache()
+    config = load_config(small_config)
+    expected = potential(config.hamiltonian, 0.0, 0.5, **resolve_potential_settings(config))
+    grid = np.arange(expected.resolution) / expected.resolution
+    assert header[0] == "y\\x"
+    assert np.array_equal([float(x) for x in header[1:]], grid)
+    assert np.array_equal([float(row[0]) for row in rows], grid)
+    assert np.array_equal([[float(x) for x in row[1:]] for row in rows], expected.entries)
+
+
+def test_calibration_shots_are_the_reports_payloads(tmp_path, small_config, monkeypatch):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(calibrated_curve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "calibrated_curve", recording)
+    out = tmp_path / "out"
+    assert run(["--config", small_config, "--out", out, "--quiet", "calibrate", "--curves", "20"]) == 0
+    shots = json.loads((out / "calibration.json").read_text())["calibrated_shots"]
+    assert shots and shots == [json.loads(rep.to_json()) for rep in reports]

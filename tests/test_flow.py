@@ -179,3 +179,19 @@ def test_strang_rejected_for_custom():
     )
     with pytest.raises(ValueError):
         flow_map(h, PhasePoint(0, 1), 0, 1, FlowSettings(integrator="strang"))
+
+
+@pytest.mark.parametrize("family", ["pendulum (Strang)", "custom quartic (RK4)"])
+def test_action_does_not_depend_on_recording_knots(family):
+    # Each macro step's Simpson sum starts from the velocity at its first knot,
+    # recorded or not; qdot varies along these orbits, so a stale one shows.
+    h = pendulum() if family.startswith("pendulum") else TonelliHamiltonian(
+        family=Family.CUSTOM,
+        custom_fn=lambda t, q, p: 0.25 * p**4 + 0.5 * p**2 + 0.2 * np.cos(2 * np.pi * q),
+        momentum_box=(-10, 10),
+    )
+    q, p = np.array([0.1, 0.3, 0.7]), np.array([0.5, 1.2, -0.4])
+    settings = FlowSettings(macro_step=0.05, rk4_tol=1e-9)
+    *_, plain = integrate_batch(h, q, p, 0.0, 1.0, settings)
+    _, _, recorded, rec = integrate_batch(h, q, p, 0.0, 1.0, settings, record_knots=True)
+    assert np.array_equal(plain, recorded)

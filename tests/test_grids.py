@@ -64,10 +64,34 @@ def test_csv_roundtrip_1d(tmp_path):
 
 
 def test_csv_roundtrip_2d(tmp_path):
-    g = GridFunction(np.arange(16.0).reshape(4, 4))
-    path = tmp_path / "g2.csv"
+    for g in (GridFunction(np.arange(16.0).reshape(4, 4)), GridFunction(np.arange(32.0).reshape(4, 8))):
+        path = tmp_path / "g2.csv"
+        grid_to_csv(g, path)
+        with open(path) as fh:
+            assert fh.readline().strip() == "index,q,q2,value"
+        g2 = grid_from_csv(path)
+        assert np.array_equal(g.values, g2.values)
+
+
+def test_csv_rows_placed_by_index(tmp_path):
+    g = grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, 0.3, 0.7)]), 32)
+    path = tmp_path / "g.csv"
     grid_to_csv(g, path)
-    with open(path) as fh:
-        assert fh.readline().strip() == "index,q,q2,value"
-    g2 = grid_from_csv(path)
-    assert np.array_equal(g.values, g2.values)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *reversed(rows)]) + "\n")
+    assert np.array_equal(grid_from_csv(path).values, g.values)
+
+
+@pytest.mark.parametrize("damage", ["repeated index", "missing row", "index past the grid"])
+def test_csv_rejects_bad_index(tmp_path, damage):
+    path = tmp_path / "g2.csv"
+    grid_to_csv(GridFunction(np.arange(16.0).reshape(4, 4)), path)
+    header, *rows = path.read_text().splitlines()
+    rows = {
+        "repeated index": rows[:5] + ["4" + rows[5][1:]] + rows[6:],  # row 5 claims cell 4
+        "missing row": rows[:5] + rows[6:],
+        "index past the grid": rows[:5] + ["16" + rows[5][1:]] + rows[6:],
+    }[damage]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError):
+        grid_from_csv(path)

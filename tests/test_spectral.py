@@ -237,6 +237,14 @@ def test_fqi_csv_roundtrip(tmp_path):
         assert s2.base_resolution == s.base_resolution
 
 
+def test_fqi_csv_header_names_every_fiber_axis(tmp_path):
+    s = sample_fqi(lambda x, y, z: x**2 + y**2 - z**2, (1, 1, -1), fiber_resolution=5)
+    path = tmp_path / "inst.csv"
+    fqi_to_csv(s, path)
+    assert path.read_text().splitlines()[0] == "q_index,xi1_index,xi2_index,xi3_index,value"
+    assert np.array_equal(fqi_from_csv(path).values, s.values)
+
+
 def test_fibred_sum_not_shell_enforced():
     s1 = sample_fqi(lambda x: x**2, (1,), fiber_resolution=17)
     s2 = sample_fqi(lambda x: -(x**2), (-1,), fiber_resolution=17)
