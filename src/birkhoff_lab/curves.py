@@ -10,9 +10,11 @@ interpolating in phase space at the final time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyInput,
@@ -24,11 +26,12 @@ from .errors import (
     WindingMismatch,
 )
 from .flow import FlowSettings, integrate_batch
-from .grids import GridFunction
+from .grids import GridFunction, place_cells
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .textio import write_csv
 
 MIN_NODES = 16
+PAIR_BLOCK = 2**14  # candidate point-segment pairs evaluated at once
 
 
 @dataclass(frozen=True)
@@ -325,11 +328,22 @@ def _point_segment_sq(dx1, dy1, dx2, dy2):
     return px * px + py * py
 
 
-def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve, chunk: int = 512) -> np.ndarray:
+def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -> np.ndarray:
     """Exact distances from phase points to the closed polyline b.
 
-    Each segment of b is unwrapped into the chart of the query point (with
-    the two adjacent winding images) before the point-segment projection.
+    Each distance is the minimum, over the segments of b, of the exact
+    point-to-segment distance (torus metric in q, Euclidean in p), with each
+    segment unwrapped into the chart of the query point: the winding image
+    whose midpoint is nearest in q and the two adjacent ones.
+
+    Only candidate segments are projected onto. The wrapped segment midpoints
+    and their images at q +- 1 are indexed in a KD-tree. The distance d_nn
+    from the point to the nearest midpoint image bounds the answer, since a
+    midpoint lies on its segment. A segment none of whose midpoint images lies
+    within d_nn + (largest segment half-length) of the point is farther than
+    d_nn, so it is skipped. The projections are the same float expressions as
+    over all segments, so the distances are bitwise those of the all-pairs
+    search.
     """
     lb = b.closed_lift()
     pb = b.closed_p()
@@ -338,18 +352,35 @@ def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve, c
     mid = 0.5 * (l1 + l2)
     qa = wrap_unit(np.asarray(q, dtype=float))
     pa = np.asarray(p, dtype=float)
-    out = np.empty(len(qa))
-    for i0 in range(0, len(qa), chunk):
-        qs = qa[i0 : i0 + chunk, None]
-        ps = pa[i0 : i0 + chunk, None]
-        w = np.round(mid[None, :] - qs)
-        best = np.full(qs.shape[0], np.inf)
+    best = np.full(len(qa), np.inf)
+    if len(qa) == 0:
+        return best
+    m = len(mid)
+    mq = wrap_unit(mid)
+    tree = cKDTree(np.column_stack([np.concatenate([mq - 1.0, mq, mq + 1.0]), np.tile(0.5 * (p1 + p2), 3)]))
+    points = np.column_stack([qa, pa])
+    d_nn = tree.query(points)[0]
+    half = 0.5 * float(np.max(np.hypot(l2 - l1, p2 - p1)))
+    # the slack covers rounding in every distance involved: a few ulps of
+    # coordinates bounded by 3 in q and by |p| in p
+    radius = (d_nn + half) * (1.0 + 1e-9) + 1e-12 * (1.0 + np.abs(pa) + np.max(np.abs(pb)))
+    # blocks of points with at most PAIR_BLOCK candidate pairs (plus one
+    # point's) keep memory bounded whatever the curve
+    pairs = np.cumsum(tree.query_ball_point(points, radius, return_length=True))
+    cuts = np.searchsorted(pairs, np.arange(PAIR_BLOCK, pairs[-1], PAIR_BLOCK), side="right")
+    for i0, i1 in zip([0, *cuts], [*cuts, len(qa)]):
+        near = tree.query_ball_point(points[i0:i1], radius[i0:i1], return_sorted=False)
+        counts = np.fromiter(map(len, near), np.intp, len(near))
+        i = np.repeat(np.arange(i0, i1), counts)
+        j = np.fromiter(chain.from_iterable(near), np.intp, int(counts.sum())) % m
+        qs, ps = qa[i], pa[i]
+        w = np.round(mid[j] - qs)
+        d2 = np.full(len(i), np.inf)
         for dw in (-1.0, 0.0, 1.0):
             sh = w + dw
-            d2 = _point_segment_sq(l1[None, :] - sh - qs, p1[None, :] - ps, l2[None, :] - sh - qs, p2[None, :] - ps)
-            best = np.minimum(best, d2.min(axis=1))
-        out[i0 : i0 + chunk] = best
-    return np.sqrt(out)
+            d2 = np.minimum(d2, _point_segment_sq(l1[j] - sh - qs, p1[j] - ps, l2[j] - sh - qs, p2[j] - ps))
+        np.minimum.at(best, i, d2)
+    return np.sqrt(best)
 
 
 def _directed_hausdorff(a: LagrangianCurve, b: LagrangianCurve) -> float:
@@ -357,10 +388,13 @@ def _directed_hausdorff(a: LagrangianCurve, b: LagrangianCurve) -> float:
 
 
 def hausdorff_distance(a: LagrangianCurve, b: LagrangianCurve) -> float:
-    """Symmetric Hausdorff distance between closed polylines.
+    """Symmetric Hausdorff distance between closed polylines, taken at nodes.
 
-    Node-to-segment distances are exact in the locally unwrapped chart
-    (torus metric in q, Euclidean in p).
+    The value is the maximum, over the nodes of either curve, of the exact
+    node-to-polyline distance to the other curve (points_to_curve_distance).
+    Points inside segments are not visited, so the value can fall below the
+    Hausdorff distance of the polylines as sets, by at most half the longest
+    segment.
     """
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
 
@@ -473,27 +507,20 @@ def curve_to_csv(curve: LagrangianCurve, path) -> None:
 
 
 def curve_from_csv(path) -> LagrangianCurve:
-    qs: list[float] = []
-    ps: list[float] = []
-    hs: list[float] = []
-    has_h = True
+    """Read a curve written by curve_to_csv, each row placed by its index.
+
+    The primitive is read only when every row has an h value. Raises
+    ValueError on another header, or an index that is missing, repeated or
+    outside the node range.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "index,q,p,h":
             raise ValueError(f"unexpected curve CSV header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            _, q, p, h = line.split(",")
-            qs.append(float(q))
-            ps.append(float(p))
-            if h == "":
-                has_h = False
-            else:
-                hs.append(float(h))
-    lift = _lift_from_wrapped(np.array(qs))
-    return LagrangianCurve(lift, np.array(ps), np.array(hs) if has_h else None, winding=1)
+        row = np.dtype([("index", np.int64), ("q", float), ("p", float), ("h", float)])
+        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1, converters={3: lambda h: float(h) if h else np.nan})
+    q, p, h = (place_cells(path, rows["index"], rows[name], (len(rows),)) for name in ("q", "p", "h"))
+    return LagrangianCurve(_lift_from_wrapped(q), p, None if np.isnan(h).any() else h, winding=1)
 
 
 def _lift_from_wrapped(q: np.ndarray) -> np.ndarray:

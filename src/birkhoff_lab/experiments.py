@@ -207,30 +207,25 @@ def config_echo(config: ExperimentConfig) -> dict:
 # detector
 
 def longest_nondecreasing_gap_run(hits: list[int]) -> int:
-    """Length of the longest subsequence whose consecutive gaps never shrink."""
-    h = sorted(hits)
+    """Length of the longest subsequence whose consecutive gaps never shrink.
+
+    O(m^2) dynamic programme over the sorted hits: run[k, i] is the longest
+    run ending with (h[k], h[i]). A run ending with (h[k], h[i]) extends by
+    h[j] when h[i] - h[k] <= h[j] - h[i], i.e. for every k from
+    searchsorted(h, 2 h[i] - h[j]) up to i, so a suffix maximum of column i
+    gives the best predecessor of each pair (i, j).
+    """
+    h = np.sort(np.asarray(hits))
     m = len(h)
     if m <= 2:
         return m
-    best = 2
-    memo = {}
-
-    def extend(i, j):  # longest run ending with (h[i], h[j])
-        key = (i, j)
-        if key in memo:
-            return memo[key]
-        gap = h[j] - h[i]
-        out = 2
-        for k in range(i):
-            if h[i] - h[k] <= gap:
-                out = max(out, extend(k, i) + 1)
-        memo[key] = out
-        return out
-
-    for j in range(m):
-        for i in range(j):
-            best = max(best, extend(i, j))
-    return best
+    run = np.zeros((m, m), dtype=np.int32)
+    for i in range(m - 1):
+        # suffix[k] = max(run[k:i, i]); with no predecessor (k = i) the pair is a run of 2
+        suffix = np.append(np.maximum.accumulate(run[:i, i][::-1])[::-1], 1)
+        first = np.minimum(np.searchsorted(h, 2 * h[i] - h[i + 1 :]), i)
+        run[i, i + 1 :] = 1 + suffix[first]
+    return int(run.max())
 
 
 def run_detector(records: list[DiagnosticsRecord], config: ExperimentConfig) -> DetectorResult:

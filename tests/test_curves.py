@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,9 @@ from birkhoff_lab.curves import (
     invert,
     loop_integral,
     oscillation,
+    points_to_curve_distance,
     reduced_complexity_gauge,
+    _point_segment_sq,
 )
 from birkhoff_lab.errors import (
     EmptyInput,
@@ -29,7 +34,7 @@ from birkhoff_lab.errors import (
 )
 from birkhoff_lab.flow import FlowSettings
 from birkhoff_lab.grids import GridFunction, grid_from_trig
-from birkhoff_lab.hamiltonians import TrigPolynomial, free_hamiltonian, shifted_quadratic
+from birkhoff_lab.hamiltonians import TrigPolynomial, free_hamiltonian, shifted_quadratic, wrap_unit
 
 FREE = free_hamiltonian()
 
@@ -141,6 +146,88 @@ def test_hausdorff_examples():
     z2 = zero_section(8192, with_primitive=False)
     # brute-force dense-sampling oracle value: max |p| = 0.2 pi
     assert hausdorff_distance(g, z2) == pytest.approx(0.2 * np.pi, abs=1e-6)
+
+
+def _brute_points_to_curve_distance(q, p, b, chunk=512):
+    """Every point against every segment, three winding images each: the oracle."""
+    lb = b.closed_lift()
+    pb = b.closed_p()
+    l1, l2 = lb[:-1], lb[1:]
+    p1, p2 = pb[:-1], pb[1:]
+    mid = 0.5 * (l1 + l2)
+    qa = wrap_unit(np.asarray(q, dtype=float))
+    pa = np.asarray(p, dtype=float)
+    out = np.empty(len(qa))
+    for i0 in range(0, len(qa), chunk):
+        qs = qa[i0 : i0 + chunk, None]
+        ps = pa[i0 : i0 + chunk, None]
+        w = np.round(mid[None, :] - qs)
+        best = np.full(qs.shape[0], np.inf)
+        for dw in (-1.0, 0.0, 1.0):
+            sh = w + dw
+            d2 = _point_segment_sq(l1[None, :] - sh - qs, p1[None, :] - ps, l2[None, :] - sh - qs, p2[None, :] - ps)
+            best = np.minimum(best, d2.min(axis=1))
+        out[i0 : i0 + chunk] = best
+    return np.sqrt(out)
+
+
+@functools.cache
+def _folded(t):
+    """Free flow of the shock potential to time t: folded for |t| = 1."""
+    amp = 1.0 / (2 * np.pi**2)
+    return evolve(FREE, from_potential(sine_potential(amp, 256)), 0, t, spacing=8e-3)
+
+
+@st.composite
+def _curve_and_points(draw):
+    kind = draw(st.sampled_from(["graph", "folded", "repeated", "lifted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(16, 200))
+    terms = [(0, k, rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)) for k in (1, 2, 3)]
+    u = grid_from_trig(TrigPolynomial.from_coeffs(terms), 16 * 2 ** draw(st.integers(0, 3)))
+    if kind == "folded":
+        b = _folded(draw(st.sampled_from([1.0, -1.0])))
+    else:
+        b = from_potential(u)
+    if kind == "repeated":  # zero-length segments between repeated nodes
+        reps = rng.integers(1, 4, b.n_nodes)
+        b = LagrangianCurve(np.repeat(b.q_lift, reps), np.repeat(b.p, reps), None, 1)
+    if kind == "lifted":  # winding-1 lift that starts outside [0, 1)
+        b = LagrangianCurve(b.q_lift + draw(st.integers(-3, 3)) + rng.uniform(-1, 1), b.p, None, 1)
+    other = from_potential(grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, *rng.uniform(-0.1, 0.1, 2))]), 64))
+    seam = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), -1e-17, 2.0, -1.0])
+    q = np.concatenate([other.q, rng.uniform(-1.5, 2.5, n), seam, b.q_lift[: n // 4]])
+    p = np.concatenate([other.p, rng.uniform(-0.5, 0.5, n), rng.uniform(-0.3, 0.3, len(seam)), b.p[: n // 4]])
+    return q, p, b
+
+
+@given(case=_curve_and_points())
+@settings(max_examples=200, deadline=None)
+def test_points_to_curve_distance_matches_all_pairs_oracle(case):
+    q, p, b = case
+    assert np.array_equal(points_to_curve_distance(q, p, b), _brute_points_to_curve_distance(q, p, b))
+
+
+def test_points_to_curve_distance_empty_query():
+    out = points_to_curve_distance(np.array([]), np.array([]), zero_section())
+    assert out.shape == (0,)
+
+
+def test_points_to_curve_distance_memory_is_bounded():
+    # the all-pairs search holds 512 x 4000 doubles (16 MB) per temporary
+    n = 4000
+    grid = np.arange(n) / n
+    b = LagrangianCurve(grid, 0.3 * np.sin(2 * np.pi * grid), None, 1)
+    q = grid + 0.5 / n
+    p = 0.25 * np.cos(2 * np.pi * q)
+    points_to_curve_distance(q, p, b)
+    tracemalloc.start()
+    try:
+        points_to_curve_distance(q, p, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_hausdorff_metric_properties():
@@ -278,6 +365,21 @@ def test_curve_csv_roundtrip(tmp_path):
     assert np.array_equal(c2.p, c.p)
     assert np.array_equal(c2.primitive, c.primitive)
     assert np.max(np.abs(c2.q - c.q)) == 0.0
+
+
+def test_curve_csv_rows_placed_by_index(tmp_path):
+    c = from_potential(sine_potential(0.05, 32))
+    path = tmp_path / "curve.csv"
+    curve_to_csv(c, path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    c2 = curve_from_csv(path)
+    assert np.array_equal(c2.q_lift, c.q_lift)
+    assert np.array_equal(c2.p, c.p)
+    assert np.array_equal(c2.primitive, c.primitive)
+    path.write_text("\n".join([header, *rows[:-1], rows[3]]) + "\n")
+    with pytest.raises(ValueError, match="repeat"):
+        curve_from_csv(path)
 
 
 def test_curve_csv_blank_primitive(tmp_path):

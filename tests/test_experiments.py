@@ -1,8 +1,10 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from birkhoff_lab.curves import curve_from_csv, graph_check
 from birkhoff_lab.experiments import (
@@ -91,6 +93,47 @@ def test_detector_gap_logic():
     assert longest_nondecreasing_gap_run([1, 2, 4, 8]) == 4  # growing gaps
     assert longest_nondecreasing_gap_run([1, 5, 6, 7]) == 3  # 5,6,7
     assert longest_nondecreasing_gap_run([1, 2, 4, 5]) == 3  # gap shrink breaks runs
+
+
+def _recursive_longest_run(hits):
+    """Memoised recursion over pairs, O(m^3): the oracle for the detector."""
+    h = sorted(hits)
+    m = len(h)
+    if m <= 2:
+        return m
+    best = 2
+    memo = {}
+
+    def extend(i, j):  # longest run ending with (h[i], h[j])
+        key = (i, j)
+        if key in memo:
+            return memo[key]
+        gap = h[j] - h[i]
+        out = 2
+        for k in range(i):
+            if h[i] - h[k] <= gap:
+                out = max(out, extend(k, i) + 1)
+        memo[key] = out
+        return out
+
+    for j in range(m):
+        for i in range(j):
+            best = max(best, extend(i, j))
+    return best
+
+
+@given(hits=st.lists(st.integers(0, 40), max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_detector_matches_recursive_oracle(hits):
+    # values in 0..40 with up to 30 draws repeat often: duplicate hits are gaps of 0
+    assert longest_nondecreasing_gap_run(hits) == _recursive_longest_run(hits)
+
+
+def test_detector_has_no_cubic_cliff():
+    hits = np.random.default_rng(4).integers(0, 10**6, 2000).tolist()
+    t0 = time.perf_counter()
+    longest_nondecreasing_gap_run(hits)
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_iteration_positive_case():
