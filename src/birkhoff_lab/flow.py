@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepSizeUnderflow
-from .hamiltonians import TonelliHamiltonian, wrap_unit
+from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,19 @@ def _rk4_substep(h, tau, q, p, dt, tol):
 
     The local budget scales with the piece length so the error over the whole
     substep stays near tol; pieces shorter than 1e-9 raise StepSizeUnderflow.
+
+    A single point of a closed-form family is stepped on scalars: the same
+    IEEE operations, so the same bits, without numpy's per-call overhead on
+    1-element arrays. Custom callables always see the arrays they are given.
     """
+    if q.size == 1 and h.family is not Family.CUSTOM:
+        qs, ps = _rk4_adaptive(h, tau, float(q[0]), float(p[0]), dt, tol)
+        return np.array([qs], dtype=float), np.array([ps], dtype=float)
+    return _rk4_adaptive(h, tau, q, p, dt, tol)
+
+
+def _rk4_adaptive(h, tau, q, p, dt, tol):
+    """The step-doubling loop of _rk4_substep, on arrays or on scalars."""
     stack = [(tau, dt)]
     while stack:
         t0, step = stack.pop()

@@ -30,6 +30,15 @@ def wrap_unit(x):
     return x - np.floor(x)
 
 
+def _reduced(x):
+    """wrap_unit of x: a Python float for a finite scalar (the same IEEE
+    operations without numpy's 0-d overhead), an array otherwise."""
+    if isinstance(x, float) and math.isfinite(x):
+        x = float(x)
+        return x - math.floor(x)
+    return wrap_unit(np.asarray(x, dtype=float))
+
+
 def torus_distance(a, b):
     """Distance on the unit circle: min(|d|, 1-|d|)."""
     d = np.abs(wrap_unit(a) - wrap_unit(b))
@@ -63,9 +72,12 @@ class TrigPolynomial:
         Arguments are reduced mod 1 before phases are formed, which makes
         1-periodicity hold bitwise.
         """
-        tm = wrap_unit(np.asarray(t, dtype=float))
-        qm = wrap_unit(np.asarray(q, dtype=float))
-        out = np.zeros(np.broadcast(tm, qm).shape)
+        tm = _reduced(t)
+        qm = _reduced(q)
+        if not self.terms:
+            out = np.zeros(np.broadcast(tm, qm).shape)
+            return float(out) if out.ndim == 0 else out
+        out = 0.0  # 0.0 + x: the same bits a zeros array gave, without building it
         n = nt + nq
         for j, k, a, b in self.terms:
             fac = (TWO_PI ** n) * (j ** nt) * (k ** nq)

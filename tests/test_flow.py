@@ -132,6 +132,17 @@ def test_energy_rate_matches_time_derivative():
     assert energy_rate_residual(h, tr) <= 1e-6
 
 
+def test_rk4_lone_point_matches_batch_bitwise():
+    # a lone point steps on scalars; two copies of it step as one array batch
+    # under the same error control, so both must give the same bits
+    for h in (pendulum(), shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3)):
+        for s, t in ((0.0, 0.7), (0.4, -0.3)):
+            one = integrate_batch(h, np.array([0.15]), np.array([1.4]), s, t, RK4_TIGHT)
+            two = integrate_batch(h, np.full(2, 0.15), np.full(2, 1.4), s, t, RK4_TIGHT)
+            for a, b in zip(one, two):
+                assert a.shape == (1,) and np.array_equal(np.repeat(a, 2), b)
+
+
 def test_rk4_step_underflow():
     h = TonelliHamiltonian(
         family=Family.CUSTOM,

@@ -155,6 +155,27 @@ def test_trig_polynomial_derivatives():
         assert approx == pytest.approx(poly.deriv(t, q, nt, nq), abs=1e-6, rel=1e-6)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.floats(-3, 3, allow_nan=False),
+    st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=6),
+)
+def test_trig_polynomial_scalar_matches_array_bitwise(t, qs):
+    poly = TrigPolynomial.from_coeffs([(1, 2, 0.3, -0.4), (0, -1, 0.7, 0.2), (2, 0, -0.1, 0.5)])
+    qs = np.array(qs)
+    for nt, nq in [(0, 0), (0, 1), (1, 1), (0, 2), (2, 0)]:
+        vec = poly.deriv(t, qs, nt, nq)
+        one = np.array([poly.deriv(t, q, nt, nq) for q in qs.tolist()])
+        assert type(poly.deriv(t, qs[0], nt, nq)) is float
+        assert np.array_equal(vec, one)
+
+
+def test_trig_polynomial_without_terms_keeps_shape():
+    poly = TrigPolynomial()
+    assert poly.deriv(0.3, 0.2) == 0.0 and type(poly.deriv(0.3, 0.2)) is float
+    assert np.array_equal(poly.deriv(0.3, np.zeros(4), 0, 1), np.zeros(4))
+
+
 def test_trig_polynomial_harmonic_cap():
     with pytest.raises(ValueError):
         TrigPolynomial.from_coeffs([(9, 0, 1.0, 0.0)])
