@@ -66,6 +66,10 @@ class ExperimentConfig:
             raise ValueError("iterate counts must be >= 1")
         if min(self.hausdorff_tol, self.gauge_tol) <= 0:
             raise ValueError("detector thresholds must be positive")
+        if self.window < 1:
+            raise ValueError("the detector window must be >= 1")
+        if not self.spacing > 0:
+            raise ValueError("the node spacing must be positive")
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,8 @@ def potential(
     """Action potential matrix between times s < t on the n-point grid."""
     if t <= s:
         raise NonpositiveDuration(f"need t > s, got [{s}, {t}]")
+    if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
+        raise ValueError(f"need max_span > 0 and quad_nodes >= 1, got {max_span} and {quad_nodes}")
     base = np.floor(s)
     key = (h, round(s - base, 12), round(t - s, 12), n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)

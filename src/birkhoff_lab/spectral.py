@@ -2,12 +2,13 @@
 
 Supported quadratic indices are 0, 1, k-1 and k (k = fiber dimension): global
 minima, sublevel percolation thresholds, and their duals under sign flip.
-The percolation threshold is computed exactly on the sampled complex by
-inserting cells in increasing value order into a union-find structure whose
-two extra sentinels represent the two ends of the negative quadratic
-direction; the threshold is the value of the cell whose insertion first
-connects them. Adjacency is axis-neighbor only, and the base circle (when
-present) wraps periodically.
+The percolation threshold is computed exactly on the sampled complex: cells
+enter in increasing (value, flat index) order, and the threshold is the value
+of the first cell whose sublevel set joins the two faces of the negative
+quadratic direction (0-dimensional sublevel persistence). Its rank is found by
+bisection, labelling the components of the inserted cells at each probe.
+Adjacency is axis-neighbor only, and the base circle (when present) wraps
+periodically.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class SampledFqi:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
+        if not np.isfinite(v).all():
+            raise ValueError("values must be finite")
         object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
         k = len(self.signature)
         expected_ndim = k + (1 if self.base_resolution else 0)
@@ -132,7 +135,7 @@ def sample_fqi(
 
     fn takes (q, xi1[, xi2]) broadcastable arrays (q omitted for point base).
     The outer 10% of the fiber box is overwritten with constant + quadratic,
-    which keeps the two far ends unambiguous for the percolation sentinels.
+    which keeps the two far ends unambiguous for percolation.
     """
     if isinstance(fiber_resolution, int):
         fiber_resolution = (fiber_resolution,) * len(signature)
@@ -162,51 +165,6 @@ def negate(s: SampledFqi) -> SampledFqi:
 # percolation
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def _neighbor_tables(shape: tuple[int, ...], periodic_axes: tuple[bool, ...]):
-    size = int(np.prod(shape))
-    arr = np.arange(size).reshape(shape)
-    tables = []
-    for k, per in enumerate(periodic_axes):
-        for sign in (-1, +1):
-            nb = np.full(shape, -1, dtype=np.int64)
-            src = np.moveaxis(arr, k, 0)
-            dst = np.moveaxis(nb, k, 0)
-            if sign < 0:
-                dst[1:] = src[:-1]
-                if per:
-                    dst[0] = src[-1]
-            else:
-                dst[:-1] = src[1:]
-                if per:
-                    dst[-1] = src[0]
-            tables.append(nb.ravel())
-    return tables
-
-
 def sublevel_percolation_threshold(
     values: np.ndarray,
     neg_axis: int,
@@ -214,39 +172,48 @@ def sublevel_percolation_threshold(
 ):
     """Level at which the two ends of the negative axis join in the sublevels.
 
-    Cells enter in increasing (value, flat index) order; cells on the two
-    boundary faces of neg_axis attach to two sentinels on insertion. Returns
-    (threshold value, witness multi-index of the connecting cell).
+    Cells enter in increasing (value, flat index) order. The threshold cell is
+    the first whose insertion joins the two boundary faces of neg_axis through
+    axis-neighbor cells already inserted, the periodic axes wrapping. Joining
+    only switches on as cells are added, so the rank of that cell is found by
+    bisection: each probe labels the components of the inserted cells and
+    merges labels across the periodic seams. Returns (threshold value, witness
+    multi-index of the joining cell).
     """
+    # imported here because only the spectral layer needs them: scipy.ndimage
+    # takes 70-80 ms to import, and csgraph adds 1.3 MB to every process
+    from scipy.ndimage import label
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     shape = values.shape
-    size = int(np.prod(shape))
     flat = values.ravel()
-    order = np.lexsort((np.arange(size), flat))
-    tables = _neighbor_tables(shape, periodic_axes)
+    order = np.lexsort((np.arange(flat.size), flat))
+    rank = np.empty(flat.size, dtype=np.intp)
+    rank[order] = np.arange(flat.size)
+    rank = rank.reshape(shape)
+    periodic = [k for k, per in enumerate(periodic_axes) if per]
 
-    face = np.zeros(shape, dtype=np.int8)
-    lo = np.moveaxis(face, neg_axis, 0)
-    lo[0] = 1
-    lo[-1] = 2
-    face_flat = face.ravel()
+    def joined(r: int) -> bool:
+        labels, count = label(rank <= r)  # the default structure is axis-neighbor
+        comp = np.arange(count + 1)
+        if periodic:
+            a, b = (np.concatenate([labels.take(i, axis=k).ravel() for k in periodic]) for i in (0, -1))
+            keep = (a > 0) & (b > 0)  # background label 0 would merge everything
+            seams = coo_matrix((np.ones(int(keep.sum())), (a[keep], b[keep])), shape=(count + 1,) * 2)
+            comp = connected_components(seams, directed=False)[1]
+        first, last = (labels.take(i, axis=neg_axis) for i in (0, -1))
+        return np.intersect1d(comp[first[first > 0]], comp[last[last > 0]]).size > 0
 
-    uf = _UnionFind(size + 2)
-    sentinel_a, sentinel_b = size, size + 1
-    inserted = bytearray(size)
-    for c in map(int, order):
-        inserted[c] = 1
-        for nb in tables:
-            m = int(nb[c])
-            if m >= 0 and inserted[m]:
-                uf.union(c, m)
-        f = face_flat[c]
-        if f == 1:
-            uf.union(c, sentinel_a)
-        elif f == 2:
-            uf.union(c, sentinel_b)
-        if uf.find(sentinel_a) == uf.find(sentinel_b):
-            return float(flat[c]), tuple(int(i) for i in np.unravel_index(c, shape))
-    raise AssertionError("sentinels never connected; negative axis faces missing")
+    lo, hi = 0, flat.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if joined(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    c = int(order[lo])
+    return float(flat[c]), tuple(int(i) for i in np.unravel_index(c, shape))
 
 
 def _complex_axes(s: SampledFqi) -> tuple[bool, ...]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -52,6 +53,15 @@ SHOCK = ExperimentConfig(
     spacing=4e-3,
     window=2,
 )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("window", 0), ("window", -1), ("spacing", 0.0), ("spacing", -2e-3), ("spacing", float("nan")),
+])
+def test_config_rejects_empty_window_and_nonpositive_spacing(field, value):
+    # window 0 fires the detector with no hits; spacing <= 0 refines evolve up to the node cap
+    with pytest.raises(ValueError):
+        dataclasses.replace(MANUFACTURED, **{field: value})
 
 
 def test_parse_trig_coeffs():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from birkhoff_lab import lax_oleinik
 from birkhoff_lab.errors import (
     BarrierNotConverged,
     DivergenceDetected,
@@ -46,6 +47,17 @@ def test_potential_composition_consistency():
 def test_potential_rejects_nonpositive_span():
     with pytest.raises(NonpositiveDuration):
         potential(FREE, 1, 1, N)
+
+
+@pytest.mark.parametrize("max_span, quad_nodes", [(0.0, 8), (-0.25, 8), (float("nan"), 8), (0.25, 0)])
+def test_potential_rejects_bad_settings_before_any_work(monkeypatch, max_span, quad_nodes):
+    # max_span <= 0 halves the span without end; quad_nodes = 0 gives an inf/NaN matrix
+    def single_step(*args):
+        raise AssertionError("a single-step potential was built")
+
+    monkeypatch.setattr(lax_oleinik, "_single_step", single_step)
+    with pytest.raises(ValueError):
+        potential(FREE, 0, 1, 16, max_span=max_span, quad_nodes=quad_nodes)
 
 
 def test_potential_lower_bound_by_min_lagrangian():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from birkhoff_lab.errors import UnsupportedIndex
 from birkhoff_lab.spectral import (
@@ -223,6 +224,105 @@ def test_percolation_one_dimensional_is_max():
     assert witness == (64,)
 
 
+class _UnionFind:
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+
+
+def _neighbor_tables(shape: tuple[int, ...], periodic_axes: tuple[bool, ...]):
+    size = int(np.prod(shape))
+    arr = np.arange(size).reshape(shape)
+    tables = []
+    for k, per in enumerate(periodic_axes):
+        for sign in (-1, +1):
+            nb = np.full(shape, -1, dtype=np.int64)
+            src = np.moveaxis(arr, k, 0)
+            dst = np.moveaxis(nb, k, 0)
+            if sign < 0:
+                dst[1:] = src[:-1]
+                if per:
+                    dst[0] = src[-1]
+            else:
+                dst[:-1] = src[1:]
+                if per:
+                    dst[-1] = src[0]
+            tables.append(nb.ravel())
+    return tables
+
+
+def _union_find_percolation(values, neg_axis, periodic_axes):
+    """Reference threshold: insert cells one at a time into a union-find whose
+    two sentinels stand for the two faces of neg_axis."""
+    shape = values.shape
+    size = int(np.prod(shape))
+    flat = values.ravel()
+    order = np.lexsort((np.arange(size), flat))
+    tables = _neighbor_tables(shape, periodic_axes)
+
+    face = np.zeros(shape, dtype=np.int8)
+    lo = np.moveaxis(face, neg_axis, 0)
+    lo[0] = 1
+    lo[-1] = 2
+    face_flat = face.ravel()
+
+    uf = _UnionFind(size + 2)
+    sentinel_a, sentinel_b = size, size + 1
+    inserted = bytearray(size)
+    for c in map(int, order):
+        inserted[c] = 1
+        for nb in tables:
+            m = int(nb[c])
+            if m >= 0 and inserted[m]:
+                uf.union(c, m)
+        f = face_flat[c]
+        if f == 1:
+            uf.union(c, sentinel_a)
+        elif f == 2:
+            uf.union(c, sentinel_b)
+        if uf.find(sentinel_a) == uf.find(sentinel_b):
+            return float(flat[c]), tuple(int(i) for i in np.unravel_index(c, shape))
+    raise AssertionError("sentinels never connected; negative axis faces missing")
+
+
+@st.composite
+def _percolation_case(draw):
+    ndim = draw(st.integers(1, 3))
+    neg_axis = draw(st.integers(0, ndim - 1))
+    shape = tuple(draw(st.integers(2 if k == neg_axis else 1, 9)) for k in range(ndim))
+    periodic = tuple(k != neg_axis and draw(st.booleans()) for k in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.round(rng.uniform(-1, 1, shape), 1)  # one decimal: ties are common
+    return values, neg_axis, periodic
+
+
+@given(case=_percolation_case())
+@settings(max_examples=300, deadline=None)
+def test_percolation_matches_union_find_oracle(case):
+    values, neg_axis, periodic = case
+    assert sublevel_percolation_threshold(values, neg_axis, periodic) == _union_find_percolation(
+        values, neg_axis, periodic
+    )
+
+
 def test_fqi_csv_roundtrip(tmp_path):
     f = trig([(0.1, -0.2)])
     for s in (
@@ -254,7 +354,8 @@ def test_fibred_sum_not_shell_enforced():
 
 
 @pytest.mark.parametrize("damage", [
-    "extra column", "negative index", "index past the shape", "missing cell", "duplicate cell",
+    "extra column", "negative index", "index past the shape", "missing cell", "duplicate cell", "nan value",
+    "inf value",
 ])
 def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
     s = sample_fqi(lambda q, x: x**2 + 0.1 * np.sin(2 * np.pi * q), (1,), base_resolution=4, fiber_resolution=5)
@@ -268,6 +369,8 @@ def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
         "index past the shape": head + ["2,5,0.5"] + tail,
         "missing cell": head + tail,
         "duplicate cell": rows + [cell],
+        "nan value": head + ["2,2,nan"] + tail,
+        "inf value": head + ["2,2,inf"] + tail,
     }[damage]
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ValueError):
