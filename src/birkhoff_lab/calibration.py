@@ -18,7 +18,7 @@ from .errors import DomainExceeded, KinkAtSeed
 from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, trajectory
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
-from .lax_oleinik import SINGLE_STEP_SPAN, lagrangian_batch, lax_negative, potential
+from .lax_oleinik import QUAD_NODES, SINGLE_STEP_SPAN, lagrangian_batch, lax_negative, potential
 from .textio import json_text
 
 KINK_RATIO = 50.0
@@ -125,7 +125,7 @@ def spacetime_from_lax(
     alpha0: float,
     knot_step: float = 1.0 / 16.0,
     n: int | None = None,
-    quad_nodes: int = 8,
+    quad_nodes: int = QUAD_NODES,
     max_span: float = SINGLE_STEP_SPAN,
 ) -> SpaceTimeFunction:
     """Viscosity-type evolution of u0 sampled on a uniform knot ladder."""

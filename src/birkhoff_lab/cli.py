@@ -13,6 +13,7 @@ which ignores a pinned alpha0.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import sys
 from dataclasses import replace
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, configparser.Error) as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR + 1

@@ -12,7 +12,7 @@ without bidirectional detection is the consistent (contrapositive) outcome.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,13 +32,20 @@ from .errors import FixedPointNotReached, ResamplingBudgetExceeded
 from .flow import FlowSettings
 from .grids import GridFunction, grid_from_trig
 from .hamiltonians import (
-    Family,
     TonelliHamiltonian,
     TrigPolynomial,
     mechanical,
     shifted_quadratic,
 )
-from .lax_oleinik import PotentialMatrix, lax_negative, lax_positive, mane_critical_value, potential
+from .lax_oleinik import (
+    QUAD_NODES,
+    SINGLE_STEP_SPAN,
+    PotentialMatrix,
+    lax_negative,
+    lax_positive,
+    mane_critical_value,
+    potential,
+)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,8 @@ class ExperimentConfig:
     outdir: str = "out"
     flow_settings: FlowSettings = field(default_factory=FlowSettings)
     alpha0: float | None = None  # None: estimate from the value iteration
-    quad_nodes: int = 8  # sub-quadrature nodes per single-step potential
-    max_span: float = 0.25  # single-step span of the action potential
+    quad_nodes: int = QUAD_NODES  # sub-quadrature nodes per single-step potential
+    max_span: float = SINGLE_STEP_SPAN  # single-step span of the action potential
 
     def __post_init__(self):
         if self.n_max < 1 or self.m_max < 1:
@@ -105,8 +112,30 @@ class ReportBundle:
 
 
 # ---------------------------------------------------------------------------
-# config files (INI, utf-8, '#' comments); a key missing from the file takes
-# the fallback given where it is read below (README lists them all)
+# config files (INI, utf-8, '#' comments). Each [experiment] and [flow] key
+# below is the ExperimentConfig / FlowSettings field of the same name and
+# takes its type and default from that field; a section or key that no
+# setting reads is an error (README lists them all)
+
+EXPERIMENT_KEYS = (
+    "n_max", "m_max", "resolution", "initial_nodes", "spacing", "hausdorff_tol",
+    "gauge_tol", "window", "seed", "quad_nodes", "max_span",
+)
+FLOW_KEYS = ("macro_step", "integrator", "substeps_per_macro")
+CONFIG_KEYS = {
+    "hamiltonian": ("family", "kinetic", "potential_coeffs", "shift_coeffs", "drift", "offset"),
+    "experiment": ("initial_potential_coeffs", "limit_potential_coeffs", "alpha0", *EXPERIMENT_KEYS),
+    "flow": FLOW_KEYS,
+    "output": ("outdir",),
+}
+
+
+def _typed_keys(section: configparser.SectionProxy, cls, keys: tuple[str, ...]) -> dict:
+    """The keys present in the section, each parsed by the type of the
+    default of the field of `cls` it names."""
+    kind = {f.name: type(f.default) for f in fields(cls)}
+    return {key: kind[key](section[key]) for key in keys if key in section}
+
 
 def parse_trig_coeffs(text: str) -> TrigPolynomial:
     """Parse ';'-separated 'j k a b' terms into a trig polynomial."""
@@ -145,35 +174,26 @@ def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian
 
 def load_config(path: str | Path | None = None) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",), comment_prefixes=("#",))
-    cp.read_dict({section: {} for section in ("hamiltonian", "experiment", "flow", "output")})
+    cp.read_dict({section: {} for section in CONFIG_KEYS})
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh)
+    for name in cp.sections():
+        if name not in CONFIG_KEYS:
+            raise ValueError(f"unknown config section [{name}]")
+        unknown = sorted(set(cp[name]) - set(CONFIG_KEYS[name]))
+        if unknown:
+            raise ValueError(f"unknown keys in config section [{name}]: {unknown}")
     exp = cp["experiment"]
-    flow = cp["flow"]
     limit_text = exp.get("limit_potential_coeffs", "").strip()
     return ExperimentConfig(
         hamiltonian=hamiltonian_from_config(cp),
         initial_potential=parse_trig_coeffs(exp.get("initial_potential_coeffs", "0 1 0.0 0.05")),
         limit_potential=parse_trig_coeffs(limit_text) if limit_text else None,
-        n_max=exp.getint("n_max", 8),
-        m_max=exp.getint("m_max", 8),
-        resolution=exp.getint("resolution", 256),
-        initial_nodes=exp.getint("initial_nodes", 1024),
-        spacing=exp.getfloat("spacing", 2e-3),
-        hausdorff_tol=exp.getfloat("hausdorff_tol", 1e-4),
-        gauge_tol=exp.getfloat("gauge_tol", 1e-4),
-        window=exp.getint("window", 4),
-        seed=exp.getint("seed", 0),
         outdir=cp["output"].get("outdir", "out"),
-        quad_nodes=exp.getint("quad_nodes", 8),
-        max_span=exp.getfloat("max_span", 0.25),
-        flow_settings=FlowSettings(
-            macro_step=flow.getfloat("macro_step", 1e-2),
-            integrator=flow.get("integrator", "auto").strip(),
-            substeps_per_macro=flow.getint("substeps_per_macro", 4),
-        ),
+        flow_settings=FlowSettings(**_typed_keys(cp["flow"], FlowSettings, FLOW_KEYS)),
         alpha0=exp.getfloat("alpha0") if exp.get("alpha0", "").strip() else None,
+        **_typed_keys(exp, ExperimentConfig, EXPERIMENT_KEYS),
     )
 
 
@@ -190,20 +210,8 @@ def config_echo(config: ExperimentConfig) -> dict:
         "limit_potential_coeffs": list(config.limit_potential.terms)
         if config.limit_potential
         else None,
-        "n_max": config.n_max,
-        "m_max": config.m_max,
-        "resolution": config.resolution,
-        "initial_nodes": config.initial_nodes,
-        "spacing": config.spacing,
-        "hausdorff_tol": config.hausdorff_tol,
-        "gauge_tol": config.gauge_tol,
-        "window": config.window,
-        "seed": config.seed,
-        "quad_nodes": config.quad_nodes,
-        "max_span": config.max_span,
-        "macro_step": config.flow_settings.macro_step,
-        "integrator": config.flow_settings.integrator,
-        "substeps_per_macro": config.flow_settings.substeps_per_macro,
+        **{key: getattr(config, key) for key in EXPERIMENT_KEYS},
+        **{key: getattr(config.flow_settings, key) for key in FLOW_KEYS},
     }
 
 
@@ -438,13 +446,7 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
 def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     """Fixed-point construction and flow invariance of its graph (autonomous)."""
     h = config.hamiltonian
-    if h.family is Family.CUSTOM:  # a time-independent callable has dH/dt exactly 0 on the sample
-        q, p = np.meshgrid(np.arange(8) / 8, np.linspace(-2.0, 2.0, 5))
-        time_dependent = any(np.any(h.dH_dt(t, q, p) != 0.0) for t in (0.1, 0.4, 0.7))
-    else:  # closed forms: exact, no term with a time harmonic
-        terms = (*h.potential.terms, *h.shift_profile.terms)
-        time_dependent = any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
-    if time_dependent:
+    if not h.autonomous:
         raise ValueError("invariance experiment needs an autonomous Hamiltonian")
     n = config.resolution
     u, pm, alpha0 = one_period(config)

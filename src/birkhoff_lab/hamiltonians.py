@@ -127,7 +127,7 @@ class _Mechanical:
     def dH_dt(self, h, t, q, p):
         return h.potential.deriv(t, q, 1, 0) + 0.0 * np.asarray(p)
 
-    def d2H_dpp(self, h, t, q, p, step):
+    def d2H_dpp(self, h, t, q, p):
         return h.kinetic_coefficient + 0.0 * np.asarray(p)
 
     def lagrangian(self, h, t, q, v):
@@ -162,7 +162,7 @@ class _ShiftedQuadratic:
         r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
         return -(r + h.drift) * h.shift_profile.deriv(t, q, 1, 1) - h.shift_profile.deriv(t, q, 2, 0)
 
-    def d2H_dpp(self, h, t, q, p, step):
+    def d2H_dpp(self, h, t, q, p):
         return 1.0 + 0.0 * np.asarray(p)
 
     def lagrangian(self, h, t, q, v):
@@ -201,12 +201,9 @@ class _Custom:
         e = 1e-6
         return (h.custom_fn(t + e, q, p) - h.custom_fn(t - e, q, p)) / (2 * e)
 
-    def d2H_dpp(self, h, t, q, p, step):
-        return (
-            h.custom_fn(t, q, p + step)
-            - 2.0 * h.custom_fn(t, q, p)
-            + h.custom_fn(t, q, p - step)
-        ) / step**2
+    def d2H_dpp(self, h, t, q, p):
+        e = 1e-4
+        return (h.custom_fn(t, q, p + e) - 2.0 * h.custom_fn(t, q, p) + h.custom_fn(t, q, p - e)) / e**2
 
     def lagrangian(self, h, t, q, v):
         """Momentum-grid maximization with one parabolic refinement step."""
@@ -276,8 +273,20 @@ class TonelliHamiltonian:
     def dH_dt(self, t, q, p):
         return self.ops.dH_dt(self, t, q, p)
 
-    def d2H_dpp(self, t, q, p, step: float = 1e-4):
-        return self.ops.d2H_dpp(self, t, q, p, step)
+    def d2H_dpp(self, t, q, p):
+        return self.ops.d2H_dpp(self, t, q, p)
+
+    @property
+    def autonomous(self) -> bool:
+        """Whether H does not depend on t. Exact for the closed forms: no term
+        has both a time harmonic and a nonzero coefficient. A custom callable
+        counts as autonomous when dH/dt is exactly 0 on an 8 x 5 (q, p) sample
+        at t = 0.1, 0.4 and 0.7."""
+        if self.family is Family.CUSTOM:
+            q, p = np.meshgrid(np.arange(8) / 8, np.linspace(-2.0, 2.0, 5))
+            return all(np.all(self.dH_dt(t, q, p) == 0.0) for t in (0.1, 0.4, 0.7))
+        terms = (*self.potential.terms, *self.shift_profile.terms)
+        return not any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
 
 
 def eval_hamiltonian(h: TonelliHamiltonian, t: float, q: float, p: float) -> float:
@@ -293,53 +302,29 @@ def extended_hamiltonian(h: TonelliHamiltonian, tau: float, energy: float, q: fl
 def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> LagrangianFnValue:
     """Convex conjugate L(t,q,v) = sup_p (p v - H) with its maximizer.
 
-    Closed form for the mechanical and shifted-quadratic families; bracketed
-    golden-section search followed by a Newton polish for custom callables.
+    Closed form for the mechanical and shifted-quadratic families; bounded
+    Brent minimisation of H - p v over the momentum box for custom callables,
+    which raises MaximizerNotFound when the minimum lies on the box edge.
     """
     if h.ops.maximizer is None:
         return _legendre_numeric(h, t, q, v)
     return LagrangianFnValue(float(h.ops.lagrangian(h, t, q, v)), float(h.ops.maximizer(h, t, q, v)))
 
 
-def _legendre_numeric(h: TonelliHamiltonian, t, q, v, newton_budget: int = 50, tol: float = 1e-12):
+def _legendre_numeric(h: TonelliHamiltonian, t, q, v):
+    # imported here: scipy.optimize on its own takes most of a second to
+    # import, and only custom callables need it
+    from scipy.optimize import minimize_scalar
+
     lo, hi = h.momentum_box
-    g = lambda p: p * v - h.custom_fn(t, q, p)
-    # golden-section bracketing of the concave objective
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(80):
-        if b - a < 1e-8:
-            break
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    p = 0.5 * (a + b)
-    # Newton polish on g'(p) = v - dH/dp
-    e = 1e-6
-    converged = False
-    for _ in range(newton_budget):
-        g1 = v - h.dH_dp(t, q, p)
-        g2 = -h.d2H_dpp(t, q, p, step=e)
-        if g2 >= -1e-14:
-            break
-        step = -g1 / g2
-        p_new = min(max(p + step, lo), hi)
-        if abs(p_new - p) < tol:
-            p = p_new
-            converged = True
-            break
-        p = p_new
-    if not converged and abs(v - h.dH_dp(t, q, p)) > 1e-6:
-        raise MaximizerNotFound(f"Legendre maximizer did not converge at v={v}")
-    return LagrangianFnValue(float(g(p)), float(p))
+    res = minimize_scalar(
+        lambda p: h.custom_fn(t, q, p) - p * v, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
+    )
+    p = float(res.x)
+    # a supremum on the box edge is not L(t, q, v)
+    if not res.success or min(p - lo, hi - p) <= 1e-6 * (hi - lo):
+        raise MaximizerNotFound(f"no interior Legendre maximizer in the momentum box at v={v}")
+    return LagrangianFnValue(float(p * v - h.custom_fn(t, q, p)), p)
 
 
 def fenchel_gap(h: TonelliHamiltonian, t: float, q: float, v: float, p: float) -> float:
@@ -356,7 +341,6 @@ class SampleSpec:
     q_samples: int = 32
     momentum_base: float = 4.0
     ladder_size: int = 5
-    fd_step: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -374,27 +358,20 @@ def tonelli_report(h: TonelliHamiltonian, spec: SampleSpec = SampleSpec()) -> To
     of H/|p| along the doubling momentum ladder. Heuristic: a sampled check,
     not a proof of the Tonelli conditions.
     """
-    ts = np.linspace(0.0, 1.0, spec.t_samples, endpoint=False)
-    qs = np.linspace(0.0, 1.0, spec.q_samples, endpoint=False)
+    ts = np.linspace(0.0, 1.0, spec.t_samples, endpoint=False)[:, None, None]
+    qs = np.linspace(0.0, 1.0, spec.q_samples, endpoint=False)[None, :, None]
     ladder = tuple(spec.momentum_base * (2.0**i) for i in range(spec.ladder_size))
-    p_probe = sorted({0.0, *(x for L in ladder for x in (L, -L))})
+    p_probe = np.array(sorted({0.0, *(x for L in ladder for x in (L, -L))}))
 
-    min_dpp = math.inf
-    for t in ts:
-        for q in qs:
-            for p in p_probe:
-                d = float(np.min(h.d2H_dpp(t, q, p, step=spec.fd_step)))
-                min_dpp = min(min_dpp, d)
+    min_dpp = float(np.min(h.d2H_dpp(ts, qs, p_probe)))
     if min_dpp <= 0.0:
         raise ConvexityViolation(f"min sampled d2H/dp2 = {min_dpp}")
 
-    min_increase = math.inf
-    for t in ts:
-        for q in qs:
-            for sign in (+1.0, -1.0):
-                ratios = [abs(h.value(t, q, sign * L)) / abs(L) for L in ladder]
-                inc = min(r2 - r1 for r1, r2 in zip(ratios, ratios[1:]))
-                min_increase = min(min_increase, inc)
+    rungs = np.array(ladder)
+    min_increase = min(
+        float(np.min(np.diff(np.abs(h.value(ts, qs, sign * rungs)) / np.abs(rungs), axis=-1)))
+        for sign in (+1.0, -1.0)
+    )
     return TonelliReport(
         min_second_derivative=float(min_dpp),
         ladder=ladder,

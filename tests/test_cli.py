@@ -133,6 +133,18 @@ def test_bad_arguments_exit_ge_10(tmp_path, capsys):
     assert run(["--config", tmp_path / "missing.ini", "--quiet", "mane"]) >= 10
 
 
+@pytest.mark.parametrize("text", [
+    "n_max = 2\n",  # no section header
+    "[experiment]\nn_max = 2\nn_max = 3\n",  # duplicate key
+    "[experiment]\nn_max = 2\n[experiment]\nm_max = 2\n",  # duplicate section
+], ids=["no-header", "duplicate-key", "duplicate-section"])
+def test_malformed_ini_is_an_input_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert run(["--config", cfg, "--quiet", "mane"]) == cli.EXIT_ERROR + 1
+    assert capsys.readouterr().err == ""
+
+
 def test_seed_override_changes_echo(tmp_path, small_config):
     out = tmp_path / "out"
     run(["--config", small_config, "--out", out, "--seed", "123", "--quiet", "birkhoff"])

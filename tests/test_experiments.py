@@ -96,6 +96,45 @@ def test_load_config_defaults_and_file(tmp_path):
     assert echo["offset"] == 0.25 and echo["seed"] == 7
 
 
+def test_config_echo_of_the_defaults():
+    assert config_echo(load_config(None)) == {
+        "family": "shifted_quadratic",
+        "kinetic": 1.0,
+        "potential_coeffs": [],
+        "shift_coeffs": [(1, 1, 0.0, 0.05)],
+        "drift": 0.3,
+        "offset": 0.0,
+        "initial_potential_coeffs": [(0, 1, 0.0, 0.05)],
+        "limit_potential_coeffs": None,
+        "n_max": 8,
+        "m_max": 8,
+        "resolution": 256,
+        "initial_nodes": 1024,
+        "spacing": 2e-3,
+        "hausdorff_tol": 1e-4,
+        "gauge_tol": 1e-4,
+        "window": 4,
+        "seed": 0,
+        "quad_nodes": 8,
+        "max_span": 0.25,
+        "macro_step": 1e-2,
+        "integrator": "auto",
+        "substeps_per_macro": 4,
+    }
+
+
+@pytest.mark.parametrize("text", [
+    "[experiment]\nn_maxx = 3\n",
+    "[experimant]\nn_max = 3\n",
+    "[flow]\nrk4_tol = 1e-9\n",
+], ids=["key", "section", "unreadable-field"])
+def test_load_config_rejects_unknown_sections_and_keys(tmp_path, text):
+    ini = tmp_path / "typo.ini"
+    ini.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="unknown"):
+        load_config(ini)
+
+
 def test_detector_gap_logic():
     assert longest_nondecreasing_gap_run([]) == 0
     assert longest_nondecreasing_gap_run([3]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from birkhoff_lab.hamiltonians import (
     Family,
     SampleSpec,
     TonelliHamiltonian,
+    TonelliReport,
     TrigPolynomial,
     eval_hamiltonian,
     extended_hamiltonian,
@@ -70,6 +73,28 @@ def test_legendre_custom_against_dense_grid():
     assert lag.optimal_momentum == pytest.approx(0.7, abs=1e-6)
 
 
+def test_legendre_custom_quartic_across_the_box():
+    h = custom_quartic()
+    # dH/dp = p^3 + p is +-738 at p = +-9, inside the box (-10, 10)
+    for v in np.linspace(-738.0, 738.0, 201):
+        lag = legendre_transform(h, 0.3, 0.7, float(v))
+        assert fenchel_gap(h, 0.3, 0.7, float(v), lag.optimal_momentum) <= 1e-9
+
+
+def test_legendre_custom_supremum_on_box_edge_raises():
+    h = TonelliHamiltonian(
+        family=Family.CUSTOM,
+        custom_fn=lambda t, q, p: 0.5 * p**2,
+        momentum_box=(-10.0, 10.0),
+    )
+    for v in (10.5, -10.5):  # the maximizer p = v lies outside the box
+        with pytest.raises(MaximizerNotFound):
+            legendre_transform(h, 0.0, 0.0, v)
+    lag = legendre_transform(h, 0.0, 0.0, 9.9)
+    assert lag.value == pytest.approx(49.005, abs=1e-9)
+    assert lag.optimal_momentum == pytest.approx(9.9, abs=1e-9)
+
+
 def test_legendre_involution_mechanical():
     h = mechanical([(0, 1, 0.3, 0.2), (0, 2, -0.1, 0.0)], kinetic=1.5, offset=0.05)
     rng = np.random.default_rng(3)
@@ -124,6 +149,44 @@ def test_tonelli_report_families():
     rep = tonelli_report(SQ, SampleSpec(t_samples=4, q_samples=8))
     assert rep.min_second_derivative == pytest.approx(1.0, abs=1e-6)
     assert rep.superlinear
+
+
+def _looped_tonelli_report(h, spec):
+    """One (t, q, p) sample at a time: the reference for tonelli_report."""
+    ts = np.linspace(0.0, 1.0, spec.t_samples, endpoint=False)
+    qs = np.linspace(0.0, 1.0, spec.q_samples, endpoint=False)
+    ladder = tuple(spec.momentum_base * (2.0**i) for i in range(spec.ladder_size))
+    p_probe = sorted({0.0, *(x for L in ladder for x in (L, -L))})
+
+    min_dpp = math.inf
+    for t in ts:
+        for q in qs:
+            for p in p_probe:
+                d = float(np.min(h.d2H_dpp(t, q, p)))
+                min_dpp = min(min_dpp, d)
+    if min_dpp <= 0.0:
+        raise ConvexityViolation(f"min sampled d2H/dp2 = {min_dpp}")
+
+    min_increase = math.inf
+    for t in ts:
+        for q in qs:
+            for sign in (+1.0, -1.0):
+                ratios = [abs(h.value(t, q, sign * L)) / abs(L) for L in ladder]
+                inc = min(r2 - r1 for r1, r2 in zip(ratios, ratios[1:]))
+                min_increase = min(min_increase, inc)
+    return TonelliReport(
+        min_second_derivative=float(min_dpp),
+        ladder=ladder,
+        min_ratio_increase=float(min_increase),
+        superlinear=bool(min_increase > 0.0),
+    )
+
+
+@pytest.mark.parametrize("spec", [SampleSpec(), SampleSpec(4, 8)], ids=["default", "4x8"])
+@pytest.mark.parametrize("name", ["pendulum", "free", "mechanical_time_dependent", "shifted_quadratic", "custom_quartic"])
+def test_tonelli_report_matches_looped_reference(name, spec):
+    h = {"pendulum": pendulum(), "free": free_hamiltonian(), **CONTRACT_FAMILIES}[name]
+    assert tonelli_report(h, spec) == _looped_tonelli_report(h, spec)
 
 
 def test_tonelli_report_rejects_concave():
