@@ -7,8 +7,9 @@ trigonometric polynomials, so evaluation and all needed derivatives are
 closed-form and exactly 1-periodic in time and position.
 
 Each family is one object here that owns H and its derivatives, the
-vectorized Lagrangian, the closed-form Legendre maximizer and the native flow
-substep (Strang, exact shear, or none for custom callables, which use RK4).
+vectorized Lagrangian and its sum over the quadrature nodes of a straight
+segment, the closed-form Legendre maximizer and the native flow substep
+(Strang, exact shear, or none for custom callables, which use RK4).
 """
 
 from __future__ import annotations
@@ -93,6 +94,34 @@ class TrigPolynomial:
     def value(self, t, q):
         return self.deriv(t, q, 0, 0)
 
+    def outer_sum(self, t, qa, qb, nt: int = 0, nq: int = 0) -> np.ndarray:
+        """Sum over i of deriv(t[i], qa[i][:, None] + qb[i][None, :], nt, nq).
+
+        By angle addition, cos(A + B) = cos A cos B - sin A sin B, each term
+        at each i is two rank-1 outer products. So cos and sin are taken on
+        len(qa[i]) + len(qb[i]) phases instead of on their product grid, and
+        one matrix product sums every term and every i. The phases round
+        differently from `deriv` on the summed argument, so the two agree to
+        a few ulps of the phases, not bitwise.
+        """
+        qa = np.asarray(qa, dtype=float)
+        qb = np.asarray(qb, dtype=float)
+        if not self.terms:
+            return np.zeros((qa.shape[1], qb.shape[1]))
+        j, k, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*self.terms))
+        n = nt + nq
+        fac = (TWO_PI**n) * (j**nt) * (k**nq)
+        for _ in range(n):
+            aa, bb = bb, -aa
+        tm = wrap_unit(np.asarray(t, dtype=float))[:, None, None]
+        phase_a = TWO_PI * wrap_unit(j * tm + k * qa[:, None, :])  # (i, term, y)
+        phase_b = TWO_PI * wrap_unit(k * qb[:, None, :])  # (i, term, x)
+        cb, sb = np.cos(phase_b), np.sin(phase_b)
+        # aa cos(A+B) + bb sin(A+B) = cos A (aa cos B + bb sin B) + sin A (bb cos B - aa sin B)
+        left = np.concatenate([np.cos(phase_a), np.sin(phase_a)], axis=1)
+        right = np.concatenate([fac * (aa * cb + bb * sb), fac * (bb * cb - aa * sb)], axis=1)
+        return left.reshape(-1, qa.shape[1]).T @ right.reshape(-1, qb.shape[1])
+
 
 class Family(enum.Enum):
     MECHANICAL = "mechanical"
@@ -136,6 +165,11 @@ class _Mechanical:
     def maximizer(self, h, t, q, v):
         return v / h.kinetic_coefficient
 
+    def segment_lagrangian(self, h, taus, qa, qb, v):
+        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
+        kinetic = v * v / (2.0 * h.kinetic_coefficient) - h.constant_offset
+        return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb)
+
     def substep(self, h, tau, q, p, dt):
         """Symplectic, order 2."""
         p1 = p - (0.5 * dt) * h.potential.deriv(tau, q, 0, 1)
@@ -171,6 +205,12 @@ class _ShiftedQuadratic:
 
     def maximizer(self, h, t, q, v):
         return h.shift_profile.deriv(t, q, 0, 1) + (v - h.drift)
+
+    def segment_lagrangian(self, h, taus, qa, qb, v):
+        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
+        u = h.shift_profile
+        kinetic = 0.5 * (v - h.drift) ** 2 - h.constant_offset
+        return len(taus) * kinetic + v * u.outer_sum(taus, qa, qb, 0, 1) + u.outer_sum(taus, qa, qb, 1, 0)
 
     def substep(self, h, tau, q, p, dt):
         """In the shear frame P = p - du/dq the flow is free: P constant, qdot = P + drift."""
@@ -221,6 +261,13 @@ class _Custom:
         # parabolic vertex through the three best samples (concave in p)
         refined = np.where(denom < -1e-300, f1 - (f2 - f0) ** 2 / (8.0 * denom), f1)
         return refined.reshape(shape)
+
+    def segment_lagrangian(self, h, taus, qa, qb, v):
+        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), point by point."""
+        acc = np.zeros(np.shape(v))
+        for tau, a, b in zip(taus, qa, qb):
+            acc += self.lagrangian(h, float(tau), a[:, None] + b[None, :], v)
+        return acc
 
 
 _FAMILY_OPS = {

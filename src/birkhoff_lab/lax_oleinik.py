@@ -2,13 +2,19 @@
 
 Everything runs on uniform periodic grids. Short-time potentials are built by
 midpoint quadrature of the Lagrangian along straight segments over a winding
-window; longer spans compose by min-plus matrix products over grid midpoints,
-halving recursively. Matrices are cached by (Hamiltonian, fractional start,
-span), so time-1-periodicity of the family holds bitwise.
+window. A node of a segment is an outer sum of a start-point and an end-point
+term, so the closed-form families sum their trig terms by angle addition with
+O(n) cos/sin calls per term and node, not O(n^2). Longer spans compose by
+min-plus matrix products over grid midpoints, halving recursively. A compose
+visits only the intermediate points that can attain a minimum, and gives the
+same bits as visiting all of them. Matrices are cached by (Hamiltonian,
+fractional start, span), so time-1-periodicity of the family holds bitwise;
+the cache drops the least recently used matrices beyond a byte bound.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,37 +61,121 @@ class PotentialMatrix:
             raise GridMismatch(f"grid {u.values.shape} vs matrix {self.entries.shape}")
 
 
+COMPOSE_BLOCK = 2**18  # entries of one pruned-compose tensor (2 MB), or one row's if larger
+COMPOSE_ROWS = 16  # rows that share one candidate set
+_EPS = float(np.finfo(float).eps)
+
+
+def _compose_candidates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mask of the z that can attain min_z a[y, z] + b[z, x] for some x.
+
+    With z0 = argmin a[y, :], ub[y, x] = a[y, z0] + b[z0, x] is one of the
+    sums, so the minimiser z has fl(a[y, z] + b[z, x]) <= ub[y, x], hence
+    a[y, z] <= ub[y, x] - min_z b[z, x] <= T_y = max_x of the same, up to
+    rounding. With S = max|a| + max|b| and u = eps/2, the sum errs by at
+    most u S, the difference by 2u S and adding the slack by 2u S (to first
+    order), so a slack of 4 eps S = 8u S covers all three. Non-finite input
+    keeps every z.
+    """
+    scale = float(np.max(np.abs(a)) + np.max(np.abs(b)))
+    if not np.isfinite(scale):
+        return np.ones(a.shape, dtype=bool)
+    z0 = np.argmin(a, axis=1)
+    ub = a[np.arange(len(a)), z0][:, None] + b[z0]
+    bound = np.max(ub - np.min(b, axis=0), axis=1) + 4.0 * _EPS * scale
+    return a <= bound[:, None]
+
+
 def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
-    """(a ⊗ b)[y, x] = min_z a[y, z] + b[z, x]; rows reduce sequentially."""
+    """(a ⊗ b)[y, x] = min_z a[y, z] + b[z, x], bitwise as over every z.
+
+    A min of floats is exact and each entry is the same float sum whatever
+    order z is visited in, so a minimum over any superset of the minimising
+    z is the full minimum. Each block of COMPOSE_ROWS rows visits only the
+    union of its rows' candidates (_compose_candidates), in tensors of at most
+    COMPOSE_BLOCK entries. A block whose union holds more than half the z
+    reduces each full row instead, as a dense compose would: potentials
+    spanning a period or more keep well under 1 % of the z, short spans and
+    free flow nearly all of them.
+    """
     if a.resolution != b.resolution:
         raise GridMismatch("composing matrices of different resolutions")
     n = a.resolution
+    aa, bb = a.entries, b.entries
     out = np.empty((n, n))
-    bb = b.entries
-    for y in range(n):
-        out[y, :] = np.min(a.entries[y, :, None] + bb, axis=0)
+    keep = _compose_candidates(aa, bb)
+    for y0 in range(0, n, COMPOSE_ROWS):
+        y_end = min(n, y0 + COMPOSE_ROWS)
+        zs = np.flatnonzero(np.any(keep[y0:y_end], axis=0))
+        if 2 * len(zs) > n:
+            for y in range(y0, y_end):
+                out[y, :] = np.min(aa[y, :, None] + bb, axis=0)
+            continue
+        bz = bb[zs]
+        step = max(1, COMPOSE_BLOCK // (len(zs) * n))
+        for y in range(y0, y_end, step):
+            rows = slice(y, min(y + step, y_end))
+            out[rows] = np.min(aa[rows, zs, None] + bz, axis=1)
     return PotentialMatrix(
         a.s, b.t, out, a.boundary_winding_active or b.boundary_winding_active
     )
 
 
-_POTENTIAL_CACHE: dict[tuple, PotentialMatrix] = {}
+class _PotentialCache:
+    """Least-recently-used potential matrices, at most `max_bytes` of entries.
+
+    `hits`, `misses` and `evictions` count lookups and drops since the last
+    `clear`.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self._items: OrderedDict[tuple, PotentialMatrix] = OrderedDict()
+        self.clear()
+
+    def clear(self) -> None:
+        self._items.clear()
+        self.nbytes = self.hits = self.misses = self.evictions = 0
+
+    def get(self, key: tuple) -> PotentialMatrix | None:
+        hit = self._items.get(key)
+        if hit is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+            self._items.move_to_end(key)
+        return hit
+
+    def put(self, key: tuple, pm: PotentialMatrix) -> None:
+        self._items[key] = pm
+        self.nbytes += pm.entries.nbytes
+        while self.nbytes > self.max_bytes:
+            _, old = self._items.popitem(last=False)
+            self.nbytes -= old.entries.nbytes
+            self.evictions += 1
+
+
+# a 512-point barrier and its 1024-point weak-KAM residual hold 70 MB
+_POTENTIAL_CACHE = _PotentialCache(max_bytes=128 * 2**20)
 
 
 def _single_step(h, s, t, n, quad_nodes):
+    """Midpoint-rule action of the straight segments y -> x + w, least over w.
+
+    Node i of a segment sits at (1 - f_i) y + f_i (x + w), an outer sum of a
+    start-point and an end-point term, which the family sums over the nodes
+    in one pass (`segment_lagrangian`).
+    """
     grid = np.arange(n) / n
     span = t - s
     best = None
     best_w = None
     taus = s + (np.arange(quad_nodes) + 0.5) * span / quad_nodes
     fracs = (taus - s) / span
+    start = (1.0 - fracs)[:, None] * grid
     for w in range(-WINDING_WINDOW, WINDING_WINDOW + 1):
-        delta = grid[None, :] - grid[:, None] + w
-        vel = delta / span
-        acc = np.zeros((n, n))
-        for tau, frac in zip(taus, fracs):
-            pos = grid[:, None] + frac * delta
-            acc += lagrangian_batch(h, float(tau), pos, vel)
+        vel = (grid[None, :] - grid[:, None] + w) / span
+        acc = h.ops.segment_lagrangian(h, taus, start, fracs[:, None] * (grid + w), vel)
         acc *= span / quad_nodes
         if best is None:
             best = acc
@@ -125,7 +215,7 @@ def potential(
             potential(h, mid, t, n, max_span, quad_nodes),
         )
         out = PotentialMatrix(s - base, t - base, out.entries, out.boundary_winding_active)
-    _POTENTIAL_CACHE[key] = out
+    _POTENTIAL_CACHE.put(key, out)
     return PotentialMatrix(s, t, out.entries, out.boundary_winding_active)
 
 
@@ -276,8 +366,12 @@ def positive_weak_kam(
     """Weak solution u(t, .) = -barrier(. -> anchor) + alpha0 * t.
 
     Returns the grid function and the fixed-point residual of the one-period
-    positive operator, which vanishes for the exact barrier.
+    positive operator, which vanishes for the exact barrier. The anchor is a
+    grid index, 0 <= anchor < resolution.
     """
+    resolution = n if barrier is None else barrier.matrix.resolution
+    if not 0 <= anchor < resolution:
+        raise ValueError(f"anchor {anchor} is not a grid index below {resolution}")
     if barrier is None:
         barrier = peierls_barrier(
             h, alpha0, wrap_unit(t), wrap_unit(t), n_min, n_max, n,
@@ -320,18 +414,19 @@ def backward_minimizer(
     x_index: int,
     k: int,
     alpha0: float = 0.0,
-    n: int | None = None,
+    max_span: float = SINGLE_STEP_SPAN,
+    quad_nodes: int = QUAD_NODES,
 ) -> MinimizerChain:
     """Argmin chain realizing k composed one-period negative steps at x.
 
-    Chain points sit on the grid at integer time offsets; the value gap
+    Chain points sit on the grid of u at integer time offsets; the value gap
     u_k(x) - u(y_0) matches the summed full-operator increments.
     """
     if k < 1:
         raise NoStoredArgmin("need at least one composed step to backtrack")
-    n = n or u.resolution
-    pm = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, n)
-    pm.require_grid(u)
+    n = u.resolution
+    pm = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, n, max_span, quad_nodes)
+    pm.require_grid(u)  # a 2-D u has no chain
     args = []
     cur = u
     for _ in range(k):
@@ -353,5 +448,21 @@ def backward_minimizer(
     )
 
 
+@dataclass(frozen=True)
+class PotentialCacheInfo:
+    hits: int
+    misses: int
+    evictions: int
+    nbytes: int
+    max_bytes: int
+
+
+def potential_cache_info() -> PotentialCacheInfo:
+    """Lookups, evictions and held bytes of the potential cache since it was last cleared."""
+    c = _POTENTIAL_CACHE
+    return PotentialCacheInfo(c.hits, c.misses, c.evictions, c.nbytes, c.max_bytes)
+
+
 def clear_potential_cache() -> None:
+    """Drop every cached potential and reset the counters."""
     _POTENTIAL_CACHE.clear()

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from birkhoff_lab import lax_oleinik
 from birkhoff_lab.errors import (
@@ -13,8 +15,11 @@ from birkhoff_lab.errors import (
 from birkhoff_lab.grids import GridFunction, constant_grid
 from birkhoff_lab.hamiltonians import free_hamiltonian, mechanical, pendulum, shifted_quadratic, torus_distance
 from birkhoff_lab.lax_oleinik import (
+    WINDING_WINDOW,
+    PotentialMatrix,
     _critical_value_from_matrix,
     backward_minimizer,
+    clear_potential_cache,
     lagrangian_batch,
     lax_negative,
     lax_positive,
@@ -23,10 +28,12 @@ from birkhoff_lab.lax_oleinik import (
     peierls_barrier,
     positive_weak_kam,
     potential,
+    potential_cache_info,
 )
 
 FREE = free_hamiltonian()
 PEND = pendulum()
+SHIFT = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.0)
 N = 256
 QS = np.arange(N) / N
 
@@ -286,3 +293,187 @@ def test_potential_custom_family_matches_closed_form():
     b = potential(FREE, 0, 0.25, 64)
     assert np.max(np.abs(a.entries - b.entries)) <= 1e-3
     assert not b.boundary_winding_active
+
+
+def test_backward_minimizer_uses_given_settings():
+    u = GridFunction(np.cos(2 * np.pi * np.arange(64) / 64))
+    ch = backward_minimizer(u, PEND, 0.0, 16, 3, alpha0=1.0, max_span=0.5, quad_nodes=2)
+    pm = potential(PEND, 0, 1, 64, max_span=0.5, quad_nodes=2).entries
+    assert not np.array_equal(pm, potential(PEND, 0, 1, 64).entries)
+    steps = zip(ch.indices, ch.indices[1:])
+    assert ch.step_actions == tuple(float(pm[i, j] + 1.0) for i, j in steps)
+
+
+@pytest.mark.parametrize("anchor", [-1, 64])
+def test_weak_kam_anchor_must_be_a_grid_index(anchor):
+    with pytest.raises(ValueError):  # before any barrier is built
+        positive_weak_kam(FREE, 0.0, anchor, 0.0, 64)
+    barrier = peierls_barrier(FREE, 0.0, 0, 0, 8, 16, 64)
+    with pytest.raises(ValueError):
+        positive_weak_kam(FREE, 0.0, anchor, 0.0, 64, barrier=barrier)
+
+
+def test_potential_cache_counts_lookups():
+    clear_potential_cache()
+    potential(PEND, 0, 1, 16)  # the period, two halves and four quarters
+    potential(PEND, 1, 2, 16)  # the same fractional start and span
+    info = potential_cache_info()
+    assert (info.hits, info.misses, info.evictions) == (1, 7, 0)
+    assert info.nbytes == 7 * 16 * 16 * 8
+
+
+def test_potential_cache_bounded_in_bytes(monkeypatch):
+    cache = lax_oleinik._POTENTIAL_CACHE
+    monkeypatch.setattr(cache, "max_bytes", 2**20)
+    clear_potential_cache()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(40):  # 40 matrices of 128 KiB: five times the bound
+            potential(FREE, i / 40, i / 40 + 0.25, 128)
+            held = tracemalloc.get_traced_memory()[0] - base
+            assert held <= cache.max_bytes + 2**14  # entries plus keys and bookkeeping
+    finally:
+        tracemalloc.stop()
+    info = potential_cache_info()
+    assert info.nbytes <= info.max_bytes == 2**20
+    assert info.evictions == 40 - 8
+    clear_potential_cache()
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the dense single step and the row-by-row compose, which the
+# separable single step and the pruned compose replaced.
+
+
+def _dense_minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
+    """(a ⊗ b)[y, x] = min_z a[y, z] + b[z, x]; rows reduce sequentially."""
+    if a.resolution != b.resolution:
+        raise GridMismatch("composing matrices of different resolutions")
+    n = a.resolution
+    out = np.empty((n, n))
+    bb = b.entries
+    for y in range(n):
+        out[y, :] = np.min(a.entries[y, :, None] + bb, axis=0)
+    return PotentialMatrix(
+        a.s, b.t, out, a.boundary_winding_active or b.boundary_winding_active
+    )
+
+
+def _dense_single_step(h, s, t, n, quad_nodes):
+    grid = np.arange(n) / n
+    span = t - s
+    best = None
+    best_w = None
+    taus = s + (np.arange(quad_nodes) + 0.5) * span / quad_nodes
+    fracs = (taus - s) / span
+    for w in range(-WINDING_WINDOW, WINDING_WINDOW + 1):
+        delta = grid[None, :] - grid[:, None] + w
+        vel = delta / span
+        acc = np.zeros((n, n))
+        for tau, frac in zip(taus, fracs):
+            pos = grid[:, None] + frac * delta
+            acc += lagrangian_batch(h, float(tau), pos, vel)
+        acc *= span / quad_nodes
+        if best is None:
+            best = acc
+            best_w = np.full((n, n), w)
+        else:
+            mask = acc < best
+            best = np.where(mask, acc, best)
+            best_w = np.where(mask, w, best_w)
+    at_boundary = bool(np.any(np.abs(best_w) >= WINDING_WINDOW))
+    return PotentialMatrix(s, t, best, at_boundary)
+
+
+def _tied(rng, n, offset, levels):
+    """One-decimal matrix with at most `levels` distinct values."""
+    return np.round((offset + rng.integers(0, levels, (n, n))) / 10, 1)
+
+
+def _funnel(rng, n, offset, levels):
+    """One-decimal matrix shaped like a long-horizon potential: cheapest
+    through one grid point, plus tied noise, so that few z stay candidates."""
+    q = np.arange(n) / n
+    well = 40.0 * torus_distance(q, 0.5) ** 2
+    return np.round(well[:, None] + well + (offset + rng.integers(0, levels, (n, n))) / 10, 1)
+
+
+# (0.1 + 0.4) - 0.4 rounds below 0.1: a constant 0.1 and a constant 0.4
+# matrix need the rounding slack
+@example(seed=0, n=8, shape=_tied, offsets=(1, 4), levels=1)
+# a negative column of b lets a[y, z] exceed every upper bound ub[y, x]
+@example(seed=0, n=8, shape=_tied, offsets=(0, -30), levels=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 8, 64, 256]),
+    shape=st.sampled_from([_tied, _funnel]),
+    offsets=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    levels=st.integers(1, 60),
+)
+@settings(max_examples=120, deadline=None)
+def test_pruned_compose_bitwise_on_tied_matrices(seed, n, shape, offsets, levels):
+    rng = np.random.default_rng(seed)
+    a = PotentialMatrix(0.0, 0.5, shape(rng, n, offsets[0], levels))
+    b = PotentialMatrix(0.5, 1.0, shape(rng, n, offsets[1], levels))
+    assert np.array_equal(minplus_compose(a, b).entries, _dense_minplus_compose(a, b).entries)
+
+
+@given(
+    h=st.sampled_from([PEND, FREE, SHIFT]),
+    n=st.sampled_from([8, 64, 256]),
+    s=st.sampled_from([0.0, 0.25, 0.5]),
+    spans=st.sampled_from([(0.25, 0.25), (0.5, 0.5), (1.0, 1.0), (8.0, 1.0)]),
+)
+@settings(max_examples=30, deadline=None)
+def test_pruned_compose_bitwise_on_potentials(h, n, s, spans):
+    a = potential(h, s, s + spans[0], n)
+    b = potential(h, s + spans[0], s + spans[0] + spans[1], n)
+    assert np.array_equal(minplus_compose(a, b).entries, _dense_minplus_compose(a, b).entries)
+
+
+_MECHANICAL_TERMS = st.lists(
+    st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.floats(-1, 1), st.floats(-1, 1)),
+    min_size=1, max_size=3,
+)
+# shift profiles stay small, as in the configs: the product of du/dq with the
+# velocity amplifies the rounding of the phases, in the dense step as well
+_SHIFT_TERMS = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.floats(-0.1, 0.1), st.floats(-0.1, 0.1)),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def _closed_form_hamiltonians(draw):
+    offset = draw(st.floats(-1, 1))
+    if draw(st.booleans()):
+        return mechanical(draw(_MECHANICAL_TERMS), kinetic=draw(st.floats(0.25, 4)), offset=offset)
+    return shifted_quadratic(draw(_SHIFT_TERMS), drift=draw(st.floats(-1, 1)), offset=offset)
+
+
+@given(
+    h=_closed_form_hamiltonians(),
+    s=st.floats(0, 1, exclude_max=True),
+    span=st.floats(1 / 32, 0.25),
+    n=st.sampled_from([16, 64, 256]),
+    quad_nodes=st.integers(1, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_separable_single_step_matches_dense(h, s, span, n, quad_nodes):
+    dense = _dense_single_step(h, s, s + span, n, quad_nodes).entries
+    fast = lax_oleinik._single_step(h, s, s + span, n, quad_nodes).entries
+    assert np.all(np.abs(fast - dense) <= 1e-13 * (1 + np.abs(dense)))
+
+
+def test_custom_single_step_matches_dense():
+    from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian
+
+    hc = TonelliHamiltonian(
+        family=Family.CUSTOM,
+        custom_fn=lambda t, q, p: 0.25 * p**4 + 0.5 * p**2 + 0.3 * np.cos(2 * np.pi * (q - t)),
+        momentum_box=(-8.0, 8.0),
+    )
+    dense = _dense_single_step(hc, 0.1, 0.35, 16, 4).entries
+    fast = lax_oleinik._single_step(hc, 0.1, 0.35, 16, 4).entries
+    assert np.all(np.abs(fast - dense) <= 1e-12 * (1 + np.abs(dense)))
