@@ -7,9 +7,10 @@ term, so the closed-form families sum their trig terms by angle addition with
 O(n) cos/sin calls per term and node, not O(n^2). Longer spans compose by
 min-plus matrix products over grid midpoints, halving recursively. A compose
 visits only the intermediate points that can attain a minimum, and gives the
-same bits as visiting all of them. Matrices are cached by (Hamiltonian,
-fractional start, span), so time-1-periodicity of the family holds bitwise;
-the cache drops the least recently used matrices beyond a byte bound.
+same bits as visiting all of them. A matrix is built and cached from
+(Hamiltonian, fractional start, span) alone, so time-1-periodicity of the
+family holds bitwise, also for a matrix rebuilt after the cache, which drops
+the least recently used matrices beyond a byte bound, let it go.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class PotentialMatrix:
             raise GridMismatch(f"grid {u.values.shape} vs matrix {self.entries.shape}")
 
 
-COMPOSE_BLOCK = 2**18  # entries of one pruned-compose tensor (2 MB), or one row's if larger
+COMPOSE_BLOCK = 2**16  # entries of one compose tensor (512 KB), or one row's if larger
 COMPOSE_ROWS = 16  # rows that share one candidate set
 _EPS = float(np.finfo(float).eps)
 
@@ -93,10 +94,9 @@ def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
     order z is visited in, so a minimum over any superset of the minimising
     z is the full minimum. Each block of COMPOSE_ROWS rows visits only the
     union of its rows' candidates (_compose_candidates), in tensors of at most
-    COMPOSE_BLOCK entries. A block whose union holds more than half the z
-    reduces each full row instead, as a dense compose would: potentials
-    spanning a period or more keep well under 1 % of the z, short spans and
-    free flow nearly all of them.
+    COMPOSE_BLOCK entries. Potentials spanning a period or more keep well
+    under 1 % of the z; short spans and free flow keep nearly all of them,
+    and then each tensor holds whole rows, as in a dense compose.
     """
     if a.resolution != b.resolution:
         raise GridMismatch("composing matrices of different resolutions")
@@ -107,11 +107,7 @@ def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
     for y0 in range(0, n, COMPOSE_ROWS):
         y_end = min(n, y0 + COMPOSE_ROWS)
         zs = np.flatnonzero(np.any(keep[y0:y_end], axis=0))
-        if 2 * len(zs) > n:
-            for y in range(y0, y_end):
-                out[y, :] = np.min(aa[y, :, None] + bb, axis=0)
-            continue
-        bz = bb[zs]
+        bz = bb if len(zs) == n else bb[zs]
         step = max(1, COMPOSE_BLOCK // (len(zs) * n))
         for y in range(y0, y_end, step):
             rows = slice(y, min(y + step, y_end))
@@ -201,22 +197,21 @@ def potential(
         raise NonpositiveDuration(f"need t > s, got [{s}, {t}]")
     if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
         raise ValueError(f"need max_span > 0 and quad_nodes >= 1, got {max_span} and {quad_nodes}")
-    base = np.floor(s)
-    key = (h, round(s - base, 12), round(t - s, 12), n, max_span, quad_nodes)
+    fs, span = round(s - np.floor(s), 12), round(t - s, 12)
+    key = (h, fs, span, n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)
-    if hit is not None:
-        return PotentialMatrix(s, t, hit.entries, hit.boundary_winding_active)
-    if t - s <= max_span + 1e-12:
-        out = _single_step(h, s - base, t - base, n, quad_nodes)
-    else:
-        mid = 0.5 * (s + t)
-        out = minplus_compose(
-            potential(h, s, mid, n, max_span, quad_nodes),
-            potential(h, mid, t, n, max_span, quad_nodes),
-        )
-        out = PotentialMatrix(s - base, t - base, out.entries, out.boundary_winding_active)
-    _POTENTIAL_CACHE.put(key, out)
-    return PotentialMatrix(s, t, out.entries, out.boundary_winding_active)
+    if hit is None:
+        # built from the key alone, so an evicted matrix comes back with the same bits
+        if span <= max_span + 1e-12:
+            hit = _single_step(h, fs, fs + span, n, quad_nodes)
+        else:
+            mid = fs + 0.5 * span
+            hit = minplus_compose(
+                potential(h, fs, mid, n, max_span, quad_nodes),
+                potential(h, mid, fs + span, n, max_span, quad_nodes),
+            )
+        _POTENTIAL_CACHE.put(key, hit)
+    return PotentialMatrix(s, t, hit.entries, hit.boundary_winding_active)
 
 
 def lax_negative(
@@ -414,8 +409,6 @@ def backward_minimizer(
     x_index: int,
     k: int,
     alpha0: float = 0.0,
-    max_span: float = SINGLE_STEP_SPAN,
-    quad_nodes: int = QUAD_NODES,
 ) -> MinimizerChain:
     """Argmin chain realizing k composed one-period negative steps at x.
 
@@ -425,7 +418,7 @@ def backward_minimizer(
     if k < 1:
         raise NoStoredArgmin("need at least one composed step to backtrack")
     n = u.resolution
-    pm = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, n, max_span, quad_nodes)
+    pm = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, n)
     pm.require_grid(u)  # a 2-D u has no chain
     args = []
     cur = u
@@ -446,21 +439,6 @@ def backward_minimizer(
         step_actions=actions,
         value_gap=float(cur.values[x_index] - u.values[idx[0]]),
     )
-
-
-@dataclass(frozen=True)
-class PotentialCacheInfo:
-    hits: int
-    misses: int
-    evictions: int
-    nbytes: int
-    max_bytes: int
-
-
-def potential_cache_info() -> PotentialCacheInfo:
-    """Lookups, evictions and held bytes of the potential cache since it was last cleared."""
-    c = _POTENTIAL_CACHE
-    return PotentialCacheInfo(c.hits, c.misses, c.evictions, c.nbytes, c.max_bytes)
 
 
 def clear_potential_cache() -> None:

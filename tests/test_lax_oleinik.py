@@ -28,7 +28,6 @@ from birkhoff_lab.lax_oleinik import (
     peierls_barrier,
     positive_weak_kam,
     potential,
-    potential_cache_info,
 )
 
 FREE = free_hamiltonian()
@@ -295,15 +294,6 @@ def test_potential_custom_family_matches_closed_form():
     assert not b.boundary_winding_active
 
 
-def test_backward_minimizer_uses_given_settings():
-    u = GridFunction(np.cos(2 * np.pi * np.arange(64) / 64))
-    ch = backward_minimizer(u, PEND, 0.0, 16, 3, alpha0=1.0, max_span=0.5, quad_nodes=2)
-    pm = potential(PEND, 0, 1, 64, max_span=0.5, quad_nodes=2).entries
-    assert not np.array_equal(pm, potential(PEND, 0, 1, 64).entries)
-    steps = zip(ch.indices, ch.indices[1:])
-    assert ch.step_actions == tuple(float(pm[i, j] + 1.0) for i, j in steps)
-
-
 @pytest.mark.parametrize("anchor", [-1, 64])
 def test_weak_kam_anchor_must_be_a_grid_index(anchor):
     with pytest.raises(ValueError):  # before any barrier is built
@@ -317,9 +307,9 @@ def test_potential_cache_counts_lookups():
     clear_potential_cache()
     potential(PEND, 0, 1, 16)  # the period, two halves and four quarters
     potential(PEND, 1, 2, 16)  # the same fractional start and span
-    info = potential_cache_info()
-    assert (info.hits, info.misses, info.evictions) == (1, 7, 0)
-    assert info.nbytes == 7 * 16 * 16 * 8
+    cache = lax_oleinik._POTENTIAL_CACHE
+    assert (cache.hits, cache.misses, cache.evictions) == (1, 7, 0)
+    assert cache.nbytes == 7 * 16 * 16 * 8
 
 
 def test_potential_cache_bounded_in_bytes(monkeypatch):
@@ -335,9 +325,22 @@ def test_potential_cache_bounded_in_bytes(monkeypatch):
             assert held <= cache.max_bytes + 2**14  # entries plus keys and bookkeeping
     finally:
         tracemalloc.stop()
-    info = potential_cache_info()
-    assert info.nbytes <= info.max_bytes == 2**20
-    assert info.evictions == 40 - 8
+    assert cache.nbytes <= cache.max_bytes == 2**20
+    assert cache.evictions == 40 - 8
+    clear_potential_cache()
+
+
+@pytest.mark.parametrize("span", [0.25, 1.0])  # a single step and a compose
+def test_potential_rebuilt_after_eviction_is_bitwise_periodic(monkeypatch, span):
+    # 1.3 - 1 is 0.30000000000000004, not 0.3
+    h = mechanical([(1, 1, 0.5, 0.2)])
+    cache = lax_oleinik._POTENTIAL_CACHE
+    monkeypatch.setattr(cache, "max_bytes", 0)  # every matrix is dropped once built
+    clear_potential_cache()
+    a = potential(h, 0.3, 0.3 + span, 64).entries
+    b = potential(h, 1.3, 1.3 + span, 64).entries
+    assert cache.hits == 0 and cache.nbytes == 0
+    assert np.array_equal(a, b)
     clear_potential_cache()
 
 
