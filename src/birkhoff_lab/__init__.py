@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .hamiltonians import (
     Family,
     LagrangianFnValue,
-    SampleSpec,
     TonelliHamiltonian,
     TrigPolynomial,
     eval_hamiltonian,

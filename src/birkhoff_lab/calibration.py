@@ -23,6 +23,10 @@ from .textio import json_text
 
 KINK_RATIO = 50.0
 KINK_FLOOR = 1e-9
+LAX_KNOT_STEP = 1.0 / 16.0
+TEST_LOOP_DEGREE = 4
+TEST_LOOP_AMPLITUDE = 0.5
+TEST_LOOP_INTERVALS = 64
 
 
 def grid_kink_mask(values: np.ndarray) -> np.ndarray:
@@ -36,12 +40,14 @@ def grid_kink_mask(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceTimeFunction:
-    """Knot-sampled scalar function on [t0, t1] x T^1 with its critical constant."""
+    """Knot-sampled scalar function on [t0, t1] x T^1 with its critical constant.
+
+    At least two knots, so every time in the window lies in a knot interval.
+    """
 
     times: np.ndarray
-    knots: np.ndarray  # shape (K, N)
+    knots: np.ndarray  # shape (K, N), K >= 2
     alpha0: float = 0.0
-    continuity_budget: float = np.inf
 
     def __post_init__(self):
         ts = np.asarray(self.times, dtype=float)
@@ -50,13 +56,11 @@ class SpaceTimeFunction:
         object.__setattr__(self, "knots", ks)
         if ks.ndim != 2 or len(ts) != ks.shape[0]:
             raise ValueError("knots must be (K, N) aligned with times")
+        if len(ts) < 2:
+            raise ValueError(f"need at least two knots, got {len(ts)}")
         dt = np.diff(ts)
-        if len(dt) and (np.any(dt <= 0) or np.max(dt) > 0.25 + 1e-12):
+        if np.any(dt <= 0) or np.max(dt) > 0.25 + 1e-12:
             raise ValueError("knot times must increase with spacing <= 0.25")
-        if len(ks) > 1:
-            jump = float(np.max(np.abs(np.diff(ks, axis=0))))
-            if jump > self.continuity_budget:
-                raise ValueError(f"knot jump {jump} exceeds continuity budget")
         splines = [GridFunction(row).periodic_spline() for row in ks]
         object.__setattr__(self, "_splines", splines)
         object.__setattr__(self, "_kinks", grid_kink_mask(ks))
@@ -70,9 +74,7 @@ class SpaceTimeFunction:
         if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
             raise DomainExceeded(f"time {t} outside [{ts[0]}, {ts[-1]}]")
         j = int(np.searchsorted(ts, t, side="right") - 1)
-        j = min(max(j, 0), len(ts) - 2) if len(ts) > 1 else 0
-        if len(ts) == 1:
-            return 0, 0.0
+        j = min(max(j, 0), len(ts) - 2)
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
         return j, float(np.clip(w, 0.0, 1.0))
 
@@ -80,7 +82,7 @@ class SpaceTimeFunction:
         j, w = self._interval(t)
         qw = wrap_unit(q)
         lo = self._splines[j](qw)
-        if w == 0.0 or len(self.times) == 1:
+        if w == 0.0:
             return lo
         return (1 - w) * lo + w * self._splines[j + 1](qw)
 
@@ -88,13 +90,11 @@ class SpaceTimeFunction:
         j, w = self._interval(t)
         qw = wrap_unit(q)
         lo = self._splines[j](qw, 1)
-        if w == 0.0 or len(self.times) == 1:
+        if w == 0.0:
             return lo
         return (1 - w) * lo + w * self._splines[j + 1](qw, 1)
 
     def dt(self, t: float, q) -> float | np.ndarray:
-        if len(self.times) == 1:
-            return 0.0 * np.asarray(q, dtype=float)
         j, _ = self._interval(t)
         step = self.times[j + 1] - self.times[j]
         qw = wrap_unit(q)
@@ -103,7 +103,7 @@ class SpaceTimeFunction:
     def kink_at(self, t: float, q: float) -> bool:
         """Second-difference kink detector near (t, q)."""
         j, w = self._interval(t)
-        rows = [j] if (w == 0.0 or len(self.times) == 1) else [j, j + 1]
+        rows = [j] if w == 0.0 else [j, j + 1]
         n = self.resolution
         cell = int(np.floor(wrap_unit(q) * n))
         cells = [(cell + d) % n for d in (-1, 0, 1, 2)]
@@ -123,21 +123,18 @@ def spacetime_from_lax(
     t0: float,
     t1: float,
     alpha0: float,
-    knot_step: float = 1.0 / 16.0,
-    n: int | None = None,
     quad_nodes: int = QUAD_NODES,
     max_span: float = SINGLE_STEP_SPAN,
 ) -> SpaceTimeFunction:
-    """Viscosity-type evolution of u0 sampled on a uniform knot ladder."""
-    n = n or u0.resolution
-    k = int(round((t1 - t0) / knot_step))
-    if abs(k * knot_step - (t1 - t0)) > 1e-9 or k < 1:
-        raise ValueError("knot_step must divide the time span")
-    times = t0 + knot_step * np.arange(k + 1)
+    """Viscosity-type evolution of u0 sampled every LAX_KNOT_STEP, on the grid of u0."""
+    k = int(round((t1 - t0) / LAX_KNOT_STEP))
+    if abs(k * LAX_KNOT_STEP - (t1 - t0)) > 1e-9 or k < 1:
+        raise ValueError(f"the knot step {LAX_KNOT_STEP} must divide the time span")
+    times = t0 + LAX_KNOT_STEP * np.arange(k + 1)
     rows = [u0.values.copy()]
     cur = u0
     for j in range(k):
-        pm = potential(h, float(times[j]), float(times[j + 1]), n, max_span, quad_nodes)
+        pm = potential(h, float(times[j]), float(times[j + 1]), u0.resolution, max_span, quad_nodes)
         cur = lax_negative(cur, pm, alpha0)
         rows.append(cur.values.copy())
     return SpaceTimeFunction(times, np.array(rows), alpha0)
@@ -173,26 +170,25 @@ def domination_check(
     h: TonelliHamiltonian,
     count: int = 1000,
     seed: int = 0,
-    degree: int = 4,
-    amplitude: float = 0.5,
-    quad_intervals: int = 64,
 ) -> DominationReport:
     """Minimum defect over random smooth test loops (indexed min, deterministic).
 
-    Test curves are random trig polynomials in time of bounded degree and
-    amplitude spanning the whole knot window; their action uses composite
-    Simpson on an analytic sampling.
+    Test curves are random trig polynomials in time of degree TEST_LOOP_DEGREE
+    and amplitude at most TEST_LOOP_AMPLITUDE spanning the whole knot window;
+    their action uses composite Simpson on TEST_LOOP_INTERVALS intervals of an
+    analytic sampling.
     """
+    degree = TEST_LOOP_DEGREE
     t0, t1 = float(u.times[0]), float(u.times[-1])
     span = t1 - t0
     rng = np.random.default_rng(seed)
     q0 = rng.uniform(0.0, 1.0, size=count)
     coef = rng.uniform(-1.0, 1.0, size=(count, degree, 2))
     norm = np.sum(np.abs(coef), axis=(1, 2))
-    scale = amplitude * rng.uniform(0.2, 1.0, size=count) / np.maximum(norm, 1e-12)
+    scale = TEST_LOOP_AMPLITUDE * rng.uniform(0.2, 1.0, size=count) / np.maximum(norm, 1e-12)
     coef *= scale[:, None, None]
 
-    m = quad_intervals
+    m = TEST_LOOP_INTERVALS
     taus = t0 + span * np.arange(m + 1) / m
     sigma = (taus - t0) / span
     d = np.arange(1, degree + 1)
@@ -284,13 +280,13 @@ class AprioriBoundReport:
     chain_count: int
 
 
-def apriori_bound_report(chains, min_duration: int = 1) -> AprioriBoundReport:
+def apriori_bound_report(chains) -> AprioriBoundReport:
     """Largest per-period speed over backtracked minimizer chains.
 
-    Chains shorter than min_duration periods are skipped; refinement plateaus
-    are checked by the caller against a doubled endpoint sweep.
+    Refinement plateaus are checked by the caller against a doubled endpoint
+    sweep.
     """
-    speeds = [c.max_speed for c in chains if len(c.indices) - 1 >= min_duration]
+    speeds = [c.max_speed for c in chains]
     if not speeds:
         return AprioriBoundReport(0.0, 0)
     return AprioriBoundReport(float(max(speeds)), len(speeds))

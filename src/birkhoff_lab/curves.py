@@ -31,6 +31,7 @@ from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .textio import write_csv
 
 MIN_NODES = 16
+NODE_CAP = 2**16  # a curve stretched past this is reported as a blow-up, not refined
 PAIR_BLOCK = 2**14  # candidate point-segment pairs evaluated at once
 
 
@@ -238,7 +239,6 @@ def evolve(
     t: float,
     settings: FlowSettings = FlowSettings(),
     spacing: float = 0.02,
-    node_cap: int = 2**16,
 ) -> LagrangianCurve:
     """Flow the curve from time s to t, transporting the primitive.
 
@@ -247,7 +247,8 @@ def evolve(
     phase-space gap exceeds `spacing` trigger midpoint insertion: the midpoint
     is taken on the *initial* curve (parameter bisection) and re-flowed, which
     keeps inserted nodes on the evolved invariant curve under stretching.
-    Gaps below spacing/3 are coarsened away.
+    Gaps below spacing/3 are coarsened away. Resampling past NODE_CAP nodes
+    raises ResamplingBudgetExceeded.
     """
     if curve.primitive is None:
         raise MissingPrimitive("evolve transports primitives; curve has none")
@@ -262,9 +263,9 @@ def evolve(
         need = np.nonzero(gaps > spacing)[0]
         if len(need) == 0:
             break
-        if len(thetas) + len(need) > node_cap:
+        if len(thetas) + len(need) > NODE_CAP:
             raise ResamplingBudgetExceeded(
-                f"resampling wants {len(thetas) + len(need)} nodes (cap {node_cap})"
+                f"resampling wants {len(thetas) + len(need)} nodes (cap {NODE_CAP})"
             )
         theta_hi = np.append(thetas, thetas[0] + 1.0)
         mid_thetas = 0.5 * (thetas[need] + theta_hi[need + 1])

@@ -510,4 +510,6 @@ def lax_spacetime(config: ExperimentConfig, t0: float, t1: float) -> SpaceTimeFu
     cur, pm, alpha0 = one_period(config)
     for _ in range(int(max(0, round(t0)))):
         cur = lax_negative(cur, pm, alpha0)
-    return spacetime_from_lax(config.hamiltonian, cur, t0, t1, alpha0, **resolve_potential_settings(config))
+    return spacetime_from_lax(
+        config.hamiltonian, cur, t0, t1, alpha0, quad_nodes=config.quad_nodes, max_span=config.max_span
+    )

@@ -7,18 +7,19 @@ consistent with the discrete flow.
 
 This module owns quadrature and RK4 only: the closed-form families bring
 their native substep (hamiltonians.py); custom callables, and
-integrator="rk4", step by RK4 with step-doubling error control.
+integrator="rk4", step by RK4 with step-doubling error control to RK4_TOL.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepSizeUnderflow
 from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
+
+RK4_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class FlowSettings:
     macro_step: float = 1e-2
     integrator: str = "auto"  # auto | strang | rk4
     substeps_per_macro: int = 4
-    rk4_tol: float = 1e-12
 
     def __post_init__(self):
         if not 0 < self.macro_step <= 0.1:
@@ -96,23 +96,23 @@ def _rk4_fixed(h, tau, q, p, dt):
     return qn, pn
 
 
-def _rk4_substep(h, tau, q, p, dt, tol):
+def _rk4_substep(h, tau, q, p, dt):
     """Advance by dt with step-doubling error control (recursive bisection).
 
     The local budget scales with the piece length so the error over the whole
-    substep stays near tol; pieces shorter than 1e-9 raise StepSizeUnderflow.
+    substep stays near RK4_TOL; pieces shorter than 1e-9 raise StepSizeUnderflow.
 
     A single point of a closed-form family is stepped on scalars: the same
     IEEE operations, so the same bits, without numpy's per-call overhead on
     1-element arrays. Custom callables always see the arrays they are given.
     """
     if q.size == 1 and h.family is not Family.CUSTOM:
-        qs, ps = _rk4_adaptive(h, tau, float(q[0]), float(p[0]), dt, tol)
+        qs, ps = _rk4_adaptive(h, tau, float(q[0]), float(p[0]), dt)
         return np.array([qs], dtype=float), np.array([ps], dtype=float)
-    return _rk4_adaptive(h, tau, q, p, dt, tol)
+    return _rk4_adaptive(h, tau, q, p, dt)
 
 
-def _rk4_adaptive(h, tau, q, p, dt, tol):
+def _rk4_adaptive(h, tau, q, p, dt):
     """The step-doubling loop of _rk4_substep, on arrays or on scalars."""
     stack = [(tau, dt)]
     while stack:
@@ -123,7 +123,7 @@ def _rk4_adaptive(h, tau, q, p, dt, tol):
         qh, ph = _rk4_fixed(h, t0, q, p, 0.5 * step)
         qb, pb = _rk4_fixed(h, t0 + 0.5 * step, qh, ph, 0.5 * step)
         err = max(np.max(np.abs(qa - qb)), np.max(np.abs(pa - pb)))
-        if err <= tol * max(abs(step) / abs(dt), 1e-3):
+        if err <= RK4_TOL * max(abs(step) / abs(dt), 1e-3):
             q, p = qb, pb
         else:
             stack.append((t0 + 0.5 * step, 0.5 * step))
@@ -156,27 +156,15 @@ def integrate_batch(
     """
     q = np.array(q_lift, dtype=float)
     p = np.array(p, dtype=float)
-    if t == s:
-        zeros = np.zeros_like(q)
-        if record_knots:
-            rec = {
-                "times": np.array([s]),
-                "q_lift": q[None, :].copy(),
-                "p": p[None, :].copy(),
-                "qdot": np.asarray(h.dH_dp(s, q, p))[None, :],
-                "action_increments": np.zeros((0, len(q))),
-            }
-            return q, p, zeros, rec
-        return q, p, zeros
-
     substep = h.ops.substep
     if settings.integrator == "rk4" or substep is None:
         if settings.integrator == "strang":
             raise ValueError("Strang splitting needs a closed-form separable family")
-        substep = functools.partial(_rk4_substep, tol=settings.rk4_tol)
+        substep = _rk4_substep
     span = t - s
-    n_macro = max(1, int(np.ceil(abs(span) / settings.macro_step - 1e-12)))
-    dt_macro = span / n_macro
+    # s == t takes no macro step: the start point is the one knot
+    n_macro = max(1, int(np.ceil(abs(span) / settings.macro_step - 1e-12))) if span else 0
+    dt_macro = span / max(n_macro, 1)
     m = settings.substeps_per_macro
     dt_sub = dt_macro / m
     weights = simpson_pattern(m) / 3.0 * dt_sub
@@ -214,7 +202,7 @@ def integrate_batch(
             "q_lift": np.array(knot_q),
             "p": np.array(knot_p),
             "qdot": np.array(knot_qdot),
-            "action_increments": np.array(increments),
+            "action_increments": np.reshape(increments, (n_macro, len(q))),
         }
         return q, p, action, rec
     return q, p, action
@@ -250,7 +238,7 @@ def trajectory(
         q_lift=lift,
         p=rec["p"][:, 0],
         qdot=rec["qdot"][:, 0],
-        action_increments=rec["action_increments"][:, 0] if len(rec["action_increments"]) else np.zeros(0),
+        action_increments=rec["action_increments"][:, 0],
     )
 
 

@@ -85,9 +85,10 @@ class GridFunction:
         return float(np.max(self.values) - np.min(self.values))
 
 
-def grid_from_trig(poly: TrigPolynomial, n: int, t: float = 0.0) -> GridFunction:
+def grid_from_trig(poly: TrigPolynomial, n: int) -> GridFunction:
+    """The polynomial at time 0 on the n-point grid."""
     q = np.arange(n) / n
-    return GridFunction(poly.value(t, q) + np.zeros(n))
+    return GridFunction(poly.value(0.0, q) + np.zeros(n))
 
 
 def constant_grid(c: float, n: int) -> GridFunction:

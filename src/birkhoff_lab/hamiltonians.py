@@ -24,6 +24,10 @@ import numpy as np
 from .errors import ConvexityViolation, MaximizerNotFound
 
 TWO_PI = 2.0 * math.pi
+MAX_HARMONIC = 8
+TONELLI_T_SAMPLES = 8
+TONELLI_Q_SAMPLES = 32
+TONELLI_LADDER = tuple(4.0 * 2.0**i for i in range(5))
 
 
 def wrap_unit(x):
@@ -51,16 +55,16 @@ class TrigPolynomial:
     """Real trig polynomial  sum_i a_i cos(2pi(j_i t + k_i q)) + b_i sin(...).
 
     Terms are (j, k, a, b) with integer harmonics j (time) and k (position),
-    so the polynomial is exactly 1-periodic in both arguments.
+    so the polynomial is exactly 1-periodic in both arguments. No harmonic
+    exceeds MAX_HARMONIC in absolute value.
     """
 
     terms: tuple[tuple[int, int, float, float], ...] = ()
-    max_harmonic: int = 8
 
     def __post_init__(self):
         for j, k, _, _ in self.terms:
-            if abs(j) > self.max_harmonic or abs(k) > self.max_harmonic:
-                raise ValueError(f"harmonic ({j},{k}) exceeds max {self.max_harmonic}")
+            if abs(j) > MAX_HARMONIC or abs(k) > MAX_HARMONIC:
+                raise ValueError(f"harmonic ({j},{k}) exceeds max {MAX_HARMONIC}")
 
     @staticmethod
     def from_coeffs(terms: Sequence[Sequence[float]]) -> "TrigPolynomial":
@@ -381,16 +385,6 @@ def fenchel_gap(h: TonelliHamiltonian, t: float, q: float, v: float, p: float) -
 
 
 @dataclass(frozen=True)
-class SampleSpec:
-    """Sampling plan for the Tonelli certificate: (t,q) grids and a momentum ladder."""
-
-    t_samples: int = 8
-    q_samples: int = 32
-    momentum_base: float = 4.0
-    ladder_size: int = 5
-
-
-@dataclass(frozen=True)
 class TonelliReport:
     min_second_derivative: float
     ladder: tuple[float, ...]
@@ -398,30 +392,30 @@ class TonelliReport:
     superlinear: bool
 
 
-def tonelli_report(h: TonelliHamiltonian, spec: SampleSpec = SampleSpec()) -> TonelliReport:
+def tonelli_report(h: TonelliHamiltonian) -> TonelliReport:
     """Sampled convexity and superlinearity certificate.
 
-    Checks the fiberwise second derivative on a (t, q, p) grid and the growth
-    of H/|p| along the doubling momentum ladder. Heuristic: a sampled check,
-    not a proof of the Tonelli conditions.
+    Checks the fiberwise second derivative on a TONELLI_T_SAMPLES x
+    TONELLI_Q_SAMPLES (t, q) grid at 0 and each rung of TONELLI_LADDER in
+    either sign, and the growth of H/|p| along that ladder. Heuristic: a
+    sampled check, not a proof of the Tonelli conditions.
     """
-    ts = np.linspace(0.0, 1.0, spec.t_samples, endpoint=False)[:, None, None]
-    qs = np.linspace(0.0, 1.0, spec.q_samples, endpoint=False)[None, :, None]
-    ladder = tuple(spec.momentum_base * (2.0**i) for i in range(spec.ladder_size))
-    p_probe = np.array(sorted({0.0, *(x for L in ladder for x in (L, -L))}))
+    ts = np.linspace(0.0, 1.0, TONELLI_T_SAMPLES, endpoint=False)[:, None, None]
+    qs = np.linspace(0.0, 1.0, TONELLI_Q_SAMPLES, endpoint=False)[None, :, None]
+    p_probe = np.array(sorted({0.0, *(x for L in TONELLI_LADDER for x in (L, -L))}))
 
     min_dpp = float(np.min(h.d2H_dpp(ts, qs, p_probe)))
     if min_dpp <= 0.0:
         raise ConvexityViolation(f"min sampled d2H/dp2 = {min_dpp}")
 
-    rungs = np.array(ladder)
+    rungs = np.array(TONELLI_LADDER)
     min_increase = min(
         float(np.min(np.diff(np.abs(h.value(ts, qs, sign * rungs)) / np.abs(rungs), axis=-1)))
         for sign in (+1.0, -1.0)
     )
     return TonelliReport(
         min_second_derivative=float(min_dpp),
-        ladder=ladder,
+        ladder=TONELLI_LADDER,
         min_ratio_increase=float(min_increase),
         superlinear=bool(min_increase > 0.0),
     )

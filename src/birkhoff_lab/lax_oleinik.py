@@ -33,6 +33,8 @@ from .hamiltonians import TonelliHamiltonian, wrap_unit
 SINGLE_STEP_SPAN = 0.25
 WINDING_WINDOW = 2
 QUAD_NODES = 8
+CAUCHY_TOL = 0.5
+BARRIER_TOL = 1e-4
 
 
 def lagrangian_batch(h: TonelliHamiltonian, t: float, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -248,8 +250,12 @@ class CriticalValueEstimate:
     horizon_used: int
 
 
-def _critical_value_from_matrix(p: np.ndarray, horizon: int, cauchy_tol: float):
-    """Slope estimator on the reduced value iteration seeded at zero."""
+def _critical_value_from_matrix(p: np.ndarray, horizon: int):
+    """Slope estimator on the reduced value iteration seeded at zero.
+
+    Raises DivergenceDetected when the per-step increments over the last
+    quarter of the horizon spread by more than CAUCHY_TOL.
+    """
     n = p.shape[0]
     u = np.zeros(n)
     mins = [0.0]
@@ -259,7 +265,7 @@ def _critical_value_from_matrix(p: np.ndarray, horizon: int, cauchy_tol: float):
     mins = np.array(mins)
     increments = np.diff(mins)
     tail = increments[3 * len(increments) // 4 :]
-    if len(tail) >= 2 and float(tail.max() - tail.min()) > cauchy_tol:
+    if len(tail) >= 2 and float(tail.max() - tail.min()) > CAUCHY_TOL:
         raise DivergenceDetected(
             f"per-step increments oscillate by {float(tail.max() - tail.min()):.3g}"
         )
@@ -274,7 +280,6 @@ def mane_critical_value(
     h: TonelliHamiltonian,
     horizon: int = 64,
     n: int = 256,
-    cauchy_tol: float = 0.5,
     quad_nodes: int = QUAD_NODES,
     max_span: float = SINGLE_STEP_SPAN,
 ) -> CriticalValueEstimate:
@@ -287,7 +292,7 @@ def mane_critical_value(
     if horizon < 8:
         raise ValueError("horizon must be at least 8")
     pm = potential(h, 0.0, 1.0, n, quad_nodes=quad_nodes, max_span=max_span)
-    alpha0, half_width = _critical_value_from_matrix(pm.entries, horizon, cauchy_tol)
+    alpha0, half_width = _critical_value_from_matrix(pm.entries, horizon)
     return CriticalValueEstimate(alpha0=alpha0, half_width=half_width, horizon_used=horizon)
 
 
@@ -306,7 +311,6 @@ def peierls_barrier(
     n_min: int = 8,
     n_max: int = 64,
     n: int = 256,
-    tol: float = 1e-4,
     max_span: float = SINGLE_STEP_SPAN,
     quad_nodes: int = QUAD_NODES,
 ) -> BarrierResult:
@@ -314,7 +318,7 @@ def peierls_barrier(
 
     Approximates the liminf over integer-shifted horizons by the entrywise
     running minimum for horizons in [n_min, n_max]; converged when the minimum
-    moves less than tol (sup norm) over the last quarter of the window.
+    moves less than BARRIER_TOL (sup norm) over the last quarter of the window.
     """
     if not (0 <= s < 1 and 0 <= t < 1):
         raise ValueError("fractional times s, t must lie in [0, 1)")
@@ -338,7 +342,7 @@ def peierls_barrier(
             changes.append(float(np.max(np.abs(new - running))))
             running = new
     window = max(1, len(changes) // 4)
-    converged = bool(max(changes[-window:]) < tol)
+    converged = bool(max(changes[-window:]) < BARRIER_TOL)
     return BarrierResult(
         matrix=PotentialMatrix(s, t, running),
         converged=converged,
@@ -352,35 +356,30 @@ def positive_weak_kam(
     anchor: int,
     t: float = 0.0,
     n: int = 256,
-    n_min: int = 8,
-    n_max: int = 64,
     barrier: BarrierResult | None = None,
-    max_span: float = SINGLE_STEP_SPAN,
-    quad_nodes: int = QUAD_NODES,
 ):
     """Weak solution u(t, .) = -barrier(. -> anchor) + alpha0 * t.
 
-    Returns the grid function and the fixed-point residual of the one-period
-    positive operator, which vanishes for the exact barrier. The anchor is a
-    grid index, 0 <= anchor < resolution.
+    Without a barrier, builds the n-point one with peierls_barrier's default
+    window and potential settings; a given barrier sets the resolution, and n
+    is unused. Returns the grid function and the fixed-point residual of the
+    one-period positive operator on twice that resolution, which vanishes for
+    the exact barrier. The anchor is a grid index, 0 <= anchor < resolution.
     """
     resolution = n if barrier is None else barrier.matrix.resolution
     if not 0 <= anchor < resolution:
         raise ValueError(f"anchor {anchor} is not a grid index below {resolution}")
     if barrier is None:
-        barrier = peierls_barrier(
-            h, alpha0, wrap_unit(t), wrap_unit(t), n_min, n_max, n,
-            max_span=max_span, quad_nodes=quad_nodes,
-        )
+        barrier = peierls_barrier(h, alpha0, wrap_unit(t), wrap_unit(t), n=n)
     if not barrier.converged:
         raise BarrierNotConverged("refusing to build a solution from a truncated barrier")
     u = GridFunction(-barrier.matrix.entries[:, anchor] + alpha0 * t)
     # fixed-point residual measured against a refined application of the
     # operator (doubled grid, cubic-interpolated input): the same-grid
     # identity is saturated by construction and would report only roundoff
-    fine = 2 * n
+    fine = 2 * resolution
     u_fine = GridFunction(u.eval(np.arange(fine) / fine))
-    one_period = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, fine, max_span, quad_nodes=quad_nodes)
+    one_period = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, fine)
     image = lax_positive(u_fine, one_period, alpha0)
     residual = float(np.max(np.abs(image.values - u_fine.values)))
     return u, residual

@@ -22,6 +22,8 @@ from .lax_oleinik import PotentialMatrix
 from .textio import write_csv, write_json, write_text
 
 SCHEMA_VERSION = 1
+PLOT_WIDTH, PLOT_HEIGHT = 640, 420
+HISTOGRAM_BINS = 24
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
@@ -65,8 +67,9 @@ def potential_to_csv(pm: PotentialMatrix, path) -> None:
 # SVG plotting (hand-rolled for byte determinism)
 
 
-def _svg_frame(width, height, title):
+def _svg_frame(title):
     """The opening parts of a plot (page, title, axis box) and the box corners."""
+    width, height = PLOT_WIDTH, PLOT_HEIGHT
     x0, y0, x1, y1 = 60, 30, width - 20, height - 45
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -93,17 +96,21 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in vals]
 
 
-def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, height=420):
-    """series: list of (name, xs, ys); one polyline per entry."""
+def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
+    """series: list of (name, xs, ys); one polyline per entry.
+
+    y values that all agree to rounding are drawn as equal, on the bottom edge
+    of a unit y-range, so a last-bit difference is not stretched over the plot.
+    """
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     lo_x, hi_x = min(xs_all), max(xs_all)
     lo_y, hi_y = min(ys_all), max(ys_all)
-    if hi_y == lo_y:
+    if hi_y - lo_y <= 4 * np.finfo(float).eps * max(abs(lo_y), abs(hi_y)):
         hi_y = lo_y + 1.0
-    parts, (x0, y0, x1, y1) = _svg_frame(width, height, title)
+    parts, (x0, y0, x1, y1) = _svg_frame(title)
     for k, (name, xs, ys) in enumerate(series):
         if len(xs) == 0:
             continue
@@ -127,7 +134,7 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, heig
         )
     if xlabel:
         parts.append(
-            f'<text x="{(x0 + x1) / 2:.1f}" y="{height - 8}" font-family="monospace" '
+            f'<text x="{(x0 + x1) / 2:.1f}" y="{PLOT_HEIGHT - 8}" font-family="monospace" '
             f'font-size="12" text-anchor="middle">{xlabel}</text>\n'
         )
     if ylabel:
@@ -138,13 +145,14 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel="", width=640, heig
     write_text(path, "".join(parts) + "</svg>\n")
 
 
-def histogram_svg(path, values, title, bins=24, width=640, height=420):
+def histogram_svg(path, values, title):
+    """HISTOGRAM_BINS equal bins over the range of the values."""
     values = np.asarray(list(values), dtype=float)
-    parts, (x0, y0, x1, y1) = _svg_frame(width, height, title)
+    parts, (x0, y0, x1, y1) = _svg_frame(title)
     if len(values):
-        counts, edges = np.histogram(values, bins=bins)
+        counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
         top = max(1, counts.max())
-        bw = (x1 - x0) / bins
+        bw = (x1 - x0) / HISTOGRAM_BINS
         for i, c in enumerate(counts):
             bh = (y1 - y0) * (c / top)
             parts.append(

@@ -26,6 +26,7 @@ from .textio import write_csv, write_json
 
 SHELL_FRACTION = 0.9
 SHELL_TOL = 1e-9
+FIBER_HALFWIDTH = 4.0
 
 
 class Certificate(enum.Enum):
@@ -128,19 +129,19 @@ def sample_fqi(
     signature: tuple[int, ...],
     base_resolution: int | None = None,
     fiber_resolution: int | tuple[int, ...] = 129,
-    halfwidth: float = 4.0,
-    constant: float = 0.0,
 ) -> SampledFqi:
-    """Sample fn on the base x fiber grid and enforce the quadratic shell.
+    """Sample fn on the base x [-FIBER_HALFWIDTH, FIBER_HALFWIDTH]^k grid and
+    enforce the quadratic shell.
 
     fn takes (q, xi1[, xi2]) broadcastable arrays (q omitted for point base).
-    The outer 10% of the fiber box is overwritten with constant + quadratic,
-    which keeps the two far ends unambiguous for percolation.
+    The outer 10% of the fiber box is overwritten with the quadratic part
+    (constant 0 at infinity), which keeps the two far ends unambiguous for
+    percolation.
     """
     if isinstance(fiber_resolution, int):
         fiber_resolution = (fiber_resolution,) * len(signature)
     shape = ((base_resolution,) if base_resolution else ()) + tuple(fiber_resolution)
-    s = SampledFqi(np.zeros(shape), signature, halfwidth, constant, base_resolution, shell_enforced=False)
+    s = SampledFqi(np.zeros(shape), signature, FIBER_HALFWIDTH, 0.0, base_resolution, shell_enforced=False)
     grids = s.fiber_grids()
     if base_resolution:
         q = (np.arange(base_resolution) / base_resolution).reshape((-1,) + (1,) * len(signature))
@@ -148,7 +149,7 @@ def sample_fqi(
     else:
         s.values[...] = fn(*grids)
     mask = s._shell_mask()
-    s.values[mask] = (constant + s.quadratic_part())[mask]
+    s.values[mask] = s.quadratic_part()[mask]
     return replace(s, shell_enforced=True)
 
 

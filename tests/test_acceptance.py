@@ -106,7 +106,7 @@ def test_criterion_2_flow_fidelity():
     with Budget("2. Flow fidelity", 10):
         x = flow_map(FREE, PhasePoint(0.2, 0.5), 0, 1)
         assert abs(x.q - 0.7) <= 1e-12 and x.p == 0.5
-        tight = FlowSettings(integrator="rk4", rk4_tol=1e-12)
+        tight = FlowSettings(integrator="rk4")
         tr = trajectory(PEND, PhasePoint(0.0, 2.0), 0, 10, tight)
         assert abs(tr.q_lift[-1] - ORACLE_Q_LIFT) <= 1e-8
         assert abs(tr.p[-1] - ORACLE_P) <= 1e-8
@@ -260,7 +260,7 @@ def test_criterion_8_calibration():
             cur = constant_grid(0.0, n)
             for _ in range(6):
                 cur = lax_negative(cur, pm, 1.0)
-            u = bl.spacetime_from_lax(PEND, cur, 6.0, 7.0, 1.0, n=n)
+            u = bl.spacetime_from_lax(PEND, cur, 6.0, 7.0, 1.0)
             dom = bl.domination_check(u, PEND, count=1000, seed=108)
             assert dom.min_defect >= -tol
 

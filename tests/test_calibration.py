@@ -156,10 +156,7 @@ def test_spacetime_validation():
     with pytest.raises(ValueError):
         SpaceTimeFunction(np.array([0.0, 0.25]), np.zeros((3, 16)))  # length mismatch
     with pytest.raises(ValueError):
-        SpaceTimeFunction(
-            np.array([0.0, 0.25]), np.vstack([np.zeros(16), np.ones(16)]),
-            continuity_budget=0.5,
-        )
+        SpaceTimeFunction(np.array([0.0]), np.zeros((1, 16)))  # one knot
 
 
 def test_apriori_bound_and_refinement_plateau():

@@ -131,10 +131,11 @@ def test_discrete_exactness_after_evolution():
         assert np.max(np.abs(exactness_defects(c))) <= bound
 
 
-def test_resampling_budget():
+def test_resampling_budget(monkeypatch):
+    monkeypatch.setattr("birkhoff_lab.curves.NODE_CAP", 256)
     c0 = from_potential(sine_potential(0.2, 64))
     with pytest.raises(ResamplingBudgetExceeded):
-        evolve(FREE, c0, 0, 2.0, FlowSettings(), spacing=1e-3, node_cap=256)
+        evolve(FREE, c0, 0, 2.0, FlowSettings(), spacing=1e-3)
 
 
 def test_hausdorff_examples():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -31,7 +32,7 @@ from birkhoff_lab.hamiltonians import (
     shifted_quadratic,
 )
 from birkhoff_lab.lax_oleinik import lax_negative, potential
-from birkhoff_lab.reports import emit_reports
+from birkhoff_lab.reports import emit_reports, polyline_plot_svg
 
 MANUFACTURED = ExperimentConfig(
     hamiltonian=shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
@@ -324,6 +325,17 @@ def test_emit_reports_deterministic(tmp_path):
     emit_reports(run_iteration_experiment(MANUFACTURED), b)
     for name in ("diagnostics.csv", "report.json", "phase_portrait.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_polyline_plot_draws_values_equal_to_rounding_as_equal(tmp_path):
+    # one ulp apart: scaled to the range of the values they would sit on
+    # opposite edges of the plot
+    path = tmp_path / "plot.svg"
+    xs = [1, 2, 3]
+    polyline_plot_svg(path, [("a", xs, [1.390316998156393] * 3), ("b", xs, [1.3903169981563932] * 3)], "t")
+    drawn = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+    ys = [[point.split(",")[1] for point in points.split()] for points in drawn]
+    assert len(ys) == 2 and ys[0] == ys[1]
 
 
 def test_lax_spacetime_knots_use_configured_potential_settings():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from birkhoff_lab import flow
 from birkhoff_lab.errors import StepSizeUnderflow
 from birkhoff_lab.flow import (
     FlowSettings,
@@ -26,7 +27,7 @@ from birkhoff_lab.hamiltonians import (
 ORACLE_Q_LIFT = 23.968906656038648
 ORACLE_P = 2.009489073148158
 
-RK4_TIGHT = FlowSettings(integrator="rk4", rk4_tol=1e-12)
+RK4_TIGHT = FlowSettings(integrator="rk4")
 
 
 def test_free_flow_exact():
@@ -143,13 +144,14 @@ def test_rk4_lone_point_matches_batch_bitwise():
                 assert a.shape == (1,) and np.array_equal(np.repeat(a, 2), b)
 
 
-def test_rk4_step_underflow():
+def test_rk4_step_underflow(monkeypatch):
+    monkeypatch.setattr(flow, "RK4_TOL", 0.0)
     h = TonelliHamiltonian(
         family=Family.CUSTOM,
         custom_fn=lambda t, q, p: 0.5 * p**2 + np.cos(2 * np.pi * q),
         momentum_box=(-10, 10),
     )
-    st = FlowSettings(integrator="rk4", rk4_tol=0.0)
+    st = FlowSettings(integrator="rk4")
     with pytest.raises(StepSizeUnderflow):
         flow_map(h, PhasePoint(0.1, 1.0), 0, 1, st)
 
@@ -193,7 +195,8 @@ def test_strang_rejected_for_custom():
 
 
 @pytest.mark.parametrize("family", ["pendulum (Strang)", "custom quartic (RK4)"])
-def test_action_does_not_depend_on_recording_knots(family):
+def test_action_does_not_depend_on_recording_knots(family, monkeypatch):
+    monkeypatch.setattr(flow, "RK4_TOL", 1e-9)
     # Each macro step's Simpson sum starts from the velocity at its first knot,
     # recorded or not; qdot varies along these orbits, so a stale one shows.
     h = pendulum() if family.startswith("pendulum") else TonelliHamiltonian(
@@ -202,7 +205,37 @@ def test_action_does_not_depend_on_recording_knots(family):
         momentum_box=(-10, 10),
     )
     q, p = np.array([0.1, 0.3, 0.7]), np.array([0.5, 1.2, -0.4])
-    settings = FlowSettings(macro_step=0.05, rk4_tol=1e-9)
+    settings = FlowSettings(macro_step=0.05)
     *_, plain = integrate_batch(h, q, p, 0.0, 1.0, settings)
     _, _, recorded, rec = integrate_batch(h, q, p, 0.0, 1.0, settings, record_knots=True)
     assert np.array_equal(plain, recorded)
+
+
+@pytest.mark.parametrize("family", ["pendulum (Strang)", "shifted quadratic (shear)", "custom quartic (RK4)"])
+def test_zero_span_returns_start_point(family):
+    h = {
+        "pendulum (Strang)": pendulum(),
+        "shifted quadratic (shear)": shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
+        "custom quartic (RK4)": TonelliHamiltonian(
+            family=Family.CUSTOM,
+            custom_fn=lambda t, q, p: 0.25 * p**4 + 0.2 * np.cos(2 * np.pi * q),
+            momentum_box=(-10, 10),
+        ),
+    }[family]
+    s = 0.35
+    q, p = np.array([0.1, 1.3, -0.4]), np.array([0.5, -1.2, 0.0])
+    q1, p1, action = integrate_batch(h, q, p, s, s, FlowSettings())
+    assert np.array_equal(q1, q) and np.array_equal(p1, p) and np.array_equal(action, np.zeros(3))
+    q2, p2, action2, rec = integrate_batch(h, q, p, s, s, FlowSettings(), record_knots=True)
+    assert np.array_equal(q2, q) and np.array_equal(p2, p) and np.array_equal(action2, np.zeros(3))
+    assert np.array_equal(rec["times"], [s])
+    assert np.array_equal(rec["q_lift"], q[None, :]) and np.array_equal(rec["p"], p[None, :])
+    assert rec["qdot"].shape == (1, 3)
+    assert rec["action_increments"].shape == (0, 3)
+
+    x = PhasePoint(0.7, -0.45)
+    assert flow_map(h, x, s, s) == x
+    tr = trajectory(h, x, s, s)
+    assert np.array_equal(tr.times, [s])
+    assert np.array_equal(tr.q_lift, [x.q]) and np.array_equal(tr.p, [x.p])
+    assert tr.action_increments.shape == (0,) and tr.total_action == 0.0

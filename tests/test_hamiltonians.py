@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from birkhoff_lab import hamiltonians
 from birkhoff_lab.errors import ConvexityViolation, MaximizerNotFound
 from birkhoff_lab.flow import FlowSettings, integrate_batch
 from birkhoff_lab.hamiltonians import (
     Family,
-    SampleSpec,
     TonelliHamiltonian,
     TonelliReport,
     TrigPolynomial,
@@ -143,19 +143,25 @@ def test_shifted_solves_hamilton_jacobi():
     assert worst <= 1e-10
 
 
-def test_tonelli_report_families():
-    rep = tonelli_report(free_hamiltonian(), SampleSpec(t_samples=4, q_samples=8))
+def _sample_plan(monkeypatch, t_samples, q_samples):
+    monkeypatch.setattr(hamiltonians, "TONELLI_T_SAMPLES", t_samples)
+    monkeypatch.setattr(hamiltonians, "TONELLI_Q_SAMPLES", q_samples)
+
+
+def test_tonelli_report_families(monkeypatch):
+    _sample_plan(monkeypatch, 4, 8)
+    rep = tonelli_report(free_hamiltonian())
     assert rep.min_second_derivative == pytest.approx(1.0, abs=1e-6)
-    rep = tonelli_report(SQ, SampleSpec(t_samples=4, q_samples=8))
+    rep = tonelli_report(SQ)
     assert rep.min_second_derivative == pytest.approx(1.0, abs=1e-6)
     assert rep.superlinear
 
 
-def _looped_tonelli_report(h, spec):
+def _looped_tonelli_report(h):
     """One (t, q, p) sample at a time: the reference for tonelli_report."""
-    ts = np.linspace(0.0, 1.0, spec.t_samples, endpoint=False)
-    qs = np.linspace(0.0, 1.0, spec.q_samples, endpoint=False)
-    ladder = tuple(spec.momentum_base * (2.0**i) for i in range(spec.ladder_size))
+    ts = np.linspace(0.0, 1.0, hamiltonians.TONELLI_T_SAMPLES, endpoint=False)
+    qs = np.linspace(0.0, 1.0, hamiltonians.TONELLI_Q_SAMPLES, endpoint=False)
+    ladder = tuple(4.0 * (2.0**i) for i in range(5))
     p_probe = sorted({0.0, *(x for L in ladder for x in (L, -L))})
 
     min_dpp = math.inf
@@ -182,21 +188,23 @@ def _looped_tonelli_report(h, spec):
     )
 
 
-@pytest.mark.parametrize("spec", [SampleSpec(), SampleSpec(4, 8)], ids=["default", "4x8"])
+@pytest.mark.parametrize("plan", [(8, 32), (4, 8)], ids=["default", "4x8"])
 @pytest.mark.parametrize("name", ["pendulum", "free", "mechanical_time_dependent", "shifted_quadratic", "custom_quartic"])
-def test_tonelli_report_matches_looped_reference(name, spec):
+def test_tonelli_report_matches_looped_reference(name, plan, monkeypatch):
+    _sample_plan(monkeypatch, *plan)
     h = {"pendulum": pendulum(), "free": free_hamiltonian(), **CONTRACT_FAMILIES}[name]
-    assert tonelli_report(h, spec) == _looped_tonelli_report(h, spec)
+    assert tonelli_report(h) == _looped_tonelli_report(h)
 
 
-def test_tonelli_report_rejects_concave():
+def test_tonelli_report_rejects_concave(monkeypatch):
+    _sample_plan(monkeypatch, 2, 4)
     bad = TonelliHamiltonian(
         family=Family.CUSTOM,
         custom_fn=lambda t, q, p: -0.5 * p**2,
         momentum_box=(-10, 10),
     )
     with pytest.raises(ConvexityViolation):
-        tonelli_report(bad, SampleSpec(t_samples=2, q_samples=4))
+        tonelli_report(bad)
 
 
 def test_extended_hamiltonian():
