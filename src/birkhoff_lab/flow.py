@@ -6,8 +6,14 @@ quadrature on the same solution samples, so the discrete primitives stay
 consistent with the discrete flow.
 
 This module owns quadrature and RK4 only: the closed-form families bring
-their native substep (hamiltonians.py); custom callables, and
+their native step (hamiltonians.py); custom callables, and
 integrator="rk4", step by RK4 with step-doubling error control to RK4_TOL.
+
+Every step maps a point and its jet to the next point and its jet, and the
+Simpson integrand is read off that jet, so each point is evaluated once: a
+substep's end point, its jet and its integrand are the next substep's
+start (first same as last), across macro knots too. Each substep time is
+computed once, so an end time is bitwise the next start time.
 """
 
 from __future__ import annotations
@@ -131,6 +137,22 @@ def _rk4_adaptive(h, tau, q, p, dt):
     return q, p
 
 
+class _RK4:
+    """Adaptive RK4 in the shape of a family's step. Its jet is the point
+    (t, q) itself: dH/dp and H are evaluated there when read."""
+
+    def jet(self, h, t, q):
+        return t, q
+
+    def qdot_and_value(self, h, p, jet):
+        t, q = jet
+        return h.dH_dp(t, q, p), h.value(t, q, p)
+
+    def step(self, h, q, p, jet, dt, t1):
+        q1, p1 = _rk4_substep(h, jet[0], q, p, dt)
+        return q1, p1, (t1, q1)
+
+
 def simpson_pattern(m: int) -> np.ndarray:
     """Composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on m (even) intervals, unscaled."""
     w = np.ones(m + 1)
@@ -156,11 +178,12 @@ def integrate_batch(
     """
     q = np.array(q_lift, dtype=float)
     p = np.array(p, dtype=float)
-    substep = h.ops.substep
-    if settings.integrator == "rk4" or substep is None:
+    s = float(s)
+    stepper = h.ops
+    if settings.integrator == "rk4" or stepper.step is None:
         if settings.integrator == "strang":
             raise ValueError("Strang splitting needs a closed-form separable family")
-        substep = _rk4_substep
+        stepper = _RK4()
     span = t - s
     # s == t takes no macro step: the start point is the one knot
     n_macro = max(1, int(np.ceil(abs(span) / settings.macro_step - 1e-12))) if span else 0
@@ -169,36 +192,36 @@ def integrate_batch(
     dt_sub = dt_macro / m
     weights = simpson_pattern(m) / 3.0 * dt_sub
 
+    def integrand(p, jet):
+        """dH/dp and the action integrand p dH/dp - H at a point with momenta p."""
+        qdot, value = stepper.qdot_and_value(h, p, jet)
+        qdot = np.asarray(qdot, dtype=float) + np.zeros_like(p)
+        return qdot, qdot * p - np.asarray(value)
+
     action = np.zeros_like(q)
-    knot_times = [s]
-    knot_q = [q.copy()]
-    knot_p = [p.copy()]
-    qdot = np.asarray(h.dH_dp(s, q, p), dtype=float) + np.zeros_like(q)
-    knot_qdot = [qdot]
+    jet = stepper.jet(h, s, q)
+    qdot, f = integrand(p, jet)
+    knots = [(s, q.copy(), p.copy(), qdot)] if record_knots else None
     increments = []
 
     for i in range(n_macro):
-        tau0 = s + i * dt_macro
+        tau0, tau_end = s + i * dt_macro, s + (i + 1) * dt_macro
         inc = np.zeros_like(q)
-        f = qdot * p - np.asarray(h.value(tau0, q, p))
         inc += weights[0] * f
-        for j in range(m):
-            tau = tau0 + j * dt_sub
-            q, p = substep(h, tau, q, p, dt_sub)
-            qdot = np.asarray(h.dH_dp(tau + dt_sub, q, p), dtype=float) + np.zeros_like(q)
-            f = qdot * p - np.asarray(h.value(tau + dt_sub, q, p))
-            inc += weights[j + 1] * f
+        for j in range(1, m + 1):
+            tau = tau0 + j * dt_sub if j < m else tau_end
+            q, p, jet = stepper.step(h, q, p, jet, dt_sub, tau)
+            qdot, f = integrand(p, jet)
+            inc += weights[j] * f
         action += inc
         if record_knots:
-            knot_times.append(tau0 + dt_macro)
-            knot_q.append(q.copy())
-            knot_p.append(p.copy())
-            knot_qdot.append(qdot)
+            knots.append((tau_end, q.copy(), p.copy(), qdot))
             increments.append(inc)
 
     if record_knots:
+        times, knot_q, knot_p, knot_qdot = zip(*knots)
         rec = {
-            "times": np.array(knot_times),
+            "times": np.array(times),
             "q_lift": np.array(knot_q),
             "p": np.array(knot_p),
             "qdot": np.array(knot_qdot),

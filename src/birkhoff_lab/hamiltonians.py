@@ -8,8 +8,14 @@ closed-form and exactly 1-periodic in time and position.
 
 Each family is one object here that owns H and its derivatives, the
 vectorized Lagrangian and its sum over the quadrature nodes of a straight
-segment, the closed-form Legendre maximizer and the native flow substep
+segment, the closed-form Legendre maximizer and the native flow step
 (Strang, exact shear, or none for custom callables, which use RK4).
+
+A closed-form family's step works on jets: the derivatives of its trig
+polynomial at a point that the step and the action integrand read, taken in
+one trig pass (`TrigPolynomial.jet`). The step takes the start point's jet
+and returns the end point with its jet, and dH/dp and H are read off a jet,
+so a flow takes one trig pass per point and substep.
 """
 
 from __future__ import annotations
@@ -42,6 +48,11 @@ def _reduced(x):
         x = float(x)
         return x - math.floor(x)
     return wrap_unit(np.asarray(x, dtype=float))
+
+
+def _cos_sin(theta):
+    """cos and sin of theta; theta itself is not kept."""
+    return np.cos(theta), np.sin(theta)
 
 
 def torus_distance(a, b):
@@ -95,6 +106,36 @@ class TrigPolynomial:
             return float(out)
         return out
 
+    def jet(self, t, q, orders):
+        """deriv(t, q, nt, nq) for each (nt, nq) in orders, from one cos and
+        one sin per term.
+
+        Each order sums the same products in the same term order as `deriv`,
+        so each entry is bitwise what `deriv` returns, type and shape too.
+        """
+        if not self.terms:
+            shape = np.broadcast(t, q).shape
+            return tuple(np.zeros(shape) if shape else 0.0 for _ in orders)
+        tm = _reduced(t)
+        qm = _reduced(q)
+        outs = [0.0] * len(orders)
+        for j, k, a, b in self.terms:
+            cos, sin = _cos_sin(TWO_PI * (j * tm + k * qm))
+            for i, (nt, nq) in enumerate(orders):
+                n = nt + nq
+                fac = (TWO_PI ** n) * (j ** nt) * (k ** nq)
+                aa, bb = a, b
+                for _ in range(n):
+                    aa, bb = bb, -aa
+                # outs[i] + fac * (aa cos + bb sin), summed in place: + and *
+                # commute exactly, so the bits are deriv's with fewer temporaries
+                acc = aa * cos
+                acc += bb * sin
+                acc *= fac
+                acc += outs[i]
+                outs[i] = acc
+        return tuple(float(out) if out.ndim == 0 else out for out in outs)
+
     def value(self, t, q):
         return self.deriv(t, q, 0, 0)
 
@@ -142,14 +183,22 @@ class LagrangianFnValue:
 
 
 class _Mechanical:
-    """Mechanical family; native substep: Strang kinetic/potential splitting."""
+    """Mechanical family; native step: Strang kinetic/potential splitting.
+
+    Its jet at (t, q) is (V, dV/dq).
+    """
+
+    def jet(self, h, t, q):
+        return h.potential.jet(t, q, ((0, 0), (0, 1)))
+
+    def qdot_and_value(self, h, p, jet):
+        """(dH/dp, H) at momentum p and position jet `jet`."""
+        p = np.asarray(p)
+        return h.kinetic_coefficient * p, 0.5 * h.kinetic_coefficient * p**2 + jet[0] + h.constant_offset
 
     def value(self, h, t, q, p):
-        return (
-            0.5 * h.kinetic_coefficient * np.asarray(p) ** 2
-            + h.potential.value(t, q)
-            + h.constant_offset
-        )
+        # H reads only V off the jet
+        return self.qdot_and_value(h, p, (h.potential.value(t, q),))[1]
 
     def dH_dp(self, h, t, q, p):
         return h.kinetic_coefficient * np.asarray(p)
@@ -174,20 +223,32 @@ class _Mechanical:
         kinetic = v * v / (2.0 * h.kinetic_coefficient) - h.constant_offset
         return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb)
 
-    def substep(self, h, tau, q, p, dt):
-        """Symplectic, order 2."""
-        p1 = p - (0.5 * dt) * h.potential.deriv(tau, q, 0, 1)
+    def step(self, h, q, p, jet, dt, t1):
+        """Advance (q, p) with start jet `jet` by dt to time t1; returns q1, p1
+        and the jet at (t1, q1). Symplectic, order 2."""
+        p1 = p - (0.5 * dt) * jet[1]
         q1 = q + dt * h.kinetic_coefficient * p1
-        p2 = p1 - (0.5 * dt) * h.potential.deriv(tau + dt, q1, 0, 1)
-        return q1, p2
+        jet1 = self.jet(h, t1, q1)
+        p1 -= (0.5 * dt) * jet1[1]
+        return q1, p1, jet1
 
 
 class _ShiftedQuadratic:
-    """Shifted-quadratic family; native substep: exact shear flow."""
+    """Shifted-quadratic family; native step: exact shear flow.
+
+    Its jet at (t, q) is (du/dq, du/dt).
+    """
+
+    def jet(self, h, t, q):
+        return h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
+
+    def qdot_and_value(self, h, p, jet):
+        """(dH/dp, H) at momentum p and position jet `jet`."""
+        r = np.asarray(p) - jet[0]
+        return r + h.drift, 0.5 * r**2 + h.drift * r - jet[1] + h.constant_offset
 
     def value(self, h, t, q, p):
-        r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
-        return 0.5 * r**2 + h.drift * r - h.shift_profile.deriv(t, q, 1, 0) + h.constant_offset
+        return self.qdot_and_value(h, p, self.jet(h, t, q))[1]
 
     def dH_dp(self, h, t, q, p):
         return (np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)) + h.drift
@@ -216,19 +277,22 @@ class _ShiftedQuadratic:
         kinetic = 0.5 * (v - h.drift) ** 2 - h.constant_offset
         return len(taus) * kinetic + v * u.outer_sum(taus, qa, qb, 0, 1) + u.outer_sum(taus, qa, qb, 1, 0)
 
-    def substep(self, h, tau, q, p, dt):
-        """In the shear frame P = p - du/dq the flow is free: P constant, qdot = P + drift."""
-        big_p = p - h.shift_profile.deriv(tau, q, 0, 1)
-        q1 = q + dt * (big_p + h.drift)
-        p1 = big_p + h.shift_profile.deriv(tau + dt, q1, 0, 1)
-        return q1, p1
+    def step(self, h, q, p, jet, dt, t1):
+        """Advance (q, p) with start jet `jet` by dt to time t1; returns q1, p1
+        and the jet at (t1, q1). In the shear frame P = p - du/dq the flow is
+        free: P constant, qdot = P + drift."""
+        p1 = p - jet[0]  # P, until the end point's du/dq is added back
+        q1 = q + dt * (p1 + h.drift)
+        jet1 = self.jet(h, t1, q1)
+        p1 += jet1[0]
+        return q1, p1, jet1
 
 
 class _Custom:
-    """Custom callables: finite differences; no closed-form maximizer, no native substep (RK4)."""
+    """Custom callables: finite differences; no closed-form maximizer, no native step (RK4)."""
 
     maximizer = None
-    substep = None
+    step = None
 
     def value(self, h, t, q, p):
         return h.custom_fn(t, q, p)

@@ -301,6 +301,8 @@ class BarrierResult:
     matrix: PotentialMatrix
     converged: bool
     sup_changes: tuple[float, ...]
+    max_span: float  # the potential settings that built it
+    quad_nodes: int
 
 
 def peierls_barrier(
@@ -347,6 +349,8 @@ def peierls_barrier(
         matrix=PotentialMatrix(s, t, running),
         converged=converged,
         sup_changes=tuple(changes),
+        max_span=max_span,
+        quad_nodes=quad_nodes,
     )
 
 
@@ -363,8 +367,8 @@ def positive_weak_kam(
     Without a barrier, builds the n-point one with peierls_barrier's default
     window and potential settings; a given barrier sets the resolution, and n
     is unused. Returns the grid function and the fixed-point residual of the
-    one-period positive operator on twice that resolution, which vanishes for
-    the exact barrier. The anchor is a grid index, 0 <= anchor < resolution.
+    one-period positive operator on twice that resolution, built with the
+    barrier's own potential settings, which vanishes for the exact barrier. The anchor is a grid index, 0 <= anchor < resolution.
     """
     resolution = n if barrier is None else barrier.matrix.resolution
     if not 0 <= anchor < resolution:
@@ -379,7 +383,7 @@ def positive_weak_kam(
     # identity is saturated by construction and would report only roundoff
     fine = 2 * resolution
     u_fine = GridFunction(u.eval(np.arange(fine) / fine))
-    one_period = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, fine)
+    one_period = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, fine, barrier.max_span, barrier.quad_nodes)
     image = lax_positive(u_fine, one_period, alpha0)
     residual = float(np.max(np.abs(image.values - u_fine.values)))
     return u, residual

@@ -16,6 +16,7 @@ from birkhoff_lab.flow import (
 from birkhoff_lab.hamiltonians import (
     Family,
     TonelliHamiltonian,
+    TrigPolynomial,
     free_hamiltonian,
     mechanical,
     pendulum,
@@ -239,3 +240,148 @@ def test_zero_span_returns_start_point(family):
     assert np.array_equal(tr.times, [s])
     assert np.array_equal(tr.q_lift, [x.q]) and np.array_equal(tr.p, [x.p])
     assert tr.action_increments.shape == (0,) and tr.total_action == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the jet path: the step loop before first-same-as-last, where each
+# substep evaluated its trig polynomial at both ends and the integrand took
+# dH/dp and H afresh at every point (5 deriv calls per substep for the shifted
+# quadratic, 3 for the mechanical family).
+
+
+def _reference_value(h, t, q, p):
+    if h.family is Family.CUSTOM:
+        return h.value(t, q, p)
+    if h.family is Family.MECHANICAL:
+        return 0.5 * h.kinetic_coefficient * np.asarray(p) ** 2 + h.potential.value(t, q) + h.constant_offset
+    r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
+    return 0.5 * r**2 + h.drift * r - h.shift_profile.deriv(t, q, 1, 0) + h.constant_offset
+
+
+def _reference_substep(h, tau, q, p, dt):
+    if h.family is Family.MECHANICAL:
+        p1 = p - (0.5 * dt) * h.potential.deriv(tau, q, 0, 1)
+        q1 = q + dt * h.kinetic_coefficient * p1
+        return q1, p1 - (0.5 * dt) * h.potential.deriv(tau + dt, q1, 0, 1)
+    big_p = p - h.shift_profile.deriv(tau, q, 0, 1)
+    q1 = q + dt * (big_p + h.drift)
+    return q1, big_p + h.shift_profile.deriv(tau + dt, q1, 0, 1)
+
+
+def _reference_integrate_batch(h, q_lift, p, s, t, settings, substep=_reference_substep):
+    q = np.array(q_lift, dtype=float)
+    p = np.array(p, dtype=float)
+    span = t - s
+    n_macro = max(1, int(np.ceil(abs(span) / settings.macro_step - 1e-12))) if span else 0
+    dt_macro = span / max(n_macro, 1)
+    m = settings.substeps_per_macro
+    dt_sub = dt_macro / m
+    weights = flow.simpson_pattern(m) / 3.0 * dt_sub
+    action = np.zeros_like(q)
+    knot_times, knot_q, knot_p = [s], [q.copy()], [p.copy()]
+    qdot = np.asarray(h.dH_dp(s, q, p), dtype=float) + np.zeros_like(q)
+    knot_qdot, increments = [qdot], []
+    for i in range(n_macro):
+        tau0 = s + i * dt_macro
+        inc = np.zeros_like(q)
+        f = qdot * p - np.asarray(_reference_value(h, tau0, q, p))
+        inc += weights[0] * f
+        for j in range(m):
+            tau = tau0 + j * dt_sub
+            q, p = substep(h, tau, q, p, dt_sub)
+            qdot = np.asarray(h.dH_dp(tau + dt_sub, q, p), dtype=float) + np.zeros_like(q)
+            f = qdot * p - np.asarray(_reference_value(h, tau + dt_sub, q, p))
+            inc += weights[j + 1] * f
+        action += inc
+        knot_times.append(tau0 + dt_macro)
+        knot_q.append(q.copy())
+        knot_p.append(p.copy())
+        knot_qdot.append(qdot)
+        increments.append(inc)
+    rec = {
+        "times": np.array(knot_times),
+        "q_lift": np.array(knot_q),
+        "p": np.array(knot_p),
+        "qdot": np.array(knot_qdot),
+        "action_increments": np.reshape(increments, (n_macro, len(q))),
+    }
+    return q, p, action, rec
+
+
+ORACLE_FAMILIES = {
+    "pendulum": pendulum(),
+    "mechanical offset": mechanical([(0, 1, 0.3, -0.2), (0, 3, 0.0, 0.05)], kinetic=0.7, offset=0.4),
+    "free": free_hamiltonian(),
+    "shifted quadratic": shifted_quadratic([(0, 1, 0.0, 0.05), (0, 2, 0.01, 0.0)], drift=0.3, offset=0.2),
+    "mechanical time-dependent": mechanical([(1, 1, 0.3, 0.0), (2, 0, 0.0, 0.1)]),
+    "shifted quadratic time-dependent": shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
+    "custom quartic": TonelliHamiltonian(
+        family=Family.CUSTOM,
+        custom_fn=lambda t, q, p: 0.25 * p**4 + 0.5 * p**2 + 0.2 * np.cos(2 * np.pi * q),
+        momentum_box=(-10, 10),
+    ),
+}
+ORACLE_SPANS = [(0.0, 1.0), (0.35, 2.0), (1.0, 0.0), (0.8, -0.65)]
+
+
+def _oracle_pair(h, s, t, integrator="auto"):
+    q = np.array([0.1, 0.45, 1.3, -0.6, 0.0])
+    p = np.array([0.5, -1.2, 0.0, 2.1, -0.3])
+    settings = FlowSettings(macro_step=0.05, integrator=integrator)
+    substep = flow._rk4_substep if integrator == "rk4" or h.family is Family.CUSTOM else _reference_substep
+    return (
+        integrate_batch(h, q, p, s, t, settings, record_knots=True),
+        _reference_integrate_batch(h, q, p, s, t, settings, substep),
+    )
+
+
+@pytest.mark.parametrize("s, t", ORACLE_SPANS)
+@pytest.mark.parametrize(
+    "name, integrator",
+    [(k, "auto") for k, h in ORACLE_FAMILIES.items() if h.autonomous] + [("pendulum", "rk4")],
+)
+def test_flow_matches_reference_bitwise(name, integrator, s, t, monkeypatch):
+    # RK4 steps as before; only the integrand is carried across macro knots
+    monkeypatch.setattr(flow, "RK4_TOL", 1e-9)
+    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = _oracle_pair(ORACLE_FAMILIES[name], s, t, integrator)
+    for got, want in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
+        (rec[k], rec_ref[k]) for k in ("q_lift", "p", "qdot", "action_increments")
+    ]:
+        assert np.array_equal(got, want)
+    # knot times are s + i * dt_macro now, (s + (i-1) dt_macro) + dt_macro before
+    assert np.allclose(rec["times"], rec_ref["times"], rtol=0, atol=4e-16 * (1 + abs(s) + abs(t)))
+
+
+@pytest.mark.parametrize("s, t", ORACLE_SPANS)
+@pytest.mark.parametrize("name", [k for k, h in ORACLE_FAMILIES.items() if not h.autonomous])
+def test_flow_matches_reference_time_dependent(name, s, t):
+    # each substep time is now computed once, so an end time and the next
+    # start time agree bitwise; before, they could differ by an ulp, which a
+    # time harmonic turns into a few ulps of q and p
+    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = _oracle_pair(ORACLE_FAMILIES[name], s, t)
+    for got, want in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
+        (rec[k], rec_ref[k]) for k in ("times", "q_lift", "p", "qdot", "action_increments")
+    ]:
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["pendulum", "shifted quadratic time-dependent"])
+def test_one_trig_pass_per_point_substep(name, monkeypatch):
+    h = ORACLE_FAMILIES[name]
+    n_macro, m = 7, 4
+    calls = []
+    for attr in ("jet", "deriv"):
+        method = getattr(TrigPolynomial, attr)
+
+        def counted(self, *args, method=method, **kwargs):
+            calls.append(method.__name__)
+            return method(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrigPolynomial, attr, counted)
+    q, p = np.array([0.1, 0.45, 0.8]), np.array([0.5, -1.2, 0.3])
+    settings = FlowSettings(macro_step=0.01, substeps_per_macro=m)
+    integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings)
+    assert len(calls) <= n_macro * m + 1
+    calls.clear()
+    _reference_integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings)
+    assert len(calls) == (13 * n_macro if h.family is Family.MECHANICAL else 22 * n_macro + 1)

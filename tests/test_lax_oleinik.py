@@ -491,3 +491,17 @@ def test_custom_single_step_matches_dense():
     dense = _dense_single_step(hc, 0.1, 0.35, 16, 4).entries
     fast = lax_oleinik._single_step(hc, 0.1, 0.35, 16, 4).entries
     assert np.all(np.abs(fast - dense) <= 1e-12 * (1 + np.abs(dense)))
+
+
+def test_weak_kam_residual_uses_the_barrier_potential_settings():
+    # the refined residual applies the one-period operator built with the
+    # settings that built the barrier, not the default single-step span
+    bp = peierls_barrier(PEND, 1.0, 0, 0, 8, 64, 64, max_span=1 / 16)
+    assert (bp.max_span, bp.quad_nodes) == (1 / 16, lax_oleinik.QUAD_NODES)
+    _, res = positive_weak_kam(PEND, 1.0, 0, 0.0, 64, barrier=bp)
+    u = GridFunction(-bp.matrix.entries[:, 0])
+    u_fine = GridFunction(u.eval(np.arange(128) / 128))
+    for max_span, same in ((1 / 16, True), (lax_oleinik.SINGLE_STEP_SPAN, False)):
+        image = lax_positive(u_fine, potential(PEND, 0, 1, 128, max_span=max_span), 1.0)
+        by_hand = float(np.max(np.abs(image.values - u_fine.values)))
+        assert (res == by_hand) is same
