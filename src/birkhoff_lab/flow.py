@@ -139,7 +139,8 @@ def _rk4_adaptive(h, tau, q, p, dt):
 
 class _RK4:
     """Adaptive RK4 in the shape of a family's step. Its jet is the point
-    (t, q) itself: dH/dp and H are evaluated there when read."""
+    (t, q) itself: the step reads t, and dH/dp and H are evaluated at (t, q)
+    when read."""
 
     def jet(self, h, t, q):
         return t, q
@@ -193,14 +194,15 @@ def integrate_batch(
     weights = simpson_pattern(m) / 3.0 * dt_sub
 
     def integrand(p, jet):
-        """dH/dp and the action integrand p dH/dp - H at a point with momenta p."""
+        """dH/dp and the action integrand p dH/dp - H at a point with momenta p
+        and jet `jet`, and jet[:1], the part of the jet the next step reads:
+        the rest is not kept across the step."""
         qdot, value = stepper.qdot_and_value(h, p, jet)
         qdot = np.asarray(qdot, dtype=float) + np.zeros_like(p)
-        return qdot, qdot * p - np.asarray(value)
+        return qdot, qdot * p - np.asarray(value), jet[:1]
 
     action = np.zeros_like(q)
-    jet = stepper.jet(h, s, q)
-    qdot, f = integrand(p, jet)
+    qdot, f, jet = integrand(p, stepper.jet(h, s, q))
     knots = [(s, q.copy(), p.copy(), qdot)] if record_knots else None
     increments = []
 
@@ -211,7 +213,7 @@ def integrate_batch(
         for j in range(1, m + 1):
             tau = tau0 + j * dt_sub if j < m else tau_end
             q, p, jet = stepper.step(h, q, p, jet, dt_sub, tau)
-            qdot, f = integrand(p, jet)
+            qdot, f, jet = integrand(p, jet)
             inc += weights[j] * f
         action += inc
         if record_knots:

@@ -15,7 +15,8 @@ A closed-form family's step works on jets: the derivatives of its trig
 polynomial at a point that the step and the action integrand read, taken in
 one trig pass (`TrigPolynomial.jet`). The step takes the start point's jet
 and returns the end point with its jet, and dH/dp and H are read off a jet,
-so a flow takes one trig pass per point and substep.
+so a flow takes one trig pass per point and substep. The step reads only the
+jet's first entry, so a flow need not keep the rest across a step.
 """
 
 from __future__ import annotations
@@ -50,9 +51,14 @@ def _reduced(x):
     return wrap_unit(np.asarray(x, dtype=float))
 
 
-def _cos_sin(theta):
-    """cos and sin of theta; theta itself is not kept."""
-    return np.cos(theta), np.sin(theta)
+def _factor(j, k, a, b, nt, nq):
+    """(fac, aa, bb) such that the (nt, nq)-th derivative of
+    a cos(theta) + b sin(theta), theta = 2pi (j t + k q), is
+    fac * (aa cos(theta) + bb sin(theta))."""
+    n = nt + nq
+    for _ in range(n):
+        a, b = b, -a
+    return (TWO_PI ** n) * (j ** nt) * (k ** nq), a, b
 
 
 def torus_distance(a, b):
@@ -76,6 +82,9 @@ class TrigPolynomial:
         for j, k, _, _ in self.terms:
             if abs(j) > MAX_HARMONIC or abs(k) > MAX_HARMONIC:
                 raise ValueError(f"harmonic ({j},{k}) exceeds max {MAX_HARMONIC}")
+        # jet's per-term factors, by orders; not a field, so hashing and
+        # equality ignore it
+        object.__setattr__(self, "_factors", {})
 
     @staticmethod
     def from_coeffs(terms: Sequence[Sequence[float]]) -> "TrigPolynomial":
@@ -83,58 +92,46 @@ class TrigPolynomial:
         return TrigPolynomial(out)
 
     def deriv(self, t, q, nt: int = 0, nq: int = 0):
-        """Evaluate the (nt, nq)-th mixed derivative at (t, q).
-
-        Arguments are reduced mod 1 before phases are formed, which makes
-        1-periodicity hold bitwise.
-        """
-        tm = _reduced(t)
-        qm = _reduced(q)
-        if not self.terms:
-            out = np.zeros(np.broadcast(tm, qm).shape)
-            return float(out) if out.ndim == 0 else out
-        out = 0.0  # 0.0 + x: the same bits a zeros array gave, without building it
-        n = nt + nq
-        for j, k, a, b in self.terms:
-            fac = (TWO_PI ** n) * (j ** nt) * (k ** nq)
-            aa, bb = a, b
-            for _ in range(n):
-                aa, bb = bb, -aa
-            theta = TWO_PI * (j * tm + k * qm)
-            out = out + fac * (aa * np.cos(theta) + bb * np.sin(theta))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        """Evaluate the (nt, nq)-th mixed derivative at (t, q)."""
+        return self.jet(t, q, ((nt, nq),))[0]
 
     def jet(self, t, q, orders):
-        """deriv(t, q, nt, nq) for each (nt, nq) in orders, from one cos and
-        one sin per term.
+        """The (nt, nq)-th mixed derivative at (t, q) for each (nt, nq) in
+        orders, from one cos and one sin per term.
 
-        Each order sums the same products in the same term order as `deriv`,
-        so each entry is bitwise what `deriv` returns, type and shape too.
+        Arguments are reduced mod 1 before phases are formed, which makes
+        1-periodicity hold bitwise. Each order sums fac * (aa cos + bb sin)
+        in term order, so an entry does not depend on which other orders are
+        asked for. A float comes back for scalar arguments, an array otherwise.
         """
         if not self.terms:
             shape = np.broadcast(t, q).shape
-            return tuple(np.zeros(shape) if shape else 0.0 for _ in orders)
+            return tuple([np.zeros(shape) if shape else 0.0 for _ in orders])
         tm = _reduced(t)
         qm = _reduced(q)
+        orders = tuple(orders)
+        rows = self._factors.get(orders)
+        if rows is None:
+            rows = [(j, k, [_factor(j, k, a, b, *o) for o in orders]) for j, k, a, b in self.terms]
+            self._factors[orders] = rows
         outs = [0.0] * len(orders)
-        for j, k, a, b in self.terms:
-            cos, sin = _cos_sin(TWO_PI * (j * tm + k * qm))
-            for i, (nt, nq) in enumerate(orders):
-                n = nt + nq
-                fac = (TWO_PI ** n) * (j ** nt) * (k ** nq)
-                aa, bb = a, b
-                for _ in range(n):
-                    aa, bb = bb, -aa
+        for j, k, factors in rows:
+            theta = TWO_PI * (j * tm + k * qm)
+            cos, sin = np.cos(theta), np.sin(theta)
+            del theta
+            if cos.ndim == 0:
+                # Python floats: the same IEEE operations without numpy's
+                # per-operation overhead on scalars
+                cos, sin = float(cos), float(sin)
+            for i, (fac, aa, bb) in enumerate(factors):
                 # outs[i] + fac * (aa cos + bb sin), summed in place: + and *
-                # commute exactly, so the bits are deriv's with fewer temporaries
+                # commute exactly, so the bits are the same with fewer temporaries
                 acc = aa * cos
                 acc += bb * sin
                 acc *= fac
                 acc += outs[i]
                 outs[i] = acc
-        return tuple(float(out) if out.ndim == 0 else out for out in outs)
+        return tuple(outs)
 
     def value(self, t, q):
         return self.deriv(t, q, 0, 0)
@@ -185,20 +182,23 @@ class LagrangianFnValue:
 class _Mechanical:
     """Mechanical family; native step: Strang kinetic/potential splitting.
 
-    Its jet at (t, q) is (V, dV/dq).
+    Its jet at (t, q) is (dV/dq, V): the step reads dV/dq, H reads V.
     """
 
     def jet(self, h, t, q):
-        return h.potential.jet(t, q, ((0, 0), (0, 1)))
+        return h.potential.jet(t, q, ((0, 1), (0, 0)))
 
     def qdot_and_value(self, h, p, jet):
         """(dH/dp, H) at momentum p and position jet `jet`."""
         p = np.asarray(p)
-        return h.kinetic_coefficient * p, 0.5 * h.kinetic_coefficient * p**2 + jet[0] + h.constant_offset
+        return h.kinetic_coefficient * p, 0.5 * h.kinetic_coefficient * p**2 + jet[1] + h.constant_offset
 
     def value(self, h, t, q, p):
-        # H reads only V off the jet
-        return self.qdot_and_value(h, p, (h.potential.value(t, q),))[1]
+        return (
+            0.5 * h.kinetic_coefficient * np.asarray(p) ** 2
+            + h.potential.value(t, q)
+            + h.constant_offset
+        )
 
     def dH_dp(self, h, t, q, p):
         return h.kinetic_coefficient * np.asarray(p)
@@ -224,19 +224,19 @@ class _Mechanical:
         return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb)
 
     def step(self, h, q, p, jet, dt, t1):
-        """Advance (q, p) with start jet `jet` by dt to time t1; returns q1, p1
-        and the jet at (t1, q1). Symplectic, order 2."""
-        p1 = p - (0.5 * dt) * jet[1]
+        """Advance (q, p) by dt to time t1, reading dV/dq = jet[0] at the
+        start; returns q1, p1 and the jet at (t1, q1). Symplectic, order 2."""
+        p1 = p - (0.5 * dt) * jet[0]
         q1 = q + dt * h.kinetic_coefficient * p1
         jet1 = self.jet(h, t1, q1)
-        p1 -= (0.5 * dt) * jet1[1]
+        p1 -= (0.5 * dt) * jet1[0]
         return q1, p1, jet1
 
 
 class _ShiftedQuadratic:
     """Shifted-quadratic family; native step: exact shear flow.
 
-    Its jet at (t, q) is (du/dq, du/dt).
+    Its jet at (t, q) is (du/dq, du/dt): the step reads du/dq, H reads both.
     """
 
     def jet(self, h, t, q):
@@ -251,7 +251,7 @@ class _ShiftedQuadratic:
         return self.qdot_and_value(h, p, self.jet(h, t, q))[1]
 
     def dH_dp(self, h, t, q, p):
-        return (np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)) + h.drift
+        return self.qdot_and_value(h, p, self.jet(h, t, q))[0]
 
     def dH_dq(self, h, t, q, p):
         r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
@@ -278,9 +278,9 @@ class _ShiftedQuadratic:
         return len(taus) * kinetic + v * u.outer_sum(taus, qa, qb, 0, 1) + u.outer_sum(taus, qa, qb, 1, 0)
 
     def step(self, h, q, p, jet, dt, t1):
-        """Advance (q, p) with start jet `jet` by dt to time t1; returns q1, p1
-        and the jet at (t1, q1). In the shear frame P = p - du/dq the flow is
-        free: P constant, qdot = P + drift."""
+        """Advance (q, p) by dt to time t1, reading du/dq = jet[0] at the
+        start; returns q1, p1 and the jet at (t1, q1). In the shear frame
+        P = p - du/dq the flow is free: P constant, qdot = P + drift."""
         p1 = p - jet[0]  # P, until the end point's du/dq is added back
         q1 = q + dt * (p1 + h.drift)
         jet1 = self.jet(h, t1, q1)

@@ -368,7 +368,8 @@ def positive_weak_kam(
     window and potential settings; a given barrier sets the resolution, and n
     is unused. Returns the grid function and the fixed-point residual of the
     one-period positive operator on twice that resolution, built with the
-    barrier's own potential settings, which vanishes for the exact barrier. The anchor is a grid index, 0 <= anchor < resolution.
+    barrier's own potential settings, which vanishes for the exact barrier.
+    The anchor is a grid index, 0 <= anchor < resolution.
     """
     resolution = n if barrier is None else barrier.matrix.resolution
     if not 0 <= anchor < resolution:

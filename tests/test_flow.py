@@ -369,13 +369,19 @@ def test_flow_matches_reference_time_dependent(name, s, t):
 def test_one_trig_pass_per_point_substep(name, monkeypatch):
     h = ORACLE_FAMILIES[name]
     n_macro, m = 7, 4
-    calls = []
+    calls, depth = [], [0]
     for attr in ("jet", "deriv"):
         method = getattr(TrigPolynomial, attr)
 
         def counted(self, *args, method=method, **kwargs):
-            calls.append(method.__name__)
-            return method(self, *args, **kwargs)
+            # one trig pass per outermost call: deriv goes through jet
+            if not depth[0]:
+                calls.append(method.__name__)
+            depth[0] += 1
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(TrigPolynomial, attr, counted)
     q, p = np.array([0.1, 0.45, 0.8]), np.array([0.5, -1.2, 0.3])
