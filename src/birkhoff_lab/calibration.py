@@ -2,7 +2,7 @@
 
 A candidate solution is a time-knotted stack of grid functions, linear in
 time and cubic-periodic in space. Defects of flow trajectories reuse the
-trajectory's stored Simpson action increments: along a Hamiltonian flow the
+trajectory's stored action increments: along a Hamiltonian flow the
 action integrand p qdot - H equals the convex conjugate evaluated on the
 velocity, identically at every sample, so the defect quadrature telescopes
 exactly across shared knots.

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyInput,
+    ExactnessLost,
     MissingPrimitive,
     NotAGraph,
     ResamplingBudgetExceeded,
@@ -243,12 +244,12 @@ def evolve(
     """Flow the curve from time s to t, transporting the primitive.
 
     Each node follows the Hamiltonian flow and its primitive value advances by
-    the Simpson action integral along its own trajectory. Adjacent nodes whose
+    the action integral along its own trajectory. Adjacent nodes whose
     phase-space gap exceeds `spacing` trigger midpoint insertion: the midpoint
     is taken on the *initial* curve (parameter bisection) and re-flowed, which
     keeps inserted nodes on the evolved invariant curve under stretching.
     Gaps below spacing/3 are coarsened away. Resampling past NODE_CAP nodes
-    raises ResamplingBudgetExceeded.
+    raises ResamplingBudgetExceeded, a loop integral off zero ExactnessLost.
     """
     if curve.primitive is None:
         raise MissingPrimitive("evolve transports primitives; curve has none")
@@ -311,7 +312,7 @@ def evolve(
     out = LagrangianCurve(lift_t - shift, p_t, h_t, curve.winding)
     tol = 1e-6 * max(1.0, out.length()) * (1.0 + float(np.max(np.abs(out.p))))
     if abs(loop_integral(out)) > 50 * tol:
-        raise ValueError("exactness lost during evolution; refine spacing or steps")
+        raise ExactnessLost("exactness lost during evolution; refine spacing or steps")
     return out
 
 

@@ -21,6 +21,10 @@ class TooFewSamples(BirkhoffLabError):
     """A curve or grid was given fewer samples than the supported minimum."""
 
 
+class ExactnessLost(BirkhoffLabError):
+    """An evolved curve's loop integral of p dq no longer vanishes."""
+
+
 class ResamplingBudgetExceeded(BirkhoffLabError):
     """Curve refinement would exceed the node cap: extreme stretching."""
 

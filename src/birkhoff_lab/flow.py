@@ -1,13 +1,12 @@
 """Flow integration on T*T^1 with action bookkeeping.
 
 The integrator advances batches of phase points (vectorized over numpy
-arrays) and accumulates the action integrand p*qdot - H by composite Simpson
-quadrature on the same solution samples, so the discrete primitives stay
-consistent with the discrete flow.
-
-This module owns quadrature and RK4 only: the closed-form families bring
-their native step (hamiltonians.py); custom callables, and
-integrator="rk4", step by RK4 with step-doubling error control to RK4_TOL.
+arrays) with the action p*qdot - H integrated along each. A solvable family
+flows in closed form (hamiltonians.py). Other flows are stepped, by the
+family's Strang step or, for custom callables and integrator="rk4", by RK4
+with step-doubling error control to RK4_TOL, and their action is composite
+Simpson quadrature on the same solution samples, so the discrete primitives
+stay consistent with the discrete flow.
 
 Every step maps a point and its jet to the next point and its jet, and the
 Simpson integrand is read off that jet, so each point is evaluated once: a
@@ -18,7 +17,7 @@ computed once, so an end time is bitwise the next start time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,7 +44,7 @@ class FlowSettings:
     """Stepping plan: macro knots for dense output, substeps for quadrature."""
 
     macro_step: float = 1e-2
-    integrator: str = "auto"  # auto | strang | rk4
+    integrator: str = "auto"  # auto | strang (auto, refusing custom callables) | rk4
     substeps_per_macro: int = 4
 
     def __post_init__(self):
@@ -180,45 +179,58 @@ def integrate_batch(
     q = np.array(q_lift, dtype=float)
     p = np.array(p, dtype=float)
     s = float(s)
-    stepper = h.ops
-    if settings.integrator == "rk4" or stepper.step is None:
-        if settings.integrator == "strang":
-            raise ValueError("Strang splitting needs a closed-form separable family")
-        stepper = _RK4()
     span = t - s
     # s == t takes no macro step: the start point is the one knot
     n_macro = max(1, int(np.ceil(abs(span) / settings.macro_step - 1e-12))) if span else 0
     dt_macro = span / max(n_macro, 1)
-    m = settings.substeps_per_macro
-    dt_sub = dt_macro / m
-    weights = simpson_pattern(m) / 3.0 * dt_sub
-
-    def integrand(p, jet):
-        """dH/dp and the action integrand p dH/dp - H at a point with momenta p
-        and jet `jet`, and jet[:1], the part of the jet the next step reads:
-        the rest is not kept across the step."""
-        qdot, value = stepper.qdot_and_value(h, p, jet)
-        qdot = np.asarray(qdot, dtype=float) + np.zeros_like(p)
-        return qdot, qdot * p - np.asarray(value), jet[:1]
-
-    action = np.zeros_like(q)
-    qdot, f, jet = integrand(p, stepper.jet(h, s, q))
-    knots = [(s, q.copy(), p.copy(), qdot)] if record_knots else None
-    increments = []
-
-    for i in range(n_macro):
-        tau0, tau_end = s + i * dt_macro, s + (i + 1) * dt_macro
-        inc = np.zeros_like(q)
-        inc += weights[0] * f
-        for j in range(1, m + 1):
-            tau = tau0 + j * dt_sub if j < m else tau_end
-            q, p, jet = stepper.step(h, q, p, jet, dt_sub, tau)
-            qdot, f, jet = integrand(p, jet)
-            inc += weights[j] * f
-        action += inc
-        if record_knots:
-            knots.append((tau_end, q.copy(), p.copy(), qdot))
+    if settings.integrator != "rk4" and h.ops.solvable(h):
+        # one closed-form call for the span, or one per macro interval when
+        # knots are recorded, each handed the end-point data of the one before
+        times = [s + i * dt_macro for i in range(n_macro + 1)] if record_knots else [s, t] if n_macro else [s]
+        knots, increments, start = [], [], None
+        for tau0, tau1 in zip(times, times[1:]):
+            q1, p1, inc, qdot, start = h.ops.flow(h, q, p, tau0, tau1, start)
+            knots.append((tau0, q, p, qdot))  # qdot is constant along the flow
             increments.append(inc)
+            q, p = q1, p1
+        knots.append((times[-1], q, p, knots[-1][3] if knots else h.dH_dp(s, q, p)))
+        action = sum(increments, np.zeros_like(q))
+    else:
+        stepper = h.ops
+        if settings.integrator == "rk4" or stepper.step is None:
+            if settings.integrator == "strang":
+                raise ValueError("Strang splitting needs a closed-form separable family")
+            stepper = _RK4()
+        m = settings.substeps_per_macro
+        dt_sub = dt_macro / m
+        weights = simpson_pattern(m) / 3.0 * dt_sub
+
+        def integrand(p, jet):
+            """dH/dp and the action integrand p dH/dp - H at a point with momenta p
+            and jet `jet`, and jet[:1], the part of the jet the next step reads:
+            the rest is not kept across the step."""
+            qdot, value = stepper.qdot_and_value(h, p, jet)
+            qdot = np.asarray(qdot, dtype=float) + np.zeros_like(p)
+            return qdot, qdot * p - np.asarray(value), jet[:1]
+
+        action = np.zeros_like(q)
+        qdot, f, jet = integrand(p, stepper.jet(h, s, q))
+        knots = [(s, q.copy(), p.copy(), qdot)] if record_knots else None
+        increments = []
+
+        for i in range(n_macro):
+            tau0, tau_end = s + i * dt_macro, s + (i + 1) * dt_macro
+            inc = np.zeros_like(q)
+            inc += weights[0] * f
+            for j in range(1, m + 1):
+                tau = tau0 + j * dt_sub if j < m else tau_end
+                q, p, jet = stepper.step(h, q, p, jet, dt_sub, tau)
+                qdot, f, jet = integrand(p, jet)
+                inc += weights[j] * f
+            action += inc
+            if record_knots:
+                knots.append((tau_end, q.copy(), p.copy(), qdot))
+                increments.append(inc)
 
     if record_knots:
         times, knot_q, knot_p, knot_qdot = zip(*knots)
@@ -252,7 +264,7 @@ def trajectory(
     t: float,
     settings: FlowSettings = FlowSettings(),
 ) -> Trajectory:
-    """Dense flow output with Simpson action increments per knot interval."""
+    """Dense flow output with action increments per knot interval."""
     _, _, _, rec = integrate_batch(
         h, np.array([x.q]), np.array([x.p]), s, t, settings, record_knots=True
     )
@@ -281,16 +293,7 @@ def extended_trajectory(
     exposed by energy_rate_residual.
     """
     traj = trajectory(h, x, s, t, settings)
-    energy = -np.asarray(h.value(traj.times, traj.q_lift, traj.p))
-    return Trajectory(
-        times=traj.times,
-        q=traj.q,
-        q_lift=traj.q_lift,
-        p=traj.p,
-        qdot=traj.qdot,
-        action_increments=traj.action_increments,
-        energy_samples=energy,
-    )
+    return replace(traj, energy_samples=-np.asarray(h.value(traj.times, traj.q_lift, traj.p)))
 
 
 def energy_rate_residual(h: TonelliHamiltonian, traj: Trajectory) -> float:

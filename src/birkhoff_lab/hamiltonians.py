@@ -8,15 +8,11 @@ closed-form and exactly 1-periodic in time and position.
 
 Each family is one object here that owns H and its derivatives, the
 vectorized Lagrangian and its sum over the quadrature nodes of a straight
-segment, the closed-form Legendre maximizer and the native flow step
-(Strang, exact shear, or none for custom callables, which use RK4).
-
-A closed-form family's step works on jets: the derivatives of its trig
-polynomial at a point that the step and the action integrand read, taken in
-one trig pass (`TrigPolynomial.jet`). The step takes the start point's jet
-and returns the end point with its jet, and dH/dp and H are read off a jet,
-so a flow takes one trig pass per point and substep. The step reads only the
-jet's first entry, so a flow need not keep the rest across a step.
+segment, the closed-form Legendre maximizer and its flow: in closed form,
+action included, for the solvable families (the shifted quadratic, and a
+mechanical family whose potential has no position harmonic); a Strang step
+on jets (one `TrigPolynomial.jet` pass per point and substep) for the other
+mechanical families; none for custom callables, which use RK4.
 """
 
 from __future__ import annotations
@@ -180,10 +176,28 @@ class LagrangianFnValue:
 
 
 class _Mechanical:
-    """Mechanical family; native step: Strang kinetic/potential splitting.
+    """Mechanical family; closed-form flow when V depends on t alone, else
+    Strang kinetic/potential splitting.
 
     Its jet at (t, q) is (dV/dq, V): the step reads dV/dq, H reads V.
     """
+
+    def solvable(self, h):
+        return not any(k for _, k, _, _ in h.potential.terms)
+
+    def flow(self, h, q, p, s, t, start=None):
+        """Flow from time s to t when V depends on t alone: p and qdot = k p
+        are constant, and with V = c + dW/dt the action is
+        (k p^2/2 - offset - c)(t - s) - W(t) + W(s). Returns q1, p1, the
+        action, qdot and W(t), the `start` of a call continuing from t."""
+        terms = h.potential.terms
+        w = TrigPolynomial(tuple((j, 0, -b / (TWO_PI * j), a / (TWO_PI * j)) for j, _, a, b in terms if j))
+        w0 = w.value(s, 0.0) if start is None else start
+        w1 = w.value(t, 0.0)
+        qdot = h.kinetic_coefficient * p
+        mean = sum(a for j, _, a, _ in terms if j == 0)
+        action = (0.5 * qdot * p - h.constant_offset - mean) * (t - s) - (w1 - w0)
+        return q + (t - s) * qdot, p, action, qdot, w1
 
     def jet(self, h, t, q):
         return h.potential.jet(t, q, ((0, 1), (0, 0)))
@@ -234,24 +248,33 @@ class _Mechanical:
 
 
 class _ShiftedQuadratic:
-    """Shifted-quadratic family; native step: exact shear flow.
+    """Shifted-quadratic family; its flow is free in the shear frame."""
 
-    Its jet at (t, q) is (du/dq, du/dt): the step reads du/dq, H reads both.
-    """
+    def solvable(self, h):
+        return True
 
-    def jet(self, h, t, q):
-        return h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
-
-    def qdot_and_value(self, h, p, jet):
-        """(dH/dp, H) at momentum p and position jet `jet`."""
-        r = np.asarray(p) - jet[0]
-        return r + h.drift, 0.5 * r**2 + h.drift * r - jet[1] + h.constant_offset
+    def flow(self, h, q, p, s, t, start=None):
+        """Flow from time s to t. In the shear frame P = p - du/dq the flow is
+        free, qdot = P + drift, and p qdot - H = P^2/2 - offset + d/dt u(t, q(t)),
+        so the action is (P^2/2 - offset)(t - s) + u(t, q1) - u(s, q). Returns
+        q1, p1, the action, qdot and (du/dq, u) at (t, q1), the `start` of a
+        call continuing from there."""
+        u = h.shift_profile
+        u_q, u0 = u.jet(s, q, ((0, 1), (0, 0))) if start is None else start
+        big_p = p - u_q
+        qdot = big_p + h.drift
+        q1 = q + (t - s) * qdot
+        end = u.jet(t, q1, ((0, 1), (0, 0)))
+        action = (0.5 * big_p**2 - h.constant_offset) * (t - s) + (end[1] - u0)
+        return q1, big_p + end[0], action, qdot, end
 
     def value(self, h, t, q, p):
-        return self.qdot_and_value(h, p, self.jet(h, t, q))[1]
+        u_q, u_t = h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
+        r = np.asarray(p) - u_q
+        return 0.5 * r**2 + h.drift * r - u_t + h.constant_offset
 
     def dH_dp(self, h, t, q, p):
-        return self.qdot_and_value(h, p, self.jet(h, t, q))[0]
+        return (np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)) + h.drift
 
     def dH_dq(self, h, t, q, p):
         r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
@@ -277,22 +300,15 @@ class _ShiftedQuadratic:
         kinetic = 0.5 * (v - h.drift) ** 2 - h.constant_offset
         return len(taus) * kinetic + v * u.outer_sum(taus, qa, qb, 0, 1) + u.outer_sum(taus, qa, qb, 1, 0)
 
-    def step(self, h, q, p, jet, dt, t1):
-        """Advance (q, p) by dt to time t1, reading du/dq = jet[0] at the
-        start; returns q1, p1 and the jet at (t1, q1). In the shear frame
-        P = p - du/dq the flow is free: P constant, qdot = P + drift."""
-        p1 = p - jet[0]  # P, until the end point's du/dq is added back
-        q1 = q + dt * (p1 + h.drift)
-        jet1 = self.jet(h, t1, q1)
-        p1 += jet1[0]
-        return q1, p1, jet1
-
 
 class _Custom:
     """Custom callables: finite differences; no closed-form maximizer, no native step (RK4)."""
 
     maximizer = None
     step = None
+
+    def solvable(self, h):
+        return False
 
     def value(self, h, t, q, p):
         return h.custom_fn(t, q, p)

@@ -4,11 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from birkhoff_lab import cli, spectral
+from birkhoff_lab import cli, curves, spectral
 from birkhoff_lab.calibration import calibrated_curve
 from birkhoff_lab.cli import main
+from birkhoff_lab.errors import ExactnessLost
 from birkhoff_lab.experiments import load_config, resolve_potential_settings
 from birkhoff_lab.flow import PhasePoint, trajectory
+from birkhoff_lab.grids import GridFunction
+from birkhoff_lab.hamiltonians import free_hamiltonian
 from birkhoff_lab.lax_oleinik import clear_potential_cache, potential
 from birkhoff_lab.spectral import fibred_sum_fqi, fqi_to_csv, sample_fqi
 
@@ -41,6 +44,18 @@ def test_birkhoff_pass_exit_code(tmp_path, small_config):
     payload = json.loads((out / "report.json").read_text())
     assert payload["verdict"] == "PASS"
     assert payload["seed"] == 0
+
+
+def test_exactness_lost_is_a_typed_error(tmp_path, small_config, monkeypatch):
+    # an evolved curve whose loop integral is off zero raises ExactnessLost,
+    # a BirkhoffLabError, so the CLI exits with the error code, not the
+    # config-error code
+    monkeypatch.setattr(curves, "loop_integral", lambda curve: 1.0)
+    curve = curves.from_potential(GridFunction(np.sin(2 * np.pi * np.arange(64) / 64) / 40))
+    with pytest.raises(ExactnessLost):
+        curves.evolve(free_hamiltonian(), curve, 0.0, 0.1)
+    code = run(["--config", small_config, "--out", tmp_path / "out", "--quiet", "birkhoff"])
+    assert code == cli.EXIT_ERROR == 10
 
 
 def test_negative_case_exit_and_witness(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from birkhoff_lab.flow import (
     trajectory,
 )
 from birkhoff_lab.hamiltonians import (
+    TWO_PI,
     Family,
     TonelliHamiltonian,
     TrigPolynomial,
@@ -21,6 +24,7 @@ from birkhoff_lab.hamiltonians import (
     mechanical,
     pendulum,
     shifted_quadratic,
+    wrap_unit,
 )
 
 # frozen Richardson-extrapolated RK4 oracle (fixed steps 2e-5 and 1e-5):
@@ -29,11 +33,13 @@ ORACLE_Q_LIFT = 23.968906656038648
 ORACLE_P = 2.009489073148158
 
 RK4_TIGHT = FlowSettings(integrator="rk4")
+EPS = np.finfo(float).eps
 
 
 def test_free_flow_exact():
+    # closed form: q + (t - s) k p
     x = flow_map(free_hamiltonian(), PhasePoint(0.2, 0.5), 0, 1)
-    assert abs(x.q - 0.7) <= 1e-12
+    assert x.q == wrap_unit(0.2 + (1.0 - 0.0) * (1.0 * 0.5))
     assert x.p == 0.5
 
 
@@ -107,8 +113,12 @@ def test_action_zero_section_and_free_closed_form():
     h = free_hamiltonian()
     tr = trajectory(h, PhasePoint(0.3, 0.0), 0, 2)
     assert np.max(np.abs(tr.action_increments)) == 0.0
+    # closed form: (k p^2 / 2 - offset)(t - s) over the span, and per knot interval
+    q, p, action = integrate_batch(h, np.array([0.0]), np.array([0.7]), 0, 2, FlowSettings())
+    assert q[0] == 0.0 + (2.0 - 0.0) * 0.7 and p[0] == 0.7
+    assert action[0] == (0.5 * 0.7 * 0.7) * (2.0 - 0.0)
     tr = trajectory(h, PhasePoint(0.0, 0.7), 0, 2)
-    assert tr.total_action == pytest.approx(2 * 0.7**2 / 2, abs=1e-12)
+    assert np.array_equal(tr.action_increments, (0.5 * 0.7 * 0.7) * np.diff(tr.times))
 
 
 def test_action_at_pendulum_equilibrium():
@@ -246,7 +256,8 @@ def test_zero_span_returns_start_point(family):
 # Oracle for the jet path: the step loop before first-same-as-last, where each
 # substep evaluated its trig polynomial at both ends and the integrand took
 # dH/dp and H afresh at every point (5 deriv calls per substep for the shifted
-# quadratic, 3 for the mechanical family).
+# quadratic, 3 for the mechanical family). For the solvable families it is the
+# Simpson loop that their closed-form flows replaced.
 
 
 def _reference_value(h, t, q, p):
@@ -315,6 +326,9 @@ ORACLE_FAMILIES = {
     "shifted quadratic": shifted_quadratic([(0, 1, 0.0, 0.05), (0, 2, 0.01, 0.0)], drift=0.3, offset=0.2),
     "mechanical time-dependent": mechanical([(1, 1, 0.3, 0.0), (2, 0, 0.0, 0.1)]),
     "shifted quadratic time-dependent": shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
+    "mechanical time-only": mechanical(
+        [(1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1), (0, 0, 0.25, 0.0)], kinetic=0.7, offset=0.4
+    ),
     "custom quartic": TonelliHamiltonian(
         family=Family.CUSTOM,
         custom_fn=lambda t, q, p: 0.25 * p**4 + 0.5 * p**2 + 0.2 * np.cos(2 * np.pi * q),
@@ -322,12 +336,16 @@ ORACLE_FAMILIES = {
     ),
 }
 ORACLE_SPANS = [(0.0, 1.0), (0.35, 2.0), (1.0, 0.0), (0.8, -0.65)]
+ORACLE_SETTINGS = FlowSettings(macro_step=0.05)
+
+
+def _oracle_start():
+    return np.array([0.1, 0.45, 1.3, -0.6, 0.0]), np.array([0.5, -1.2, 0.0, 2.1, -0.3])
 
 
 def _oracle_pair(h, s, t, integrator="auto"):
-    q = np.array([0.1, 0.45, 1.3, -0.6, 0.0])
-    p = np.array([0.5, -1.2, 0.0, 2.1, -0.3])
-    settings = FlowSettings(macro_step=0.05, integrator=integrator)
+    q, p = _oracle_start()
+    settings = replace(ORACLE_SETTINGS, integrator=integrator)
     substep = flow._rk4_substep if integrator == "rk4" or h.family is Family.CUSTOM else _reference_substep
     return (
         integrate_batch(h, q, p, s, t, settings, record_knots=True),
@@ -335,15 +353,58 @@ def _oracle_pair(h, s, t, integrator="auto"):
     )
 
 
+def _fourth_derivative_bound(h, qdot):
+    """A bound on the fourth time derivative of the action integrand along a
+    solvable family's orbit of velocity qdot, one per point."""
+    if h.family is Family.SHIFTED_QUADRATIC:
+        # P^2/2 - offset + d/dt u(t, q0 + qdot t): five derivatives of u
+        terms, power = h.shift_profile.terms, 5
+    else:
+        # k p^2/2 - offset - V(t): four derivatives of V
+        terms, power = h.potential.terms, 4
+    return sum(np.hypot(a, b) * np.abs(TWO_PI * (j + k * qdot)) ** power for j, k, a, b in terms) + 0.0 * qdot
+
+
+def _assert_near_simpson_loop(h, s, t, got, ref):
+    """A solvable family's closed form against the Simpson loop it replaced.
+
+    The loop rounds q and the shear momentum once per substep, so its knots
+    drift from the closed form by about an ulp per substep: two are allowed.
+    Its action carries Simpson's truncation error, at most
+    |t - s| h^4 max|f''''| / 180 on substeps of length h, plus an ulp of
+    rounding per substep.
+    """
+    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
+    m = ORACLE_SETTINGS.substeps_per_macro
+    n_macro = len(rec_ref["times"]) - 1
+    h_sub = abs(t - s) / (n_macro * m)
+    for a, b in [(q, q_ref), (p, p_ref)] + [(rec[k], rec_ref[k]) for k in ("q_lift", "p", "qdot")]:
+        assert np.all(np.abs(a - b) <= 2 * n_macro * m * np.spacing(np.maximum(np.abs(b), 1.0)))
+    rate = h_sub**4 / 180 * _fourth_derivative_bound(h, rec_ref["qdot"][0])
+    rounding = n_macro * m * EPS * (1 + np.abs(action_ref))
+    assert np.all(np.abs(action - action_ref) <= abs(t - s) * rate + rounding)
+    inc, inc_ref = rec["action_increments"], rec_ref["action_increments"]
+    rounding = m * EPS * (1 + np.abs(inc_ref))
+    assert np.all(np.abs(inc - inc_ref) <= abs(t - s) / n_macro * rate + rounding)
+    # knot times are s + i * dt_macro now, (s + (i-1) dt_macro) + dt_macro before
+    assert np.allclose(rec["times"], rec_ref["times"], rtol=0, atol=4e-16 * (1 + abs(s) + abs(t)))
+
+
 @pytest.mark.parametrize("s, t", ORACLE_SPANS)
 @pytest.mark.parametrize(
     "name, integrator",
-    [(k, "auto") for k, h in ORACLE_FAMILIES.items() if h.autonomous] + [("pendulum", "rk4")],
+    [(k, "auto") for k, h in ORACLE_FAMILIES.items() if h.autonomous]
+    + [("pendulum", "rk4"), ("free", "rk4"), ("shifted quadratic", "rk4")],
 )
 def test_flow_matches_reference_bitwise(name, integrator, s, t, monkeypatch):
     # RK4 steps as before; only the integrand is carried across macro knots
     monkeypatch.setattr(flow, "RK4_TOL", 1e-9)
-    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = _oracle_pair(ORACLE_FAMILIES[name], s, t, integrator)
+    h = ORACLE_FAMILIES[name]
+    got, ref = _oracle_pair(h, s, t, integrator)
+    if integrator == "auto" and h.ops.solvable(h):
+        _assert_near_simpson_loop(h, s, t, got, ref)
+        return
+    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
     for got, want in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
         (rec[k], rec_ref[k]) for k in ("q_lift", "p", "qdot", "action_increments")
     ]:
@@ -358,23 +419,43 @@ def test_flow_matches_reference_time_dependent(name, s, t):
     # each substep time is now computed once, so an end time and the next
     # start time agree bitwise; before, they could differ by an ulp, which a
     # time harmonic turns into a few ulps of q and p
-    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = _oracle_pair(ORACLE_FAMILIES[name], s, t)
+    h = ORACLE_FAMILIES[name]
+    got, ref = _oracle_pair(h, s, t)
+    if h.ops.solvable(h):
+        _assert_near_simpson_loop(h, s, t, got, ref)
+        return
+    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
     for got, want in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
         (rec[k], rec_ref[k]) for k in ("times", "q_lift", "p", "qdot", "action_increments")
     ]:
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
 
-@pytest.mark.parametrize("name", ["pendulum", "shifted quadratic time-dependent"])
-def test_one_trig_pass_per_point_substep(name, monkeypatch):
+@pytest.mark.parametrize("s, t", [(0.35, 2.0), (0.8, -0.65)])
+@pytest.mark.parametrize("name", ["shifted quadratic", "shifted quadratic time-dependent", "mechanical time-only"])
+def test_simpson_loop_converges_to_closed_form_at_fourth_order(name, s, t):
+    # spans of no whole period: over whole periods of V(t) Simpson is exact
+    # to rounding for the time-only potential, and there is no rate to see
     h = ORACLE_FAMILIES[name]
-    n_macro, m = 7, 4
+    q, p = _oracle_start()
+    exact = integrate_batch(h, q, p, s, t, ORACLE_SETTINGS)[2]
+    errors = [
+        np.max(np.abs(_reference_integrate_batch(h, q, p, s, t, FlowSettings(macro_step=m))[2] - exact))
+        for m in (0.1, 0.05, 0.025)
+    ]
+    assert errors[-1] > 1e-12  # still far above rounding
+    assert errors[0] >= 12 * errors[1] and errors[1] >= 12 * errors[2]
+
+
+@pytest.fixture
+def trig_passes(monkeypatch):
+    """The outermost TrigPolynomial.jet/deriv calls made while the test runs,
+    by name: one trig pass each, as deriv goes through jet."""
     calls, depth = [], [0]
     for attr in ("jet", "deriv"):
         method = getattr(TrigPolynomial, attr)
 
         def counted(self, *args, method=method, **kwargs):
-            # one trig pass per outermost call: deriv goes through jet
             if not depth[0]:
                 calls.append(method.__name__)
             depth[0] += 1
@@ -384,10 +465,31 @@ def test_one_trig_pass_per_point_substep(name, monkeypatch):
                 depth[0] -= 1
 
         monkeypatch.setattr(TrigPolynomial, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["pendulum", "shifted quadratic time-dependent"])
+def test_one_trig_pass_per_point_substep(name, trig_passes):
+    h = ORACLE_FAMILIES[name]
+    n_macro, m = 7, 4
     q, p = np.array([0.1, 0.45, 0.8]), np.array([0.5, -1.2, 0.3])
     settings = FlowSettings(macro_step=0.01, substeps_per_macro=m)
     integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings)
-    assert len(calls) <= n_macro * m + 1
-    calls.clear()
+    assert len(trig_passes) <= n_macro * m + 1
+    trig_passes.clear()
     _reference_integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings)
-    assert len(calls) == (13 * n_macro if h.family is Family.MECHANICAL else 22 * n_macro + 1)
+    assert len(trig_passes) == (13 * n_macro if h.family is Family.MECHANICAL else 22 * n_macro + 1)
+
+
+def test_closed_form_trig_passes(trig_passes):
+    # one pass at the start and one at each end point: each macro interval
+    # hands its end point's data to the next
+    h = ORACLE_FAMILIES["shifted quadratic time-dependent"]
+    n_macro = 7
+    q, p = np.array([0.1, 0.45, 0.8]), np.array([0.5, -1.2, 0.3])
+    settings = FlowSettings(macro_step=0.01)
+    integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings)
+    assert trig_passes == ["jet", "jet"]
+    trig_passes.clear()
+    integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings, record_knots=True)
+    assert trig_passes == ["jet"] * (n_macro + 1)

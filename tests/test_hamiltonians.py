@@ -294,12 +294,16 @@ def test_family_contract(name):
         else:
             assert np.array_equal(batch, scalar)
 
-    # "auto" steps by the family's native step, or by RK4 for custom callables
+    # "auto" takes the family's closed-form flow, its native step, or RK4 for
+    # custom callables
     q0, p0 = np.array([0.3, 0.6]), np.array([0.8, -0.4])
     auto = integrate_batch(h, q0, p0, 0.0, 0.01, FlowSettings(integrator="auto", substeps_per_macro=2))
     if h.family is Family.CUSTOM:
         expected = integrate_batch(h, q0, p0, 0.0, 0.01, FlowSettings(integrator="rk4", substeps_per_macro=2))
         assert np.array_equal(auto[0], expected[0]) and np.array_equal(auto[1], expected[1])
+    elif h.ops.solvable(h):
+        q1, p1, *_ = h.ops.flow(h, q0, p0, 0.0, 0.01)
+        assert np.array_equal(auto[0], q1) and np.array_equal(auto[1], p1)
     else:
         jet = h.ops.jet(h, 0.0, q0)
         q1, p1, jet = h.ops.step(h, q0, p0, jet, 0.005, 0.005)
