@@ -14,7 +14,7 @@ class ConvexityViolation(BirkhoffLabError):
 
 
 class StepSizeUnderflow(BirkhoffLabError):
-    """Adaptive step halving fell below the hard floor; flow likely diverges."""
+    """The adaptive Runge-Kutta step size fell below its hard floor; the flow likely diverges."""
 
 
 class TooFewSamples(BirkhoffLabError):

@@ -3,10 +3,13 @@
 The integrator advances batches of phase points (vectorized over numpy
 arrays) with the action p*qdot - H integrated along each. A solvable family
 flows in closed form (hamiltonians.py). Other flows are stepped, by the
-family's Strang step or, for custom callables and integrator="rk4", by RK4
-with step-doubling error control to RK4_TOL, and their action is composite
-Simpson quadrature on the same solution samples, so the discrete primitives
-stay consistent with the discrete flow.
+family's Strang step or, for custom callables and integrator="rk4", by the
+embedded Dormand-Prince 5(4) Runge-Kutta pair (Dormand & Prince 1980; Hairer,
+Norsett & Wanner, Solving ODEs I, II.4-5) with its error estimate held to
+RK4_TOL and its step size carried from substep to substep, and their action
+is composite Simpson quadrature on the same solution samples, so the
+discrete primitives stay consistent with the discrete flow. The integrator
+keeps the name rk4, which configs use, and so does its tolerance RK4_TOL.
 
 Every step maps a point and its jet to the next point and its jet, and the
 Simpson integrand is read off that jet, so each point is evaluated once: a
@@ -88,58 +91,52 @@ class Trajectory:
         return float(np.max(np.abs(vals - vals[0])))
 
 
-def _rk4_fixed(h, tau, q, p, dt):
-    def f(t, q, p):
-        return h.dH_dp(t, q, p), -h.dH_dq(t, q, p)
+# The Dormand-Prince 5(4) pair (Dormand & Prince 1980): stage nodes C and
+# rows A of stages 2-6, fifth-order weights B, and E, the weights of the
+# embedded fourth-order solution minus the fifth-order one, whose seventh
+# stage is the derivative at the end point (first same as last).
+_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 
-    k1q, k1p = f(tau, q, p)
-    k2q, k2p = f(tau + 0.5 * dt, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
-    k3q, k3p = f(tau + 0.5 * dt, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
-    k4q, k4p = f(tau + dt, q + dt * k3q, p + dt * k3p)
-    qn = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-    pn = p + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    return qn, pn
+
+def _weighted_sum(weights, ks):
+    """sum(w * k) over the nonzero weights, left to right, on arrays or scalars."""
+    total = None
+    for w, k in zip(weights, ks):
+        if w:
+            total = w * k if total is None else total + w * k
+    return total
 
 
-def _rk4_substep(h, tau, q, p, dt):
-    """Advance by dt with step-doubling error control (recursive bisection).
+class _RK4:
+    """Adaptive Dormand-Prince 5(4) in the shape of a family's step, for one
+    integrate_batch call. Its jet is the point (t, q) itself: the step reads
+    t, and dH/dp and H are evaluated at (t, q) when read.
 
-    The local budget scales with the piece length so the error over the whole
-    substep stays near RK4_TOL; pieces shorter than 1e-9 raise StepSizeUnderflow.
+    Each substep is crossed in steps whose local error estimate, the max abs
+    over q, p and all points, stays within RK4_TOL per substep length (a
+    budget of RK4_TOL / 1000 a step at least); a step size below 1e-9 raises
+    StepSizeUnderflow. The step size and the derivative at the current point
+    carry over from one substep to the next, and the last step of a substep
+    is clipped to land on its end.
 
     A single point of a closed-form family is stepped on scalars: the same
     IEEE operations, so the same bits, without numpy's per-call overhead on
     1-element arrays. Custom callables always see the arrays they are given.
     """
-    if q.size == 1 and h.family is not Family.CUSTOM:
-        qs, ps = _rk4_adaptive(h, tau, float(q[0]), float(p[0]), dt)
-        return np.array([qs], dtype=float), np.array([ps], dtype=float)
-    return _rk4_adaptive(h, tau, q, p, dt)
 
-
-def _rk4_adaptive(h, tau, q, p, dt):
-    """The step-doubling loop of _rk4_substep, on arrays or on scalars."""
-    stack = [(tau, dt)]
-    while stack:
-        t0, step = stack.pop()
-        if abs(step) < 1e-9:
-            raise StepSizeUnderflow(f"RK4 step fell below 1e-9 at t={t0}")
-        qa, pa = _rk4_fixed(h, t0, q, p, step)
-        qh, ph = _rk4_fixed(h, t0, q, p, 0.5 * step)
-        qb, pb = _rk4_fixed(h, t0 + 0.5 * step, qh, ph, 0.5 * step)
-        err = max(np.max(np.abs(qa - qb)), np.max(np.abs(pa - pb)))
-        if err <= RK4_TOL * max(abs(step) / abs(dt), 1e-3):
-            q, p = qb, pb
-        else:
-            stack.append((t0 + 0.5 * step, 0.5 * step))
-            stack.append((t0, 0.5 * step))
-    return q, p
-
-
-class _RK4:
-    """Adaptive RK4 in the shape of a family's step. Its jet is the point
-    (t, q) itself: the step reads t, and dH/dp and H are evaluated at (t, q)
-    when read."""
+    def __init__(self, h, q):
+        self.scalar = q.size == 1 and h.family is not Family.CUSTOM
+        self.size = None  # the next step size
+        self.k = None  # (dq/dt, dp/dt) at the current point
 
     def jet(self, h, t, q):
         return t, q
@@ -149,8 +146,53 @@ class _RK4:
         return h.dH_dp(t, q, p), h.value(t, q, p)
 
     def step(self, h, q, p, jet, dt, t1):
-        q1, p1 = _rk4_substep(h, jet[0], q, p, dt)
+        if self.scalar:
+            q1, p1 = self._advance(h, jet[0], float(q[0]), float(p[0]), dt, t1)
+            q1, p1 = np.array([q1]), np.array([p1])
+        else:
+            q1, p1 = self._advance(h, jet[0], q, p, dt, t1)
         return q1, p1, (t1, q1)
+
+    def _f(self, h, t, q, p):
+        if self.scalar:
+            return float(h.dH_dp(t, q, p)), -float(h.dH_dq(t, q, p))
+        return h.dH_dp(t, q, p), -h.dH_dq(t, q, p)
+
+    def _norm(self, x):
+        return abs(x) if self.scalar else np.max(np.abs(x))
+
+    def _advance(self, h, t, q, p, dt_sub, t1):
+        """Steps from (t, q, p) to time t1, dt_sub after t."""
+        k = self.k if self.k is not None else self._f(h, t, q, p)
+        size = dt_sub if self.size is None else self.size
+        while True:
+            if abs(size) < 1e-9:
+                raise StepSizeUnderflow(f"Dormand-Prince step fell below 1e-9 at t={t}")
+            last = abs(size) >= abs(t1 - t)
+            proposed = size
+            dt = t1 - t if last else size
+            t_new = t1 if last else t + dt
+            kq, kp = [k[0]], [k[1]]
+            for c, row in zip(_C, _A):
+                kqi, kpi = self._f(h, t + c * dt, q + dt * _weighted_sum(row, kq), p + dt * _weighted_sum(row, kp))
+                kq.append(kqi)
+                kp.append(kpi)
+            q_new = q + dt * _weighted_sum(_B, kq)
+            p_new = p + dt * _weighted_sum(_B, kp)
+            k_new = self._f(h, t_new, q_new, p_new)
+            kq.append(k_new[0])
+            kp.append(k_new[1])
+            err = max(self._norm(dt * _weighted_sum(_E, kq)), self._norm(dt * _weighted_sum(_E, kp)))
+            budget = RK4_TOL * max(abs(dt) / abs(dt_sub), 1e-3)
+            factor = 10.0 if err == 0 else min(10.0, max(0.2, 0.9 * (budget / err) ** 0.2))
+            size = dt * factor
+            if err <= budget:
+                t, q, p, k = t_new, q_new, p_new, k_new
+                if last:
+                    # a step clipped short says nothing against the size
+                    # proposed before it
+                    self.size, self.k = max(size, proposed, key=abs), k
+                    return q, p
 
 
 def simpson_pattern(m: int) -> np.ndarray:
@@ -200,7 +242,7 @@ def integrate_batch(
         if settings.integrator == "rk4" or stepper.step is None:
             if settings.integrator == "strang":
                 raise ValueError("Strang splitting needs a closed-form separable family")
-            stepper = _RK4()
+            stepper = _RK4(h, q)
         m = settings.substeps_per_macro
         dt_sub = dt_macro / m
         weights = simpson_pattern(m) / 3.0 * dt_sub

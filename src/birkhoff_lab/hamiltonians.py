@@ -12,7 +12,8 @@ segment, the closed-form Legendre maximizer and its flow: in closed form,
 action included, for the solvable families (the shifted quadratic, and a
 mechanical family whose potential has no position harmonic); a Strang step
 on jets (one `TrigPolynomial.jet` pass per point and substep) for the other
-mechanical families; none for custom callables, which use RK4.
+mechanical families; none for custom callables, which flow by the
+Dormand-Prince pair in flow.py.
 """
 
 from __future__ import annotations
@@ -302,7 +303,8 @@ class _ShiftedQuadratic:
 
 
 class _Custom:
-    """Custom callables: finite differences; no closed-form maximizer, no native step (RK4)."""
+    """Custom callables: finite differences; no closed-form maximizer, no native
+    step (the Dormand-Prince pair in flow.py steps them)."""
 
     maximizer = None
     step = None

@@ -167,6 +167,27 @@ def test_rk4_step_underflow(monkeypatch):
         flow_map(h, PhasePoint(0.1, 1.0), 0, 1, st)
 
 
+def test_rk4_step_underflow_on_divergent_hamiltonian():
+    # the cubic term sends this orbit to infinite momentum in finite time, near t = 0.18
+    h = TonelliHamiltonian(
+        family=Family.CUSTOM,
+        custom_fn=lambda t, q, p: 0.5 * p**2 + np.sin(2 * np.pi * q) * p**3,
+        momentum_box=(-10, 10),
+    )
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepSizeUnderflow) as info:
+        flow_map(h, PhasePoint(0.1, 1.0), 0, 1, FlowSettings(integrator="rk4"))
+    assert 0.15 < float(str(info.value).rpartition("t=")[2]) < 0.2
+
+
+def test_dormand_prince_tableau_is_scipys():
+    from scipy.integrate import RK45
+
+    assert np.array_equal(flow._C, RK45.C[1:])
+    for row, want in zip(flow._A, RK45.A[1:], strict=True):
+        assert np.array_equal(row, want[: len(row)]) and not np.any(want[len(row) :])
+    assert np.array_equal(flow._B, RK45.B) and np.array_equal(flow._E, RK45.E)
+
+
 def test_settings_validation():
     with pytest.raises(ValueError):
         FlowSettings(macro_step=0.2)
@@ -206,8 +227,7 @@ def test_strang_rejected_for_custom():
 
 
 @pytest.mark.parametrize("family", ["pendulum (Strang)", "custom quartic (RK4)"])
-def test_action_does_not_depend_on_recording_knots(family, monkeypatch):
-    monkeypatch.setattr(flow, "RK4_TOL", 1e-9)
+def test_action_does_not_depend_on_recording_knots(family):
     # Each macro step's Simpson sum starts from the velocity at its first knot,
     # recorded or not; qdot varies along these orbits, so a stale one shows.
     h = pendulum() if family.startswith("pendulum") else TonelliHamiltonian(
@@ -279,6 +299,40 @@ def _reference_substep(h, tau, q, p, dt):
     return q1, big_p + h.shift_profile.deriv(tau + dt, q1, 0, 1)
 
 
+def _reference_rk4_fixed(h, tau, q, p, dt):
+    def f(t, q, p):
+        return h.dH_dp(t, q, p), -h.dH_dq(t, q, p)
+
+    k1q, k1p = f(tau, q, p)
+    k2q, k2p = f(tau + 0.5 * dt, q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
+    k3q, k3p = f(tau + 0.5 * dt, q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
+    k4q, k4p = f(tau + dt, q + dt * k3q, p + dt * k3p)
+    qn = q + (dt / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    pn = p + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return qn, pn
+
+
+def _reference_rk4_substep(h, tau, q, p, dt):
+    """The RK4 substep before the Dormand-Prince pair: step doubling by
+    recursive bisection, each piece's local budget scaled by its length, and
+    StepSizeUnderflow below 1e-9. Nothing carries from one substep to the next."""
+    stack = [(tau, dt)]
+    while stack:
+        t0, step = stack.pop()
+        if abs(step) < 1e-9:
+            raise StepSizeUnderflow(f"RK4 step fell below 1e-9 at t={t0}")
+        qa, pa = _reference_rk4_fixed(h, t0, q, p, step)
+        qh, ph = _reference_rk4_fixed(h, t0, q, p, 0.5 * step)
+        qb, pb = _reference_rk4_fixed(h, t0 + 0.5 * step, qh, ph, 0.5 * step)
+        err = max(np.max(np.abs(qa - qb)), np.max(np.abs(pa - pb)))
+        if err <= flow.RK4_TOL * max(abs(step) / abs(dt), 1e-3):
+            q, p = qb, pb
+        else:
+            stack.append((t0 + 0.5 * step, 0.5 * step))
+            stack.append((t0, 0.5 * step))
+    return q, p
+
+
 def _reference_integrate_batch(h, q_lift, p, s, t, settings, substep=_reference_substep):
     q = np.array(q_lift, dtype=float)
     p = np.array(p, dtype=float)
@@ -346,7 +400,7 @@ def _oracle_start():
 def _oracle_pair(h, s, t, integrator="auto"):
     q, p = _oracle_start()
     settings = replace(ORACLE_SETTINGS, integrator=integrator)
-    substep = flow._rk4_substep if integrator == "rk4" or h.family is Family.CUSTOM else _reference_substep
+    substep = _reference_rk4_substep if integrator == "rk4" or h.family is Family.CUSTOM else _reference_substep
     return (
         integrate_batch(h, q, p, s, t, settings, record_knots=True),
         _reference_integrate_batch(h, q, p, s, t, settings, substep),
@@ -390,6 +444,27 @@ def _assert_near_simpson_loop(h, s, t, got, ref):
     assert np.allclose(rec["times"], rec_ref["times"], rtol=0, atol=4e-16 * (1 + abs(s) + abs(t)))
 
 
+def _assert_near_reference_rk4(h, s, t, got, ref):
+    """The Dormand-Prince pair against the step-doubling RK4 it replaced.
+
+    Both hold a local error estimate to RK4_TOL per substep, and each keeps a
+    solution more accurate than its estimate (the fifth-order one; the two
+    half steps), so they differ by a few RK4_TOL per unit of time (measured
+    up to 5.7 RK4_TOL |t - s|): 10 RK4_TOL |t - s| are allowed on q, p and
+    the action, and |d2H/dp2| times as much on the velocities dH/dp.
+    """
+    (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
+    bound = 10 * flow.RK4_TOL * abs(t - s)
+    for a, b in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
+        (rec[k], rec_ref[k]) for k in ("q_lift", "p", "action_increments")
+    ]:
+        assert np.all(np.abs(a - b) <= bound)
+    stiffness = np.abs(h.d2H_dpp(rec_ref["times"][:, None], rec_ref["q_lift"], rec_ref["p"]))
+    assert np.all(np.abs(rec["qdot"] - rec_ref["qdot"]) <= bound * np.maximum(stiffness, 1.0))
+    # knot times are s + i * dt_macro now, (s + (i-1) dt_macro) + dt_macro before
+    assert np.allclose(rec["times"], rec_ref["times"], rtol=0, atol=4e-16 * (1 + abs(s) + abs(t)))
+
+
 @pytest.mark.parametrize("s, t", ORACLE_SPANS)
 @pytest.mark.parametrize(
     "name, integrator",
@@ -397,11 +472,15 @@ def _assert_near_simpson_loop(h, s, t, got, ref):
     + [("pendulum", "rk4"), ("free", "rk4"), ("shifted quadratic", "rk4")],
 )
 def test_flow_matches_reference_bitwise(name, integrator, s, t, monkeypatch):
-    # RK4 steps as before; only the integrand is carried across macro knots
+    # Strang steps as before; only the integrand is carried across macro knots.
+    # At the default RK4_TOL step doubling underflows on the custom quartic.
     monkeypatch.setattr(flow, "RK4_TOL", 1e-9)
     h = ORACLE_FAMILIES[name]
     got, ref = _oracle_pair(h, s, t, integrator)
-    if integrator == "auto" and h.ops.solvable(h):
+    if integrator == "rk4" or h.family is Family.CUSTOM:
+        _assert_near_reference_rk4(h, s, t, got, ref)
+        return
+    if h.ops.solvable(h):
         _assert_near_simpson_loop(h, s, t, got, ref)
         return
     (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
@@ -493,3 +572,36 @@ def test_closed_form_trig_passes(trig_passes):
     trig_passes.clear()
     integrate_batch(h, q, p, 0.2, 0.2 + n_macro * 0.01, settings, record_knots=True)
     assert trig_passes == ["jet"] * (n_macro + 1)
+
+
+@pytest.mark.parametrize("s, t", ORACLE_SPANS)
+def test_default_tolerance_flows_custom_quartic(s, t):
+    # step doubling underflowed here from (-0.6, 2.1) over [0, 1], [0.35, 2]
+    # and [1, 0]; the energy drift left is the noise of the finite differences
+    h = ORACLE_FAMILIES["custom quartic"]
+    q, p = _oracle_start()
+    q1, p1, action = integrate_batch(h, q, p, s, t, ORACLE_SETTINGS)
+    assert np.all(np.isfinite(action))
+    assert np.max(np.abs(h.value(t, q1, p1) - h.value(s, q, p))) <= 1e-9
+
+
+@pytest.fixture
+def dH_dq_calls(monkeypatch):
+    """The number of TonelliHamiltonian.dH_dq calls made while the test runs."""
+    calls = [0]
+    method = TonelliHamiltonian.dH_dq
+
+    def counted(self, *args):
+        calls[0] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(TonelliHamiltonian, "dH_dq", counted)
+    return calls
+
+
+def test_rk4_dH_dq_calls_per_point_substep(dH_dq_calls):
+    # six new stages per Dormand-Prince step (first same as last), and the
+    # carried step crosses most substeps of the criterion-2 orbit in two
+    # (11.0 calls per substep measured); step doubling made about 68
+    tr = trajectory(pendulum(), PhasePoint(0.0, 2.0), 0, 10, RK4_TIGHT)
+    assert dH_dq_calls[0] <= 12 * (len(tr.times) - 1) * RK4_TIGHT.substeps_per_macro
