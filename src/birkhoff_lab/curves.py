@@ -5,6 +5,9 @@ winding and fold detection are exact. Evolution flows nodes individually,
 advances primitives by the per-node action integral, and resamples by
 bisecting in the initial-condition parameter and re-flowing (never by
 interpolating in phase space at the final time).
+
+`points_to_curve_distance` imports `scipy.spatial` on first use, so a process
+that flows curves but never measures a distance between them does not load it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from itertools import chain
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptyInput,
@@ -347,6 +349,10 @@ def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -
     over all segments, so the distances are bitwise those of the all-pairs
     search.
     """
+    # imported here: scipy.spatial takes about half a second to import, and
+    # only the Hausdorff and graph checks need it
+    from scipy.spatial import cKDTree
+
     lb = b.closed_lift()
     pb = b.closed_p()
     l1, l2 = lb[:-1], lb[1:]

@@ -119,7 +119,8 @@ def _weighted_sum(weights, ks):
 class _RK4:
     """Adaptive Dormand-Prince 5(4) in the shape of a family's step, for one
     integrate_batch call. Its jet is the point (t, q) itself: the step reads
-    t, and dH/dp and H are evaluated at (t, q) when read.
+    t, and H is evaluated at (t, q) when read. dH/dp is the carried derivative
+    once a step has been taken, and is evaluated only before the first.
 
     Each substep is crossed in steps whose local error estimate, the max abs
     over q, p and all points, stays within RK4_TOL per substep length (a
@@ -143,7 +144,8 @@ class _RK4:
 
     def qdot_and_value(self, h, p, jet):
         t, q = jet
-        return h.dH_dp(t, q, p), h.value(t, q, p)
+        qdot = h.dH_dp(t, q, p) if self.k is None else self.k[0]
+        return qdot, h.value(t, q, p)
 
     def step(self, h, q, p, jet, dt, t1):
         if self.scalar:

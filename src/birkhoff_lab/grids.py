@@ -1,11 +1,14 @@
-"""Scalar functions sampled on uniform periodic grids (dimension 1 or 2)."""
+"""Scalar functions sampled on uniform periodic grids (dimension 1 or 2).
+
+`GridFunction.periodic_spline` imports `scipy.interpolate` on first use, so a
+process that never interpolates a grid never loads it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import GridMismatch
 from .hamiltonians import TrigPolynomial, wrap_unit
@@ -70,7 +73,12 @@ class GridFunction:
         step = 1.0 / self.resolution
         return (np.roll(self.values, -1) - np.roll(self.values, 1)) / (2 * step)
 
-    def periodic_spline(self) -> CubicSpline:
+    def periodic_spline(self):
+        """The periodic scipy CubicSpline through the samples, on [0, 1]."""
+        # imported here: scipy.interpolate pulls in scipy.linalg, .optimize
+        # and .spatial, most of a second that only interpolating callers need
+        from scipy.interpolate import CubicSpline
+
         if self.dim != 1:
             raise ValueError("periodic spline implemented for dim 1")
         x = np.append(self.nodes, 1.0)

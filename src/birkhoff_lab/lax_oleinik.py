@@ -186,6 +186,13 @@ def _single_step(h, s, t, n, quad_nodes):
     return PotentialMatrix(s, t, best, at_boundary)
 
 
+def _halving(s, t, max_span):
+    """potential's key times (fractional start, span), and the midpoint it
+    halves at, or None when [s, t] is one single step."""
+    fs, span = round(s - np.floor(s), 12), round(t - s, 12)
+    return fs, span, None if span <= max_span + 1e-12 else fs + 0.5 * span
+
+
 def potential(
     h: TonelliHamiltonian,
     s: float,
@@ -199,21 +206,35 @@ def potential(
         raise NonpositiveDuration(f"need t > s, got [{s}, {t}]")
     if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
         raise ValueError(f"need max_span > 0 and quad_nodes >= 1, got {max_span} and {quad_nodes}")
-    fs, span = round(s - np.floor(s), 12), round(t - s, 12)
+    fs, span, mid = _halving(s, t, max_span)
     key = (h, fs, span, n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)
     if hit is None:
         # built from the key alone, so an evicted matrix comes back with the same bits
-        if span <= max_span + 1e-12:
+        if mid is None:
             hit = _single_step(h, fs, fs + span, n, quad_nodes)
         else:
-            mid = fs + 0.5 * span
             hit = minplus_compose(
                 potential(h, fs, mid, n, max_span, quad_nodes),
                 potential(h, mid, fs + span, n, max_span, quad_nodes),
             )
         _POTENTIAL_CACHE.put(key, hit)
     return PotentialMatrix(s, t, hit.entries, hit.boundary_winding_active)
+
+
+def _single_steps(h, s, t, n, max_span, quad_nodes) -> list[PotentialMatrix]:
+    """The single steps potential(h, s, t, ...) composes, in time order.
+
+    Halves as `potential` does and fetches each leaf through it, with the
+    arguments `potential` would pass, so the leaves share its cache keys and
+    bits. Applying them one by one costs O(k n^2), against O(n^3) per compose.
+    """
+    fs, span, mid = _halving(s, t, max_span)
+    if mid is None:
+        return [potential(h, s, t, n, max_span, quad_nodes)]
+    return _single_steps(h, fs, mid, n, max_span, quad_nodes) + _single_steps(
+        h, mid, fs + span, n, max_span, quad_nodes
+    )
 
 
 def lax_negative(
@@ -384,8 +405,12 @@ def positive_weak_kam(
     # identity is saturated by construction and would report only roundoff
     fine = 2 * resolution
     u_fine = GridFunction(u.eval(np.arange(fine) / fine))
-    one_period = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, fine, barrier.max_span, barrier.quad_nodes)
-    image = lax_positive(u_fine, one_period, alpha0)
+    # the one-period operator applied leaf by leaf, latest first, by the
+    # semigroup property T_{s,t} = T_{tau,t} o T_{s,tau}: no 2n-point compose
+    leaves = _single_steps(h, wrap_unit(t), wrap_unit(t) + 1.0, fine, barrier.max_span, barrier.quad_nodes)
+    image = u_fine
+    for leaf in reversed(leaves):
+        image = lax_positive(image, leaf, alpha0)
     residual = float(np.max(np.abs(image.values - u_fine.values)))
     return u, residual
 

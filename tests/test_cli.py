@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,3 +272,37 @@ def test_calibration_shots_are_the_reports_payloads(tmp_path, small_config, monk
     assert run(["--config", small_config, "--out", out, "--quiet", "calibrate", "--curves", "20"]) == 0
     shots = json.loads((out / "calibration.json").read_text())["calibrated_shots"]
     assert shots and shots == [json.loads(rep.to_json()) for rep in reports]
+
+
+def test_import_and_scipy_free_pipelines_load_no_scipy(tmp_path):
+    # scipy is imported by the layers that use it, on first use: a fresh
+    # process that imports the package and runs mane and an rk4 flow loads
+    # none of it
+    cfg = tmp_path / "pendulum.ini"
+    cfg.write_text(
+        "[hamiltonian]\n"
+        "family = mechanical\n"
+        "potential_coeffs = 0 1 1.0 0.0\n"
+        "[experiment]\n"
+        "resolution = 64\n"
+        "[flow]\n"
+        "integrator = rk4\n",
+        encoding="utf-8",
+    )
+    script = """
+import sys
+import birkhoff_lab, birkhoff_lab.cli
+cfg, out = sys.argv[1:]
+for command in (["mane"], ["flow", "--p", "2"]):
+    assert birkhoff_lab.cli.main(["--config", cfg, "--out", out, "--quiet", *command]) == 0, command
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == []
+    assert (tmp_path / "out" / "mane.json").is_file()
+    assert (tmp_path / "out" / "trajectory.csv").is_file()

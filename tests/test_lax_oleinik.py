@@ -236,6 +236,26 @@ def test_weak_kam_residual_grid_follows_the_barrier():
     assert same_n > 1e-4
 
 
+def test_weak_kam_residual_composes_nothing_on_the_doubled_grid(monkeypatch):
+    # the residual applies the one-period operator single step by single step
+    # (semigroup property), so no matrix is composed at twice the resolution
+    bp = peierls_barrier(PEND, 1.0, 0, 0, 8, 64, 64)
+    clear_potential_cache()
+    composed = []
+
+    def spy(a, b):
+        composed.append(a.resolution)
+        return minplus_compose(a, b)
+
+    monkeypatch.setattr(lax_oleinik, "minplus_compose", spy)
+    _, res = positive_weak_kam(PEND, 1.0, 0, 0.0, 64, barrier=bp)
+    assert 128 not in composed
+    u = GridFunction(-bp.matrix.entries[:, 0])
+    u_fine = GridFunction(u.eval(np.arange(128) / 128))
+    image = lax_positive(u_fine, potential(PEND, 0, 1, 128), 1.0)
+    assert abs(res - float(np.max(np.abs(image.values - u_fine.values)))) <= 1e-14
+
+
 def test_weak_kam_matches_manufactured_solution():
     h = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.0)
     est = mane_critical_value(h, 32, N, quad_nodes=16)
