@@ -19,7 +19,6 @@ from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, traject
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .lax_oleinik import QUAD_NODES, SINGLE_STEP_SPAN, lagrangian_batch, lax_negative, potential
-from .textio import json_text
 
 KINK_RATIO = 50.0
 KINK_FLOOR = 1e-9
@@ -234,9 +233,6 @@ class CalibratedCurveReport:
             "seed_t": self.seed_t,
             "seed_q": self.seed_q,
         }
-
-    def to_json(self) -> str:
-        return json_text(self.to_dict())
 
 
 def calibrated_curve(

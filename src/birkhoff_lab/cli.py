@@ -60,6 +60,18 @@ def _verdict_exit(verdict: str) -> int:
     return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
 
 
+def _count(minimum: int):
+    """argparse type: an integer of at least `minimum`."""
+
+    def integer(text: str) -> int:  # argparse reports "x" as an "invalid integer value"
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="birkhoff-lab", description=__doc__)
     p.add_argument("--version", action="version", version=f"birkhoff-lab {__version__}")
@@ -81,7 +93,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--t1", type=float, default=1.0)
 
     sp = sub.add_parser("lax", help="iterate the one-period operators")
-    sp.add_argument("--steps", type=int, default=8)
+    sp.add_argument("--steps", type=_count(0), default=8)
     sp.add_argument("--direction", choices=("negative", "positive"), default="negative")
 
     sub.add_parser("mane", help="critical value estimate (a pinned alpha0 is not used)")
@@ -94,7 +106,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--fqi", type=str, required=True, help="CSV path (sidecar .meta.json)")
 
     sp = sub.add_parser("calibrate", help="domination sweep and calibrated shots")
-    sp.add_argument("--curves", type=int, default=1000)
+    sp.add_argument("--curves", type=_count(1), default=1000)
     sp.add_argument("--horizon", type=float, default=1.0)
     sp.add_argument("--tolerance", type=float, default=5e-3)
 

@@ -1,7 +1,8 @@
 """Exact Lagrangian curves in T*T^1 as closed polylines with primitives.
 
-Curves store the unwrapped position lift alongside the wrapped coordinate so
-winding and fold detection are exact. Evolution flows nodes individually,
+Curves wind once around the base, as Lagrangians Hamiltonianly isotopic to the
+zero section do: the lift closes one unit up, and storing it beside the wrapped
+coordinate makes fold detection exact. Evolution flows nodes individually,
 advances primitives by the per-node action integral, and resamples by
 bisecting in the initial-condition parameter and re-flowing (never by
 interpolating in phase space at the final time).
@@ -26,7 +27,6 @@ from .errors import (
     ResamplingBudgetExceeded,
     TangencyDetected,
     TooFewSamples,
-    WindingMismatch,
 )
 from .flow import FlowSettings, integrate_batch
 from .grids import GridFunction, place_cells
@@ -40,12 +40,11 @@ PAIR_BLOCK = 2**14  # candidate point-segment pairs evaluated at once
 
 @dataclass(frozen=True)
 class LagrangianCurve:
-    """Closed polyline (q_lift, p) with optional primitive and base winding."""
+    """Closed polyline (q_lift, p) with optional primitive, winding once."""
 
     q_lift: np.ndarray
     p: np.ndarray
     primitive: np.ndarray | None = None
-    winding: int = 1
 
     def __post_init__(self):
         ql = np.asarray(self.q_lift, dtype=float)
@@ -71,8 +70,8 @@ class LagrangianCurve:
         return wrap_unit(self.q_lift)
 
     def closed_lift(self) -> np.ndarray:
-        """Lift with the first node repeated one winding up (length n+1)."""
-        return np.append(self.q_lift, self.q_lift[0] + self.winding)
+        """Lift with the first node repeated one turn up (length n+1)."""
+        return np.append(self.q_lift, self.q_lift[0] + 1)
 
     def closed_p(self) -> np.ndarray:
         return np.append(self.p, self.p[0])
@@ -122,8 +121,6 @@ def from_potential(u: GridFunction, derivative: str = "spectral") -> LagrangianC
     trig polynomials below Nyquist); central differences are more robust for
     kinked inputs.
     """
-    if u.dim != 1:
-        raise ValueError("from_potential needs a 1-D grid function")
     if u.resolution < MIN_NODES:
         raise TooFewSamples(f"need >= {MIN_NODES} samples, got {u.resolution}")
     if derivative == "spectral":
@@ -132,13 +129,11 @@ def from_potential(u: GridFunction, derivative: str = "spectral") -> LagrangianC
         du = u.central_derivative()
     else:
         raise ValueError(f"unknown derivative rule {derivative!r}")
-    return LagrangianCurve(q_lift=u.nodes.copy(), p=du, primitive=u.values.copy(), winding=1)
+    return LagrangianCurve(q_lift=u.nodes.copy(), p=du, primitive=u.values.copy())
 
 
 def graph_check(curve: LagrangianCurve) -> FoldReport:
     """Scan forward differences of the lift for direction reversals."""
-    if curve.winding != 1:
-        raise WindingMismatch(f"winding {curve.winding} != 1")
     diffs = np.diff(curve.closed_lift())
     min_jac = float(np.min(diffs))
     signs = np.sign(diffs)
@@ -150,7 +145,7 @@ def graph_check(curve: LagrangianCurve) -> FoldReport:
 def invert(curve: LagrangianCurve) -> LagrangianCurve:
     """Fiberwise momentum flip; the primitive changes sign with the 1-form."""
     h = None if curve.primitive is None else -curve.primitive
-    return LagrangianCurve(curve.q_lift.copy(), -curve.p, h, curve.winding)
+    return LagrangianCurve(curve.q_lift.copy(), -curve.p, h)
 
 
 def _graph_samples(curve: LagrangianCurve, grid: np.ndarray):
@@ -186,7 +181,7 @@ def fibred_sum(a: LagrangianCurve, b: LagrangianCurve) -> LagrangianCurve:
         h = ha + hb
     else:
         h = None
-    return LagrangianCurve(q_lift=grid, p=pa + pb, primitive=h, winding=1)
+    return LagrangianCurve(q_lift=grid, p=pa + pb, primitive=h)
 
 
 def reduced_complexity_gauge(curve: LagrangianCurve, limit_potential: GridFunction) -> float:
@@ -229,12 +224,6 @@ def _initial_state(curve: LagrangianCurve, thetas: np.ndarray):
     return li, pi, hi
 
 
-def _phase_gaps(lift: np.ndarray, p: np.ndarray, winding: int) -> np.ndarray:
-    dl = np.diff(np.append(lift, lift[0] + winding))
-    dp = np.diff(np.append(p, p[0]))
-    return np.hypot(dl, dp)
-
-
 def evolve(
     h: TonelliHamiltonian,
     curve: LagrangianCurve,
@@ -262,7 +251,7 @@ def evolve(
     h_t = h0 + act
 
     for _round in range(64):
-        gaps = _phase_gaps(lift_t, p_t, curve.winding)
+        gaps = np.hypot(np.diff(np.append(lift_t, lift_t[0] + 1)), np.diff(np.append(p_t, p_t[0])))
         need = np.nonzero(gaps > spacing)[0]
         if len(need) == 0:
             break
@@ -273,7 +262,7 @@ def evolve(
         theta_hi = np.append(thetas, thetas[0] + 1.0)
         mid_thetas = 0.5 * (thetas[need] + theta_hi[need + 1])
         li, pi, hi = _initial_state(curve, wrap_unit(mid_thetas))
-        li = li + np.floor(mid_thetas) * curve.winding
+        li = li + np.floor(mid_thetas)
         lm, pm, am = integrate_batch(h, li, pi, s, t, settings)
         hm = hi + am
         order = np.argsort(np.concatenate([thetas, mid_thetas]), kind="stable")
@@ -293,7 +282,7 @@ def evolve(
         for i in range(1, n):
             prev = keep[-1]
             nxt = (i + 1) % n
-            lift_nxt = lift_t[nxt] + (curve.winding if nxt == 0 else 0.0)
+            lift_nxt = lift_t[nxt] + (1.0 if nxt == 0 else 0.0)
             gap_prev = np.hypot(lift_t[i] - lift_t[prev], p_t[i] - p_t[prev])
             gap_next = np.hypot(lift_nxt - lift_t[i], p_t[nxt] - p_t[i])
             gap_join = np.hypot(lift_nxt - lift_t[prev], p_t[nxt] - p_t[prev])
@@ -311,7 +300,7 @@ def evolve(
             lift_t, p_t, h_t = lift_t[idx], p_t[idx], h_t[idx]
 
     shift = np.floor(lift_t[0])
-    out = LagrangianCurve(lift_t - shift, p_t, h_t, curve.winding)
+    out = LagrangianCurve(lift_t - shift, p_t, h_t)
     tol = 1e-6 * max(1.0, out.length()) * (1.0 + float(np.max(np.abs(out.p))))
     if abs(loop_integral(out)) > 50 * tol:
         raise ExactnessLost("exactness lost during evolution; refine spacing or steps")
@@ -528,7 +517,7 @@ def curve_from_csv(path) -> LagrangianCurve:
         row = np.dtype([("index", np.int64), ("q", float), ("p", float), ("h", float)])
         rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1, converters={3: lambda h: float(h) if h else np.nan})
     q, p, h = (place_cells(path, rows["index"], rows[name], (len(rows),)) for name in ("q", "p", "h"))
-    return LagrangianCurve(_lift_from_wrapped(q), p, None if np.isnan(h).any() else h, winding=1)
+    return LagrangianCurve(_lift_from_wrapped(q), p, None if np.isnan(h).any() else h)
 
 
 def _lift_from_wrapped(q: np.ndarray) -> np.ndarray:

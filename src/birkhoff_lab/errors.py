@@ -33,10 +33,6 @@ class EmptyInput(BirkhoffLabError):
     """An operation received an empty sequence."""
 
 
-class WindingMismatch(BirkhoffLabError):
-    """Curve winding number is not the one required by the operation."""
-
-
 class NotAGraph(BirkhoffLabError):
     """Operation requires fold-free curves."""
 

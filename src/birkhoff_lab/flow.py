@@ -47,7 +47,7 @@ class FlowSettings:
     """Stepping plan: macro knots for dense output, substeps for quadrature."""
 
     macro_step: float = 1e-2
-    integrator: str = "auto"  # auto | strang (auto, refusing custom callables) | rk4
+    integrator: str = "auto"  # auto (closed form, else Strang, else rk4) | rk4 (any family)
     substeps_per_macro: int = 4
 
     def __post_init__(self):
@@ -55,7 +55,7 @@ class FlowSettings:
             raise ValueError("macro_step must lie in (0, 0.1]")
         if self.substeps_per_macro < 2 or self.substeps_per_macro % 2:
             raise ValueError("substeps_per_macro must be even and >= 2")
-        if self.integrator not in ("auto", "strang", "rk4"):
+        if self.integrator not in ("auto", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
@@ -240,11 +240,7 @@ def integrate_batch(
         knots.append((times[-1], q, p, knots[-1][3] if knots else h.dH_dp(s, q, p)))
         action = sum(increments, np.zeros_like(q))
     else:
-        stepper = h.ops
-        if settings.integrator == "rk4" or stepper.step is None:
-            if settings.integrator == "strang":
-                raise ValueError("Strang splitting needs a closed-form separable family")
-            stepper = _RK4(h, q)
+        stepper = _RK4(h, q) if settings.integrator == "rk4" or h.ops.step is None else h.ops
         m = settings.substeps_per_macro
         dt_sub = dt_macro / m
         weights = simpson_pattern(m) / 3.0 * dt_sub

@@ -1,4 +1,4 @@
-"""Scalar functions sampled on uniform periodic grids (dimension 1 or 2).
+"""Scalar functions sampled on the uniform periodic grid of T^1.
 
 `GridFunction.periodic_spline` imports `scipy.interpolate` on first use, so a
 process that never interpolates a grid never loads it.
@@ -10,34 +10,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
 from .hamiltonians import TrigPolynomial, wrap_unit
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Samples of a scalar map on the uniform grid of T^1 or T^2."""
+    """Samples of a scalar map on the uniform grid of T^1."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
-        if v.ndim not in (1, 2):
-            raise ValueError("GridFunction is 1- or 2-dimensional")
-        for n in v.shape:
-            if not _is_power_of_two(n):
-                raise ValueError(f"resolution {n} is not a power of two")
+        if v.ndim != 1:
+            raise ValueError(f"GridFunction is 1-dimensional, got shape {v.shape}")
+        n = len(v)
+        if n < 1 or n & (n - 1):
+            raise ValueError(f"resolution {n} is not a power of two")
         if not np.all(np.isfinite(v)):
             raise ValueError("GridFunction values must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.values.ndim
 
     @property
     def resolution(self) -> int:
@@ -47,19 +38,8 @@ class GridFunction:
     def nodes(self) -> np.ndarray:
         return np.arange(self.resolution) / self.resolution
 
-    def same_grid(self, other: "GridFunction") -> bool:
-        return self.values.shape == other.values.shape
-
-    def require_same_grid(self, other: "GridFunction") -> None:
-        if not self.same_grid(other):
-            raise GridMismatch(f"grids {self.values.shape} vs {other.values.shape}")
-
-    # -- 1-D helpers --------------------------------------------------------
-
     def spectral_derivative(self) -> np.ndarray:
         """FFT differentiation; exact for trig polynomials below Nyquist."""
-        if self.dim != 1:
-            raise ValueError("spectral derivative implemented for dim 1")
         n = self.resolution
         freq = np.fft.rfftfreq(n, d=1.0 / n)
         spec = np.fft.rfft(self.values)
@@ -68,8 +48,6 @@ class GridFunction:
         return np.fft.irfft(2j * np.pi * freq * spec, n=n)
 
     def central_derivative(self) -> np.ndarray:
-        if self.dim != 1:
-            raise ValueError("central derivative implemented for dim 1")
         step = 1.0 / self.resolution
         return (np.roll(self.values, -1) - np.roll(self.values, 1)) / (2 * step)
 
@@ -79,8 +57,6 @@ class GridFunction:
         # and .spatial, most of a second that only interpolating callers need
         from scipy.interpolate import CubicSpline
 
-        if self.dim != 1:
-            raise ValueError("periodic spline implemented for dim 1")
         x = np.append(self.nodes, 1.0)
         y = np.append(self.values, self.values[0])
         return CubicSpline(x, y, bc_type="periodic")

@@ -60,7 +60,7 @@ class PotentialMatrix:
         return self.t - self.s
 
     def require_grid(self, u: GridFunction) -> None:
-        if u.dim != 1 or u.resolution != self.resolution:
+        if u.resolution != self.resolution:
             raise GridMismatch(f"grid {u.values.shape} vs matrix {self.entries.shape}")
 
 

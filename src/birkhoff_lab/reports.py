@@ -33,28 +33,23 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 
 
 def grid_to_csv(u: GridFunction, path) -> None:
-    """`index,q[,q2],value` rows over the uniform grid."""
-    shape = u.values.shape
-    coords = [lambda rows, k=k: np.unravel_index(rows, shape)[k] / shape[k] for k in range(u.dim)]
-    write_csv(path, ["index", "q", "q2"][: u.dim + 1] + ["value"],
-              [lambda rows: rows, *coords, u.values.ravel()])
+    """`index,q,value` rows over the uniform grid."""
+    write_csv(path, ["index", "q", "value"], [np.arange(u.resolution), u.nodes, u.values])
 
 
 def grid_from_csv(path) -> GridFunction:
-    """Read a grid written by grid_to_csv: its shape from the q/q2 columns,
-    each row placed by its index.
+    """Read a grid written by grid_to_csv, each row placed by its index.
 
     Raises ValueError on another header, or an index that is missing, repeated
     or outside the grid.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header not in (["index", "q", "value"], ["index", "q", "q2", "value"]):
-            raise ValueError(f"unexpected grid CSV header {header}")
-        row = np.dtype([("index", np.int64), ("q", float, (len(header) - 2,)), ("value", float)])
+        header = fh.readline().strip()
+        if header != "index,q,value":
+            raise ValueError(f"unexpected grid CSV header {header!r}")
+        row = np.dtype([("index", np.int64), ("q", float), ("value", float)])
         rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
-    shape = tuple(len(np.unique(q)) for q in rows["q"].T)
-    return GridFunction(place_cells(path, rows["index"], rows["value"], shape))
+    return GridFunction(place_cells(path, rows["index"], rows["value"], (len(rows),)))
 
 
 def potential_to_csv(pm: PotentialMatrix, path) -> None:

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -62,8 +61,7 @@ def test_manufactured_calibrated_curve():
     assert abs(rep.defect) <= 1e-5
     assert rep.max_momentum_residual <= 1e-4
     assert rep.max_hj_residual <= 1e-4
-    payload = json.loads(rep.to_json())
-    assert set(payload) == {"defect", "momentum_residual", "hj_residual", "seed_t", "seed_q"}
+    assert set(rep.to_dict()) == {"defect", "momentum_residual", "hj_residual", "seed_t", "seed_q"}
 
 
 def test_free_zero_candidate_constant_curve():

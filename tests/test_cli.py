@@ -152,6 +152,25 @@ def test_bad_arguments_exit_ge_10(tmp_path, capsys):
     assert run(["--config", tmp_path / "missing.ini", "--quiet", "mane"]) >= 10
 
 
+def test_negative_lax_steps_refused(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["--out", out, "lax", "--steps", "-3"]) == cli.EXIT_ERROR
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_calibrate_needs_a_curve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "lax_spacetime", lambda *args: pytest.fail("candidate built"))
+    assert run(["--out", tmp_path / "out", "calibrate", "--curves", "0"]) == cli.EXIT_ERROR
+    assert "--curves" in capsys.readouterr().err
+
+
+def test_strang_integrator_is_a_config_error(tmp_path):
+    cfg = tmp_path / "strang.ini"
+    cfg.write_text("[flow]\nintegrator = strang\n", encoding="utf-8")
+    assert run(["--config", cfg, "--out", tmp_path / "out", "--quiet", "flow"]) == cli.EXIT_ERROR + 1
+
+
 @pytest.mark.parametrize("text", [
     "n_max = 2\n",  # no section header
     "[experiment]\nn_max = 2\nn_max = 3\n",  # duplicate key
@@ -271,7 +290,7 @@ def test_calibration_shots_are_the_reports_payloads(tmp_path, small_config, monk
     out = tmp_path / "out"
     assert run(["--config", small_config, "--out", out, "--quiet", "calibrate", "--curves", "20"]) == 0
     shots = json.loads((out / "calibration.json").read_text())["calibrated_shots"]
-    assert shots and shots == [json.loads(rep.to_json()) for rep in reports]
+    assert shots and shots == [rep.to_dict() for rep in reports]
 
 
 def test_import_and_scipy_free_pipelines_load_no_scipy(tmp_path):

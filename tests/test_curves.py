@@ -30,7 +30,6 @@ from birkhoff_lab.errors import (
     ResamplingBudgetExceeded,
     TangencyDetected,
     TooFewSamples,
-    WindingMismatch,
 )
 from birkhoff_lab.flow import FlowSettings
 from birkhoff_lab.grids import GridFunction, grid_from_trig
@@ -45,7 +44,7 @@ def sine_potential(amp, n=1024, harmonic=1):
 
 def zero_section(n=64, with_primitive=True):
     return LagrangianCurve(
-        np.arange(n) / n, np.zeros(n), np.zeros(n) if with_primitive else None, 1
+        np.arange(n) / n, np.zeros(n), np.zeros(n) if with_primitive else None
     )
 
 
@@ -84,7 +83,7 @@ def test_evolve_matches_characteristics():
     c1 = evolve(FREE, c0, 0, 0.2, FlowSettings(), spacing=1e-3)
     qs = np.arange(8192) / 8192
     du = 2 * np.pi * a * np.cos(2 * np.pi * qs)
-    char = LagrangianCurve(qs + 0.2 * du, du, None, 1)
+    char = LagrangianCurve(qs + 0.2 * du, du, None)
     assert hausdorff_distance(c1, char) <= 1e-5
 
 
@@ -141,7 +140,7 @@ def test_resampling_budget(monkeypatch):
 def test_hausdorff_examples():
     z = zero_section(256)
     assert hausdorff_distance(z, z) == 0.0
-    ze = LagrangianCurve(np.arange(256) / 256, np.full(256, 0.25), None, 1)
+    ze = LagrangianCurve(np.arange(256) / 256, np.full(256, 0.25), None)
     assert hausdorff_distance(z, ze) == pytest.approx(0.25, abs=1e-12)
     g = from_potential(grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, 0.1, 0.0)]), 8192))
     z2 = zero_section(8192, with_primitive=False)
@@ -192,9 +191,9 @@ def _curve_and_points(draw):
         b = from_potential(u)
     if kind == "repeated":  # zero-length segments between repeated nodes
         reps = rng.integers(1, 4, b.n_nodes)
-        b = LagrangianCurve(np.repeat(b.q_lift, reps), np.repeat(b.p, reps), None, 1)
+        b = LagrangianCurve(np.repeat(b.q_lift, reps), np.repeat(b.p, reps), None)
     if kind == "lifted":  # winding-1 lift that starts outside [0, 1)
-        b = LagrangianCurve(b.q_lift + draw(st.integers(-3, 3)) + rng.uniform(-1, 1), b.p, None, 1)
+        b = LagrangianCurve(b.q_lift + draw(st.integers(-3, 3)) + rng.uniform(-1, 1), b.p, None)
     other = from_potential(grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, *rng.uniform(-0.1, 0.1, 2))]), 64))
     seam = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), -1e-17, 2.0, -1.0])
     q = np.concatenate([other.q, rng.uniform(-1.5, 2.5, n), seam, b.q_lift[: n // 4]])
@@ -218,7 +217,7 @@ def test_points_to_curve_distance_memory_is_bounded():
     # the all-pairs search holds 512 x 4000 doubles (16 MB) per temporary
     n = 4000
     grid = np.arange(n) / n
-    b = LagrangianCurve(grid, 0.3 * np.sin(2 * np.pi * grid), None, 1)
+    b = LagrangianCurve(grid, 0.3 * np.sin(2 * np.pi * grid), None)
     q = grid + 0.5 / n
     p = 0.25 * np.cos(2 * np.pi * q)
     points_to_curve_distance(q, p, b)
@@ -256,10 +255,14 @@ def test_graph_check_fold_oracle():
     assert np.allclose(fold_qs, oracle, atol=2 / 256)
 
 
-def test_graph_check_winding_mismatch():
-    c = LagrangianCurve(2.0 * np.arange(32) / 32, np.zeros(32), None, winding=2)
-    with pytest.raises(WindingMismatch):
-        graph_check(c)
+def test_graph_check_fold_at_closing_segment():
+    # a lift spanning two turns closes one turn up from its first node, so the
+    # closing segment runs backwards: a fold there and where the lift restarts
+    c = LagrangianCurve(2.0 * np.arange(32) / 32, np.zeros(32))
+    fr = graph_check(c)
+    assert not fr.is_graph
+    assert fr.fold_parameters == (0, 31)
+    assert fr.min_projection_jacobian == 1.0 - 62 / 32
 
 
 def test_invert():
@@ -308,7 +311,7 @@ def test_gauge_examples():
 def test_gauge_constant_invariance(shift):
     u = sine_potential(0.05, 64)
     c0 = from_potential(u)
-    c = LagrangianCurve(c0.q_lift, c0.p, c0.primitive + shift, 1)
+    c = LagrangianCurve(c0.q_lift, c0.p, c0.primitive + shift)
     base = reduced_complexity_gauge(c0, u)
     assert abs(reduced_complexity_gauge(c, u) - base) <= 1e-12 * (1 + abs(shift))
 
@@ -351,7 +354,7 @@ def test_tangency_detection():
     a = zero_section(n)
     tiny = 1e-7 * np.sin(2 * np.pi * np.arange(n) / n)
     qgrid = (np.arange(n) + 0.5) / n  # offset so no node coincidences
-    b = LagrangianCurve(qgrid, 1e-7 * np.sin(2 * np.pi * qgrid), np.zeros(n), 1)
+    b = LagrangianCurve(qgrid, 1e-7 * np.sin(2 * np.pi * qgrid), np.zeros(n))
     with pytest.raises(TangencyDetected):
         intersection_action_gap(a, b)
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from birkhoff_lab.errors import GridMismatch
-from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig
+from birkhoff_lab.grids import GridFunction, grid_from_trig
 from birkhoff_lab.hamiltonians import TrigPolynomial
 from birkhoff_lab.reports import grid_from_csv, grid_to_csv
 
@@ -17,10 +16,9 @@ def test_resolution_power_of_two():
         GridFunction(np.array([1.0, np.inf]))
 
 
-def test_two_dimensional_grid():
-    g = GridFunction(np.arange(64.0).reshape(8, 8))
-    assert g.dim == 2 and g.resolution == 8
-    assert g.oscillation() == 63.0
+def test_grid_is_one_dimensional():
+    with pytest.raises(ValueError):
+        GridFunction(np.zeros((8, 8)))
 
 
 def test_spectral_derivative_exact_for_trig():
@@ -47,12 +45,6 @@ def test_periodic_spline_eval():
     assert g.eval(0.25 + 1.0) == pytest.approx(float(g.eval(0.25)), abs=1e-12)
 
 
-def test_grid_mismatch_guard():
-    a, b = constant_grid(0.0, 64), constant_grid(0.0, 128)
-    with pytest.raises(GridMismatch):
-        a.require_same_grid(b)
-
-
 def test_csv_roundtrip_1d(tmp_path):
     g = grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, 0.3, 0.7)]), 32)
     path = tmp_path / "g.csv"
@@ -61,16 +53,6 @@ def test_csv_roundtrip_1d(tmp_path):
         assert fh.readline().strip() == "index,q,value"
     g2 = grid_from_csv(path)
     assert np.array_equal(g.values, g2.values)
-
-
-def test_csv_roundtrip_2d(tmp_path):
-    for g in (GridFunction(np.arange(16.0).reshape(4, 4)), GridFunction(np.arange(32.0).reshape(4, 8))):
-        path = tmp_path / "g2.csv"
-        grid_to_csv(g, path)
-        with open(path) as fh:
-            assert fh.readline().strip() == "index,q,q2,value"
-        g2 = grid_from_csv(path)
-        assert np.array_equal(g.values, g2.values)
 
 
 def test_csv_rows_placed_by_index(tmp_path):
@@ -84,8 +66,8 @@ def test_csv_rows_placed_by_index(tmp_path):
 
 @pytest.mark.parametrize("damage", ["repeated index", "missing row", "index past the grid"])
 def test_csv_rejects_bad_index(tmp_path, damage):
-    path = tmp_path / "g2.csv"
-    grid_to_csv(GridFunction(np.arange(16.0).reshape(4, 4)), path)
+    path = tmp_path / "g.csv"
+    grid_to_csv(GridFunction(np.arange(16.0)), path)
     header, *rows = path.read_text().splitlines()
     rows = {
         "repeated index": rows[:5] + ["4" + rows[5][1:]] + rows[6:],  # row 5 claims cell 4
