@@ -6,7 +6,7 @@ class BirkhoffLabError(Exception):
 
 
 class MaximizerNotFound(BirkhoffLabError):
-    """Momentum maximizer search failed to converge within its budget."""
+    """The Legendre maximizer lies on the edge of the momentum box."""
 
 
 class ConvexityViolation(BirkhoffLabError):

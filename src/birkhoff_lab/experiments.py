@@ -30,7 +30,7 @@ from .curves import (
 )
 from .errors import FixedPointNotReached, ResamplingBudgetExceeded
 from .flow import FlowSettings
-from .grids import GridFunction, grid_from_trig
+from .grids import GridFunction, grid_from_trig, require_power_of_two
 from .hamiltonians import (
     TonelliHamiltonian,
     TrigPolynomial,
@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError("the detector window must be >= 1")
         if not self.spacing > 0:
             raise ValueError("the node spacing must be positive")
+        require_power_of_two(self.resolution, "resolution")
+        require_power_of_two(self.initial_nodes, "initial_nodes")
 
 
 @dataclass(frozen=True)

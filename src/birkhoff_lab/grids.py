@@ -13,6 +13,12 @@ import numpy as np
 from .hamiltonians import TrigPolynomial, wrap_unit
 
 
+def require_power_of_two(n: int, name: str) -> None:
+    """Raise ValueError, naming `name`, unless n is a power of two."""
+    if n < 1 or n & (n - 1):
+        raise ValueError(f"{name} {n} is not a power of two")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Samples of a scalar map on the uniform grid of T^1."""
@@ -24,9 +30,7 @@ class GridFunction:
         object.__setattr__(self, "values", v)
         if v.ndim != 1:
             raise ValueError(f"GridFunction is 1-dimensional, got shape {v.shape}")
-        n = len(v)
-        if n < 1 or n & (n - 1):
-            raise ValueError(f"resolution {n} is not a power of two")
+        require_power_of_two(len(v), "resolution")
         if not np.all(np.isfinite(v)):
             raise ValueError("GridFunction values must be finite")
 

@@ -8,12 +8,12 @@ closed-form and exactly 1-periodic in time and position.
 
 Each family is one object here that owns H and its derivatives, the
 vectorized Lagrangian and its sum over the quadrature nodes of a straight
-segment, the closed-form Legendre maximizer and its flow: in closed form,
-action included, for the solvable families (the shifted quadratic, and a
-mechanical family whose potential has no position harmonic); a Strang step
-on jets (one `TrigPolynomial.jet` pass per point and substep) for the other
-mechanical families; none for custom callables, which flow by the
-Dormand-Prince pair in flow.py.
+segment, the Legendre maximizer (bisection on dH/dp for custom callables)
+and its flow: in closed form, action included, for the solvable families
+(the shifted quadratic, and a mechanical family whose potential has no
+position harmonic); a Strang step on jets (one `TrigPolynomial.jet` pass per
+point and substep) for the other mechanical families; none for custom
+callables, which flow by the Dormand-Prince pair in flow.py.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ MAX_HARMONIC = 8
 TONELLI_T_SAMPLES = 8
 TONELLI_Q_SAMPLES = 32
 TONELLI_LADDER = tuple(4.0 * 2.0**i for i in range(5))
+MAXIMIZER_HALVINGS = 45  # bisection halvings of a custom momentum box
 
 
 def wrap_unit(x):
@@ -230,8 +231,8 @@ class _Mechanical:
     def lagrangian(self, h, t, q, v):
         return v * v / (2.0 * h.kinetic_coefficient) - h.potential.value(t, q) - h.constant_offset
 
-    def maximizer(self, h, t, q, v):
-        return v / h.kinetic_coefficient
+    def legendre(self, h, t, q, v):
+        return self.lagrangian(h, t, q, v), v / h.kinetic_coefficient
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
@@ -292,8 +293,8 @@ class _ShiftedQuadratic:
         w = h.shift_profile.deriv(t, q, 0, 1)
         return w * v + 0.5 * (v - h.drift) ** 2 + h.shift_profile.deriv(t, q, 1, 0) - h.constant_offset
 
-    def maximizer(self, h, t, q, v):
-        return h.shift_profile.deriv(t, q, 0, 1) + (v - h.drift)
+    def legendre(self, h, t, q, v):
+        return self.lagrangian(h, t, q, v), h.shift_profile.deriv(t, q, 0, 1) + (v - h.drift)
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
@@ -303,10 +304,9 @@ class _ShiftedQuadratic:
 
 
 class _Custom:
-    """Custom callables: finite differences; no closed-form maximizer, no native
-    step (the Dormand-Prince pair in flow.py steps them)."""
+    """Custom callables: finite differences, the maximizer by bisection, no
+    native step (the Dormand-Prince pair in flow.py steps them)."""
 
-    maximizer = None
     step = None
 
     def solvable(self, h):
@@ -332,21 +332,29 @@ class _Custom:
         return (h.custom_fn(t, q, p + e) - 2.0 * h.custom_fn(t, q, p) + h.custom_fn(t, q, p - e)) / e**2
 
     def lagrangian(self, h, t, q, v):
-        """Momentum-grid maximization with one parabolic refinement step."""
-        qb, vb = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
-        shape = qb.shape
-        qf, vf = qb.ravel(), vb.ravel()
+        return self.legendre(h, t, q, v)[0]
+
+    def legendre(self, h, t, q, v):
+        """p v - H(t, q, p) at the maximizer p, and p. dH/dp increases in p for
+        a Tonelli H, so halving the momentum box on the sign of
+        H(p + e) - H(p - e) - 2 e v brackets the root of dH/dp = v, or the
+        nearer edge. e is d2H_dpp's 1e-4: at dH_dp's 1e-6, rounding in the
+        difference (eps |H| / e) would move p by ~1e-8 where |H| is 50. One
+        point is a 1-element array, so batch and scalar values agree bitwise."""
+        e = 1e-4
+        q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
+        shape = v.shape
+        q, v = q.reshape(-1), v.reshape(-1)
         lo, hi = h.momentum_box
-        ps = np.linspace(lo, hi, 257)
-        vals = ps[:, None] * vf[None, :] - h.custom_fn(t, qf[None, :], ps[:, None])
-        k = np.clip(np.argmax(vals, axis=0), 1, len(ps) - 2)
-        f0 = np.take_along_axis(vals, (k - 1)[None, :], axis=0)[0]
-        f1 = np.take_along_axis(vals, k[None, :], axis=0)[0]
-        f2 = np.take_along_axis(vals, (k + 1)[None, :], axis=0)[0]
-        denom = f0 - 2.0 * f1 + f2
-        # parabolic vertex through the three best samples (concave in p)
-        refined = np.where(denom < -1e-300, f1 - (f2 - f0) ** 2 / (8.0 * denom), f1)
-        return refined.reshape(shape)
+        p = np.full(v.shape, 0.5 * (lo + hi))  # the middle of the bracket
+        half = 0.25 * (hi - lo)
+        steps = np.array([[e], [-e]])
+        slope = 2.0 * e * v
+        for _ in range(MAXIMIZER_HALVINGS):
+            up, down = h.custom_fn(t, q, p + steps)
+            p += np.where(up - down < slope, half, -half)
+            half *= 0.5
+        return (p * v - h.custom_fn(t, q, p)).reshape(shape), p.reshape(shape)
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), point by point."""
@@ -435,29 +443,15 @@ def extended_hamiltonian(h: TonelliHamiltonian, tau: float, energy: float, q: fl
 def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> LagrangianFnValue:
     """Convex conjugate L(t,q,v) = sup_p (p v - H) with its maximizer.
 
-    Closed form for the mechanical and shifted-quadratic families; bounded
-    Brent minimisation of H - p v over the momentum box for custom callables,
-    which raises MaximizerNotFound when the minimum lies on the box edge.
+    Closed form for the mechanical and shifted-quadratic families; bisection
+    on dH/dp for custom callables, which raise MaximizerNotFound when the
+    maximizer lies within 1e-6 of the box width from a momentum-box edge.
     """
-    if h.ops.maximizer is None:
-        return _legendre_numeric(h, t, q, v)
-    return LagrangianFnValue(float(h.ops.lagrangian(h, t, q, v)), float(h.ops.maximizer(h, t, q, v)))
-
-
-def _legendre_numeric(h: TonelliHamiltonian, t, q, v):
-    # imported here: scipy.optimize on its own takes most of a second to
-    # import, and only custom callables need it
-    from scipy.optimize import minimize_scalar
-
+    value, p = (float(x) for x in h.ops.legendre(h, t, q, v))
     lo, hi = h.momentum_box
-    res = minimize_scalar(
-        lambda p: h.custom_fn(t, q, p) - p * v, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}
-    )
-    p = float(res.x)
-    # a supremum on the box edge is not L(t, q, v)
-    if not res.success or min(p - lo, hi - p) <= 1e-6 * (hi - lo):
+    if h.family is Family.CUSTOM and min(p - lo, hi - p) <= 1e-6 * (hi - lo):
         raise MaximizerNotFound(f"no interior Legendre maximizer in the momentum box at v={v}")
-    return LagrangianFnValue(float(p * v - h.custom_fn(t, q, p)), p)
+    return LagrangianFnValue(value, p)
 
 
 def fenchel_gap(h: TonelliHamiltonian, t: float, q: float, v: float, p: float) -> float:

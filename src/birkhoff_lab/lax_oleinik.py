@@ -448,7 +448,6 @@ def backward_minimizer(
         raise NoStoredArgmin("need at least one composed step to backtrack")
     n = u.resolution
     pm = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, n)
-    pm.require_grid(u)  # a 2-D u has no chain
     args = []
     cur = u
     for _ in range(k):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from birkhoff_lab import cli, curves, spectral
+from birkhoff_lab import cli, curves, lax_oleinik, spectral
 from birkhoff_lab.calibration import calibrated_curve
 from birkhoff_lab.cli import main
 from birkhoff_lab.errors import ExactnessLost
@@ -171,6 +171,17 @@ def test_strang_integrator_is_a_config_error(tmp_path):
     assert run(["--config", cfg, "--out", tmp_path / "out", "--quiet", "flow"]) == cli.EXIT_ERROR + 1
 
 
+@pytest.mark.parametrize("command", ["mane", "potential", "lax"])
+@pytest.mark.parametrize("resolution", [0, 100])
+def test_resolution_not_a_power_of_two_is_a_config_error(tmp_path, capsys, monkeypatch, resolution, command):
+    # refused when the config is built, before any potential
+    monkeypatch.setattr(lax_oleinik, "_single_step", lambda *args: pytest.fail("potential built"))
+    out = tmp_path / "out"
+    assert run(["--out", out, "--resolution", resolution, command]) == cli.EXIT_ERROR + 1
+    assert f"resolution {resolution} is not a power of two" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     "n_max = 2\n",  # no section header
     "[experiment]\nn_max = 2\nn_max = 3\n",  # duplicate key
@@ -295,8 +306,9 @@ def test_calibration_shots_are_the_reports_payloads(tmp_path, small_config, monk
 
 def test_import_and_scipy_free_pipelines_load_no_scipy(tmp_path):
     # scipy is imported by the layers that use it, on first use: a fresh
-    # process that imports the package and runs mane and an rk4 flow loads
-    # none of it
+    # process that imports the package, runs mane and an rk4 flow, and takes
+    # the Legendre transform of a custom callable, scalar and through a
+    # potential, loads none of it
     cfg = tmp_path / "pendulum.ini"
     cfg.write_text(
         "[hamiltonian]\n"
@@ -314,6 +326,11 @@ import birkhoff_lab, birkhoff_lab.cli
 cfg, out = sys.argv[1:]
 for command in (["mane"], ["flow", "--p", "2"]):
     assert birkhoff_lab.cli.main(["--config", cfg, "--out", out, "--quiet", *command]) == 0, command
+from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian, legendre_transform
+from birkhoff_lab.lax_oleinik import potential
+custom = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=lambda t, q, p: 0.5 * p**2)
+assert abs(legendre_transform(custom, 0.0, 0.3, 0.7).optimal_momentum - 0.7) <= 1e-9
+assert potential(custom, 0, 0.25, 16).entries.shape == (16, 16)
 print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
     src = Path(__file__).resolve().parents[1] / "src"

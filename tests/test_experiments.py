@@ -65,6 +65,13 @@ def test_config_rejects_empty_window_and_nonpositive_spacing(field, value):
         dataclasses.replace(MANUFACTURED, **{field: value})
 
 
+@pytest.mark.parametrize("field", ["resolution", "initial_nodes"])
+@pytest.mark.parametrize("value", [0, 100])
+def test_config_rejects_grid_sizes_not_a_power_of_two(field, value):
+    with pytest.raises(ValueError, match=f"{field} {value} is not a power of two"):
+        dataclasses.replace(MANUFACTURED, **{field: value})
+
+
 def test_parse_trig_coeffs():
     poly = parse_trig_coeffs("0 1 0.0 0.05; 1 2 0.3 -0.4")
     assert poly.terms == ((0, 1, 0.0, 0.05), (1, 2, 0.3, -0.4))

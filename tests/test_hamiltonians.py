@@ -81,6 +81,19 @@ def test_legendre_custom_quartic_across_the_box():
         assert fenchel_gap(h, 0.3, 0.7, float(v), lag.optimal_momentum) <= 1e-9
 
 
+def test_custom_quartic_conjugate_matches_cardano():
+    # dH/dp = p^3 + p, so the maximizer is the real root of p^3 + p = v:
+    # p = a - 1/(3a) with a = cbrt(|v|/2 + sqrt(v^2/4 + 1/27)), signed as v
+    h = custom_quartic()
+    qs, vs = np.meshgrid([0.1, 0.45, 0.8], np.linspace(-738.0, 738.0, 201))
+    a = np.cbrt(np.abs(vs) / 2 + np.sqrt(vs**2 / 4 + 1 / 27))
+    p = np.copysign(a - 1 / (3 * a), vs)
+    for t in (0.0, 0.3, 0.7):
+        exact = p * vs - h.value(t, qs, p)
+        assert np.all(np.abs(lagrangian_batch(h, t, qs, vs) - exact) <= 1e-12 * (1 + np.abs(exact)))
+        assert np.max(np.abs(h.ops.legendre(h, t, qs, vs)[1] - p)) <= 1e-8
+
+
 def test_legendre_custom_supremum_on_box_edge_raises():
     h = TonelliHamiltonian(
         family=Family.CUSTOM,
@@ -289,10 +302,7 @@ def test_family_contract(name):
     for tt in (0.0, 0.3, 0.7):
         batch = lagrangian_batch(h, tt, qs, vs)
         scalar = np.vectorize(lambda qq, vv: legendre_transform(h, tt, qq, vv).value)(qs, vs)
-        if h.family is Family.CUSTOM:
-            assert np.max(np.abs(batch - scalar)) <= 1e-3
-        else:
-            assert np.array_equal(batch, scalar)
+        assert np.array_equal(batch, scalar)
 
     # "auto" takes the family's closed-form flow, its native step, or RK4 for
     # custom callables
