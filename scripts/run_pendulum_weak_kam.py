@@ -4,7 +4,10 @@
 Prints the estimated critical constant, barrier diagnostics at the potential
 maximum, the refined fixed-point residual at two resolutions, and a few
 forward calibrated shots seeded on the kink-free arc of the positive weak
-solution.
+solution. Exits 0 (PASS) when the critical value is within 5e-3 of the
+pendulum's max V = 1, the residual falls below 0.75 of itself from 256 to 512
+points, and the domination minimum defect is at least -5e-3 (`calibrate`'s
+default tolerance); otherwise it names each check that failed and exits 1.
 """
 
 import sys
@@ -35,7 +38,8 @@ def main() -> int:
         if n == 256:
             potential_to_csv(barrier.matrix, outdir / "barrier.csv")
             grid_to_csv(u, outdir / "weak_kam_solution.csv")
-    print(f"residual halving 256 -> 512: {residuals[512] / residuals[256]:.3f}")
+    ratio = residuals[512] / residuals[256]
+    print(f"residual halving 256 -> 512: {ratio:.3f}")
 
     # calibrated shots want a sharp derivative profile: rebuild at a finer
     # single-step span before seeding on the kink-free arc
@@ -53,7 +57,16 @@ def main() -> int:
               f"hj {rep.max_hj_residual:.2e}")
     dom = domination_check(st, h, count=1000, seed=0)
     print(f"domination over 1000 random curves: min defect {dom.min_defect:+.3e}")
-    return 0
+
+    failed = [name for name, ok in (
+        ("critical value within 5e-3 of max V = 1", abs(est.alpha0 - 1.0) <= 5e-3),
+        ("residual ratio 256 -> 512 below 0.75", ratio < 0.75),
+        ("domination min defect at least -5e-3", dom.min_defect >= -5e-3),
+    ) if not ok]
+    for name in failed:
+        print(f"FAILED: {name}")
+    print(f"verdict: {'FAIL' if failed else 'PASS'}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from . import __version__
 from .calibration import calibrated_curve, domination_check
 from .errors import BirkhoffLabError, KinkAtSeed
 from .experiments import (
+    ALPHA0_HORIZON,
     ExperimentConfig,
     lax_spacetime,
     load_config,
@@ -161,7 +162,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "mane":
-            est = mane_critical_value(h, 64, **settings)
+            est = mane_critical_value(h, ALPHA0_HORIZON, **settings)
             write_json(out / "mane.json", {
                 "alpha0": est.alpha0,
                 "half_width": est.half_width,

@@ -217,11 +217,27 @@ def _initial_state(curve: LagrangianCurve, thetas: np.ndarray):
     p0, p1 = p[j], p[j + 1]
     li = l0 + frac * (l1 - l0)
     pi = p0 + frac * (p1 - p0)
-    hi = None
-    if curve.primitive is not None:
-        h = curve.primitive
-        hi = h[j % n] + 0.5 * (p0 + pi) * (li - l0)
-    return li, pi, hi
+    return li, pi, curve.primitive[j] + 0.5 * (p0 + pi) * (li - l0)
+
+
+def _coarsened(lift_c, p_c, gaps, spacing: float) -> list[int]:
+    """The nodes evolve's coarsening drops, from the closed arrays and gaps.
+
+    Only a node whose gap to the next is under spacing/3 can go, and no drop
+    changes that gap. The last node kept before i is i - 1 unless that went.
+    """
+    drop: list[int] = []
+    prev = 0
+    for i in (np.flatnonzero(gaps[1:] < spacing / 3) + 1).tolist():
+        if len(gaps) - len(drop) <= MIN_NODES:
+            break
+        if not drop or drop[-1] != i - 1:
+            prev = i - 1
+        gap_prev = np.hypot(lift_c[i] - lift_c[prev], p_c[i] - p_c[prev])
+        gap_join = np.hypot(lift_c[i + 1] - lift_c[prev], p_c[i + 1] - p_c[prev])
+        if gap_prev < spacing / 3 and gap_join <= spacing:
+            drop.append(i)
+    return drop
 
 
 def evolve(
@@ -239,19 +255,23 @@ def evolve(
     phase-space gap exceeds `spacing` trigger midpoint insertion: the midpoint
     is taken on the *initial* curve (parameter bisection) and re-flowed, which
     keeps inserted nodes on the evolved invariant curve under stretching.
-    Gaps below spacing/3 are coarsened away. Resampling past NODE_CAP nodes
-    raises ResamplingBudgetExceeded, a loop integral off zero ExactnessLost.
+    Then one scan in node order coarsens: it drops node i >= 1 when its gap to
+    the last node kept before it and its gap to node i + 1 (node 0 one turn
+    up, after the last node) are under spacing/3, the gap from that kept node
+    to node i + 1 is at most `spacing`, and more than MIN_NODES nodes remain.
+    Resampling past NODE_CAP nodes raises ResamplingBudgetExceeded, a loop
+    integral off zero ExactnessLost.
     """
     if curve.primitive is None:
         raise MissingPrimitive("evolve transports primitives; curve has none")
 
     thetas = np.arange(curve.n_nodes) / curve.n_nodes
-    lift0, p0, h0 = curve.q_lift.copy(), curve.p.copy(), curve.primitive.copy()
-    lift_t, p_t, act = integrate_batch(h, lift0, p0, s, t, settings)
-    h_t = h0 + act
+    lift_t, p_t, act = integrate_batch(h, curve.q_lift, curve.p, s, t, settings)
+    h_t = curve.primitive + act
 
     for _round in range(64):
-        gaps = np.hypot(np.diff(np.append(lift_t, lift_t[0] + 1)), np.diff(np.append(p_t, p_t[0])))
+        lift_c, p_c = np.append(lift_t, lift_t[0] + 1), np.append(p_t, p_t[0])
+        gaps = np.hypot(np.diff(lift_c), np.diff(p_c))
         need = np.nonzero(gaps > spacing)[0]
         if len(need) == 0:
             break
@@ -259,48 +279,18 @@ def evolve(
             raise ResamplingBudgetExceeded(
                 f"resampling wants {len(thetas) + len(need)} nodes (cap {NODE_CAP})"
             )
-        theta_hi = np.append(thetas, thetas[0] + 1.0)
-        mid_thetas = 0.5 * (thetas[need] + theta_hi[need + 1])
+        mid_thetas = 0.5 * (thetas[need] + np.append(thetas, thetas[0] + 1.0)[need + 1])
         li, pi, hi = _initial_state(curve, wrap_unit(mid_thetas))
-        li = li + np.floor(mid_thetas)
-        lm, pm, am = integrate_batch(h, li, pi, s, t, settings)
-        hm = hi + am
-        order = np.argsort(np.concatenate([thetas, mid_thetas]), kind="stable")
-        thetas = np.concatenate([thetas, mid_thetas])[order]
-        lift_t = np.concatenate([lift_t, lm])[order]
-        p_t = np.concatenate([p_t, pm])[order]
-        h_t = np.concatenate([h_t, hm])[order]
+        lm, pm, am = integrate_batch(h, li + np.floor(mid_thetas), pi, s, t, settings)
+        pairs = ((thetas, mid_thetas), (lift_t, lm), (p_t, pm), (h_t, hi + am))
+        thetas, lift_t, p_t, h_t = (np.insert(x, need + 1, m) for x, m in pairs)  # after the node bisected from
     else:
         raise ResamplingBudgetExceeded("refinement did not settle in 64 rounds")
 
-    # coarsen: drop node i when both adjacent gaps are under spacing/3 and the
-    # merged gap stays within spacing (sequential scan, deterministic)
-    n = len(thetas)
-    if n > MIN_NODES:
-        keep = [0]
-        kept = n
-        for i in range(1, n):
-            prev = keep[-1]
-            nxt = (i + 1) % n
-            lift_nxt = lift_t[nxt] + (1.0 if nxt == 0 else 0.0)
-            gap_prev = np.hypot(lift_t[i] - lift_t[prev], p_t[i] - p_t[prev])
-            gap_next = np.hypot(lift_nxt - lift_t[i], p_t[nxt] - p_t[i])
-            gap_join = np.hypot(lift_nxt - lift_t[prev], p_t[nxt] - p_t[prev])
-            if (
-                kept > MIN_NODES
-                and gap_prev < spacing / 3
-                and gap_next < spacing / 3
-                and gap_join <= spacing
-            ):
-                kept -= 1
-                continue
-            keep.append(i)
-        if len(keep) < n:
-            idx = np.array(keep)
-            lift_t, p_t, h_t = lift_t[idx], p_t[idx], h_t[idx]
+    drop = _coarsened(lift_c, p_c, gaps, spacing)
+    lift_t, p_t, h_t = (np.delete(x, drop) for x in (lift_t, p_t, h_t))
 
-    shift = np.floor(lift_t[0])
-    out = LagrangianCurve(lift_t - shift, p_t, h_t)
+    out = LagrangianCurve(lift_t - np.floor(lift_t[0]), p_t, h_t)
     tol = 1e-6 * max(1.0, out.length()) * (1.0 + float(np.max(np.abs(out.p))))
     if abs(loop_integral(out)) > 50 * tol:
         raise ExactnessLost("exactness lost during evolution; refine spacing or steps")

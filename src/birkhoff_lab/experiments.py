@@ -356,12 +356,15 @@ def resolve_potential_settings(config: ExperimentConfig) -> dict:
     return {"n": config.resolution, "quad_nodes": config.quad_nodes, "max_span": config.max_span}
 
 
+ALPHA0_HORIZON = 48  # periods of value iteration behind every alpha0 estimate
+
+
 def resolve_alpha0(config: ExperimentConfig) -> float:
     """The pinned alpha0, else the value-iteration estimate under the config's
     potential settings."""
     if config.alpha0 is not None:
         return config.alpha0
-    return mane_critical_value(config.hamiltonian, 48, **resolve_potential_settings(config)).alpha0
+    return mane_critical_value(config.hamiltonian, ALPHA0_HORIZON, **resolve_potential_settings(config)).alpha0
 
 
 def one_period(config: ExperimentConfig) -> tuple[GridFunction, PotentialMatrix, float]:

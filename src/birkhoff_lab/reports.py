@@ -92,13 +92,14 @@ def _scale(vals, lo, hi, out_lo, out_hi):
 
 
 def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
-    """series: list of (name, xs, ys); one polyline per entry.
+    """series: list of (name, xs, ys), each drawn in one colour with one legend
+    entry; xs and ys are lists of pieces, each drawn as one polyline.
 
     y values that all agree to rounding are drawn as equal, on the bottom edge
     of a unit y-range, so a last-bit difference is not stretched over the plot.
     """
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
+    xs_all = [x for _, xs, _ in series for piece in xs for x in piece]
+    ys_all = [y for _, _, ys in series for piece in ys for y in piece]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     lo_x, hi_x = min(xs_all), max(xs_all)
@@ -107,15 +108,14 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
         hi_y = lo_y + 1.0
     parts, (x0, y0, x1, y1) = _svg_frame(title)
     for k, (name, xs, ys) in enumerate(series):
-        if len(xs) == 0:
+        if not any(map(len, xs)):
             continue
-        px = _scale(xs, lo_x, hi_x, x0, x1)
-        py = _scale(ys, lo_y, hi_y, y1, y0)
-        pts = " ".join(f"{a:.4f},{b:.4f}" for a, b in zip(px, py))
         color = _PALETTE[k % len(_PALETTE)]
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>\n'
-        )
+        for piece_x, piece_y in zip(xs, ys):
+            px = _scale(piece_x, lo_x, hi_x, x0, x1)
+            py = _scale(piece_y, lo_y, hi_y, y1, y0)
+            pts = " ".join(f"{a:.4f},{b:.4f}" for a, b in zip(px, py))
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>\n')
         if name:
             parts.append(
                 f'<text x="{x1 - 8}" y="{y0 + 14 + 13 * k}" font-family="monospace" '
@@ -189,9 +189,12 @@ def emit_reports(bundle: ReportBundle, outdir) -> list[Path]:
 
         portrait = []
         for n in sorted(bundle.curves):
+            # in parameter order, a new piece at each period crossing of the
+            # lift: no drawn segment jumps between the sheets of a fold
             c = bundle.curves[n]
-            order = np.argsort(c.q, kind="stable")
-            portrait.append((f"n={n}", list(c.q[order]), list(c.p[order])))
+            starts = (np.flatnonzero(np.diff(np.floor(c.closed_lift()))) + 1) % c.n_nodes
+            pieces = np.split(np.roll(np.arange(c.n_nodes), -starts[0]), np.sort((starts - starts[0]) % c.n_nodes)[1:])
+            portrait.append((f"n={n}", [c.q[i] for i in pieces], [c.p[i] for i in pieces]))
         svg1 = out / "phase_portrait.svg"
         polyline_plot_svg(svg1, portrait, "iterates in phase space", "q", "p")
         written.append(svg1)
@@ -200,7 +203,7 @@ def emit_reports(bundle: ReportBundle, outdir) -> list[Path]:
         for name in ("return_forward", "return_backward", "hausdorff", "gauge", "invariance"):
             if name in bundle.series and bundle.series[name]:
                 xs, ys = zip(*bundle.series[name])
-                series.append((name, list(xs), list(ys)))
+                series.append((name, [xs], [ys]))
         svg2 = out / "return_distance.svg"
         polyline_plot_svg(svg2, series, "convergence diagnostics", "iterate", "distance")
         written.append(svg2)

@@ -94,6 +94,16 @@ def test_recurrence_and_mane(tmp_path, small_config):
     assert abs(est["alpha0"]) <= 5e-3  # manufactured family, offset zero
 
 
+def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
+    # a user who pins the alpha0 that mane printed runs what an unpinned
+    # config runs
+    out = tmp_path / "out"
+    assert run(["--config", small_config, "--out", out, "--quiet", "mane"]) == 0
+    assert run(["--config", small_config, "--out", out, "--quiet", "barrier", "--n-min", "4", "--n-max", "8"]) in (0, 2)
+    mane = json.loads((out / "mane.json").read_text())
+    assert mane["alpha0"] == json.loads((out / "barrier.json").read_text())["alpha0"]
+
+
 def test_flow_and_lax_and_potential(tmp_path, small_config):
     out = tmp_path / "out"
     assert run(["--config", small_config, "--out", out, "--quiet", "flow", "--p", "0.5"]) == 0

@@ -3,9 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from birkhoff_lab.curves import (
+    MIN_NODES,
     LagrangianCurve,
     curve_from_csv,
     curve_to_csv,
@@ -21,6 +22,7 @@ from birkhoff_lab.curves import (
     oscillation,
     points_to_curve_distance,
     reduced_complexity_gauge,
+    _coarsened,
     _point_segment_sq,
 )
 from birkhoff_lab.errors import (
@@ -135,6 +137,77 @@ def test_resampling_budget(monkeypatch):
     c0 = from_potential(sine_potential(0.2, 64))
     with pytest.raises(ResamplingBudgetExceeded):
         evolve(FREE, c0, 0, 2.0, FlowSettings(), spacing=1e-3)
+
+
+def _coarsen_oracle(lift, p, spacing):
+    """evolve's coarsening as a scan over every node: the indices it keeps."""
+    n = len(lift)
+    keep, kept = [0], n
+    for i in range(1, n):
+        prev = keep[-1]
+        nxt = (i + 1) % n
+        lift_nxt = lift[nxt] + (1.0 if nxt == 0 else 0.0)
+        gap_prev = np.hypot(lift[i] - lift[prev], p[i] - p[prev])
+        gap_next = np.hypot(lift_nxt - lift[i], p[nxt] - p[i])
+        gap_join = np.hypot(lift_nxt - lift[prev], p[nxt] - p[prev])
+        if kept > MIN_NODES and gap_prev < spacing / 3 and gap_next < spacing / 3 and gap_join <= spacing:
+            kept -= 1
+            continue
+        keep.append(i)
+    return keep
+
+
+def _coarsen_kept(lift, p, spacing):
+    """The indices evolve's coarsening keeps, from the arrays its refinement leaves."""
+    lift_c, p_c = np.append(lift, lift[0] + 1), np.append(p, p[0])
+    gaps = np.hypot(np.diff(lift_c), np.diff(p_c))
+    return np.delete(np.arange(len(lift)), _coarsened(lift_c, p_c, gaps, spacing)).tolist()
+
+
+def _closed_polyline(ratios, angles, origin=0j):
+    """(lift, p, spacing) of a polyline that closes one turn up and whose gaps
+    are `ratios` times spacing, the last one the closing gap."""
+    steps = np.asarray(ratios) * np.exp(1j * np.asarray(angles, dtype=float))
+    total = steps.sum()
+    steps = steps * (abs(total) / total)  # rotated to add up along the lift
+    spacing = 1 / abs(total)
+    z = origin + spacing * np.concatenate([[0], np.cumsum(steps[:-1])])
+    return z.real, z.imag, spacing
+
+
+@st.composite
+def tiny_gap_polylines(draw):
+    """Closed polylines with runs of gaps under spacing/3 (some of them zero)."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 8)), min_size=2, max_size=24))
+    tiny = np.repeat([t for t, _ in runs], [k for _, k in runs])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = len(tiny)
+    ratios = np.where(tiny, rng.uniform(0, 1 / 3, n) * (rng.random(n) > 0.1), rng.uniform(1 / 3, 1.5, n))
+    angles = rng.uniform(-1, 1, n) * draw(st.floats(0, np.pi))
+    assume(abs(np.sum(ratios * np.exp(1j * angles))) > 1e-3)
+    return _closed_polyline(ratios, angles, complex(*rng.normal(size=2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tiny_gap_polylines())
+def test_coarsening_keeps_what_the_scan_over_every_node_keeps(case):
+    lift, p, spacing = case
+    assert _coarsen_kept(lift, p, spacing) == _coarsen_oracle(lift, p, spacing)
+
+
+@pytest.mark.parametrize("ratios, dropped", [
+    # node 0 stays though both its gaps are tiny; the closing node n - 1 goes
+    ([0.1] + [0.9] * 20 + [0.1, 0.1], [22]),
+    # node 22 is measured from node 20, the last kept before it, and stays
+    ([0.9] * 20 + [0.2] * 4, [21, 23]),
+    # drops stop once MIN_NODES nodes are left
+    ([0.9] * 4 + [0.1] * 16, [5, 6, 7, 9]),
+])
+def test_coarsening_cases(ratios, dropped):
+    lift, p, spacing = _closed_polyline(ratios, np.zeros(len(ratios)))
+    kept = [i for i in range(len(ratios)) if i not in dropped]
+    assert _coarsen_oracle(lift, p, spacing) == kept
+    assert _coarsen_kept(lift, p, spacing) == kept
 
 
 def test_hausdorff_examples():

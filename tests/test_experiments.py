@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birkhoff_lab.curves import curve_from_csv, graph_check
+from birkhoff_lab import reports
+from birkhoff_lab.curves import LagrangianCurve, curve_from_csv, graph_check
 from birkhoff_lab.experiments import (
     ExperimentConfig,
     ReportBundle,
@@ -317,6 +318,36 @@ def test_emit_reports_witness_reproducible(tmp_path):
     assert len(fr.fold_parameters) == rec.fold_count
 
 
+def _drawn_portrait(bundle, tmp_path, monkeypatch):
+    """The series emit_reports hands to the phase portrait, in data units."""
+    drawn = {}
+    monkeypatch.setattr(reports, "polyline_plot_svg", lambda path, series, *a: drawn.setdefault(path.name, series))
+    emit_reports(bundle, tmp_path)
+    return drawn["phase_portrait.svg"]
+
+
+def test_phase_portrait_follows_folded_curves(tmp_path, monkeypatch):
+    # drawn in parameter order and broken at period crossings, no drawn
+    # segment of a folded iterate jumps between its sheets
+    bundle = run_iteration_experiment(SHOCK)
+    assert not all(graph_check(c).is_graph for c in bundle.curves.values())
+    for (name, qs, ps), n in zip(_drawn_portrait(bundle, tmp_path, monkeypatch), sorted(bundle.curves)):
+        c = bundle.curves[n]
+        widest = np.max(np.hypot(np.diff(c.closed_lift()), np.diff(c.closed_p())))
+        assert name == f"n={n}" and sum(map(len, qs)) == c.n_nodes
+        for q, p in zip(qs, ps):
+            assert np.max(np.hypot(np.diff(q), np.diff(p)), initial=0.0) <= widest * (1 + 1e-12)
+
+
+def test_phase_portrait_of_a_graph_is_its_nodes_sorted_by_q(tmp_path, monkeypatch):
+    nodes = np.arange(64) / 64
+    curve = LagrangianCurve(nodes + 0.3, np.sin(2 * np.pi * nodes) / 10)
+    bundle = ReportBundle(kind="iteration", verdict="PASS", reason="", curves={0: curve})
+    [(_, qs, ps)] = _drawn_portrait(bundle, tmp_path, monkeypatch)
+    order = np.argsort(curve.q, kind="stable")
+    assert len(qs) == 1 and np.array_equal(qs[0], curve.q[order]) and np.array_equal(ps[0], curve.p[order])
+
+
 def test_emit_reports_empty_bundle(tmp_path):
     bundle = ReportBundle(kind="iteration", verdict="NO_DATA", reason="")
     emit_reports(bundle, tmp_path)
@@ -339,7 +370,7 @@ def test_polyline_plot_draws_values_equal_to_rounding_as_equal(tmp_path):
     # opposite edges of the plot
     path = tmp_path / "plot.svg"
     xs = [1, 2, 3]
-    polyline_plot_svg(path, [("a", xs, [1.390316998156393] * 3), ("b", xs, [1.3903169981563932] * 3)], "t")
+    polyline_plot_svg(path, [("a", [xs], [[1.390316998156393] * 3]), ("b", [xs], [[1.3903169981563932] * 3])], "t")
     drawn = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     ys = [[point.split(",")[1] for point in points.split()] for points in drawn]
     assert len(ys) == 2 and ys[0] == ys[1]
