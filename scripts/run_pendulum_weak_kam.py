@@ -15,6 +15,7 @@ from pathlib import Path
 
 from birkhoff_lab.calibration import calibrated_curve, domination_check, spacetime_from_grid
 from birkhoff_lab.errors import KinkAtSeed
+from birkhoff_lab.experiments import ALPHA0_HORIZON
 from birkhoff_lab.hamiltonians import pendulum
 from birkhoff_lab.lax_oleinik import mane_critical_value, peierls_barrier, positive_weak_kam
 from birkhoff_lab.reports import grid_to_csv, potential_to_csv
@@ -25,7 +26,7 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     h = pendulum()
 
-    est = mane_critical_value(h, 64, 256)
+    est = mane_critical_value(h, ALPHA0_HORIZON, 256)
     print(f"critical value: {est.alpha0!r} +- {est.half_width:.2e}")
 
     residuals = {}

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import (
     EmptyInput,
     ExactnessLost,
-    MissingPrimitive,
     NotAGraph,
     ResamplingBudgetExceeded,
     TangencyDetected,
@@ -40,26 +39,25 @@ PAIR_BLOCK = 2**14  # candidate point-segment pairs evaluated at once
 
 @dataclass(frozen=True)
 class LagrangianCurve:
-    """Closed polyline (q_lift, p) with optional primitive, winding once."""
+    """Closed polyline (q_lift, p) with its primitive, winding once."""
 
     q_lift: np.ndarray
     p: np.ndarray
-    primitive: np.ndarray | None = None
+    primitive: np.ndarray
 
     def __post_init__(self):
         ql = np.asarray(self.q_lift, dtype=float)
         pp = np.asarray(self.p, dtype=float)
+        h = np.asarray(self.primitive, dtype=float)
         object.__setattr__(self, "q_lift", ql)
         object.__setattr__(self, "p", pp)
+        object.__setattr__(self, "primitive", h)
         if len(ql) < MIN_NODES:
             raise TooFewSamples(f"curve needs >= {MIN_NODES} nodes, got {len(ql)}")
         if len(ql) != len(pp):
             raise ValueError("q and p lengths differ")
-        if self.primitive is not None:
-            h = np.asarray(self.primitive, dtype=float)
-            object.__setattr__(self, "primitive", h)
-            if len(h) != len(ql):
-                raise ValueError("primitive length differs from node count")
+        if len(h) != len(ql):
+            raise ValueError("primitive length differs from node count")
 
     @property
     def n_nodes(self) -> int:
@@ -98,8 +96,6 @@ def loop_integral(curve: LagrangianCurve) -> float:
 
 def exactness_defects(curve: LagrangianCurve) -> np.ndarray:
     """Per-segment residuals of the discrete identity dh = p dq (trapezoid)."""
-    if curve.primitive is None:
-        raise MissingPrimitive("curve carries no primitive")
     dl = np.diff(curve.closed_lift())
     pc = curve.closed_p()
     hc = np.append(curve.primitive, curve.primitive[0])
@@ -144,28 +140,22 @@ def graph_check(curve: LagrangianCurve) -> FoldReport:
 
 def invert(curve: LagrangianCurve) -> LagrangianCurve:
     """Fiberwise momentum flip; the primitive changes sign with the 1-form."""
-    h = None if curve.primitive is None else -curve.primitive
-    return LagrangianCurve(curve.q_lift.copy(), -curve.p, h)
+    return LagrangianCurve(curve.q_lift.copy(), -curve.p, -curve.primitive)
 
 
 def _graph_samples(curve: LagrangianCurve, grid: np.ndarray):
-    """Sample p (and h) of a graph curve at given base points by linear interpolation."""
+    """Sample p and h of a graph curve at given base points by linear interpolation."""
     lift = curve.closed_lift()
     base = np.floor(lift[0])
     x = lift - base
     xs = np.concatenate([x - 1.0, x, x + 1.0])
     p = curve.closed_p()
     ps = np.concatenate([p, p, p])
-    out_p = np.interp(grid, xs, ps)
-    if curve.primitive is not None:
-        h = np.append(curve.primitive, curve.primitive[0])
-        # the closing node repeats the first primitive value up to the loop
-        # integral, which vanishes for exact curves
-        hs = np.concatenate([h, h, h])
-        out_h = np.interp(grid, xs, hs)
-    else:
-        out_h = None
-    return out_p, out_h
+    # the closing node repeats the first primitive value up to the loop
+    # integral, which vanishes for exact curves
+    h = np.append(curve.primitive, curve.primitive[0])
+    hs = np.concatenate([h, h, h])
+    return np.interp(grid, xs, ps), np.interp(grid, xs, hs)
 
 
 def fibred_sum(a: LagrangianCurve, b: LagrangianCurve) -> LagrangianCurve:
@@ -177,11 +167,7 @@ def fibred_sum(a: LagrangianCurve, b: LagrangianCurve) -> LagrangianCurve:
     grid = np.arange(n) / n
     pa, ha = _graph_samples(a, grid)
     pb, hb = _graph_samples(b, grid)
-    if a.primitive is not None and b.primitive is not None:
-        h = ha + hb
-    else:
-        h = None
-    return LagrangianCurve(q_lift=grid, p=pa + pb, primitive=h)
+    return LagrangianCurve(q_lift=grid, p=pa + pb, primitive=ha + hb)
 
 
 def reduced_complexity_gauge(curve: LagrangianCurve, limit_potential: GridFunction) -> float:
@@ -192,8 +178,6 @@ def reduced_complexity_gauge(curve: LagrangianCurve, limit_potential: GridFuncti
     primitive of the curve is node-wise h - u(q); its oscillation is the
     convergence gauge, independent of either additive constant.
     """
-    if curve.primitive is None:
-        raise MissingPrimitive("gauge needs a primitive")
     u_at_nodes = limit_potential.eval(curve.q)
     return oscillation(curve.primitive - u_at_nodes)
 
@@ -262,9 +246,6 @@ def evolve(
     Resampling past NODE_CAP nodes raises ResamplingBudgetExceeded, a loop
     integral off zero ExactnessLost.
     """
-    if curve.primitive is None:
-        raise MissingPrimitive("evolve transports primitives; curve has none")
-
     thetas = np.arange(curve.n_nodes) / curve.n_nodes
     lift_t, p_t, act = integrate_batch(h, curve.q_lift, curve.p, s, t, settings)
     h_t = curve.primitive + act
@@ -397,9 +378,6 @@ def intersection_action_gap(a: LagrangianCurve, b: LagrangianCurve) -> list[floa
     meeting at an angle below 1e-6 raise TangencyDetected. Intersections
     closer than 1e-9 in parameter are merged.
     """
-    if a.primitive is None or b.primitive is None:
-        raise MissingPrimitive("action gaps need primitives on both curves")
-
     la, pa = a.closed_lift(), a.closed_p()
     ha = np.append(a.primitive, a.primitive[0])
     lb, pb = b.closed_lift(), b.closed_p()
@@ -489,25 +467,24 @@ def _points_off_line(bx, by, ex, ey, ax1, ay1, ax2, ay2) -> bool:
 
 
 def curve_to_csv(curve: LagrangianCurve, path) -> None:
-    """Write `index,q,p,h` rows (h blank when absent)."""
+    """Write `index,q,p,h` rows."""
     write_csv(path, ["index", "q", "p", "h"], [np.arange(curve.n_nodes), curve.q, curve.p, curve.primitive])
 
 
 def curve_from_csv(path) -> LagrangianCurve:
     """Read a curve written by curve_to_csv, each row placed by its index.
 
-    The primitive is read only when every row has an h value. Raises
-    ValueError on another header, or an index that is missing, repeated or
-    outside the node range.
+    Raises ValueError on another header, a blank or malformed cell, or an
+    index that is missing, repeated or outside the node range.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "index,q,p,h":
             raise ValueError(f"unexpected curve CSV header {header!r}")
         row = np.dtype([("index", np.int64), ("q", float), ("p", float), ("h", float)])
-        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1, converters={3: lambda h: float(h) if h else np.nan})
+        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
     q, p, h = (place_cells(path, rows["index"], rows[name], (len(rows),)) for name in ("q", "p", "h"))
-    return LagrangianCurve(_lift_from_wrapped(q), p, None if np.isnan(h).any() else h)
+    return LagrangianCurve(_lift_from_wrapped(q), p, h)
 
 
 def _lift_from_wrapped(q: np.ndarray) -> np.ndarray:

@@ -37,10 +37,6 @@ class NotAGraph(BirkhoffLabError):
     """Operation requires fold-free curves."""
 
 
-class MissingPrimitive(BirkhoffLabError):
-    """Operation requires a curve carrying primitive values."""
-
-
 class TangencyDetected(BirkhoffLabError):
     """Two curves intersect at an angle too shallow for reliable values."""
 

@@ -447,12 +447,16 @@ def witness_consistent(s: SampledFqi, sv: SpectralValue) -> bool:
 # serialization
 
 
+def _fqi_header(fiber_dims: int) -> list[str]:
+    """Column names of an instance CSV: the base index, one per fiber axis, the value."""
+    return ["q_index", *(f"xi{i + 1}_index" for i in range(fiber_dims)), "value"]
+
+
 def fqi_to_csv(s: SampledFqi, path) -> None:
     path = Path(path)
     rows_shape = (s.base_resolution or 1,) + s.fiber_shape  # the q column is 0 without a base
-    header = ["q_index", *(f"xi{i + 1}_index" for i in range(s.fiber_dims)), "value"]
     indices = [lambda rows, k=k: np.unravel_index(rows, rows_shape)[k] for k in range(len(rows_shape))]
-    write_csv(path, header, [*indices, s.values.ravel()])
+    write_csv(path, _fqi_header(s.fiber_dims), [*indices, s.values.ravel()])
     write_json(path.with_suffix(".meta.json"), {
         "base_resolution": s.base_resolution,
         "fiber_resolution": list(s.fiber_shape),
@@ -466,8 +470,8 @@ def fqi_to_csv(s: SampledFqi, path) -> None:
 def fqi_from_csv(path) -> SampledFqi:
     """Read an instance written by fqi_to_csv.
 
-    Raises ValueError on a line whose column count is wrong, an index outside
-    the shape, or a cell that is missing or listed twice.
+    Raises ValueError on another header, a line whose column count is wrong,
+    an index outside the shape, or a cell that is missing or listed twice.
     """
     path = Path(path)
     with open(path.with_suffix(".meta.json"), "r", encoding="utf-8") as fh:
@@ -475,9 +479,10 @@ def fqi_from_csv(path) -> SampledFqi:
     base = meta["base_resolution"]
     rows_shape = (base or 1,) + tuple(meta["fiber_resolution"])  # the q column is 0 without a base
     row = np.dtype([("cell", np.int32, (len(rows_shape),)), ("value", float)])
+    header = ",".join(_fqi_header(len(rows_shape) - 1))
     with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().count(",") != len(rows_shape):
-            raise ValueError(f"{path}: the header does not have {len(rows_shape) + 1} columns")
+        if fh.readline().strip() != header:
+            raise ValueError(f"{path}: the header is not {header!r}")
         rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
     try:
         flat = np.ravel_multi_index(rows["cell"].T, rows_shape)

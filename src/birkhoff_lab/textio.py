@@ -36,13 +36,13 @@ def _cells(block) -> list[str]:
 def write_csv(path, header, columns) -> None:
     """Write the header line, then one row per index across the columns.
 
-    A column is an array, None (every cell missing), or a function that maps
-    an array of row numbers to the cells of those rows (for columns computed
-    from the row number, such as grid coordinates). There are as many rows as
-    the longest array has values; a shorter array leaves its last cells
-    missing. Header entries that are not strings follow the cell rule.
+    A column is an array, or a function that maps an array of row numbers to
+    the cells of those rows (for columns computed from the row number, such
+    as grid coordinates). There are as many rows as the longest array has
+    values; a shorter array, an empty one too, leaves its last cells missing.
+    Header entries that are not strings follow the cell rule.
     """
-    columns = [c if callable(c) else np.asarray([] if c is None else c) for c in columns]
+    columns = [c if callable(c) else np.asarray(c) for c in columns]
     n = max(len(c) for c in columns if not callable(c))
     block = max(1, BLOCK_CELLS // len(columns))
     with _open(path) as fh:

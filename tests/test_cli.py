@@ -239,6 +239,28 @@ def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
     assert json.loads((out / "barrier.json").read_text())["alpha0"] == 0.25
 
 
+def test_birkhoff_scores_iterates_against_the_configured_limit(tmp_path):
+    # the default initial potential is 0.05 sin(2 pi q); a limit that equals it
+    # is the blank key's default, and one 0.01 higher moves every graph by
+    # 2 pi 0.01 in p and its primitive by 0.01 sin, of oscillation 0.02
+    def birkhoff(limit):
+        cfg = tmp_path / f"{limit or 'blank'}.ini"
+        cfg.write_text(f"[experiment]\nn_max = 2\nm_max = 2\nlimit_potential_coeffs = {limit}\n", encoding="utf-8")
+        out = tmp_path / cfg.stem
+        run(["--config", cfg, "--out", out, "--quiet", "birkhoff"])
+        return out
+
+    blank, same, higher = birkhoff(""), birkhoff("0 1 0.0 0.05"), birkhoff("0 1 0.0 0.06")
+    assert (same / "diagnostics.csv").read_bytes() == (blank / "diagnostics.csv").read_bytes()
+    rows = [row.split(",") for row in (higher / "diagnostics.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [-2, -1, 1, 2]
+    assert all(float(row[1]) == pytest.approx(2 * np.pi * 0.01, abs=1e-5) for row in rows)
+    assert all(float(row[2]) == pytest.approx(0.02, abs=1e-6) for row in rows)
+    report = json.loads((higher / "report.json").read_text())
+    assert all(not d["fired"] and d["hits"] == [] for d in report["detectors"].values())
+    assert report["config"]["limit_potential_coeffs"] == [[0, 1, 0.0, 0.06]]
+
+
 def test_spectral_runs_each_global_percolation_once(tmp_path, monkeypatch):
     f = lambda q, x: x**2 + 0.2 * np.sin(2 * np.pi * q)
     g = lambda q, x: x**2 + 0.1 * np.cos(2 * np.pi * q)

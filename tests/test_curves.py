@@ -27,7 +27,6 @@ from birkhoff_lab.curves import (
 )
 from birkhoff_lab.errors import (
     EmptyInput,
-    MissingPrimitive,
     NotAGraph,
     ResamplingBudgetExceeded,
     TangencyDetected,
@@ -44,10 +43,8 @@ def sine_potential(amp, n=1024, harmonic=1):
     return grid_from_trig(TrigPolynomial.from_coeffs([(0, harmonic, 0.0, amp)]), n)
 
 
-def zero_section(n=64, with_primitive=True):
-    return LagrangianCurve(
-        np.arange(n) / n, np.zeros(n), np.zeros(n) if with_primitive else None
-    )
+def zero_section(n=64):
+    return LagrangianCurve(np.arange(n) / n, np.zeros(n), np.zeros(n))
 
 
 def test_from_potential_zero():
@@ -85,13 +82,13 @@ def test_evolve_matches_characteristics():
     c1 = evolve(FREE, c0, 0, 0.2, FlowSettings(), spacing=1e-3)
     qs = np.arange(8192) / 8192
     du = 2 * np.pi * a * np.cos(2 * np.pi * qs)
-    char = LagrangianCurve(qs + 0.2 * du, du, None)
+    char = LagrangianCurve(qs + 0.2 * du, du, np.zeros(8192))
     assert hausdorff_distance(c1, char) <= 1e-5
 
 
-def test_evolve_requires_primitive():
-    with pytest.raises(MissingPrimitive):
-        evolve(FREE, zero_section(with_primitive=False), 0, 1)
+def test_curve_requires_primitive():
+    with pytest.raises(TypeError):
+        LagrangianCurve(np.arange(32) / 32, np.zeros(32))
 
 
 def test_evolve_zero_section_fixed():
@@ -213,10 +210,10 @@ def test_coarsening_cases(ratios, dropped):
 def test_hausdorff_examples():
     z = zero_section(256)
     assert hausdorff_distance(z, z) == 0.0
-    ze = LagrangianCurve(np.arange(256) / 256, np.full(256, 0.25), None)
+    ze = LagrangianCurve(np.arange(256) / 256, np.full(256, 0.25), np.zeros(256))
     assert hausdorff_distance(z, ze) == pytest.approx(0.25, abs=1e-12)
     g = from_potential(grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, 0.1, 0.0)]), 8192))
-    z2 = zero_section(8192, with_primitive=False)
+    z2 = zero_section(8192)
     # brute-force dense-sampling oracle value: max |p| = 0.2 pi
     assert hausdorff_distance(g, z2) == pytest.approx(0.2 * np.pi, abs=1e-6)
 
@@ -264,9 +261,9 @@ def _curve_and_points(draw):
         b = from_potential(u)
     if kind == "repeated":  # zero-length segments between repeated nodes
         reps = rng.integers(1, 4, b.n_nodes)
-        b = LagrangianCurve(np.repeat(b.q_lift, reps), np.repeat(b.p, reps), None)
+        b = LagrangianCurve(np.repeat(b.q_lift, reps), np.repeat(b.p, reps), np.repeat(b.primitive, reps))
     if kind == "lifted":  # winding-1 lift that starts outside [0, 1)
-        b = LagrangianCurve(b.q_lift + draw(st.integers(-3, 3)) + rng.uniform(-1, 1), b.p, None)
+        b = LagrangianCurve(b.q_lift + draw(st.integers(-3, 3)) + rng.uniform(-1, 1), b.p, b.primitive)
     other = from_potential(grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, *rng.uniform(-0.1, 0.1, 2))]), 64))
     seam = np.array([0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0), -1e-17, 2.0, -1.0])
     q = np.concatenate([other.q, rng.uniform(-1.5, 2.5, n), seam, b.q_lift[: n // 4]])
@@ -290,7 +287,7 @@ def test_points_to_curve_distance_memory_is_bounded():
     # the all-pairs search holds 512 x 4000 doubles (16 MB) per temporary
     n = 4000
     grid = np.arange(n) / n
-    b = LagrangianCurve(grid, 0.3 * np.sin(2 * np.pi * grid), None)
+    b = LagrangianCurve(grid, 0.3 * np.sin(2 * np.pi * grid), np.zeros(n))
     q = grid + 0.5 / n
     p = 0.25 * np.cos(2 * np.pi * q)
     points_to_curve_distance(q, p, b)
@@ -331,7 +328,7 @@ def test_graph_check_fold_oracle():
 def test_graph_check_fold_at_closing_segment():
     # a lift spanning two turns closes one turn up from its first node, so the
     # closing segment runs backwards: a fold there and where the lift restarts
-    c = LagrangianCurve(2.0 * np.arange(32) / 32, np.zeros(32))
+    c = LagrangianCurve(2.0 * np.arange(32) / 32, np.zeros(32), np.zeros(32))
     fr = graph_check(c)
     assert not fr.is_graph
     assert fr.fold_parameters == (0, 31)
@@ -460,8 +457,10 @@ def test_curve_csv_rows_placed_by_index(tmp_path):
 
 
 def test_curve_csv_blank_primitive(tmp_path):
-    c = zero_section(32, with_primitive=False)
     path = tmp_path / "c.csv"
-    curve_to_csv(c, path)
-    c2 = curve_from_csv(path)
-    assert c2.primitive is None
+    curve_to_csv(zero_section(32), path)
+    header, *rows = path.read_text().splitlines()
+    rows[5] = rows[5].rsplit(",", 1)[0] + ","
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with pytest.raises(ValueError):
+        curve_from_csv(path)

@@ -341,7 +341,7 @@ def test_phase_portrait_follows_folded_curves(tmp_path, monkeypatch):
 
 def test_phase_portrait_of_a_graph_is_its_nodes_sorted_by_q(tmp_path, monkeypatch):
     nodes = np.arange(64) / 64
-    curve = LagrangianCurve(nodes + 0.3, np.sin(2 * np.pi * nodes) / 10)
+    curve = LagrangianCurve(nodes + 0.3, np.sin(2 * np.pi * nodes) / 10, np.zeros(64))
     bundle = ReportBundle(kind="iteration", verdict="PASS", reason="", curves={0: curve})
     [(_, qs, ps)] = _drawn_portrait(bundle, tmp_path, monkeypatch)
     order = np.argsort(curve.q, kind="stable")

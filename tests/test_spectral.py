@@ -355,7 +355,7 @@ def test_fibred_sum_not_shell_enforced():
 
 @pytest.mark.parametrize("damage", [
     "extra column", "negative index", "index past the shape", "missing cell", "duplicate cell", "nan value",
-    "inf value",
+    "inf value", "renamed header", "reordered header",
 ])
 def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
     s = sample_fqi(lambda q, x: x**2 + 0.1 * np.sin(2 * np.pi * q), (1,), base_resolution=4, fiber_resolution=5)
@@ -363,6 +363,10 @@ def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
     fqi_to_csv(s, path)
     header, *rows = path.read_text().splitlines()
     head, cell, tail = rows[:12], rows[12], rows[13:]  # cell (2, 2), inside the shell
+    if damage == "renamed header":
+        header = header.replace("xi1", "xi2")
+    if damage == "reordered header":
+        header = "value,xi1_index,q_index"
     rows = {
         "extra column": head + [cell + ",0"] + tail,
         "negative index": head + ["2,-1,0.5"] + tail,
@@ -371,7 +375,7 @@ def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
         "duplicate cell": rows + [cell],
         "nan value": head + ["2,2,nan"] + tail,
         "inf value": head + ["2,2,inf"] + tail,
-    }[damage]
+    }.get(damage, rows)
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ValueError):
         fqi_from_csv(path)

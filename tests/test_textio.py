@@ -47,7 +47,7 @@ def test_csv_cell_rule(tmp_path, monkeypatch):
     path = tmp_path / "sub" / "t.csv"
     write_csv(path, ["i", "x", "ok", "short", "none", "sq", 0.5],
               [np.arange(5), [0.1, 1.0, -0.0, 1e-300, 2 / 3], np.array([True, False, True, True, False]),
-               np.array([1.5, 2.5]), None, lambda rows: rows * rows, np.arange(5, dtype=np.float32) / 3])
+               np.array([1.5, 2.5]), [], lambda rows: rows * rows, np.arange(5, dtype=np.float32) / 3])
     assert path.read_bytes().decode("utf-8").splitlines() == [
         "i,x,ok,short,none,sq,0.5",
         f"0,0.1,true,1.5,,0,{float(np.float32(0) / 3)!r}",
