@@ -71,12 +71,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_max < 1 or self.m_max < 1:
             raise ValueError("iterate counts must be >= 1")
-        if min(self.hausdorff_tol, self.gauge_tol) <= 0:
-            raise ValueError("detector thresholds must be positive")
+        if not all(0 < x < np.inf for x in (self.hausdorff_tol, self.gauge_tol)):
+            raise ValueError("detector thresholds must be finite and positive")
         if self.window < 1:
             raise ValueError("the detector window must be >= 1")
-        if not self.spacing > 0:
-            raise ValueError("the node spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("the node spacing must be finite and positive")
+        if self.alpha0 is not None and not np.isfinite(self.alpha0):
+            raise ValueError("a pinned alpha0 must be finite")
         require_power_of_two(self.resolution, "resolution")
         require_power_of_two(self.initial_nodes, "initial_nodes")
 
@@ -155,23 +157,28 @@ def parse_trig_coeffs(text: str) -> TrigPolynomial:
 
 
 def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian:
+    """The [hamiltonian] family; a key only the other family reads is an error."""
     sec = cp["hamiltonian"]
     family = sec.get("family", "shifted_quadratic").strip().lower()
-    kinetic = sec.getfloat("kinetic", 1.0)
+    family_keys = {"mechanical": ("kinetic", "potential_coeffs"), "shifted_quadratic": ("shift_coeffs", "drift")}
+    if family not in family_keys:
+        raise ValueError(f"config cannot declare family {family!r} (custom is API-only)")
+    for other, keys in family_keys.items():
+        for key in keys:
+            if other != family and key in sec:
+                raise ValueError(f"[hamiltonian] key {key!r} is read by family {other}, not {family}")
     offset = sec.getfloat("offset", 0.0)
     if family == "mechanical":
         return mechanical(
             parse_trig_coeffs(sec.get("potential_coeffs", "")).terms,
-            kinetic=kinetic,
+            kinetic=sec.getfloat("kinetic", 1.0),
             offset=offset,
         )
-    if family == "shifted_quadratic":
-        return shifted_quadratic(
-            parse_trig_coeffs(sec.get("shift_coeffs", "1 1 0.0 0.05")).terms,
-            drift=sec.getfloat("drift", 0.3),
-            offset=offset,
-        )
-    raise ValueError(f"config cannot declare family {family!r} (custom is API-only)")
+    return shifted_quadratic(
+        parse_trig_coeffs(sec.get("shift_coeffs", "1 1 0.0 0.05")).terms,
+        drift=sec.getfloat("drift", 0.3),
+        offset=offset,
+    )
 
 
 def load_config(path: str | Path | None = None) -> ExperimentConfig:

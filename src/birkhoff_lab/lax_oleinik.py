@@ -1,10 +1,11 @@
 """Action potentials, Lax-Oleinik operators, Mane critical value, Peierls barrier.
 
 Everything runs on uniform periodic grids. Short-time potentials are built by
-midpoint quadrature of the Lagrangian along straight segments over a winding
-window. A node of a segment is an outer sum of a start-point and an end-point
-term, so the closed-form families sum their trig terms by angle addition with
-O(n) cos/sin calls per term and node, not O(n^2). Longer spans compose by
+midpoint quadrature of the Lagrangian along straight segments, least over the
+windings that attain a minimum. A node of a segment is an outer sum of a
+start-point and an end-point term, so the closed-form families sum their trig
+terms by angle addition with O(n) cos/sin calls per term and node, not
+O(n^2). Longer spans compose by
 min-plus matrix products over grid midpoints, halving recursively. A compose
 visits only the intermediate points that can attain a minimum, and gives the
 same bits as visiting all of them. A matrix is built and cached from
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 
 SINGLE_STEP_SPAN = 0.25
-WINDING_WINDOW = 2
 QUAD_NODES = 8
 CAUCHY_TOL = 0.5
 BARRIER_TOL = 1e-4
@@ -49,7 +50,6 @@ class PotentialMatrix:
     s: float
     t: float
     entries: np.ndarray
-    boundary_winding_active: bool = False
 
     @property
     def resolution(self) -> int:
@@ -114,9 +114,7 @@ def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
         for y in range(y0, y_end, step):
             rows = slice(y, min(y + step, y_end))
             out[rows] = np.min(aa[rows, zs, None] + bz, axis=1)
-    return PotentialMatrix(
-        a.s, b.t, out, a.boundary_winding_active or b.boundary_winding_active
-    )
+    return PotentialMatrix(a.s, b.t, out)
 
 
 class _PotentialCache:
@@ -162,28 +160,30 @@ def _single_step(h, s, t, n, quad_nodes):
 
     Node i of a segment sits at (1 - f_i) y + f_i (x + w), an outer sum of a
     start-point and an end-point term, which the family sums over the nodes
-    in one pass (`segment_lagrangian`).
+    in one pass (`segment_lagrangian`). Tonelli minimisers have bounded speed,
+    so the useful w form one range around 0: each side walks out from 0 and
+    stops at the first w that attains no entry's minimum (a finite one).
     """
     grid = np.arange(n) / n
     span = t - s
-    best = None
-    best_w = None
     taus = s + (np.arange(quad_nodes) + 0.5) * span / quad_nodes
     fracs = (taus - s) / span
     start = (1.0 - fracs)[:, None] * grid
-    for w in range(-WINDING_WINDOW, WINDING_WINDOW + 1):
+
+    def action(w):
         vel = (grid[None, :] - grid[:, None] + w) / span
         acc = h.ops.segment_lagrangian(h, taus, start, fracs[:, None] * (grid + w), vel)
         acc *= span / quad_nodes
-        if best is None:
-            best = acc
-            best_w = np.full((n, n), w)
-        else:
-            mask = acc < best
-            best = np.where(mask, acc, best)
-            best_w = np.where(mask, w, best_w)
-    at_boundary = bool(np.any(np.abs(best_w) >= WINDING_WINDOW))
-    return PotentialMatrix(s, t, best, at_boundary)
+        return acc
+
+    best = action(0)
+    for side in (-1, 1):
+        for w in count(side, side):
+            acc = action(w)
+            best = np.where(acc < best, acc, best)
+            if not np.any((acc <= best) & np.isfinite(acc)):
+                break
+    return PotentialMatrix(s, t, best)
 
 
 def _halving(s, t, max_span):
@@ -219,7 +219,7 @@ def potential(
                 potential(h, mid, fs + span, n, max_span, quad_nodes),
             )
         _POTENTIAL_CACHE.put(key, hit)
-    return PotentialMatrix(s, t, hit.entries, hit.boundary_winding_active)
+    return PotentialMatrix(s, t, hit.entries)
 
 
 def _single_steps(h, s, t, n, max_span, quad_nodes) -> list[PotentialMatrix]:

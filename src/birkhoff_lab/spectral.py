@@ -44,19 +44,19 @@ class SpectralValue:
 
 @dataclass(frozen=True)
 class SampledFqi:
-    """Samples of a function equal to constant + quadratic outside a compact set.
+    """Samples of a function equal to its quadratic part outside a compact set.
 
-    values has shape (base_resolution?, M1[, M2]) with odd fiber resolutions.
-    shell_enforced marks instances whose outer fiber shell was overwritten
-    with constant + quadratic at construction; fibred sums keep the flag off
-    because the sum of compact perturbations is not compactly supported on
-    the product box (mixed far regions), matching the continuum caveat.
+    values has shape (base_resolution?, M1[, M2]) with odd fiber resolutions
+    over the fiber box [-FIBER_HALFWIDTH, FIBER_HALFWIDTH]^k; the constant at
+    infinity is 0. shell_enforced marks instances whose outer fiber shell was
+    overwritten with the quadratic part at construction; fibred sums keep the
+    flag off because the sum of compact perturbations is not compactly
+    supported on the product box (mixed far regions), matching the continuum
+    caveat.
     """
 
     values: np.ndarray
     signature: tuple[int, ...]
-    fiber_halfwidth: float
-    constant_at_infinity: float = 0.0
     base_resolution: int | None = None
     shell_enforced: bool = True
 
@@ -80,7 +80,7 @@ class SampledFqi:
         if self.shell_enforced:
             err = self.shell_error()
             if err > SHELL_TOL:
-                raise ValueError(f"outer shell deviates from constant+quadratic by {err}")
+                raise ValueError(f"outer shell deviates from the quadratic part by {err}")
 
     @property
     def fiber_dims(self) -> int:
@@ -97,11 +97,11 @@ class SampledFqi:
 
     def fiber_axis(self, i: int) -> np.ndarray:
         m = self.fiber_shape[i]
-        return np.linspace(-self.fiber_halfwidth, self.fiber_halfwidth, m)
+        return np.linspace(-FIBER_HALFWIDTH, FIBER_HALFWIDTH, m)
 
     @property
     def fiber_step(self) -> float:
-        return float(max(2 * self.fiber_halfwidth / (m - 1) for m in self.fiber_shape))
+        return float(max(2 * FIBER_HALFWIDTH / (m - 1) for m in self.fiber_shape))
 
     def fiber_grids(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*(self.fiber_axis(i) for i in range(self.fiber_dims)), indexing="ij")
@@ -113,14 +113,14 @@ class SampledFqi:
     def _shell_mask(self) -> np.ndarray:
         mask = np.zeros(self.fiber_shape, dtype=bool)
         for g in self.fiber_grids():
-            mask |= np.abs(g) > SHELL_FRACTION * self.fiber_halfwidth
+            mask |= np.abs(g) > SHELL_FRACTION * FIBER_HALFWIDTH
         return np.broadcast_to(mask, self.values.shape)
 
     def shell_error(self) -> float:
         mask = self._shell_mask()
         if not mask.any():
             return 0.0
-        target = self.constant_at_infinity + self.quadratic_part()
+        target = self.quadratic_part()
         return float(np.max(np.abs(self.values[mask] - target[mask])))
 
 
@@ -141,7 +141,7 @@ def sample_fqi(
     if isinstance(fiber_resolution, int):
         fiber_resolution = (fiber_resolution,) * len(signature)
     shape = ((base_resolution,) if base_resolution else ()) + tuple(fiber_resolution)
-    s = SampledFqi(np.zeros(shape), signature, FIBER_HALFWIDTH, 0.0, base_resolution, shell_enforced=False)
+    s = SampledFqi(np.zeros(shape), signature, base_resolution, shell_enforced=False)
     grids = s.fiber_grids()
     if base_resolution:
         q = (np.arange(base_resolution) / base_resolution).reshape((-1,) + (1,) * len(signature))
@@ -154,12 +154,7 @@ def sample_fqi(
 
 
 def negate(s: SampledFqi) -> SampledFqi:
-    return replace(
-        s,
-        values=-s.values,
-        signature=tuple(-x for x in s.signature),
-        constant_at_infinity=-s.constant_at_infinity,
-    )
+    return replace(s, values=-s.values, signature=tuple(-x for x in s.signature))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +254,6 @@ def _restrict_to_fiber(s: SampledFqi, q_index: int) -> SampledFqi:
     return SampledFqi(
         values=s.values[q_index].copy(),
         signature=s.signature,
-        fiber_halfwidth=s.fiber_halfwidth,
-        constant_at_infinity=s.constant_at_infinity,
         base_resolution=None,
         shell_enforced=False,
     )
@@ -346,8 +339,6 @@ def fibred_sum_fqi(s1: SampledFqi, s2: SampledFqi, negate_second: bool = False) 
     return SampledFqi(
         values=vals,
         signature=(s1.signature[0], b.signature[0]),
-        fiber_halfwidth=max(s1.fiber_halfwidth, b.fiber_halfwidth),
-        constant_at_infinity=s1.constant_at_infinity + b.constant_at_infinity,
         base_resolution=s1.base_resolution,
         shell_enforced=False,
     )
@@ -452,30 +443,31 @@ def _fqi_header(fiber_dims: int) -> list[str]:
     return ["q_index", *(f"xi{i + 1}_index" for i in range(fiber_dims)), "value"]
 
 
+_FQI_META_KEYS = ("base_resolution", "fiber_resolution", "signature", "shell_enforced")
+
+
 def fqi_to_csv(s: SampledFqi, path) -> None:
     path = Path(path)
     rows_shape = (s.base_resolution or 1,) + s.fiber_shape  # the q column is 0 without a base
     indices = [lambda rows, k=k: np.unravel_index(rows, rows_shape)[k] for k in range(len(rows_shape))]
     write_csv(path, _fqi_header(s.fiber_dims), [*indices, s.values.ravel()])
-    write_json(path.with_suffix(".meta.json"), {
-        "base_resolution": s.base_resolution,
-        "fiber_resolution": list(s.fiber_shape),
-        "fiber_halfwidth": s.fiber_halfwidth,
-        "signature": list(s.signature),
-        "constant_at_infinity": s.constant_at_infinity,
-        "shell_enforced": s.shell_enforced,
-    })
+    meta = (s.base_resolution, list(s.fiber_shape), list(s.signature), s.shell_enforced)
+    write_json(path.with_suffix(".meta.json"), dict(zip(_FQI_META_KEYS, meta)))
 
 
 def fqi_from_csv(path) -> SampledFqi:
     """Read an instance written by fqi_to_csv.
 
-    Raises ValueError on another header, a line whose column count is wrong,
-    an index outside the shape, or a cell that is missing or listed twice.
+    Raises ValueError on other meta keys or another header, a line whose
+    column count is wrong, an index outside the shape, or a cell that is
+    missing or listed twice.
     """
     path = Path(path)
-    with open(path.with_suffix(".meta.json"), "r", encoding="utf-8") as fh:
+    meta_path = path.with_suffix(".meta.json")
+    with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    if sorted(meta) != sorted(_FQI_META_KEYS):
+        raise ValueError(f"{meta_path}: the keys are not {list(_FQI_META_KEYS)}")
     base = meta["base_resolution"]
     rows_shape = (base or 1,) + tuple(meta["fiber_resolution"])  # the q column is 0 without a base
     row = np.dtype([("cell", np.int32, (len(rows_shape),)), ("value", float)])
@@ -492,8 +484,6 @@ def fqi_from_csv(path) -> SampledFqi:
     return SampledFqi(
         values=vals if base else vals[0],
         signature=tuple(meta["signature"]),
-        fiber_halfwidth=float(meta["fiber_halfwidth"]),
-        constant_at_infinity=float(meta["constant_at_infinity"]),
         base_resolution=base,
         shell_enforced=bool(meta["shell_enforced"]),
     )

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,9 +60,12 @@ SHOCK = ExperimentConfig(
 
 @pytest.mark.parametrize("field, value", [
     ("window", 0), ("window", -1), ("spacing", 0.0), ("spacing", -2e-3), ("spacing", float("nan")),
+    ("spacing", float("inf")), ("hausdorff_tol", float("nan")), ("hausdorff_tol", float("inf")),
+    ("gauge_tol", float("nan")), ("gauge_tol", float("inf")), ("alpha0", float("nan")), ("alpha0", float("inf")),
 ])
 def test_config_rejects_empty_window_and_nonpositive_spacing(field, value):
-    # window 0 fires the detector with no hits; spacing <= 0 refines evolve up to the node cap
+    # window 0 fires the detector with no hits; spacing <= 0 refines evolve up to the node cap;
+    # infinite tolerances fire the detector on any iterate; a NaN alpha0 gives a NaN barrier
     with pytest.raises(ValueError):
         dataclasses.replace(MANUFACTURED, **{field: value})
 
@@ -105,6 +109,14 @@ def test_load_config_defaults_and_file(tmp_path):
     assert echo["offset"] == 0.25 and echo["seed"] == 7
 
 
+def test_readme_ini_block_is_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    ini = tmp_path / "readme.ini"
+    ini.write_text(block, encoding="utf-8")
+    assert load_config(ini) == load_config(None)
+
+
 def test_config_echo_of_the_defaults():
     assert config_echo(load_config(None)) == {
         "family": "shifted_quadratic",
@@ -141,6 +153,17 @@ def test_load_config_rejects_unknown_sections_and_keys(tmp_path, text):
     ini = tmp_path / "typo.ini"
     ini.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="unknown"):
+        load_config(ini)
+
+
+@pytest.mark.parametrize("text", [
+    "family = shifted_quadratic\nkinetic = 2.0\npotential_coeffs = 0 1 5.0 0.0\n",
+    "family = mechanical\nshift_coeffs = 1 1 0.0 0.5\ndrift = 7\n",
+], ids=["mechanical-keys", "shifted-quadratic-keys"])
+def test_load_config_rejects_keys_of_the_other_family(tmp_path, text):
+    ini = tmp_path / "family.ini"
+    ini.write_text("[hamiltonian]\n" + text, encoding="utf-8")
+    with pytest.raises(ValueError, match="is read by family"):
         load_config(ini)
 
 

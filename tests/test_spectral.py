@@ -143,8 +143,6 @@ def test_selector_nonexpansive_under_perturbation():
         pert = SampledFqi(
             values=s.values + delta[:, None],
             signature=s.signature,
-            fiber_halfwidth=s.fiber_halfwidth,
-            constant_at_infinity=s.constant_at_infinity,
             base_resolution=32,
             shell_enforced=False,
         )
@@ -198,7 +196,6 @@ def test_shell_enforced_by_construction():
         SampledFqi(
             values=s.values + np.linspace(0, 1, 65)[:, None],
             signature=(1, -1),
-            fiber_halfwidth=4.0,
             shell_enforced=True,
         )
 
@@ -355,7 +352,7 @@ def test_fibred_sum_not_shell_enforced():
 
 @pytest.mark.parametrize("damage", [
     "extra column", "negative index", "index past the shape", "missing cell", "duplicate cell", "nan value",
-    "inf value", "renamed header", "reordered header",
+    "inf value", "renamed header", "reordered header", "extra meta key",
 ])
 def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
     s = sample_fqi(lambda q, x: x**2 + 0.1 * np.sin(2 * np.pi * q), (1,), base_resolution=4, fiber_resolution=5)
@@ -377,5 +374,8 @@ def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
         "inf value": head + ["2,2,inf"] + tail,
     }.get(damage, rows)
     path.write_text("\n".join([header, *rows]) + "\n")
+    if damage == "extra meta key":
+        meta = path.with_suffix(".meta.json")
+        meta.write_text(meta.read_text().replace("{", '{"fiber_halfwidth": 4.0, ', 1))
     with pytest.raises(ValueError):
         fqi_from_csv(path)
