@@ -126,8 +126,9 @@ EXPERIMENT_KEYS = (
     "gauge_tol", "window", "seed", "quad_nodes", "max_span",
 )
 FLOW_KEYS = ("macro_step", "integrator", "substeps_per_macro")
+FAMILY_KEYS = {"mechanical": ("kinetic", "potential_coeffs"), "shifted_quadratic": ("shift_coeffs", "drift")}
 CONFIG_KEYS = {
-    "hamiltonian": ("family", "kinetic", "potential_coeffs", "shift_coeffs", "drift", "offset"),
+    "hamiltonian": ("family", *FAMILY_KEYS["mechanical"], *FAMILY_KEYS["shifted_quadratic"], "offset"),
     "experiment": ("initial_potential_coeffs", "limit_potential_coeffs", "alpha0", *EXPERIMENT_KEYS),
     "flow": FLOW_KEYS,
     "output": ("outdir",),
@@ -160,10 +161,9 @@ def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian
     """The [hamiltonian] family; a key only the other family reads is an error."""
     sec = cp["hamiltonian"]
     family = sec.get("family", "shifted_quadratic").strip().lower()
-    family_keys = {"mechanical": ("kinetic", "potential_coeffs"), "shifted_quadratic": ("shift_coeffs", "drift")}
-    if family not in family_keys:
+    if family not in FAMILY_KEYS:
         raise ValueError(f"config cannot declare family {family!r} (custom is API-only)")
-    for other, keys in family_keys.items():
+    for other, keys in FAMILY_KEYS.items():
         for key in keys:
             if other != family and key in sec:
                 raise ValueError(f"[hamiltonian] key {key!r} is read by family {other}, not {family}")

@@ -396,8 +396,8 @@ class TonelliHamiltonian:
     momentum_box: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
-        if self.kinetic_coefficient <= 0:
-            raise ValueError("kinetic coefficient must be positive")
+        if not 0 < self.kinetic_coefficient < math.inf:
+            raise ValueError(f"kinetic coefficient must be positive and finite, got {self.kinetic_coefficient}")
         if self.family is Family.CUSTOM and self.custom_fn is None:
             raise ValueError("custom family requires a callable")
         object.__setattr__(self, "ops", _FAMILY_OPS[self.family])

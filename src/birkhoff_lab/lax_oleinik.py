@@ -2,10 +2,10 @@
 
 Everything runs on uniform periodic grids. Short-time potentials are built by
 midpoint quadrature of the Lagrangian along straight segments, least over the
-windings that attain a minimum. A node of a segment is an outer sum of a
-start-point and an end-point term, so the closed-form families sum their trig
-terms by angle addition with O(n) cos/sin calls per term and node, not
-O(n^2). Longer spans compose by
+windings walked out from 0 while one improves an entry. A node of a segment is
+an outer sum of a start-point and an end-point term, so the closed-form
+families sum their trig terms by angle addition with O(n) cos/sin calls per
+term and node, not O(n^2). Longer spans compose by
 min-plus matrix products over grid midpoints, halving recursively. A compose
 visits only the intermediate points that can attain a minimum, and gives the
 same bits as visiting all of them. A matrix is built and cached from
@@ -162,7 +162,7 @@ def _single_step(h, s, t, n, quad_nodes):
     start-point and an end-point term, which the family sums over the nodes
     in one pass (`segment_lagrangian`). Tonelli minimisers have bounded speed,
     so the useful w form one range around 0: each side walks out from 0 and
-    stops at the first w that attains no entry's minimum (a finite one).
+    stops at the first w that improves no entry.
     """
     grid = np.arange(n) / n
     span = t - s
@@ -180,9 +180,10 @@ def _single_step(h, s, t, n, quad_nodes):
     for side in (-1, 1):
         for w in count(side, side):
             acc = action(w)
-            best = np.where(acc < best, acc, best)
-            if not np.any((acc <= best) & np.isfinite(acc)):
+            better = acc < best
+            if not better.any():
                 break
+            best = np.where(better, acc, best)
     return PotentialMatrix(s, t, best)
 
 

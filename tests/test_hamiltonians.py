@@ -265,6 +265,13 @@ def test_trig_polynomial_harmonic_cap():
         TrigPolynomial.from_coeffs([(9, 0, 1.0, 0.0)])
 
 
+@pytest.mark.parametrize("kinetic", [0.0, -1.0, np.inf, np.nan])
+def test_kinetic_coefficient_must_be_positive_and_finite(kinetic):
+    # an infinite kinetic coefficient makes every winding of a single step tie
+    with pytest.raises(ValueError, match="kinetic coefficient"):
+        mechanical([], kinetic=kinetic)
+
+
 def test_custom_requires_callable():
     with pytest.raises(ValueError):
         TonelliHamiltonian(family=Family.CUSTOM)

@@ -495,12 +495,17 @@ def test_separable_single_step_matches_dense(h, s, span, n, quad_nodes):
     assert np.all(np.abs(fast - dense) <= 1e-13 * (1 + np.abs(dense)))
 
 
-@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan])
-def test_single_step_walk_ends_on_non_finite_actions(offset):
-    # every winding ties at the same infinite action: ties that are not
-    # finite must not carry the walk on
-    pm = lax_oleinik._single_step(mechanical([(0, 1, 1.0, 0.0)], offset=offset), 0.0, 0.25, 16, 4)
-    assert not np.any(np.isfinite(pm.entries))
+@pytest.mark.parametrize("kinetic, offset", [(1.0, np.inf), (1.0, -np.inf), (1.0, np.nan), (1e40, 0.3)])
+def test_single_step_walk_ends_on_ties(monkeypatch, kinetic, offset):
+    # every winding ties at the same action (infinite, NaN, or -offset once
+    # v^2 / 2 kinetic rounds away): a tie improves no entry, so each side
+    # stops after one winding
+    h = mechanical([], kinetic=kinetic, offset=offset)
+    calls = []
+    segment_lagrangian = type(h.ops).segment_lagrangian
+    monkeypatch.setattr(type(h.ops), "segment_lagrangian", lambda *a: calls.append(1) or segment_lagrangian(*a))
+    lax_oleinik._single_step(h, 0.0, 0.25, 16, 4)
+    assert len(calls) == 3
 
 
 def test_custom_single_step_matches_dense():
