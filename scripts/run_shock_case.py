@@ -24,8 +24,6 @@ def main() -> int:
         initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, amp)]),
         n_max=4,
         m_max=4,
-        initial_nodes=1024,
-        spacing=2e-3,
     )
     bundle = run_iteration_experiment(cfg)
     emit_reports(bundle, outdir)

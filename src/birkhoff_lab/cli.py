@@ -73,6 +73,14 @@ def _count(minimum: int):
     return integer
 
 
+def _finite(text: str) -> float:
+    """argparse type: a finite float (inf and nan reach no verdict)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> _Parser:
     p = _Parser(prog="birkhoff-lab", description=__doc__)
     p.add_argument("--version", action="version", version=f"birkhoff-lab {__version__}")
@@ -84,14 +92,14 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("flow", help="integrate one trajectory")
-    sp.add_argument("--q", type=float, default=0.0)
-    sp.add_argument("--p", type=float, default=0.5)
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, default=1.0)
+    sp.add_argument("--q", type=_finite, default=0.0)
+    sp.add_argument("--p", type=_finite, default=0.5)
+    sp.add_argument("--t0", type=_finite, default=0.0)
+    sp.add_argument("--t1", type=_finite, default=1.0)
 
     sp = sub.add_parser("potential", help="action potential matrix")
-    sp.add_argument("--t0", type=float, default=0.0)
-    sp.add_argument("--t1", type=float, default=1.0)
+    sp.add_argument("--t0", type=_finite, default=0.0)
+    sp.add_argument("--t1", type=_finite, default=1.0)
 
     sp = sub.add_parser("lax", help="iterate the one-period operators")
     sp.add_argument("--steps", type=_count(0), default=8)
@@ -108,8 +116,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("calibrate", help="domination sweep and calibrated shots")
     sp.add_argument("--curves", type=_count(1), default=1000)
-    sp.add_argument("--horizon", type=float, default=1.0)
-    sp.add_argument("--tolerance", type=float, default=5e-3)
+    sp.add_argument("--horizon", type=_finite, default=1.0)
+    sp.add_argument("--tolerance", type=_finite, default=5e-3)
 
     sub.add_parser("birkhoff", help="bidirectional iteration experiment")
     sub.add_parser("recurrence", help="value-function recurrence experiment")

@@ -12,7 +12,7 @@ without bidirectional detection is the consistent (contrapositive) outcome.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,13 +39,17 @@ from .hamiltonians import (
 )
 from .lax_oleinik import (
     QUAD_NODES,
-    SINGLE_STEP_SPAN,
     PotentialMatrix,
     lax_negative,
     lax_positive,
     mane_critical_value,
     potential,
 )
+
+INITIAL_NODES = 1024  # curve nodes at t = 0 (a power of two)
+SPACING = 2e-3  # phase-space resampling gap of every evolved curve
+HAUSDORFF_TOL = GAUGE_TOL = 1e-4  # detector thresholds
+DETECTOR_WINDOW = 4  # detected subsequence length
 
 
 @dataclass(frozen=True)
@@ -56,31 +60,18 @@ class ExperimentConfig:
     n_max: int = 8
     m_max: int = 8
     resolution: int = 256
-    initial_nodes: int = 1024
-    spacing: float = 2e-3
-    hausdorff_tol: float = 1e-4
-    gauge_tol: float = 1e-4
-    window: int = 4
     seed: int = 0
     outdir: str = "out"
     flow_settings: FlowSettings = field(default_factory=FlowSettings)
     alpha0: float | None = None  # None: estimate from the value iteration
     quad_nodes: int = QUAD_NODES  # sub-quadrature nodes per single-step potential
-    max_span: float = SINGLE_STEP_SPAN  # single-step span of the action potential
 
     def __post_init__(self):
         if self.n_max < 1 or self.m_max < 1:
             raise ValueError("iterate counts must be >= 1")
-        if not all(0 < x < np.inf for x in (self.hausdorff_tol, self.gauge_tol)):
-            raise ValueError("detector thresholds must be finite and positive")
-        if self.window < 1:
-            raise ValueError("the detector window must be >= 1")
-        if not 0 < self.spacing < np.inf:
-            raise ValueError("the node spacing must be finite and positive")
         if self.alpha0 is not None and not np.isfinite(self.alpha0):
             raise ValueError("a pinned alpha0 must be finite")
         require_power_of_two(self.resolution, "resolution")
-        require_power_of_two(self.initial_nodes, "initial_nodes")
 
 
 @dataclass(frozen=True)
@@ -92,12 +83,6 @@ class DiagnosticsRecord:
     fold_count: int
     node_count: int
     primitive_osc: float
-
-
-@dataclass
-class DetectorResult:
-    hits: list[int]
-    fired: bool
 
 
 @dataclass
@@ -121,10 +106,7 @@ class ReportBundle:
 # takes its type and default from that field; a section or key that no
 # setting reads is an error (README lists them all)
 
-EXPERIMENT_KEYS = (
-    "n_max", "m_max", "resolution", "initial_nodes", "spacing", "hausdorff_tol",
-    "gauge_tol", "window", "seed", "quad_nodes", "max_span",
-)
+EXPERIMENT_KEYS = ("n_max", "m_max", "resolution", "seed", "quad_nodes")
 FLOW_KEYS = ("macro_step", "integrator", "substeps_per_macro")
 FAMILY_KEYS = {"mechanical": ("kinetic", "potential_coeffs"), "shifted_quadratic": ("shift_coeffs", "drift")}
 CONFIG_KEYS = {
@@ -207,13 +189,18 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
 
 
 def config_echo(config: ExperimentConfig) -> dict:
+    """The config under the keys `load_config` reads, with only the family's
+    own [hamiltonian] keys (none for a custom callable)."""
     h = config.hamiltonian
-    return {
-        "family": h.family.value,
+    family_values = {
         "kinetic": h.kinetic_coefficient,
         "potential_coeffs": list(h.potential.terms),
         "shift_coeffs": list(h.shift_profile.terms),
         "drift": h.drift,
+    }
+    return {
+        "family": h.family.value,
+        **{key: family_values[key] for key in FAMILY_KEYS.get(h.family.value, ())},
         "offset": h.constant_offset,
         "initial_potential_coeffs": list(config.initial_potential.terms),
         "limit_potential_coeffs": list(config.limit_potential.terms)
@@ -249,23 +236,20 @@ def longest_nondecreasing_gap_run(hits: list[int]) -> int:
     return int(run.max())
 
 
-def run_detector(records: list[DiagnosticsRecord], config: ExperimentConfig) -> DetectorResult:
-    hits = [
-        abs(r.n)
-        for r in records
-        if r.hausdorff_to_candidate < config.hausdorff_tol and r.gauge < config.gauge_tol
-    ]
-    fired = longest_nondecreasing_gap_run(hits) >= config.window
-    return DetectorResult(hits=sorted(hits), fired=fired)
+def run_detector(records: list[DiagnosticsRecord]) -> dict:
+    """The iterates under both thresholds, and whether DETECTOR_WINDOW of them
+    have nondecreasing gaps."""
+    hits = sorted(abs(r.n) for r in records if r.hausdorff_to_candidate < HAUSDORFF_TOL and r.gauge < GAUGE_TOL)
+    return {"hits": hits, "fired": longest_nondecreasing_gap_run(hits) >= DETECTOR_WINDOW}
 
 
 # ---------------------------------------------------------------------------
 # pipelines
 
 def _initial_objects(config: ExperimentConfig):
-    v_grid = grid_from_trig(config.initial_potential, config.initial_nodes)
+    v_grid = grid_from_trig(config.initial_potential, INITIAL_NODES)
     limit_poly = config.limit_potential or config.initial_potential
-    u_lim = grid_from_trig(limit_poly, config.initial_nodes)
+    u_lim = grid_from_trig(limit_poly, INITIAL_NODES)
     l0 = from_potential(v_grid)
     candidate = from_potential(u_lim)
     return v_grid, u_lim, l0, candidate
@@ -304,10 +288,7 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
         for i in range(count):
             s, t = step * i, step * (i + 1)
             try:
-                cur = evolve(
-                    config.hamiltonian, cur, float(s), float(t),
-                    config.flow_settings, spacing=config.spacing,
-                )
+                cur = evolve(config.hamiltonian, cur, float(s), float(t), config.flow_settings, spacing=SPACING)
             except ResamplingBudgetExceeded as exc:
                 bundle.events.append(f"{label} iterate {t}: stretching blow-up ({exc})")
                 break
@@ -318,19 +299,15 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
         bundle.records.extend(recs)
 
     bundle.records.sort(key=lambda r: r.n)
-    det_f = run_detector(directions["forward"], config)
-    det_b = run_detector(directions["backward"], config)
-    bundle.detectors = {
-        "forward": {"hits": det_f.hits, "fired": det_f.fired},
-        "backward": {"hits": det_b.hits, "fired": det_b.fired},
-    }
+    bundle.detectors = {label: run_detector(recs) for label, recs in directions.items()}
+    fired_f, fired_b = bundle.detectors["forward"]["fired"], bundle.detectors["backward"]["fired"]
     bundle.series["hausdorff"] = [(r.n, r.hausdorff_to_candidate) for r in bundle.records]
     bundle.series["gauge"] = [(r.n, r.gauge) for r in bundle.records]
 
     non_graph = [r.n for r in bundle.records if not r.is_graph]
     if not l0_graph:
         non_graph.insert(0, 0)
-    if det_f.fired and det_b.fired:
+    if fired_f and fired_b:
         if not non_graph:
             bundle.verdict, bundle.reason = "PASS", (
                 "bidirectional reduced-complexity convergence detected; "
@@ -347,7 +324,7 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
             "convergence (contrapositive)"
         )
         bundle.witness = non_graph[0]
-    elif det_f.fired or det_b.fired:
+    elif fired_f or fired_b:
         bundle.verdict, bundle.reason = "INCONCLUSIVE", (
             "one-directional convergence only (Question 2 regime)"
         )
@@ -360,7 +337,7 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
 
 def resolve_potential_settings(config: ExperimentConfig) -> dict:
     """Keyword settings of every potential built from the config."""
-    return {"n": config.resolution, "quad_nodes": config.quad_nodes, "max_span": config.max_span}
+    return {"n": config.resolution, "quad_nodes": config.quad_nodes}
 
 
 ALPHA0_HORIZON = 48  # periods of value iteration behind every alpha0 estimate
@@ -413,12 +390,12 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
     bundle.series["increments_forward"] = list(enumerate(inc_f, start=1))
     bundle.detectors = {
         "forward": {
-            "hits": [k for k, r in enumerate(ret_f, start=1) if r < config.gauge_tol],
-            "fired": any(r < config.gauge_tol for r in ret_f),
+            "hits": [k for k, r in enumerate(ret_f, start=1) if r < GAUGE_TOL],
+            "fired": any(r < GAUGE_TOL for r in ret_f),
         },
         "backward": {
-            "hits": [k for k, r in enumerate(ret_b, start=1) if r < config.gauge_tol],
-            "fired": any(r < config.gauge_tol for r in ret_b),
+            "hits": [k for k, r in enumerate(ret_b, start=1) if r < GAUGE_TOL],
+            "fired": any(r < GAUGE_TOL for r in ret_b),
         },
     }
     bundle.events.append(f"alpha0 = {float(alpha0)!r}")
@@ -429,7 +406,7 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
         cur = from_potential(u0)
         worst = 0.0
         for k in range(1, config.n_max + 1):
-            cur = evolve(h, cur, float(k - 1), float(k), config.flow_settings, spacing=config.spacing)
+            cur = evolve(h, cur, float(k - 1), float(k), config.flow_settings, spacing=SPACING)
             track = from_potential(fwd[k], derivative="central")
             worst = max(worst, hausdorff_distance(cur, track))
         consistency = worst
@@ -500,7 +477,7 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     times = [k / 10.0 for k in range(1, 10)]
     worst = 0.0
     for t in times:
-        lt = evolve(h, curve, 0.0, t, config.flow_settings, spacing=config.spacing)
+        lt = evolve(h, curve, 0.0, t, config.flow_settings, spacing=SPACING)
         keep = ~excluded[(np.floor(curve.q * n).astype(int)) % n]
         d = float(np.max(points_to_curve_distance(curve.q[keep], curve.p[keep], lt)))
         if not has_kinks:
@@ -522,6 +499,4 @@ def lax_spacetime(config: ExperimentConfig, t0: float, t1: float) -> SpaceTimeFu
     cur, pm, alpha0 = one_period(config)
     for _ in range(int(max(0, round(t0)))):
         cur = lax_negative(cur, pm, alpha0)
-    return spacetime_from_lax(
-        config.hamiltonian, cur, t0, t1, alpha0, quad_nodes=config.quad_nodes, max_span=config.max_span
-    )
+    return spacetime_from_lax(config.hamiltonian, cur, t0, t1, alpha0, quad_nodes=config.quad_nodes)

@@ -398,6 +398,8 @@ class TonelliHamiltonian:
     def __post_init__(self):
         if not 0 < self.kinetic_coefficient < math.inf:
             raise ValueError(f"kinetic coefficient must be positive and finite, got {self.kinetic_coefficient}")
+        if not math.isfinite(self.drift):  # a single step starts at the winding nearest drift * span
+            raise ValueError(f"drift must be finite, got {self.drift}")
         if self.family is Family.CUSTOM and self.custom_fn is None:
             raise ValueError("custom family requires a callable")
         object.__setattr__(self, "ops", _FAMILY_OPS[self.family])

@@ -2,10 +2,10 @@
 
 Everything runs on uniform periodic grids. Short-time potentials are built by
 midpoint quadrature of the Lagrangian along straight segments, least over the
-windings walked out from 0 while one improves an entry. A node of a segment is
-an outer sum of a start-point and an end-point term, so the closed-form
-families sum their trig terms by angle addition with O(n) cos/sin calls per
-term and node, not O(n^2). Longer spans compose by
+windings walked out from the one nearest drift * span while one improves an
+entry. A node of a segment is an outer sum of a start-point and an end-point
+term, so the closed-form families sum their trig terms by angle addition with
+O(n) cos/sin calls per term and node, not O(n^2). Longer spans compose by
 min-plus matrix products over grid midpoints, halving recursively. A compose
 visits only the intermediate points that can attain a minimum, and gives the
 same bits as visiting all of them. A matrix is built and cached from
@@ -160,9 +160,10 @@ def _single_step(h, s, t, n, quad_nodes):
 
     Node i of a segment sits at (1 - f_i) y + f_i (x + w), an outer sum of a
     start-point and an end-point term, which the family sums over the nodes
-    in one pass (`segment_lagrangian`). Tonelli minimisers have bounded speed,
-    so the useful w form one range around 0: each side walks out from 0 and
-    stops at the first w that improves no entry.
+    in one pass (`segment_lagrangian`). Tonelli minimisers have bounded speed
+    about the drift, so the useful w form one range around w0, the winding
+    nearest drift * span: each side walks out from w0 and stops at the first
+    w that improves no entry.
     """
     grid = np.arange(n) / n
     span = t - s
@@ -176,9 +177,10 @@ def _single_step(h, s, t, n, quad_nodes):
         acc *= span / quad_nodes
         return acc
 
-    best = action(0)
+    w0 = round(h.drift * span)  # drift is 0 but for the shifted quadratic
+    best = action(w0)
     for side in (-1, 1):
-        for w in count(side, side):
+        for w in count(w0 + side, side):
             acc = action(w)
             better = acc < best
             if not better.any():

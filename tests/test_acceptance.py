@@ -290,8 +290,6 @@ def test_criterion_10_birkhoff_negative():
             initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, amp)]),
             n_max=4,
             m_max=4,
-            initial_nodes=1024,
-            spacing=2e-3,
         )
         bundle = bl.run_iteration_experiment(cfg)
         assert bundle.verdict == "PASS"

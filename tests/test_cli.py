@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from birkhoff_lab import cli, curves, lax_oleinik, spectral
+from birkhoff_lab import cli, curves, experiments, lax_oleinik, spectral
 from birkhoff_lab.calibration import calibrated_curve
 from birkhoff_lab.cli import main
 from birkhoff_lab.errors import ExactnessLost
@@ -21,15 +21,21 @@ from birkhoff_lab.spectral import fibred_sum_fqi, fqi_to_csv, sample_fqi
 
 
 @pytest.fixture
-def small_config(tmp_path):
+def small_curves(monkeypatch):
+    """Half the default curve nodes at twice the default resampling gap, and a
+    detected subsequence of 2 iterates."""
+    monkeypatch.setattr(experiments, "INITIAL_NODES", 512)
+    monkeypatch.setattr(experiments, "SPACING", 4e-3)
+    monkeypatch.setattr(experiments, "DETECTOR_WINDOW", 2)
+
+
+@pytest.fixture
+def small_config(tmp_path, small_curves):
     path = tmp_path / "cfg.ini"
     path.write_text(
         "[experiment]\n"
         "n_max = 2\n"
         "m_max = 2\n"
-        "window = 2\n"
-        "initial_nodes = 512\n"
-        "spacing = 4e-3\n"
         "quad_nodes = 32\n"
         "resolution = 128\n",
         encoding="utf-8",
@@ -62,7 +68,7 @@ def test_exactness_lost_is_a_typed_error(tmp_path, small_config, monkeypatch):
     assert code == cli.EXIT_ERROR == 10
 
 
-def test_negative_case_exit_and_witness(tmp_path):
+def test_negative_case_exit_and_witness(tmp_path, small_curves):
     cfg = tmp_path / "neg.ini"
     amp = 1.0 / (2 * math.pi**2)
     cfg.write_text(
@@ -72,10 +78,7 @@ def test_negative_case_exit_and_witness(tmp_path):
         "[experiment]\n"
         f"initial_potential_coeffs = 0 1 0.0 {amp}\n"
         "n_max = 2\n"
-        "m_max = 2\n"
-        "window = 2\n"
-        "initial_nodes = 512\n"
-        "spacing = 4e-3\n",
+        "m_max = 2\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
@@ -129,7 +132,7 @@ def test_spectral_subcommand(tmp_path):
     assert payload["bounds_ok"] is True
 
 
-def test_invariance_subcommand(tmp_path):
+def test_invariance_subcommand(tmp_path, small_curves):
     cfg = tmp_path / "auto.ini"
     cfg.write_text(
         "[hamiltonian]\n"
@@ -139,8 +142,7 @@ def test_invariance_subcommand(tmp_path):
         "[experiment]\n"
         "initial_potential_coeffs = 0 1 0.0 0.05\n"
         "resolution = 128\n"
-        "quad_nodes = 32\n"
-        "spacing = 4e-3\n",
+        "quad_nodes = 32\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
@@ -166,6 +168,23 @@ def test_negative_lax_steps_refused(tmp_path, capsys):
     out = tmp_path / "out"
     assert run(["--out", out, "lax", "--steps", "-3"]) == cli.EXIT_ERROR
     assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--horizon", "inf"],
+    ["calibrate", "--tolerance", "nan"],
+    ["flow", "--t1", "inf"],
+    ["flow", "--q", "inf"],
+    ["flow", "--p", "nan"],
+    ["potential", "--t1", "inf"],
+], ids=["calibrate-horizon", "calibrate-tolerance", "flow-t1", "flow-q", "flow-p", "potential-t1"])
+def test_non_finite_floats_refused(tmp_path, capsys, argv):
+    # refused before any work: a traceback exit 1 reads as FAIL, and a NaN
+    # tolerance or start point wrote NaN output with a verdict
+    out = tmp_path / "out"
+    assert run(["--out", out, "--resolution", "16", *argv]) == cli.EXIT_ERROR
+    assert f"{argv[1]}: must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

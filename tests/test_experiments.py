@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birkhoff_lab import reports
+from birkhoff_lab import experiments, reports
 from birkhoff_lab.curves import LagrangianCurve, curve_from_csv, graph_check
 from birkhoff_lab.experiments import (
     ExperimentConfig,
@@ -41,10 +41,7 @@ MANUFACTURED = ExperimentConfig(
     initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, 0.05)]),
     n_max=3,
     m_max=3,
-    initial_nodes=512,
-    spacing=4e-3,
     quad_nodes=32,
-    window=3,
 )
 
 SHOCK = ExperimentConfig(
@@ -52,25 +49,37 @@ SHOCK = ExperimentConfig(
     initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, 1.0 / (2 * math.pi**2))]),
     n_max=2,
     m_max=2,
-    initial_nodes=512,
-    spacing=4e-3,
-    window=2,
 )
 
 
-@pytest.mark.parametrize("field, value", [
-    ("window", 0), ("window", -1), ("spacing", 0.0), ("spacing", -2e-3), ("spacing", float("nan")),
-    ("spacing", float("inf")), ("hausdorff_tol", float("nan")), ("hausdorff_tol", float("inf")),
-    ("gauge_tol", float("nan")), ("gauge_tol", float("inf")), ("alpha0", float("nan")), ("alpha0", float("inf")),
-])
-def test_config_rejects_empty_window_and_nonpositive_spacing(field, value):
-    # window 0 fires the detector with no hits; spacing <= 0 refines evolve up to the node cap;
-    # infinite tolerances fire the detector on any iterate; a NaN alpha0 gives a NaN barrier
+@pytest.fixture
+def small_curves(monkeypatch):
+    """Half the default curve nodes at twice the default resampling gap."""
+    monkeypatch.setattr(experiments, "INITIAL_NODES", 512)
+    monkeypatch.setattr(experiments, "SPACING", 4e-3)
+    return monkeypatch
+
+
+@pytest.fixture
+def manufactured(small_curves):
+    small_curves.setattr(experiments, "DETECTOR_WINDOW", 3)
+    return MANUFACTURED
+
+
+@pytest.fixture
+def shock(small_curves):
+    small_curves.setattr(experiments, "DETECTOR_WINDOW", 2)
+    return SHOCK
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_alpha0(value):
+    # a NaN alpha0 gives a NaN barrier
     with pytest.raises(ValueError):
-        dataclasses.replace(MANUFACTURED, **{field: value})
+        dataclasses.replace(MANUFACTURED, alpha0=value)
 
 
-@pytest.mark.parametrize("field", ["resolution", "initial_nodes"])
+@pytest.mark.parametrize("field", ["resolution"])
 @pytest.mark.parametrize("value", [0, 100])
 def test_config_rejects_grid_sizes_not_a_power_of_two(field, value):
     with pytest.raises(ValueError, match=f"{field} {value} is not a power of two"):
@@ -117,30 +126,28 @@ def test_readme_ini_block_is_the_defaults(tmp_path):
     assert load_config(ini) == load_config(None)
 
 
-def test_config_echo_of_the_defaults():
-    assert config_echo(load_config(None)) == {
-        "family": "shifted_quadratic",
-        "kinetic": 1.0,
-        "potential_coeffs": [],
-        "shift_coeffs": [(1, 1, 0.0, 0.05)],
-        "drift": 0.3,
+def test_config_echo_of_the_defaults(tmp_path):
+    # each family echoes its own [hamiltonian] keys, none of the other's
+    common = {
         "offset": 0.0,
         "initial_potential_coeffs": [(0, 1, 0.0, 0.05)],
         "limit_potential_coeffs": None,
         "n_max": 8,
         "m_max": 8,
         "resolution": 256,
-        "initial_nodes": 1024,
-        "spacing": 2e-3,
-        "hausdorff_tol": 1e-4,
-        "gauge_tol": 1e-4,
-        "window": 4,
         "seed": 0,
         "quad_nodes": 8,
-        "max_span": 0.25,
         "macro_step": 1e-2,
         "integrator": "auto",
         "substeps_per_macro": 4,
+    }
+    assert config_echo(load_config(None)) == {
+        "family": "shifted_quadratic", "shift_coeffs": [(1, 1, 0.0, 0.05)], "drift": 0.3, **common,
+    }
+    ini = tmp_path / "mechanical.ini"
+    ini.write_text("[hamiltonian]\nfamily = mechanical\n", encoding="utf-8")
+    assert config_echo(load_config(ini)) == {
+        "family": "mechanical", "kinetic": 1.0, "potential_coeffs": [], **common,
     }
 
 
@@ -217,8 +224,8 @@ def test_detector_has_no_cubic_cliff():
     assert time.perf_counter() - t0 < 2.0
 
 
-def test_iteration_positive_case():
-    bundle = run_iteration_experiment(MANUFACTURED)
+def test_iteration_positive_case(manufactured):
+    bundle = run_iteration_experiment(manufactured)
     assert bundle.verdict == "PASS"
     assert bundle.detectors["forward"]["fired"] and bundle.detectors["backward"]["fired"]
     assert all(r.is_graph for r in bundle.records)
@@ -226,8 +233,8 @@ def test_iteration_positive_case():
     assert {r.n for r in bundle.records} == {-3, -2, -1, 1, 2, 3}
 
 
-def test_iteration_negative_case_contrapositive():
-    bundle = run_iteration_experiment(SHOCK)
+def test_iteration_negative_case_contrapositive(shock):
+    bundle = run_iteration_experiment(shock)
     assert bundle.verdict == "PASS"
     assert "contrapositive" in bundle.reason
     assert not (bundle.detectors["forward"]["fired"] and bundle.detectors["backward"]["fired"])
@@ -235,19 +242,18 @@ def test_iteration_negative_case_contrapositive():
     assert not rec1.is_graph and rec1.fold_count >= 2
 
 
-def test_iteration_inconclusive_without_data():
+def test_iteration_inconclusive_without_data(manufactured, monkeypatch):
     # thresholds below the numerical floor: nothing fires, all iterates stay
     # graphs, and no graph assertion may be made
-    from dataclasses import replace
-
-    cfg = replace(MANUFACTURED, hausdorff_tol=1e-13, gauge_tol=1e-13)
-    bundle = run_iteration_experiment(cfg)
+    monkeypatch.setattr(experiments, "HAUSDORFF_TOL", 1e-13)
+    monkeypatch.setattr(experiments, "GAUGE_TOL", 1e-13)
+    bundle = run_iteration_experiment(manufactured)
     assert all(r.is_graph for r in bundle.records)
     assert bundle.verdict == "INCONCLUSIVE"
 
 
-def test_recurrence_manufactured():
-    bundle = run_recurrence_experiment(MANUFACTURED)
+def test_recurrence_manufactured(manufactured):
+    bundle = run_recurrence_experiment(manufactured)
     assert bundle.verdict == "PASS"
     assert bundle.detectors["forward"]["fired"] and bundle.detectors["backward"]["fired"]
     assert max(v for _, v in bundle.series["return_forward"]) <= 1e-4
@@ -289,13 +295,13 @@ def test_invariance_autonomous_guard():
         run_autonomous_invariance(cfg)
 
 
-def test_invariance_shifted():
+def test_invariance_shifted(monkeypatch):
+    monkeypatch.setattr(experiments, "SPACING", 4e-3)
     cfg = ExperimentConfig(
         hamiltonian=shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.3),
         initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, 0.05)]),
         resolution=256,
         quad_nodes=32,
-        spacing=4e-3,
     )
     bundle = run_autonomous_invariance(cfg)
     assert bundle.verdict == "PASS"
@@ -312,8 +318,8 @@ def test_grid_kink_mask():
     assert set(np.nonzero(mask)[0]) <= {0, 127, 128, 129, 255}
 
 
-def test_emit_reports_roundtrip(tmp_path):
-    bundle = run_iteration_experiment(SHOCK)
+def test_emit_reports_roundtrip(tmp_path, shock):
+    bundle = run_iteration_experiment(shock)
     files = emit_reports(bundle, tmp_path)
     names = {f.name for f in files}
     assert {"diagnostics.csv", "report.json", "phase_portrait.svg",
@@ -330,8 +336,8 @@ def test_emit_reports_roundtrip(tmp_path):
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
-def test_emit_reports_witness_reproducible(tmp_path):
-    bundle = run_iteration_experiment(SHOCK)
+def test_emit_reports_witness_reproducible(tmp_path, shock):
+    bundle = run_iteration_experiment(shock)
     assert bundle.witness is not None
     emit_reports(bundle, tmp_path)
     curve = curve_from_csv(tmp_path / "witness_curve.csv")
@@ -349,10 +355,10 @@ def _drawn_portrait(bundle, tmp_path, monkeypatch):
     return drawn["phase_portrait.svg"]
 
 
-def test_phase_portrait_follows_folded_curves(tmp_path, monkeypatch):
+def test_phase_portrait_follows_folded_curves(tmp_path, monkeypatch, shock):
     # drawn in parameter order and broken at period crossings, no drawn
     # segment of a folded iterate jumps between its sheets
-    bundle = run_iteration_experiment(SHOCK)
+    bundle = run_iteration_experiment(shock)
     assert not all(graph_check(c).is_graph for c in bundle.curves.values())
     for (name, qs, ps), n in zip(_drawn_portrait(bundle, tmp_path, monkeypatch), sorted(bundle.curves)):
         c = bundle.curves[n]
@@ -380,10 +386,10 @@ def test_emit_reports_empty_bundle(tmp_path):
     assert payload["verdict"] == "NO_DATA"
 
 
-def test_emit_reports_deterministic(tmp_path):
+def test_emit_reports_deterministic(tmp_path, manufactured):
     a, b = tmp_path / "a", tmp_path / "b"
-    emit_reports(run_iteration_experiment(MANUFACTURED), a)
-    emit_reports(run_iteration_experiment(MANUFACTURED), b)
+    emit_reports(run_iteration_experiment(manufactured), a)
+    emit_reports(run_iteration_experiment(manufactured), b)
     for name in ("diagnostics.csv", "report.json", "phase_portrait.svg"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -402,12 +408,12 @@ def test_polyline_plot_draws_values_equal_to_rounding_as_equal(tmp_path):
 def test_lax_spacetime_knots_use_configured_potential_settings():
     from dataclasses import replace
 
-    cfg = replace(MANUFACTURED, resolution=64, quad_nodes=4, max_span=1 / 32, alpha0=0.0)
+    cfg = replace(MANUFACTURED, resolution=64, quad_nodes=4, alpha0=0.0)
     u = lax_spacetime(cfg, 0.0, 0.25)
     cur = grid_from_trig(cfg.initial_potential, 64)
     rows = [cur.values]
     for j in range(4):
-        pm = potential(cfg.hamiltonian, j / 16, (j + 1) / 16, 64, max_span=1 / 32, quad_nodes=4)
+        pm = potential(cfg.hamiltonian, j / 16, (j + 1) / 16, 64, quad_nodes=4)
         cur = lax_negative(cur, pm, 0.0)
         rows.append(cur.values)
     assert np.array_equal(u.knots, np.array(rows))

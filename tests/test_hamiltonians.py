@@ -272,6 +272,13 @@ def test_kinetic_coefficient_must_be_positive_and_finite(kinetic):
         mechanical([], kinetic=kinetic)
 
 
+@pytest.mark.parametrize("drift", [np.inf, -np.inf, np.nan])
+def test_drift_must_be_finite(drift):
+    # no winding is nearest an infinite or NaN drift * span
+    with pytest.raises(ValueError, match="drift must be finite"):
+        shifted_quadratic([], drift=drift)
+
+
 def test_custom_requires_callable():
     with pytest.raises(ValueError):
         TonelliHamiltonian(family=Family.CUSTOM)

@@ -508,6 +508,26 @@ def test_single_step_walk_ends_on_ties(monkeypatch, kinetic, offset):
     assert len(calls) == 3
 
 
+def test_single_step_walk_starts_at_the_drift_winding(monkeypatch):
+    # a walk out from winding 0 takes about |drift| * span windings, 250 000
+    # here; from the winding nearest drift * span it takes a few
+    h = shifted_quadratic([(1, 1, 0.0, 0.05)], drift=1e6)
+    calls = []
+    segment_lagrangian = type(h.ops).segment_lagrangian
+
+    def counted(*args):
+        calls.append(1)
+        if len(calls) > 10:
+            raise AssertionError("more than 10 windings walked")
+        return segment_lagrangian(*args)
+
+    monkeypatch.setattr(type(h.ops), "segment_lagrangian", counted)
+    fast = lax_oleinik._single_step(h, 0.0, 0.25, 64, 8).entries
+    monkeypatch.setitem(globals(), "ORACLE_WINDINGS", range(250_000 - 6, 250_000 + 7))
+    dense = _dense_single_step(h, 0.0, 0.25, 64, 8).entries
+    assert np.all(np.abs(fast - dense) <= 1e-6 * (1 + np.abs(dense)))
+
+
 def test_custom_single_step_matches_dense():
     from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian
 
