@@ -5,10 +5,14 @@ minima, sublevel percolation thresholds, and their duals under sign flip.
 The percolation threshold is computed exactly on the sampled complex: cells
 enter in increasing (value, flat index) order, and the threshold is the value
 of the first cell whose sublevel set joins the two faces of the negative
-quadratic direction (0-dimensional sublevel persistence). Its rank is found by
-bisection, labelling the components of the inserted cells at each probe.
-Adjacency is axis-neighbor only, and the base circle (when present) wraps
-periodically.
+quadratic direction (0-dimensional sublevel persistence). Its rank lies
+between the max over slices across that direction of the slice minimum (a
+joining path meets every slice) and the min over lines along it of the line
+maximum (each line is a joining path): the weak duality of bottleneck paths.
+Only inside that bracket is the rank found by bisection, labelling the
+components of the inserted cells at each probe; on smooth instances the
+bracket closes and no probe runs. Adjacency is axis-neighbor only, and the
+base circle (when present) wraps periodically.
 """
 
 from __future__ import annotations
@@ -170,18 +174,29 @@ def sublevel_percolation_threshold(
 
     Cells enter in increasing (value, flat index) order. The threshold cell is
     the first whose insertion joins the two boundary faces of neg_axis through
-    axis-neighbor cells already inserted, the periodic axes wrapping. Joining
-    only switches on as cells are added, so the rank of that cell is found by
-    bisection: each probe labels the components of the inserted cells and
-    merges labels across the periodic seams. Returns (threshold value, witness
-    multi-index of the joining cell).
-    """
-    # imported here because only the spectral layer needs them: scipy.ndimage
-    # takes 70-80 ms to import, and csgraph adds 1.3 MB to every process
-    from scipy.ndimage import label
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    axis-neighbor cells already inserted, the periodic axes wrapping (neg_axis
+    itself may not wrap). Joining only switches on as cells are added, so the
+    rank of that cell is found by bisection: each probe labels the components
+    of the inserted cells and merges labels across the periodic seams.
 
+    The bisection runs only over the bracket [lo, hi] of the threshold rank,
+    lo the max over slices across neg_axis of the least rank in the slice, hi
+    the min over lines along neg_axis of the greatest rank on the line:
+    - lo: a joining path moves at most one slice at a time along neg_axis,
+      which does not wrap, so it meets every slice, and its greatest rank is
+      at least the least rank of each slice;
+    - hi: every line along neg_axis joins the two faces, so they have joined
+      once the line of least greatest rank is in.
+    The probes are monotone in the rank, so the result is that of a bisection
+    over all ranks; when lo == hi no probe runs and scipy is not imported.
+    Returns (threshold value, witness multi-index of the joining cell).
+    Raises ValueError unless periodic_axes has one entry per axis with
+    neg_axis not periodic.
+    """
+    if len(periodic_axes) != values.ndim:
+        raise ValueError(f"periodic_axes has {len(periodic_axes)} entries for {values.ndim} axes")
+    if periodic_axes[neg_axis]:
+        raise ValueError("the negative axis cannot wrap: a path could skip its slices")
     shape = values.shape
     flat = values.ravel()
     order = np.lexsort((np.arange(flat.size), flat))
@@ -191,6 +206,12 @@ def sublevel_percolation_threshold(
     periodic = [k for k, per in enumerate(periodic_axes) if per]
 
     def joined(r: int) -> bool:
+        # imported here because only a probe needs them: scipy.ndimage takes
+        # 70-80 ms to import, and csgraph adds 1.3 MB to every process
+        from scipy.ndimage import label
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+
         labels, count = label(rank <= r)  # the default structure is axis-neighbor
         comp = np.arange(count + 1)
         if periodic:
@@ -201,7 +222,8 @@ def sublevel_percolation_threshold(
         first, last = (labels.take(i, axis=neg_axis) for i in (0, -1))
         return np.intersect1d(comp[first[first > 0]], comp[last[last > 0]]).size > 0
 
-    lo, hi = 0, flat.size - 1
+    across = tuple(k for k in range(values.ndim) if k != neg_axis)
+    lo, hi = int(rank.min(axis=across).max()), int(rank.max(axis=neg_axis).min())
     while lo < hi:
         mid = (lo + hi) // 2
         if joined(mid):
@@ -458,18 +480,31 @@ def fqi_to_csv(s: SampledFqi, path) -> None:
 def fqi_from_csv(path) -> SampledFqi:
     """Read an instance written by fqi_to_csv.
 
-    Raises ValueError on other meta keys or another header, a line whose
-    column count is wrong, an index outside the shape, or a cell that is
-    missing or listed twice.
+    Raises ValueError on other meta keys or meta values of another type,
+    another header, a line whose column count is wrong, an index outside the
+    shape, or a cell that is missing or listed twice.
     """
     path = Path(path)
     meta_path = path.with_suffix(".meta.json")
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if sorted(meta) != sorted(_FQI_META_KEYS):
+    if not isinstance(meta, dict) or sorted(meta) != sorted(_FQI_META_KEYS):
         raise ValueError(f"{meta_path}: the keys are not {list(_FQI_META_KEYS)}")
-    base = meta["base_resolution"]
-    rows_shape = (base or 1,) + tuple(meta["fiber_resolution"])  # the q column is 0 without a base
+    base, fiber, signature, shell = (meta[key] for key in _FQI_META_KEYS)
+
+    def is_int(x) -> bool:  # not isinstance: JSON true loads as a bool, an int subclass
+        return type(x) is int
+
+    for key, ok, want in (
+        ("base_resolution", base is None or is_int(base) and base > 0, "null or a positive int"),
+        ("fiber_resolution", isinstance(fiber, list) and all(map(is_int, fiber)), "a list of ints"),
+        ("signature", isinstance(signature, list) and all(is_int(s) and s in (-1, 1) for s in signature),
+         "a list of the ints 1 and -1"),
+        ("shell_enforced", isinstance(shell, bool), "true or false"),
+    ):
+        if not ok:
+            raise ValueError(f"{meta_path}: {key} must be {want}, not {meta[key]!r}")
+    rows_shape = (base or 1,) + tuple(fiber)  # the q column is 0 without a base
     row = np.dtype([("cell", np.int32, (len(rows_shape),)), ("value", float)])
     header = ",".join(_fqi_header(len(rows_shape) - 1))
     with open(path, "r", encoding="utf-8") as fh:
@@ -483,7 +518,7 @@ def fqi_from_csv(path) -> SampledFqi:
     vals = place_cells(path, flat, rows["value"], rows_shape)
     return SampledFqi(
         values=vals if base else vals[0],
-        signature=tuple(meta["signature"]),
+        signature=tuple(signature),
         base_resolution=base,
-        shell_enforced=bool(meta["shell_enforced"]),
+        shell_enforced=shell,
     )

@@ -314,6 +314,55 @@ def test_spectral_rejects_damaged_csv(tmp_path):
     assert run(["--out", tmp_path / "out", "--quiet", "spectral", "--fqi", inst]) == 11
 
 
+@pytest.mark.parametrize("key, value", [
+    ("fiber_resolution", 9),
+    ("fiber_resolution", "99"),
+    ("fiber_resolution", [[9], [9]]),
+    ("signature", None),
+    ("signature", [1.5, -1]),
+    ("signature", [True, -1]),
+    ("base_resolution", "x"),
+    ("base_resolution", 1.5),
+    ("shell_enforced", 1),
+])
+def test_spectral_rejects_mistyped_meta(tmp_path, capsys, key, value):
+    # each was a TypeError traceback with exit 1, or was cast (1.5 and true
+    # to 1, 1 to true) and exited 0
+    inst = tmp_path / "saddle.csv"
+    fqi_to_csv(sample_fqi(lambda x, y: x**2 - y**2, (1, -1), fiber_resolution=9), inst)
+    meta_path = inst.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    assert run(["--out", out, "spectral", "--fqi", inst]) == cli.EXIT_ERROR + 1
+    assert f"{meta_path}: {key} must be" in capsys.readouterr().err
+    assert not (out / "spectral.json").exists()
+
+
+def test_spectral_on_a_smooth_saddle_loads_no_scipy(tmp_path):
+    # the percolation bracket closes on a smooth saddle, so no probe runs and
+    # neither scipy.ndimage nor scipy.sparse is imported
+    inst = tmp_path / "saddle_65.csv"
+    saddle = lambda x, y: x**2 - y**2 + np.exp(-(x**2 + y**2))
+    fqi_to_csv(sample_fqi(saddle, (1, -1), fiber_resolution=65), inst)
+    script = """
+import sys
+import birkhoff_lab.cli
+inst, out = sys.argv[1:]
+assert birkhoff_lab.cli.main(["--out", out, "--quiet", "spectral", "--fqi", inst]) == 0
+print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(inst), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == []
+    assert (tmp_path / "out" / "spectral.json").is_file()
+
+
 def test_trajectory_csv_reads_back_bitwise(tmp_path, small_config):
     out = tmp_path / "out"
     assert run(["--config", small_config, "--out", out, "--quiet", "flow", "--q", "0.2", "--p", "0.7"]) == 0

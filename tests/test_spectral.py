@@ -320,6 +320,72 @@ def test_percolation_matches_union_find_oracle(case):
     )
 
 
+@st.composite
+def _saddle_case(draw):
+    """A periodic base times two fiber axes: a smooth separable saddle, or one
+    plus noise rounded to one decimal (ties are common), so the rank bracket
+    both closes and stays open."""
+    shape = tuple(draw(st.integers(lo, 17)) for lo in (1, 2, 2))
+    neg_axis = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, x, y = np.meshgrid(np.arange(shape[0]) / shape[0], *(np.linspace(-1, 1, m) for m in shape[1:]),
+                          indexing="ij")
+    a, b = rng.uniform(-0.5, 0.5, 2)
+    values = a * np.cos(2 * np.pi * q) + b * np.sin(2 * np.pi * q) + (x**2 - y**2 if neg_axis == 2 else y**2 - x**2)
+    if draw(st.booleans()):
+        values = np.round(values + draw(st.sampled_from((0.1, 0.5, 2.0))) * rng.uniform(-1, 1, shape), 1)
+    return values, neg_axis, (True, False, False)
+
+
+@given(case=_saddle_case())
+@settings(max_examples=200, deadline=None)
+def test_percolation_on_saddles_matches_union_find_oracle(case):
+    values, neg_axis, periodic = case
+    assert sublevel_percolation_threshold(values, neg_axis, periodic) == _union_find_percolation(
+        values, neg_axis, periodic
+    )
+
+
+def test_percolation_refuses_axes_that_break_the_bracket():
+    values = np.zeros((3, 4))
+    for periodic in ((False,), (False, False, False), (False, True)):
+        with pytest.raises(ValueError):
+            sublevel_percolation_threshold(values, 1, periodic)
+
+
+def _rank_bracket(values, neg_axis):
+    flat = values.ravel()
+    rank = np.empty(flat.size, dtype=np.intp)
+    rank[np.lexsort((np.arange(flat.size), flat))] = np.arange(flat.size)
+    slices = [np.take(rank.reshape(values.shape), i, axis=neg_axis).min() for i in range(values.shape[neg_axis])]
+    lines = np.moveaxis(rank.reshape(values.shape), neg_axis, -1).reshape(-1, values.shape[neg_axis])
+    return max(slices), min(line.max() for line in lines)
+
+
+def test_percolation_probe_count(monkeypatch):
+    import scipy.ndimage
+
+    calls = []
+    label = scipy.ndimage.label
+    monkeypatch.setattr(scipy.ndimage, "label", lambda mask: calls.append(1) or label(mask))
+    saddle = lambda x, y: x**2 - y**2 + np.exp(-(x**2 + y**2))
+    global_invariants(sample_fqi(saddle, (1, -1), fiber_resolution=513))
+    f, g = trig([(0.3, -0.1), (0.1, 0.2)]), trig([(-0.2, 0.25), (0.0, -0.1)])
+    s1 = sample_fqi(lambda q, x: x**2 + f(q), (1,), base_resolution=32, fiber_resolution=33)
+    s2 = sample_fqi(lambda q, x: x**2 + g(q), (1,), base_resolution=32, fiber_resolution=33)
+    total = fibred_sum_fqi(s1, s2, negate_second=True)
+    assert total.values.shape == (32, 33, 33)
+    selector_function(total)
+    assert calls == []  # both brackets closed on every call: no probe ran
+
+    noise = np.random.default_rng(3).uniform(-1, 1, (65, 65))
+    lo, hi = _rank_bracket(noise, 1)
+    assert sublevel_percolation_threshold(noise, 1, (False, False)) == _union_find_percolation(
+        noise, 1, (False, False)
+    )
+    assert 1 <= len(calls) <= np.ceil(np.log2(hi - lo + 1))
+
+
 def test_fqi_csv_roundtrip(tmp_path):
     f = trig([(0.1, -0.2)])
     for s in (
