@@ -7,15 +7,12 @@ from .hamiltonians import (
     LagrangianFnValue,
     TonelliHamiltonian,
     TrigPolynomial,
-    eval_hamiltonian,
-    extended_hamiltonian,
     fenchel_gap,
     free_hamiltonian,
     legendre_transform,
     mechanical,
     pendulum,
     shifted_quadratic,
-    tonelli_report,
 )
 from .flow import FlowSettings, PhasePoint, Trajectory, flow_map, trajectory, extended_trajectory
 from .grids import GridFunction, constant_grid, grid_from_trig
@@ -23,12 +20,9 @@ from .curves import (
     FoldReport,
     LagrangianCurve,
     evolve,
-    fibred_sum,
     from_potential,
     graph_check,
     hausdorff_distance,
-    intersection_action_gap,
-    invert,
     oscillation,
     reduced_complexity_gauge,
 )
@@ -36,7 +30,6 @@ from .lax_oleinik import (
     BarrierResult,
     CriticalValueEstimate,
     PotentialMatrix,
-    backward_minimizer,
     lax_negative,
     lax_positive,
     mane_critical_value,
@@ -60,7 +53,6 @@ from .spectral import (
 from .calibration import (
     CalibratedCurveReport,
     SpaceTimeFunction,
-    apriori_bound_report,
     calibrated_curve,
     calibration_defect,
     domination_check,

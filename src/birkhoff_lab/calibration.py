@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainExceeded, KinkAtSeed
+from .errors import DomainExceeded, KinkAtSeed, NonpositiveDuration
 from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, trajectory
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
@@ -125,6 +125,8 @@ def spacetime_from_lax(
     quad_nodes: int = QUAD_NODES,
 ) -> SpaceTimeFunction:
     """Viscosity-type evolution of u0 sampled every LAX_KNOT_STEP, on the grid of u0."""
+    if t1 <= t0:
+        raise NonpositiveDuration(f"need t1 > t0, got [{t0}, {t1}]")
     k = int(round((t1 - t0) / LAX_KNOT_STEP))
     if abs(k * LAX_KNOT_STEP - (t1 - t0)) > 1e-9 or k < 1:
         raise ValueError(f"the knot step {LAX_KNOT_STEP} must divide the time span")
@@ -267,21 +269,3 @@ def calibrated_curve(
         seed_t=t0,
         seed_q=float(wrap_unit(q0)),
     )
-
-
-@dataclass(frozen=True)
-class AprioriBoundReport:
-    max_speed: float
-    chain_count: int
-
-
-def apriori_bound_report(chains) -> AprioriBoundReport:
-    """Largest per-period speed over backtracked minimizer chains.
-
-    Refinement plateaus are checked by the caller against a doubled endpoint
-    sweep.
-    """
-    speeds = [c.max_speed for c in chains]
-    if not speeds:
-        return AprioriBoundReport(0.0, 0)
-    return AprioriBoundReport(float(max(speeds)), len(speeds))

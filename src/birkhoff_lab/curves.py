@@ -22,9 +22,7 @@ import numpy as np
 from .errors import (
     EmptyInput,
     ExactnessLost,
-    NotAGraph,
     ResamplingBudgetExceeded,
-    TangencyDetected,
     TooFewSamples,
 )
 from .flow import FlowSettings, integrate_batch
@@ -136,38 +134,6 @@ def graph_check(curve: LagrangianCurve) -> FoldReport:
     prev = np.roll(signs, 1)
     folds = tuple(int(i) for i in np.nonzero((signs * prev <= 0) | (signs == 0))[0])
     return FoldReport(is_graph=(min_jac > 0), fold_parameters=folds, min_projection_jacobian=min_jac)
-
-
-def invert(curve: LagrangianCurve) -> LagrangianCurve:
-    """Fiberwise momentum flip; the primitive changes sign with the 1-form."""
-    return LagrangianCurve(curve.q_lift.copy(), -curve.p, -curve.primitive)
-
-
-def _graph_samples(curve: LagrangianCurve, grid: np.ndarray):
-    """Sample p and h of a graph curve at given base points by linear interpolation."""
-    lift = curve.closed_lift()
-    base = np.floor(lift[0])
-    x = lift - base
-    xs = np.concatenate([x - 1.0, x, x + 1.0])
-    p = curve.closed_p()
-    ps = np.concatenate([p, p, p])
-    # the closing node repeats the first primitive value up to the loop
-    # integral, which vanishes for exact curves
-    h = np.append(curve.primitive, curve.primitive[0])
-    hs = np.concatenate([h, h, h])
-    return np.interp(grid, xs, ps), np.interp(grid, xs, hs)
-
-
-def fibred_sum(a: LagrangianCurve, b: LagrangianCurve) -> LagrangianCurve:
-    """Pointwise momentum sum of two graph curves over a common base grid."""
-    for c in (a, b):
-        if not graph_check(c).is_graph:
-            raise NotAGraph("fibred sum needs fold-free curves")
-    n = max(a.n_nodes, b.n_nodes)
-    grid = np.arange(n) / n
-    pa, ha = _graph_samples(a, grid)
-    pb, hb = _graph_samples(b, grid)
-    return LagrangianCurve(q_lift=grid, p=pa + pb, primitive=ha + hb)
 
 
 def reduced_complexity_gauge(curve: LagrangianCurve, limit_potential: GridFunction) -> float:
@@ -365,101 +331,6 @@ def hausdorff_distance(a: LagrangianCurve, b: LagrangianCurve) -> float:
     segment.
     """
     return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
-
-
-# ---------------------------------------------------------------------------
-# intersections
-
-
-def intersection_action_gap(a: LagrangianCurve, b: LagrangianCurve) -> list[float]:
-    """Primitive differences h_a - h_b at transverse intersections of a and b.
-
-    Coincident nodes count as intersections; genuinely crossing segment pairs
-    meeting at an angle below 1e-6 raise TangencyDetected. Intersections
-    closer than 1e-9 in parameter are merged.
-    """
-    la, pa = a.closed_lift(), a.closed_p()
-    ha = np.append(a.primitive, a.primitive[0])
-    lb, pb = b.closed_lift(), b.closed_p()
-    hb = np.append(b.primitive, b.primitive[0])
-
-    hits: list[tuple[float, float]] = []  # (theta along a, gap)
-
-    # coincident-node pass
-    qb_sorted = np.sort(wrap_unit(b.q_lift))
-    sort_idx = np.argsort(wrap_unit(b.q_lift), kind="stable")
-    qa_wrapped = a.q
-    for i in range(a.n_nodes):
-        pos = np.searchsorted(qb_sorted, qa_wrapped[i])
-        for k in (pos - 1, pos, pos + 1):
-            j = sort_idx[k % b.n_nodes]
-            dq = abs(wrap_unit(qa_wrapped[i] - wrap_unit(b.q_lift[j]) + 0.5) - 0.5)
-            if dq < 1e-12 and abs(a.p[i] - b.p[j]) < 1e-12:
-                hits.append((i / a.n_nodes, float(a.primitive[i] - b.primitive[j])))
-                break
-
-    # transverse segment pass
-    mid_b = 0.5 * (lb[:-1] + lb[1:])
-    for i in range(a.n_nodes):
-        ax1, ay1 = la[i], pa[i]
-        ax2, ay2 = la[i + 1], pa[i + 1]
-        ex_a, ey_a = ax2 - ax1, ay2 - ay1
-        len_a = np.hypot(ex_a, ey_a)
-        shifts = np.round(mid_b - 0.5 * (ax1 + ax2))
-        for dw in (-1.0, 0.0, 1.0):
-            bx1 = lb[:-1] - shifts - dw
-            bx2 = lb[1:] - shifts - dw
-            ex_b, ey_b = bx2 - bx1, pb[1:] - pb[:-1]
-            denom = ex_a * ey_b - ey_a * ex_b
-            rx, ry = bx1 - ax1, pb[:-1] - ay1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s_par = (rx * ey_b - ry * ex_b) / denom
-                t_par = (rx * ey_a - ry * ex_a) / denom
-            ok = (
-                np.isfinite(s_par)
-                & np.isfinite(t_par)
-                & (s_par >= -1e-9)
-                & (s_par <= 1 + 1e-9)
-                & (t_par >= -1e-9)
-                & (t_par <= 1 + 1e-9)
-            )
-            for j in np.nonzero(ok)[0]:
-                len_b = np.hypot(ex_b[j], ey_b[j])
-                if len_a == 0 or len_b == 0:
-                    continue
-                sin_angle = abs(denom[j]) / (len_a * len_b)
-                if sin_angle < 1e-6:
-                    # coincident overlap handled by the node pass; a genuine
-                    # shallow crossing is unreliable
-                    if _points_off_line(bx1[j], pb[j], ex_b[j], ey_b[j], ax1, ay1, ax2, ay2):
-                        raise TangencyDetected(
-                            f"intersection angle {sin_angle:.2e} below 1e-6"
-                        )
-                    continue
-                sv, tv = float(s_par[j]), float(t_par[j])
-                gap = (ha[i] + sv * (ha[i + 1] - ha[i])) - (hb[j] + tv * (hb[j + 1] - hb[j]))
-                hits.append(((i + sv) / a.n_nodes, float(gap)))
-
-    hits.sort()
-    merged: list[tuple[float, float]] = []
-    for theta, gap in hits:
-        if merged and abs(theta - merged[-1][0]) < 1e-9:
-            continue
-        merged.append((theta, gap))
-    # the parameter is cyclic: drop a duplicate at theta ~ 1 vs ~ 0
-    if len(merged) > 1 and (merged[0][0] + 1.0) - merged[-1][0] < 1e-9:
-        merged.pop()
-    return sorted(gap for _, gap in merged)
-
-
-def _points_off_line(bx, by, ex, ey, ax1, ay1, ax2, ay2) -> bool:
-    """True if segment a's endpoints do not lie on the line through b."""
-    nb = np.hypot(ex, ey)
-    if nb == 0:
-        return False
-    d1 = abs((ax1 - bx) * ey - (ay1 - by) * ex) / nb
-    d2 = abs((ax2 - bx) * ey - (ay2 - by) * ex) / nb
-    return max(d1, d2) > 1e-9
 
 
 # ---------------------------------------------------------------------------

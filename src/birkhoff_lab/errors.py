@@ -9,10 +9,6 @@ class MaximizerNotFound(BirkhoffLabError):
     """The Legendre maximizer lies on the edge of the momentum box."""
 
 
-class ConvexityViolation(BirkhoffLabError):
-    """Sampled fiberwise second derivative dropped to zero or below."""
-
-
 class StepSizeUnderflow(BirkhoffLabError):
     """The adaptive Runge-Kutta step size fell below its hard floor; the flow likely diverges."""
 
@@ -33,14 +29,6 @@ class EmptyInput(BirkhoffLabError):
     """An operation received an empty sequence."""
 
 
-class NotAGraph(BirkhoffLabError):
-    """Operation requires fold-free curves."""
-
-
-class TangencyDetected(BirkhoffLabError):
-    """Two curves intersect at an angle too shallow for reliable values."""
-
-
 class NonpositiveDuration(BirkhoffLabError):
     """Action potentials require a strictly positive time span."""
 
@@ -55,10 +43,6 @@ class DivergenceDetected(BirkhoffLabError):
 
 class BarrierNotConverged(BirkhoffLabError):
     """An operation required a converged barrier but got a truncated one."""
-
-
-class NoStoredArgmin(BirkhoffLabError):
-    """Backtracking requested without stored argmin indices."""
 
 
 class UnsupportedIndex(BirkhoffLabError):

@@ -329,19 +329,7 @@ def extended_trajectory(
     """Trajectory on the zero level of the extended Hamiltonian.
 
     Energy samples are E(tau) = -H(tau, x(tau)), so E + H vanishes identically
-    by construction; the informative cross-check is dE/dtau against -dH/dt,
-    exposed by energy_rate_residual.
+    by construction.
     """
     traj = trajectory(h, x, s, t, settings)
     return replace(traj, energy_samples=-np.asarray(h.value(traj.times, traj.q_lift, traj.p)))
-
-
-def energy_rate_residual(h: TonelliHamiltonian, traj: Trajectory) -> float:
-    """max over interior knots of |dE/dtau + dH/dt| (central differences)."""
-    if traj.energy_samples is None:
-        raise ValueError("need an extended trajectory with energy samples")
-    e = traj.energy_samples
-    ts = traj.times
-    rate = (e[2:] - e[:-2]) / (ts[2:] - ts[:-2])
-    dht = np.asarray(h.dH_dt(ts[1:-1], traj.q_lift[1:-1], traj.p[1:-1]))
-    return float(np.max(np.abs(rate + dht)))

@@ -25,13 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConvexityViolation, MaximizerNotFound
+from .errors import MaximizerNotFound
 
 TWO_PI = 2.0 * math.pi
 MAX_HARMONIC = 8
-TONELLI_T_SAMPLES = 8
-TONELLI_Q_SAMPLES = 32
-TONELLI_LADDER = tuple(4.0 * 2.0**i for i in range(5))
 MAXIMIZER_HALVINGS = 45  # bisection halvings of a custom momentum box
 
 
@@ -57,12 +54,6 @@ def _factor(j, k, a, b, nt, nq):
     for _ in range(n):
         a, b = b, -a
     return (TWO_PI ** n) * (j ** nt) * (k ** nq), a, b
-
-
-def torus_distance(a, b):
-    """Distance on the unit circle: min(|d|, 1-|d|)."""
-    d = np.abs(wrap_unit(a) - wrap_unit(b))
-    return np.minimum(d, 1.0 - d)
 
 
 @dataclass(frozen=True)
@@ -432,16 +423,6 @@ class TonelliHamiltonian:
         return not any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
 
 
-def eval_hamiltonian(h: TonelliHamiltonian, t: float, q: float, p: float) -> float:
-    """Evaluate H(t, q, p); exactly 1-periodic in t and q."""
-    return float(h.value(t, q, p))
-
-
-def extended_hamiltonian(h: TonelliHamiltonian, tau: float, energy: float, q: float, p: float) -> float:
-    """Autonomous extension E + H(tau, q, p) on the enlarged phase space."""
-    return float(energy + h.value(tau, q, p))
-
-
 def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> LagrangianFnValue:
     """Convex conjugate L(t,q,v) = sup_p (p v - H) with its maximizer.
 
@@ -460,43 +441,6 @@ def fenchel_gap(h: TonelliHamiltonian, t: float, q: float, v: float, p: float) -
     """H(t,q,p) + L(t,q,v) - p*v; nonnegative, zero iff p is conjugate to v."""
     lag = legendre_transform(h, t, q, v)
     return float(h.value(t, q, p) + lag.value - p * v)
-
-
-@dataclass(frozen=True)
-class TonelliReport:
-    min_second_derivative: float
-    ladder: tuple[float, ...]
-    min_ratio_increase: float
-    superlinear: bool
-
-
-def tonelli_report(h: TonelliHamiltonian) -> TonelliReport:
-    """Sampled convexity and superlinearity certificate.
-
-    Checks the fiberwise second derivative on a TONELLI_T_SAMPLES x
-    TONELLI_Q_SAMPLES (t, q) grid at 0 and each rung of TONELLI_LADDER in
-    either sign, and the growth of H/|p| along that ladder. Heuristic: a
-    sampled check, not a proof of the Tonelli conditions.
-    """
-    ts = np.linspace(0.0, 1.0, TONELLI_T_SAMPLES, endpoint=False)[:, None, None]
-    qs = np.linspace(0.0, 1.0, TONELLI_Q_SAMPLES, endpoint=False)[None, :, None]
-    p_probe = np.array(sorted({0.0, *(x for L in TONELLI_LADDER for x in (L, -L))}))
-
-    min_dpp = float(np.min(h.d2H_dpp(ts, qs, p_probe)))
-    if min_dpp <= 0.0:
-        raise ConvexityViolation(f"min sampled d2H/dp2 = {min_dpp}")
-
-    rungs = np.array(TONELLI_LADDER)
-    min_increase = min(
-        float(np.min(np.diff(np.abs(h.value(ts, qs, sign * rungs)) / np.abs(rungs), axis=-1)))
-        for sign in (+1.0, -1.0)
-    )
-    return TonelliReport(
-        min_second_derivative=float(min_dpp),
-        ladder=TONELLI_LADDER,
-        min_ratio_increase=float(min_increase),
-        superlinear=bool(min_increase > 0.0),
-    )
 
 
 def mechanical(potential_terms: Sequence[Sequence[float]] = (), kinetic: float = 1.0, offset: float = 0.0) -> TonelliHamiltonian:

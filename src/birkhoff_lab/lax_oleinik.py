@@ -27,7 +27,6 @@ from .errors import (
     DivergenceDetected,
     GridMismatch,
     NonpositiveDuration,
-    NoStoredArgmin,
 )
 from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
@@ -240,24 +239,13 @@ def _single_steps(h, s, t, n, max_span, quad_nodes) -> list[PotentialMatrix]:
     )
 
 
-def lax_negative(
-    u: GridFunction,
-    pm: PotentialMatrix,
-    alpha0: float = 0.0,
-    return_argmin: bool = False,
-):
+def lax_negative(u: GridFunction, pm: PotentialMatrix, alpha0: float = 0.0) -> GridFunction:
     """Inf-convolution with the potential: min_y u(y) + cost(y -> x).
 
     With alpha0 supplied this is the full operator (reduced + alpha0 * span).
-    Argmin ties break to the smallest grid index.
     """
     pm.require_grid(u)
-    tmp = u.values[:, None] + pm.entries
-    vals = tmp.min(axis=0) + alpha0 * pm.span
-    out = GridFunction(vals)
-    if return_argmin:
-        return out, tmp.argmin(axis=0)
-    return out
+    return GridFunction((u.values[:, None] + pm.entries).min(axis=0) + alpha0 * pm.span)
 
 
 def lax_positive(u: GridFunction, pm: PotentialMatrix, alpha0: float = 0.0) -> GridFunction:
@@ -416,60 +404,6 @@ def positive_weak_kam(
         image = lax_positive(image, leaf, alpha0)
     residual = float(np.max(np.abs(image.values - u_fine.values)))
     return u, residual
-
-
-@dataclass(frozen=True)
-class MinimizerChain:
-    """Backtracked argmin chain through k one-period steps, newest last."""
-
-    indices: tuple[int, ...]
-    positions: tuple[float, ...]
-    step_actions: tuple[float, ...]
-    value_gap: float
-
-    @property
-    def max_speed(self) -> float:
-        qs = np.array(self.positions)
-        d = np.abs(np.diff(qs))
-        return float(np.max(np.minimum(d, 1.0 - d))) if len(d) else 0.0
-
-
-def backward_minimizer(
-    u: GridFunction,
-    h: TonelliHamiltonian,
-    t: float,
-    x_index: int,
-    k: int,
-    alpha0: float = 0.0,
-) -> MinimizerChain:
-    """Argmin chain realizing k composed one-period negative steps at x.
-
-    Chain points sit on the grid of u at integer time offsets; the value gap
-    u_k(x) - u(y_0) matches the summed full-operator increments.
-    """
-    if k < 1:
-        raise NoStoredArgmin("need at least one composed step to backtrack")
-    n = u.resolution
-    pm = potential(h, wrap_unit(t), wrap_unit(t) + 1.0, n)
-    args = []
-    cur = u
-    for _ in range(k):
-        cur, arg = lax_negative(cur, pm, alpha0, return_argmin=True)
-        args.append(arg)
-    idx = [int(x_index)]
-    for arg in reversed(args):
-        idx.append(int(arg[idx[-1]]))
-    idx.reverse()
-    actions = tuple(
-        float(pm.entries[idx[j], idx[j + 1]] + alpha0) for j in range(k)
-    )
-    grid = np.arange(n) / n
-    return MinimizerChain(
-        indices=tuple(idx),
-        positions=tuple(float(grid[i]) for i in idx),
-        step_actions=actions,
-        value_gap=float(cur.values[x_index] - u.values[idx[0]]),
-    )
 
 
 def clear_potential_cache() -> None:

@@ -17,7 +17,7 @@ from . import __version__
 from .curves import curve_to_csv
 from .errors import IoFailure
 from .experiments import DiagnosticsRecord, ReportBundle
-from .grids import GridFunction, place_cells
+from .grids import GridFunction
 from .lax_oleinik import PotentialMatrix
 from .textio import write_csv, write_json, write_text
 
@@ -35,21 +35,6 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 def grid_to_csv(u: GridFunction, path) -> None:
     """`index,q,value` rows over the uniform grid."""
     write_csv(path, ["index", "q", "value"], [np.arange(u.resolution), u.nodes, u.values])
-
-
-def grid_from_csv(path) -> GridFunction:
-    """Read a grid written by grid_to_csv, each row placed by its index.
-
-    Raises ValueError on another header, or an index that is missing, repeated
-    or outside the grid.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "index,q,value":
-            raise ValueError(f"unexpected grid CSV header {header!r}")
-        row = np.dtype([("index", np.int64), ("q", float), ("value", float)])
-        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
-    return GridFunction(place_cells(path, rows["index"], rows["value"], (len(rows),)))
 
 
 def potential_to_csv(pm: PotentialMatrix, path) -> None:

@@ -419,43 +419,6 @@ def selector_difference_bounds(s1: SampledFqi, s2: SampledFqi) -> DifferenceBoun
     return DifferenceBoundsReport(lower, upper, float(gaps.min()), float(gaps.max()), tol)
 
 
-def witness_consistent(s: SampledFqi, sv: SpectralValue) -> bool:
-    """Check the witness looks like a critical cell of the sampled complex.
-
-    Min and max certificates require no strictly better axis neighbor; a
-    percolation witness must see both weakly lower and weakly higher
-    neighbors (a grid saddle).
-    """
-    v = s.values
-    shape = v.shape
-    idx = sv.witness
-    periodic = _complex_axes(s)
-    val = v[idx]
-    lower = higher = strictly_lower = strictly_higher = False
-    for ax in range(len(shape)):
-        for d in (-1, +1):
-            j = list(idx)
-            j[ax] += d
-            if periodic[ax]:
-                j[ax] %= shape[ax]
-            elif not 0 <= j[ax] < shape[ax]:
-                continue
-            other = v[tuple(j)]
-            if other < val:
-                strictly_lower = True
-            if other > val:
-                strictly_higher = True
-            lower = lower or other <= val
-            higher = higher or other >= val
-    if sv.certificate is Certificate.GLOBAL_MIN:
-        return not strictly_lower and val == float(v.min())
-    if sv.certificate is Certificate.GLOBAL_MAX:
-        return not strictly_higher and val == float(v.max())
-    # a percolation witness joins previously inserted (weakly lower) cells:
-    # it is never a strict local minimum, and generically sees both sides
-    return lower and higher
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -4,7 +4,6 @@ import pytest
 
 from birkhoff_lab.calibration import (
     SpaceTimeFunction,
-    apriori_bound_report,
     calibrated_curve,
     calibration_defect,
     domination_check,
@@ -15,7 +14,7 @@ from birkhoff_lab.errors import DomainExceeded, KinkAtSeed
 from birkhoff_lab.flow import PhasePoint, trajectory
 from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig
 from birkhoff_lab.hamiltonians import fenchel_gap, free_hamiltonian, pendulum, shifted_quadratic
-from birkhoff_lab.lax_oleinik import backward_minimizer, lax_negative, potential
+from birkhoff_lab.lax_oleinik import potential
 
 FREE = free_hamiltonian()
 PEND = pendulum()
@@ -155,27 +154,3 @@ def test_spacetime_validation():
         SpaceTimeFunction(np.array([0.0, 0.25]), np.zeros((3, 16)))  # length mismatch
     with pytest.raises(ValueError):
         SpaceTimeFunction(np.array([0.0]), np.zeros((1, 16)))  # one knot
-
-
-def test_apriori_bound_and_refinement_plateau():
-    pm = potential(PEND, 0.0, 1.0, 256)
-    u = constant_grid(0.0, 256)
-    for _ in range(64):
-        u = lax_negative(u, pm, 1.0)
-    chains_coarse = [
-        backward_minimizer(u, PEND, 0.0, i, 4, alpha0=1.0) for i in range(0, 256, 32)
-    ]
-    chains_fine = [
-        backward_minimizer(u, PEND, 0.0, i, 4, alpha0=1.0) for i in range(0, 256, 16)
-    ]
-    coarse = apriori_bound_report(chains_coarse)
-    fine = apriori_bound_report(chains_fine)
-    bound = 2 * np.sqrt(2 * (1 + 1)) + 1 / 256
-    assert fine.max_speed <= bound
-    assert fine.max_speed <= coarse.max_speed * 1.05 + 1e-12
-
-
-def test_apriori_bound_free_zero():
-    chains = [backward_minimizer(constant_grid(0.0, 64), FREE, 0.0, i, 2) for i in (0, 16, 32)]
-    rep = apriori_bound_report(chains)
-    assert rep.max_speed == 0.0

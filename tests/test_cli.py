@@ -188,6 +188,14 @@ def test_non_finite_floats_refused(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_calibrate_nonpositive_horizon_is_a_duration_error(tmp_path, capsys, horizon):
+    # an empty or reversed span, not a knot step that fails to divide it
+    out = tmp_path / "out"
+    assert run(["--out", out, "--resolution", "16", "calibrate", "--horizon", horizon]) == cli.EXIT_ERROR
+    assert f"need t1 > t0, got [0.0, {float(horizon)}]" in capsys.readouterr().err
+
+
 def test_calibrate_needs_a_curve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "lax_spacetime", lambda *args: pytest.fail("candidate built"))
     assert run(["--out", tmp_path / "out", "calibrate", "--curves", "0"]) == cli.EXIT_ERROR

@@ -12,12 +12,9 @@ from birkhoff_lab.curves import (
     curve_to_csv,
     evolve,
     exactness_defects,
-    fibred_sum,
     from_potential,
     graph_check,
     hausdorff_distance,
-    intersection_action_gap,
-    invert,
     loop_integral,
     oscillation,
     points_to_curve_distance,
@@ -27,9 +24,7 @@ from birkhoff_lab.curves import (
 )
 from birkhoff_lab.errors import (
     EmptyInput,
-    NotAGraph,
     ResamplingBudgetExceeded,
-    TangencyDetected,
     TooFewSamples,
 )
 from birkhoff_lab.flow import FlowSettings
@@ -335,35 +330,6 @@ def test_graph_check_fold_at_closing_segment():
     assert fr.min_projection_jacobian == 1.0 - 62 / 32
 
 
-def test_invert():
-    c = from_potential(sine_potential(0.05, 64))
-    ci = invert(c)
-    assert np.array_equal(ci.p, -c.p)
-    assert np.array_equal(ci.primitive, -c.primitive)
-    cii = invert(ci)
-    assert np.array_equal(cii.p, c.p) and np.array_equal(cii.primitive, c.primitive)
-
-
-def test_fibred_sum_identities():
-    u = sine_potential(0.03, 256)
-    v = grid_from_trig(TrigPolynomial.from_coeffs([(0, 2, 0.02, 0.0)]), 256)
-    cu, cv = from_potential(u), from_potential(v)
-    s = fibred_sum(cu, cv)
-    cw = from_potential(GridFunction(u.values + v.values))
-    assert hausdorff_distance(s, cw) <= 1e-12
-    neutral = fibred_sum(cu, zero_section(256))
-    assert hausdorff_distance(neutral, cu) <= 1e-12
-    cancel = fibred_sum(cu, invert(cu))
-    assert np.max(np.abs(cancel.p)) <= 1e-10
-
-
-def test_fibred_sum_rejects_folds():
-    amp = 1.0 / (2 * np.pi**2)
-    folded = evolve(FREE, from_potential(sine_potential(amp, 1024)), 0, 1.0, spacing=2e-3)
-    with pytest.raises(NotAGraph):
-        fibred_sum(folded, zero_section(64))
-
-
 def test_gauge_examples():
     u = sine_potential(0.05, 512)
     c = from_potential(u)
@@ -384,49 +350,6 @@ def test_gauge_constant_invariance(shift):
     c = LagrangianCurve(c0.q_lift, c0.p, c0.primitive + shift)
     base = reduced_complexity_gauge(c0, u)
     assert abs(reduced_complexity_gauge(c, u) - base) <= 1e-12 * (1 + abs(shift))
-
-
-def test_intersection_gaps_against_argcrit_oracle():
-    u = sine_potential(0.03, 256)
-    v = grid_from_trig(TrigPolynomial.from_coeffs([(0, 2, 0.02, 0.0)]), 256)
-    cu, cv = from_potential(u), from_potential(v)
-    gaps = intersection_action_gap(cu, cv)
-    d = u.values - v.values
-    dd = np.roll(d, -1) - d
-    crit = sorted(float(d[i]) for i in range(256) if dd[i - 1] * dd[i] <= 0)
-    assert len(gaps) == len(crit)
-    assert np.allclose(gaps, crit, atol=1e-4)
-
-
-def test_intersection_gap_self():
-    c = from_potential(sine_potential(0.03, 128))
-    gaps = intersection_action_gap(c, c)
-    assert len(gaps) >= 1
-    assert max(gaps) - min(gaps) <= 1e-12
-
-
-def test_intersection_gap_flow_constancy():
-    u = sine_potential(0.03, 1024)
-    v = grid_from_trig(TrigPolynomial.from_coeffs([(0, 2, 0.02, 0.01)]), 1024)
-    cu, cv = from_potential(u), from_potential(v)
-    g0 = intersection_action_gap(cu, cv)
-    h = shifted_quadratic([(1, 1, 0.0, 0.04)], drift=0.2)
-    st = FlowSettings()
-    eu = evolve(h, cu, 0, 0.5, st, spacing=1e-3)
-    ev = evolve(h, cv, 0, 0.5, st, spacing=1e-3)
-    g1 = intersection_action_gap(eu, ev)
-    assert abs(min(g0) - min(g1)) <= 1e-5
-    assert abs(max(g0) - max(g1)) <= 1e-5
-
-
-def test_tangency_detection():
-    n = 64
-    a = zero_section(n)
-    tiny = 1e-7 * np.sin(2 * np.pi * np.arange(n) / n)
-    qgrid = (np.arange(n) + 0.5) / n  # offset so no node coincidences
-    b = LagrangianCurve(qgrid, 1e-7 * np.sin(2 * np.pi * qgrid), np.zeros(n))
-    with pytest.raises(TangencyDetected):
-        intersection_action_gap(a, b)
 
 
 def test_curve_csv_roundtrip(tmp_path):

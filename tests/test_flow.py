@@ -9,7 +9,6 @@ from birkhoff_lab.flow import (
     FlowSettings,
     PhasePoint,
     Trajectory,
-    energy_rate_residual,
     extended_trajectory,
     flow_map,
     integrate_batch,
@@ -135,13 +134,6 @@ def test_extended_trajectory_energy():
     vals = h.value(tr.times, tr.q_lift, tr.p)
     assert np.max(np.abs(tr.energy_samples + vals)) <= 1e-9  # E = -H by construction
     assert np.max(np.abs(tr.energy_samples - tr.energy_samples[0])) <= 1e-9
-
-
-def test_energy_rate_matches_time_derivative():
-    h = shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3)
-    st = FlowSettings(macro_step=1e-4, substeps_per_macro=2)
-    tr = extended_trajectory(h, PhasePoint(0.2, 0.4), 0, 1, st)
-    assert energy_rate_residual(h, tr) <= 1e-6
 
 
 def test_rk4_lone_point_matches_batch_bitwise():

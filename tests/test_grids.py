@@ -3,7 +3,7 @@ import pytest
 
 from birkhoff_lab.grids import GridFunction, grid_from_trig
 from birkhoff_lab.hamiltonians import TrigPolynomial
-from birkhoff_lab.reports import grid_from_csv, grid_to_csv
+from birkhoff_lab.reports import grid_to_csv
 
 
 def test_resolution_power_of_two():
@@ -51,29 +51,5 @@ def test_csv_roundtrip_1d(tmp_path):
     grid_to_csv(g, path)
     with open(path) as fh:
         assert fh.readline().strip() == "index,q,value"
-    g2 = grid_from_csv(path)
-    assert np.array_equal(g.values, g2.values)
-
-
-def test_csv_rows_placed_by_index(tmp_path):
-    g = grid_from_trig(TrigPolynomial.from_coeffs([(0, 1, 0.3, 0.7)]), 32)
-    path = tmp_path / "g.csv"
-    grid_to_csv(g, path)
-    header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([header, *reversed(rows)]) + "\n")
-    assert np.array_equal(grid_from_csv(path).values, g.values)
-
-
-@pytest.mark.parametrize("damage", ["repeated index", "missing row", "index past the grid"])
-def test_csv_rejects_bad_index(tmp_path, damage):
-    path = tmp_path / "g.csv"
-    grid_to_csv(GridFunction(np.arange(16.0)), path)
-    header, *rows = path.read_text().splitlines()
-    rows = {
-        "repeated index": rows[:5] + ["4" + rows[5][1:]] + rows[6:],  # row 5 claims cell 4
-        "missing row": rows[:5] + rows[6:],
-        "index past the grid": rows[:5] + ["16" + rows[5][1:]] + rows[6:],
-    }[damage]
-    path.write_text("\n".join([header, *rows]) + "\n")
-    with pytest.raises(ValueError):
-        grid_from_csv(path)
+    values = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+    assert np.array_equal(g.values, values)

@@ -1,26 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birkhoff_lab import hamiltonians
-from birkhoff_lab.errors import ConvexityViolation, MaximizerNotFound
+from birkhoff_lab.errors import MaximizerNotFound
 from birkhoff_lab.flow import FlowSettings, integrate_batch
 from birkhoff_lab.hamiltonians import (
     Family,
     TonelliHamiltonian,
-    TonelliReport,
     TrigPolynomial,
-    eval_hamiltonian,
-    extended_hamiltonian,
     fenchel_gap,
     free_hamiltonian,
     legendre_transform,
     mechanical,
     pendulum,
     shifted_quadratic,
-    tonelli_report,
 )
 from birkhoff_lab.lax_oleinik import lagrangian_batch
 
@@ -36,17 +29,17 @@ def custom_quartic():
 
 
 def test_eval_examples():
-    assert eval_hamiltonian(free_hamiltonian(), 0, 0, 2) == 2.0
-    assert eval_hamiltonian(pendulum(), 0, 0, 0) == 1.0
+    assert float(free_hamiltonian().value(0, 0, 2)) == 2.0
+    assert float(pendulum().value(0, 0, 0)) == 1.0
     sq0 = shifted_quadratic([], drift=0.0, offset=0.0)
-    assert eval_hamiltonian(sq0, 0, 0.3, 1) == 0.5
+    assert float(sq0.value(0, 0.3, 1)) == 0.5
 
 
 def test_periodicity_bitwise():
     for h in (pendulum(), SQ):
         for t, q, p in [(0.125, 0.375, 0.7), (0.0, 0.5, -1.2), (0.625, 0.0625, 3.0)]:
-            assert eval_hamiltonian(h, t + 1, q, p) == eval_hamiltonian(h, t, q, p)
-            assert eval_hamiltonian(h, t, q + 1, p) == eval_hamiltonian(h, t, q, p)
+            assert float(h.value(t + 1, q, p)) == float(h.value(t, q, p))
+            assert float(h.value(t, q + 1, p)) == float(h.value(t, q, p))
 
 
 def test_legendre_closed_forms():
@@ -115,7 +108,7 @@ def test_legendre_involution_mechanical():
         t, q, p = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-3, 3)
         vs = np.linspace(p * h.kinetic_coefficient - 0.4, p * h.kinetic_coefficient + 0.4, 4001)
         vals = [p * v - legendre_transform(h, t, q, v).value for v in vs]
-        assert max(vals) == pytest.approx(eval_hamiltonian(h, t, q, p), abs=1e-9)
+        assert max(vals) == pytest.approx(float(h.value(t, q, p)), abs=1e-9)
 
 
 def test_fenchel_examples():
@@ -151,81 +144,9 @@ def test_shifted_solves_hamilton_jacobi():
     for t in np.linspace(0, 1, 17):
         for q in np.linspace(0, 1, 23):
             w = h.shift_profile.deriv(t, q, 0, 1)
-            res = h.shift_profile.deriv(t, q, 1, 0) + eval_hamiltonian(h, t, q, w)
+            res = h.shift_profile.deriv(t, q, 1, 0) + float(h.value(t, q, w))
             worst = max(worst, abs(res - h.constant_offset))
     assert worst <= 1e-10
-
-
-def _sample_plan(monkeypatch, t_samples, q_samples):
-    monkeypatch.setattr(hamiltonians, "TONELLI_T_SAMPLES", t_samples)
-    monkeypatch.setattr(hamiltonians, "TONELLI_Q_SAMPLES", q_samples)
-
-
-def test_tonelli_report_families(monkeypatch):
-    _sample_plan(monkeypatch, 4, 8)
-    rep = tonelli_report(free_hamiltonian())
-    assert rep.min_second_derivative == pytest.approx(1.0, abs=1e-6)
-    rep = tonelli_report(SQ)
-    assert rep.min_second_derivative == pytest.approx(1.0, abs=1e-6)
-    assert rep.superlinear
-
-
-def _looped_tonelli_report(h):
-    """One (t, q, p) sample at a time: the reference for tonelli_report."""
-    ts = np.linspace(0.0, 1.0, hamiltonians.TONELLI_T_SAMPLES, endpoint=False)
-    qs = np.linspace(0.0, 1.0, hamiltonians.TONELLI_Q_SAMPLES, endpoint=False)
-    ladder = tuple(4.0 * (2.0**i) for i in range(5))
-    p_probe = sorted({0.0, *(x for L in ladder for x in (L, -L))})
-
-    min_dpp = math.inf
-    for t in ts:
-        for q in qs:
-            for p in p_probe:
-                d = float(np.min(h.d2H_dpp(t, q, p)))
-                min_dpp = min(min_dpp, d)
-    if min_dpp <= 0.0:
-        raise ConvexityViolation(f"min sampled d2H/dp2 = {min_dpp}")
-
-    min_increase = math.inf
-    for t in ts:
-        for q in qs:
-            for sign in (+1.0, -1.0):
-                ratios = [abs(h.value(t, q, sign * L)) / abs(L) for L in ladder]
-                inc = min(r2 - r1 for r1, r2 in zip(ratios, ratios[1:]))
-                min_increase = min(min_increase, inc)
-    return TonelliReport(
-        min_second_derivative=float(min_dpp),
-        ladder=ladder,
-        min_ratio_increase=float(min_increase),
-        superlinear=bool(min_increase > 0.0),
-    )
-
-
-@pytest.mark.parametrize("plan", [(8, 32), (4, 8)], ids=["default", "4x8"])
-@pytest.mark.parametrize("name", ["pendulum", "free", "mechanical_time_dependent", "shifted_quadratic", "custom_quartic"])
-def test_tonelli_report_matches_looped_reference(name, plan, monkeypatch):
-    _sample_plan(monkeypatch, *plan)
-    h = {"pendulum": pendulum(), "free": free_hamiltonian(), **CONTRACT_FAMILIES}[name]
-    assert tonelli_report(h) == _looped_tonelli_report(h)
-
-
-def test_tonelli_report_rejects_concave(monkeypatch):
-    _sample_plan(monkeypatch, 2, 4)
-    bad = TonelliHamiltonian(
-        family=Family.CUSTOM,
-        custom_fn=lambda t, q, p: -0.5 * p**2,
-        momentum_box=(-10, 10),
-    )
-    with pytest.raises(ConvexityViolation):
-        tonelli_report(bad)
-
-
-def test_extended_hamiltonian():
-    h = pendulum()
-    val = eval_hamiltonian(h, 0.3, 0.7, 1.1)
-    assert extended_hamiltonian(h, 0.3, -val, 0.7, 1.1) == 0.0
-    assert extended_hamiltonian(free_hamiltonian(), 0, 1.0, 0, 0) == 1.0
-    assert extended_hamiltonian(h, 0, -1.5, 0.5, 1.0) == pytest.approx(-2.0, abs=1e-15)
 
 
 def test_trig_polynomial_derivatives():

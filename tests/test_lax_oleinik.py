@@ -10,14 +10,12 @@ from birkhoff_lab.errors import (
     DivergenceDetected,
     GridMismatch,
     NonpositiveDuration,
-    NoStoredArgmin,
 )
 from birkhoff_lab.grids import GridFunction, constant_grid
-from birkhoff_lab.hamiltonians import free_hamiltonian, mechanical, pendulum, shifted_quadratic, torus_distance
+from birkhoff_lab.hamiltonians import free_hamiltonian, mechanical, pendulum, shifted_quadratic, wrap_unit
 from birkhoff_lab.lax_oleinik import (
     PotentialMatrix,
     _critical_value_from_matrix,
-    backward_minimizer,
     clear_potential_cache,
     lagrangian_batch,
     lax_negative,
@@ -34,6 +32,12 @@ PEND = pendulum()
 SHIFT = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.0)
 N = 256
 QS = np.arange(N) / N
+
+
+def torus_distance(a, b):
+    """Distance on the unit circle: min(|d|, 1 - |d|)."""
+    d = np.abs(wrap_unit(a) - wrap_unit(b))
+    return np.minimum(d, 1.0 - d)
 
 
 def test_potential_free_hopf_lax():
@@ -270,34 +274,6 @@ def test_weak_kam_requires_converged_barrier():
     trunc = peierls_barrier(FREE, -0.5, 0, 0, 8, 16, 64)
     with pytest.raises(BarrierNotConverged):
         positive_weak_kam(FREE, -0.5, 0, 0.0, 64, barrier=trunc)
-
-
-def test_backward_minimizer_free_constant():
-    ch = backward_minimizer(constant_grid(0.0, N), FREE, 0.0, 37, 4)
-    assert set(ch.indices) == {37}
-    assert ch.value_gap == 0.0
-    assert ch.max_speed == 0.0
-
-
-def _pendulum_fixed_point(n=N):
-    pm = potential(PEND, 0, 1, n)
-    u = constant_grid(0.0, n)
-    for _ in range(64):
-        u = lax_negative(u, pm, 1.0)
-    return u
-
-
-def test_backward_minimizer_pendulum_attracted_to_top():
-    u = _pendulum_fixed_point()
-    ch = backward_minimizer(u, PEND, 0.0, N // 4, 8, alpha0=1.0)
-    assert ch.positions[0] == 0.0  # chain settles at the potential maximum
-    assert abs(sum(ch.step_actions) - ch.value_gap) <= 1e-2
-    assert ch.max_speed <= 2 * np.sqrt(2 * (1 + 1)) + 1.0 / N
-
-
-def test_backward_minimizer_requires_steps():
-    with pytest.raises(NoStoredArgmin):
-        backward_minimizer(constant_grid(0.0, N), FREE, 0.0, 0, 0)
 
 
 @given(c=st.floats(-10, 10))
