@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import enum
 import json
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import UnsupportedIndex
-from .grids import GridFunction, place_cells
+from .grids import GridFunction
 from .textio import write_csv, write_json
 
 SHELL_FRACTION = 0.9
@@ -423,19 +424,15 @@ def selector_difference_bounds(s1: SampledFqi, s2: SampledFqi) -> DifferenceBoun
 # serialization
 
 
-def _fqi_header(fiber_dims: int) -> list[str]:
-    """Column names of an instance CSV: the base index, one per fiber axis, the value."""
-    return ["q_index", *(f"xi{i + 1}_index" for i in range(fiber_dims)), "value"]
-
-
 _FQI_META_KEYS = ("base_resolution", "fiber_resolution", "signature", "shell_enforced")
 
 
 def fqi_to_csv(s: SampledFqi, path) -> None:
+    """Write the header `value`, then s.values in C order, one per line; the
+    sidecar path.with_suffix(".meta.json") holds the shape (base_resolution,
+    null without a base axis, and fiber_resolution), signature and shell_enforced."""
     path = Path(path)
-    rows_shape = (s.base_resolution or 1,) + s.fiber_shape  # the q column is 0 without a base
-    indices = [lambda rows, k=k: np.unravel_index(rows, rows_shape)[k] for k in range(len(rows_shape))]
-    write_csv(path, _fqi_header(s.fiber_dims), [*indices, s.values.ravel()])
+    write_csv(path, ["value"], [s.values.ravel()])
     meta = (s.base_resolution, list(s.fiber_shape), list(s.signature), s.shell_enforced)
     write_json(path.with_suffix(".meta.json"), dict(zip(_FQI_META_KEYS, meta)))
 
@@ -443,9 +440,10 @@ def fqi_to_csv(s: SampledFqi, path) -> None:
 def fqi_from_csv(path) -> SampledFqi:
     """Read an instance written by fqi_to_csv.
 
-    Raises ValueError on other meta keys or meta values of another type,
-    another header, a line whose column count is wrong, an index outside the
-    shape, or a cell that is missing or listed twice.
+    Raises ValueError on other meta keys or meta values of another type, a
+    fiber_resolution that is not one positive int per signature entry, a
+    header other than `value` (older files have index columns), a line that
+    is not one float, or a row count other than the number of cells.
     """
     path = Path(path)
     meta_path = path.with_suffix(".meta.json")
@@ -460,27 +458,28 @@ def fqi_from_csv(path) -> SampledFqi:
 
     for key, ok, want in (
         ("base_resolution", base is None or is_int(base) and base > 0, "null or a positive int"),
-        ("fiber_resolution", isinstance(fiber, list) and all(map(is_int, fiber)), "a list of ints"),
+        ("fiber_resolution", isinstance(fiber, list) and all(is_int(m) and m > 0 for m in fiber),
+         "a list of positive ints"),
         ("signature", isinstance(signature, list) and all(is_int(s) and s in (-1, 1) for s in signature),
          "a list of the ints 1 and -1"),
         ("shell_enforced", isinstance(shell, bool), "true or false"),
     ):
         if not ok:
             raise ValueError(f"{meta_path}: {key} must be {want}, not {meta[key]!r}")
-    rows_shape = (base or 1,) + tuple(fiber)  # the q column is 0 without a base
-    row = np.dtype([("cell", np.int32, (len(rows_shape),)), ("value", float)])
-    header = ",".join(_fqi_header(len(rows_shape) - 1))
+    if len(fiber) != len(signature):
+        raise ValueError(f"{meta_path}: fiber_resolution must be as long as signature, "
+                         f"not {len(fiber)} entries for {len(signature)}")
+    shape = ((base,) if base else ()) + tuple(fiber)
     with open(path, "r", encoding="utf-8") as fh:
-        if fh.readline().strip() != header:
-            raise ValueError(f"{path}: the header is not {header!r}")
-        rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
-    try:
-        flat = np.ravel_multi_index(rows["cell"].T, rows_shape)
-    except ValueError as exc:
-        raise ValueError(f"{path}: a cell index lies outside the shape {rows_shape}") from exc
-    vals = place_cells(path, flat, rows["value"], rows_shape)
+        if fh.readline().strip() != "value":
+            raise ValueError(f"{path}: the header is not 'value'")
+        with warnings.catch_warnings():  # no rows is the row-count error below, not a warning
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(fh, delimiter=",", ndmin=1)
+    if vals.shape != (np.prod(shape),):
+        raise ValueError(f"{path}: want one value per cell of the shape {shape}, read {vals.shape}")
     return SampledFqi(
-        values=vals if base else vals[0],
+        values=vals.reshape(shape),
         signature=tuple(signature),
         base_resolution=base,
         shell_enforced=shell,

@@ -36,20 +36,17 @@ def _cells(block) -> list[str]:
 def write_csv(path, header, columns) -> None:
     """Write the header line, then one row per index across the columns.
 
-    A column is an array, or a function that maps an array of row numbers to
-    the cells of those rows (for columns computed from the row number, such
-    as grid coordinates). There are as many rows as the longest array has
-    values; a shorter array, an empty one too, leaves its last cells missing.
-    Header entries that are not strings follow the cell rule.
+    There are as many rows as the longest column has values; a shorter
+    column, an empty one too, leaves its last cells missing. Header entries
+    that are not strings follow the cell rule.
     """
-    columns = [c if callable(c) else np.asarray(c) for c in columns]
-    n = max(len(c) for c in columns if not callable(c))
+    columns = [np.asarray(c) for c in columns]
+    n = max(map(len, columns))
     block = max(1, BLOCK_CELLS // len(columns))
     with _open(path) as fh:
         fh.write(",".join(h if isinstance(h, str) else _cells([h])[0] for h in header) + "\n")
         for lo in range(0, n, block):
-            rows = np.arange(lo, min(lo + block, n))
-            cells = [_cells(c(rows) if callable(c) else c[lo:lo + block]) for c in columns]
+            cells = [_cells(c[lo:lo + block]) for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip_longest(*cells, fillvalue=""))
 
 

@@ -316,7 +316,7 @@ def test_spectral_rejects_damaged_csv(tmp_path):
     inst = tmp_path / "saddle.csv"
     fqi_to_csv(sample_fqi(saddle, (1, -1), fiber_resolution=65), inst)
     header, *rows = inst.read_text().splitlines()
-    rows.remove("0,32,32,1.0")  # the saddle cell
+    del rows[32 * 65 + 32]  # the saddle cell (32, 32)
     rows[-1] += ",0.0"
     inst.write_text("\n".join([header, *rows]) + "\n")
     assert run(["--out", tmp_path / "out", "--quiet", "spectral", "--fqi", inst]) == 11
@@ -332,6 +332,9 @@ def test_spectral_rejects_damaged_csv(tmp_path):
     ("base_resolution", "x"),
     ("base_resolution", 1.5),
     ("shell_enforced", 1),
+    ("fiber_resolution", [9, 9, 9]),
+    ("fiber_resolution", [-3, -3]),  # its product, 9, alone would match the file's 81 rows
+    ("fiber_resolution", [0, 9]),
 ])
 def test_spectral_rejects_mistyped_meta(tmp_path, capsys, key, value):
     # each was a TypeError traceback with exit 1, or was cast (1.5 and true
@@ -346,6 +349,23 @@ def test_spectral_rejects_mistyped_meta(tmp_path, capsys, key, value):
     assert run(["--out", out, "spectral", "--fqi", inst]) == cli.EXIT_ERROR + 1
     assert f"{meta_path}: {key} must be" in capsys.readouterr().err
     assert not (out / "spectral.json").exists()
+
+
+def test_spectral_quiet_on_a_csv_without_rows_prints_nothing(tmp_path, capfd):
+    # numpy warns on a body with no rows; the CLI runs in a child process so
+    # that pytest's warning capture cannot hide such a warning
+    inst = tmp_path / "saddle.csv"
+    fqi_to_csv(sample_fqi(lambda x, y: x**2 - y**2, (1, -1), fiber_resolution=9), inst)
+    inst.write_text("value\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = ["--out", str(tmp_path / "out"), "--quiet", "spectral", "--fqi", str(inst)]
+    done = subprocess.run([sys.executable, "-m", "birkhoff_lab.cli", *argv], env=env)
+    assert done.returncode == cli.EXIT_ERROR + 1
+    assert capfd.readouterr() == ("", "")
+    with pytest.raises(ValueError) as raised:
+        spectral.fqi_from_csv(inst)
+    assert str(inst) in str(raised.value)
 
 
 def test_spectral_on_a_smooth_saddle_loads_no_scipy(tmp_path):

@@ -396,24 +396,27 @@ def test_percolation_probe_count(monkeypatch):
 
 def test_fqi_csv_roundtrip(tmp_path):
     f = trig([(0.1, -0.2)])
-    for s in (
-        sample_fqi(lambda q, x: x**2 + f(q), (1,), base_resolution=8, fiber_resolution=17),
-        sample_fqi(lambda x, y: x**2 - y**2, (1, -1), fiber_resolution=17),
-    ):
+    quadratic = {(1,): lambda x: x**2, (1, -1): lambda x, y: x**2 - y**2,
+                 (1, 1, -1): lambda x, y, z: x**2 + y**2 - z**2}
+    instances = []
+    for signature, quad in quadratic.items():
+        m = 17 if len(signature) < 3 else 5
+        instances.append(sample_fqi(quad, signature, fiber_resolution=m))
+        instances.append(sample_fqi(lambda q, *x: quad(*x) + f(q), signature, base_resolution=8, fiber_resolution=m))
+    s1 = sample_fqi(lambda q, x: x**2 + f(q), (1,), base_resolution=8, fiber_resolution=9)
+    s2 = sample_fqi(lambda q, x: x**2 - f(q), (1,), base_resolution=8, fiber_resolution=11)
+    instances.append(fibred_sum_fqi(s1, s2, negate_second=True))
+    assert not instances[-1].shell_enforced
+    for s in instances:
         path = tmp_path / "inst.csv"
         fqi_to_csv(s, path)
-        s2 = fqi_from_csv(path)
-        assert np.array_equal(s2.values, s.values)
-        assert s2.signature == s.signature
-        assert s2.base_resolution == s.base_resolution
-
-
-def test_fqi_csv_header_names_every_fiber_axis(tmp_path):
-    s = sample_fqi(lambda x, y, z: x**2 + y**2 - z**2, (1, 1, -1), fiber_resolution=5)
-    path = tmp_path / "inst.csv"
-    fqi_to_csv(s, path)
-    assert path.read_text().splitlines()[0] == "q_index,xi1_index,xi2_index,xi3_index,value"
-    assert np.array_equal(fqi_from_csv(path).values, s.values)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "value" and len(lines) == 1 + np.prod(s.values.shape)
+        back = fqi_from_csv(path)
+        assert np.array_equal(back.values, s.values)
+        assert back.signature == s.signature
+        assert back.base_resolution == s.base_resolution
+        assert back.shell_enforced == s.shell_enforced
 
 
 def test_fibred_sum_not_shell_enforced():
@@ -425,8 +428,8 @@ def test_fibred_sum_not_shell_enforced():
 
 
 @pytest.mark.parametrize("damage", [
-    "extra column", "negative index", "index past the shape", "missing cell", "duplicate cell", "nan value",
-    "inf value", "renamed header", "reordered header", "extra meta key",
+    "extra column", "missing cell", "duplicate cell", "nan value", "inf value", "old-format header",
+    "extra meta key",
 ])
 def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
     s = sample_fqi(lambda q, x: x**2 + 0.1 * np.sin(2 * np.pi * q), (1,), base_resolution=4, fiber_resolution=5)
@@ -434,22 +437,20 @@ def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
     fqi_to_csv(s, path)
     header, *rows = path.read_text().splitlines()
     head, cell, tail = rows[:12], rows[12], rows[13:]  # cell (2, 2), inside the shell
-    if damage == "renamed header":
-        header = header.replace("xi1", "xi2")
-    if damage == "reordered header":
-        header = "value,xi1_index,q_index"
+    if damage == "old-format header":
+        header = "q_index,xi1_index,value"
     rows = {
         "extra column": head + [cell + ",0"] + tail,
-        "negative index": head + ["2,-1,0.5"] + tail,
-        "index past the shape": head + ["2,5,0.5"] + tail,
-        "missing cell": head + tail,
-        "duplicate cell": rows + [cell],
-        "nan value": head + ["2,2,nan"] + tail,
-        "inf value": head + ["2,2,inf"] + tail,
+        "missing cell": head + tail,  # one row short
+        "duplicate cell": rows + [cell],  # one row over
+        "nan value": head + ["nan"] + tail,
+        "inf value": head + ["inf"] + tail,
     }.get(damage, rows)
     path.write_text("\n".join([header, *rows]) + "\n")
     if damage == "extra meta key":
         meta = path.with_suffix(".meta.json")
         meta.write_text(meta.read_text().replace("{", '{"fiber_halfwidth": 4.0, ', 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         fqi_from_csv(path)
+    if damage in ("missing cell", "duplicate cell", "old-format header"):
+        assert str(path) in str(raised.value)

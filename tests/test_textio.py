@@ -43,18 +43,18 @@ def test_only_textio_writes_files():
 
 
 def test_csv_cell_rule(tmp_path, monkeypatch):
-    monkeypatch.setattr(textio, "BLOCK_CELLS", 14)  # two rows of seven cells per block
+    monkeypatch.setattr(textio, "BLOCK_CELLS", 14)  # two rows of six cells per block
     path = tmp_path / "sub" / "t.csv"
-    write_csv(path, ["i", "x", "ok", "short", "none", "sq", 0.5],
+    write_csv(path, ["i", "x", "ok", "short", "none", 0.5],
               [np.arange(5), [0.1, 1.0, -0.0, 1e-300, 2 / 3], np.array([True, False, True, True, False]),
-               np.array([1.5, 2.5]), [], lambda rows: rows * rows, np.arange(5, dtype=np.float32) / 3])
+               np.array([1.5, 2.5]), [], np.arange(5, dtype=np.float32) / 3])
     assert path.read_bytes().decode("utf-8").splitlines() == [
-        "i,x,ok,short,none,sq,0.5",
-        f"0,0.1,true,1.5,,0,{float(np.float32(0) / 3)!r}",
-        f"1,1.0,false,2.5,,1,{float(np.float32(1) / 3)!r}",
-        f"2,-0.0,true,,,4,{float(np.float32(2) / 3)!r}",
-        f"3,1e-300,true,,,9,{float(np.float32(3) / 3)!r}",
-        f"4,{2 / 3!r},false,,,16,{float(np.float32(4) / 3)!r}",
+        "i,x,ok,short,none,0.5",
+        f"0,0.1,true,1.5,,{float(np.float32(0) / 3)!r}",
+        f"1,1.0,false,2.5,,{float(np.float32(1) / 3)!r}",
+        f"2,-0.0,true,,,{float(np.float32(2) / 3)!r}",
+        f"3,1e-300,true,,,{float(np.float32(3) / 3)!r}",
+        f"4,{2 / 3!r},false,,,{float(np.float32(4) / 3)!r}",
     ]
     assert b"\r" not in path.read_bytes()
 
