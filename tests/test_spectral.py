@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -417,6 +419,18 @@ def test_fqi_csv_roundtrip(tmp_path):
         assert back.signature == s.signature
         assert back.base_resolution == s.base_resolution
         assert back.shell_enforced == s.shell_enforced
+
+
+def test_fqi_csv_header_names_every_fiber_axis(tmp_path):
+    s = sample_fqi(lambda x, y, z: x**2 + y**2 - z**2, (1, 1, -1), fiber_resolution=5)
+    path = tmp_path / "inst.csv"
+    fqi_to_csv(s, path)
+    header, *rows = path.read_text().splitlines()
+    assert header == "value"  # the axes are named by the sidecar, not by index columns
+    meta = json.loads(path.with_suffix(".meta.json").read_text())
+    assert meta["fiber_resolution"] == [5, 5, 5] and meta["signature"] == [1, 1, -1]
+    assert np.array_equal(np.array(rows, dtype=float), s.values.ravel())  # C order
+    assert np.array_equal(fqi_from_csv(path).values, s.values)
 
 
 def test_fibred_sum_not_shell_enforced():
