@@ -7,8 +7,9 @@ advances primitives by the per-node action integral, and resamples by
 bisecting in the initial-condition parameter and re-flowing (never by
 interpolating in phase space at the final time).
 
-`points_to_curve_distance` imports `scipy.spatial` on first use, so a process
-that flows curves but never measures a distance between them does not load it.
+`points_to_curve_distance` and `directed_hausdorff` import `scipy.spatial` on
+first use, so a process that flows curves but never measures a distance
+between them does not load it.
 """
 
 from __future__ import annotations
@@ -258,6 +259,35 @@ def _point_segment_sq(dx1, dy1, dx2, dy2):
     return px * px + py * py
 
 
+def _segment_tree(b: LagrangianCurve):
+    """Segment ends (l1, p1), (l2, p2) and lifted midpoints of b, and a
+    KD-tree on the wrapped midpoints and their images at q +- 1."""
+    # imported here: scipy.spatial takes about half a second to import, and
+    # only the Hausdorff and graph checks need it
+    from scipy.spatial import cKDTree
+
+    lb = b.closed_lift()
+    pb = b.closed_p()
+    l1, l2 = lb[:-1], lb[1:]
+    p1, p2 = pb[:-1], pb[1:]
+    mid = 0.5 * (l1 + l2)
+    mq = wrap_unit(mid)
+    tree = cKDTree(np.column_stack([np.concatenate([mq - 1.0, mq, mq + 1.0]), np.tile(0.5 * (p1 + p2), 3)]))
+    return (l1, p1, l2, p2, mid), tree
+
+
+def _pair_sq(segments, j, qs, ps) -> np.ndarray:
+    """Squared distances from wrapped points (qs, ps) to segments j of b,
+    each unwrapped into the point's chart and the two adjacent ones."""
+    l1, p1, l2, p2, mid = segments
+    w = np.round(mid[j] - qs)
+    d2 = np.full(len(j), np.inf)
+    for dw in (-1.0, 0.0, 1.0):
+        sh = w + dw
+        d2 = np.minimum(d2, _point_segment_sq(l1[j] - sh - qs, p1[j] - ps, l2[j] - sh - qs, p2[j] - ps))
+    return d2
+
+
 def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -> np.ndarray:
     """Exact distances from phase points to the closed polyline b.
 
@@ -275,29 +305,20 @@ def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -
     over all segments, so the distances are bitwise those of the all-pairs
     search.
     """
-    # imported here: scipy.spatial takes about half a second to import, and
-    # only the Hausdorff and graph checks need it
-    from scipy.spatial import cKDTree
-
-    lb = b.closed_lift()
-    pb = b.closed_p()
-    l1, l2 = lb[:-1], lb[1:]
-    p1, p2 = pb[:-1], pb[1:]
-    mid = 0.5 * (l1 + l2)
     qa = wrap_unit(np.asarray(q, dtype=float))
     pa = np.asarray(p, dtype=float)
     best = np.full(len(qa), np.inf)
     if len(qa) == 0:
         return best
-    m = len(mid)
-    mq = wrap_unit(mid)
-    tree = cKDTree(np.column_stack([np.concatenate([mq - 1.0, mq, mq + 1.0]), np.tile(0.5 * (p1 + p2), 3)]))
+    segments, tree = _segment_tree(b)
+    l1, p1, l2, p2, _ = segments
+    m = len(l1)
     points = np.column_stack([qa, pa])
     d_nn = tree.query(points)[0]
     half = 0.5 * float(np.max(np.hypot(l2 - l1, p2 - p1)))
     # the slack covers rounding in every distance involved: a few ulps of
     # coordinates bounded by 3 in q and by |p| in p
-    radius = (d_nn + half) * (1.0 + 1e-9) + 1e-12 * (1.0 + np.abs(pa) + np.max(np.abs(pb)))
+    radius = (d_nn + half) * (1.0 + 1e-9) + 1e-12 * (1.0 + np.abs(pa) + np.max(np.abs(p1)))
     # blocks of points with at most PAIR_BLOCK candidate pairs (plus one
     # point's) keep memory bounded whatever the curve
     pairs = np.cumsum(tree.query_ball_point(points, radius, return_length=True))
@@ -307,30 +328,50 @@ def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -
         counts = np.fromiter(map(len, near), np.intp, len(near))
         i = np.repeat(np.arange(i0, i1), counts)
         j = np.fromiter(chain.from_iterable(near), np.intp, int(counts.sum())) % m
-        qs, ps = qa[i], pa[i]
-        w = np.round(mid[j] - qs)
-        d2 = np.full(len(i), np.inf)
-        for dw in (-1.0, 0.0, 1.0):
-            sh = w + dw
-            d2 = np.minimum(d2, _point_segment_sq(l1[j] - sh - qs, p1[j] - ps, l2[j] - sh - qs, p2[j] - ps))
-        np.minimum.at(best, i, d2)
+        np.minimum.at(best, i, _pair_sq(segments, j, qa[i], pa[i]))
     return np.sqrt(best)
 
 
-def _directed_hausdorff(a: LagrangianCurve, b: LagrangianCurve) -> float:
-    return float(np.max(points_to_curve_distance(a.q, a.p, b)))
+def directed_hausdorff(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -> float:
+    """max(points_to_curve_distance(q, p, b)), taking exact distances only
+    for the points that can raise it.
+
+    A point's nearest midpoint image belongs to one of its candidate
+    segments, so its distance to that segment, in the same float expressions,
+    is at least its exact distance, bitwise. Points are visited in decreasing
+    order of this bound, in blocks that double from 64, until no bound left
+    exceeds the running max (Taha & Hanbury, IEEE TPAMI 37, 2015). Raises
+    EmptyInput on an empty point set.
+    """
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if len(q) == 0:
+        raise EmptyInput("directed Hausdorff distance from an empty point set")
+    # points_to_curve_distance wraps q itself, and wrapping twice can move a
+    # point: wrap_unit(-1e-17) is 1.0, and wrap_unit(1.0) is 0.0
+    qa = wrap_unit(q)
+    segments, tree = _segment_tree(b)
+    j = tree.query(np.column_stack([qa, p]))[1] % len(segments[0])
+    bound = np.sqrt(_pair_sq(segments, j, qa, p))
+    order = np.argsort(-bound, kind="stable")
+    best, i0, size = -np.inf, 0, 64
+    while i0 < len(order) and bound[order[i0]] > best:
+        block = order[i0 : i0 + size]
+        best = max(best, float(np.max(points_to_curve_distance(q[block], p[block], b))))
+        i0, size = i0 + size, 2 * size
+    return best
 
 
 def hausdorff_distance(a: LagrangianCurve, b: LagrangianCurve) -> float:
     """Symmetric Hausdorff distance between closed polylines, taken at nodes.
 
     The value is the maximum, over the nodes of either curve, of the exact
-    node-to-polyline distance to the other curve (points_to_curve_distance).
+    node-to-polyline distance to the other curve (directed_hausdorff).
     Points inside segments are not visited, so the value can fall below the
     Hausdorff distance of the polylines as sets, by at most half the longest
     segment.
     """
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    return max(directed_hausdorff(a.q, a.p, b), directed_hausdorff(b.q, b.p, a))
 
 
 # ---------------------------------------------------------------------------

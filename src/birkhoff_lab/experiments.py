@@ -20,8 +20,8 @@ import numpy as np
 from .calibration import SpaceTimeFunction, grid_kink_mask, spacetime_from_lax
 from .curves import (
     LagrangianCurve,
+    directed_hausdorff,
     evolve,
-    points_to_curve_distance,
     from_potential,
     graph_check,
     hausdorff_distance,
@@ -479,9 +479,9 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     for t in times:
         lt = evolve(h, curve, 0.0, t, config.flow_settings, spacing=SPACING)
         keep = ~excluded[(np.floor(curve.q * n).astype(int)) % n]
-        d = float(np.max(points_to_curve_distance(curve.q[keep], curve.p[keep], lt)))
+        d = directed_hausdorff(curve.q[keep], curve.p[keep], lt)
         if not has_kinks:
-            d = max(d, float(np.max(points_to_curve_distance(lt.q, lt.p, curve))))
+            d = max(d, directed_hausdorff(lt.q, lt.p, curve))
         worst = max(worst, d)
         bundle.series.setdefault("invariance", []).append((t, d))
     bundle.verdict = "PASS" if worst < 10.0 / n else "FAIL"

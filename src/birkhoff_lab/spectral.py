@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -437,13 +438,28 @@ def fqi_to_csv(s: SampledFqi, path) -> None:
     write_json(path.with_suffix(".meta.json"), dict(zip(_FQI_META_KEYS, meta)))
 
 
+def _not_one_finite_float(path: Path) -> ValueError:
+    """The error for an instance CSV with a row that is not one finite float,
+    naming the first such line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for n, line in enumerate(fh, 1):
+            if n > 1 and line.strip():
+                try:
+                    ok = math.isfinite(float(line))
+                except ValueError:
+                    ok = False
+                if not ok:
+                    return ValueError(f"{path}: line {n} is not one finite float")
+    return ValueError(f"{path}: a line is not one finite float")
+
+
 def fqi_from_csv(path) -> SampledFqi:
     """Read an instance written by fqi_to_csv.
 
     Raises ValueError on other meta keys or meta values of another type, a
     fiber_resolution that is not one positive int per signature entry, a
     header other than `value` (older files have index columns), a line that
-    is not one float, or a row count other than the number of cells.
+    is not one finite float, or a row count other than the number of cells.
     """
     path = Path(path)
     meta_path = path.with_suffix(".meta.json")
@@ -473,9 +489,14 @@ def fqi_from_csv(path) -> SampledFqi:
     with open(path, "r", encoding="utf-8") as fh:
         if fh.readline().strip() != "value":
             raise ValueError(f"{path}: the header is not 'value'")
-        with warnings.catch_warnings():  # no rows is the row-count error below, not a warning
-            warnings.simplefilter("ignore", UserWarning)
-            vals = np.loadtxt(fh, delimiter=",", ndmin=1)
+        try:
+            with warnings.catch_warnings():  # no rows is the row-count error below, not a warning
+                warnings.simplefilter("ignore", UserWarning)
+                vals = np.loadtxt(fh, delimiter=",", ndmin=1)
+        except ValueError:
+            raise _not_one_finite_float(path) from None
+    if not np.isfinite(vals).all():
+        raise _not_one_finite_float(path)
     if vals.shape != (np.prod(shape),):
         raise ValueError(f"{path}: want one value per cell of the shape {shape}, read {vals.shape}")
     return SampledFqi(

@@ -311,7 +311,7 @@ def test_spectral_runs_each_global_percolation_once(tmp_path, monkeypatch):
     assert payload["unit"]["certificate"] == payload["top"]["certificate"] == "percolation_threshold"
 
 
-def test_spectral_rejects_damaged_csv(tmp_path):
+def test_spectral_rejects_damaged_csv(tmp_path, capsys):
     saddle = lambda x, y: x**2 - y**2 + np.exp(-(x**2 + y**2))
     inst = tmp_path / "saddle.csv"
     fqi_to_csv(sample_fqi(saddle, (1, -1), fiber_resolution=65), inst)
@@ -320,6 +320,8 @@ def test_spectral_rejects_damaged_csv(tmp_path):
     rows[-1] += ",0.0"
     inst.write_text("\n".join([header, *rows]) + "\n")
     assert run(["--out", tmp_path / "out", "--quiet", "spectral", "--fqi", inst]) == 11
+    assert run(["--out", tmp_path / "out", "spectral", "--fqi", inst]) == 11
+    assert f"{inst}: line {len(rows) + 1} is not one finite float" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [

@@ -10,6 +10,7 @@ from birkhoff_lab.curves import (
     LagrangianCurve,
     curve_from_csv,
     curve_to_csv,
+    directed_hausdorff,
     evolve,
     exactness_defects,
     from_potential,
@@ -293,6 +294,57 @@ def test_points_to_curve_distance_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8e6
+
+
+@st.composite
+def _hausdorff_case(draw):
+    kind = draw(st.sampled_from(["points", "coincident", "tied", "seam"]))
+    if kind == "points":  # graphs, folded, repeated and lifted curves; seam points
+        return draw(_curve_and_points())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    if kind == "coincident":  # every distance is 0: most bounds tie with the max
+        b = _folded(1.0) if draw(st.booleans()) else from_potential(sine_potential(0.05, 64 * 2 ** draw(st.integers(0, 3))))
+        return b.q_lift, b.p, b
+    if kind == "tied":  # points at one height over a level curve: distances and bounds tie
+        level = rng.uniform(-0.5, 0.5)
+        m = 16 * 2 ** draw(st.integers(0, 4))
+        b = LagrangianCurve(np.arange(m) / m, np.full(m, level), np.zeros(m))
+        return rng.uniform(-1.0, 2.0, n), np.full(n, level + draw(st.sampled_from([0.0, 0.125, -0.3]))), b
+    b = from_potential(sine_potential(rng.uniform(-0.05, 0.05), 64))
+    b = LagrangianCurve(b.q_lift + rng.uniform(-1.0, 1.0), b.p, b.primitive)
+    seam = np.array([-1e-17, 1.0 - 2.0**-53, -1e-17, 0.0, 1.0 - 2.0**-53])
+    return seam, rng.uniform(-0.3, 0.3, len(seam)), b
+
+
+@given(case=_hausdorff_case())
+@settings(max_examples=200, deadline=None)
+def test_directed_hausdorff_is_the_exact_max(case):
+    q, p, b = case
+    want = np.max(_brute_points_to_curve_distance(q, p, b))
+    assert np.float64(directed_hausdorff(q, p, b)).tobytes() == want.tobytes()
+
+
+def test_directed_hausdorff_visits_past_a_first_block_of_loose_bounds():
+    # b runs along p = 0 with a spike up to p = 0.1 at q = 0.8. The 100 points
+    # just above p = 0 left of the spike have the spike's midpoint nearest, so
+    # their bounds (0.02 to 0.1, the distance to the spike) rank first, yet
+    # they lie 0.002 from b. The farthest point, 0.01 above the densely
+    # sampled arc, ranks 101st with a tight bound: evaluating only the first
+    # 64 points would report 0.002.
+    lift = np.concatenate([np.linspace(0.0, 0.3, 13), [0.8, 0.8, 0.8]])
+    p_b = np.concatenate([np.zeros(13), [0.0, 0.1, 0.0]])
+    b = LagrangianCurve(lift, p_b, np.zeros(16))
+    q = np.append(np.linspace(0.70, 0.78, 100), 0.1)
+    p = np.append(np.full(100, 0.002), 0.01)
+    exact = _brute_points_to_curve_distance(q, p, b)
+    assert np.argmax(exact) == 100 and np.max(exact[:100]) < 0.0021
+    assert directed_hausdorff(q, p, b) == np.max(exact) == pytest.approx(0.01)
+
+
+def test_directed_hausdorff_of_no_points():
+    with pytest.raises(EmptyInput, match="empty point set"):
+        directed_hausdorff(np.array([]), np.array([]), zero_section())
 
 
 def test_hausdorff_metric_properties():

@@ -466,5 +466,7 @@ def test_fqi_from_csv_rejects_damaged_files(tmp_path, damage):
         meta.write_text(meta.read_text().replace("{", '{"fiber_halfwidth": 4.0, ', 1))
     with pytest.raises(ValueError) as raised:
         fqi_from_csv(path)
+    if damage in ("extra column", "nan value", "inf value"):  # cell (2, 2) is on line 14
+        assert str(raised.value) == f"{path}: line 14 is not one finite float"
     if damage in ("missing cell", "duplicate cell", "old-format header"):
         assert str(path) in str(raised.value)
