@@ -63,3 +63,8 @@ class FixedPointNotReached(BirkhoffLabError):
 
 class IoFailure(BirkhoffLabError):
     """Report emission failed."""
+
+
+class NotComplexAnalytic(BirkhoffLabError):
+    """A custom Hamiltonian callable rejects complex arguments or drops their
+    imaginary parts, so its complex-step derivatives would be wrong."""

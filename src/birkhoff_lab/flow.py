@@ -10,6 +10,10 @@ RK4_TOL and its step size carried from substep to substep, and their action
 is composite Simpson quadrature on the same solution samples, so the
 discrete primitives stay consistent with the discrete flow. The integrator
 keeps the name rk4, which configs use, and so does its tolerance RK4_TOL.
+Its six stages are unrolled, each one call of the family's vector_field
+(dH/dp, -dH/dq): a single trig pass for the closed forms, two complex-step
+evaluations for a custom callable, and Python floats for a single point of
+a closed-form family.
 
 Every step maps a point and its jet to the next point and its jet, and the
 Simpson integrand is read off that jet, so each point is evaluated once: a
@@ -105,15 +109,12 @@ _A = (
 )
 _B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-
-
-def _weighted_sum(weights, ks):
-    """sum(w * k) over the nonzero weights, left to right, on arrays or scalars."""
-    total = None
-    for w, k in zip(weights, ks):
-        if w:
-            total = w * k if total is None else total + w * k
-    return total
+# the same coefficients by name, for the unrolled step; the second weights of
+# B and E are 0, and the step skips them
+_C2, _C3, _C4, _C5, _C6 = _C
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), (_A61, _A62, _A63, _A64, _A65) = _A
+_B1, _, _B3, _B4, _B5, _B6 = _B
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 
 
 class _RK4:
@@ -129,9 +130,12 @@ class _RK4:
     carry over from one substep to the next, and the last step of a substep
     is clipped to land on its end.
 
-    A single point of a closed-form family is stepped on scalars: the same
-    IEEE operations, so the same bits, without numpy's per-call overhead on
-    1-element arrays. Custom callables always see the arrays they are given.
+    Each stage is one call of the family's vector_field, and each weighted
+    sum of stages runs left to right over the nonzero weights. A single point
+    of a closed-form family is stepped on Python floats by the same code: the
+    same IEEE operations, so the same bits, without numpy's per-call overhead
+    on 1-element arrays. Custom callables always see the arrays they are
+    given.
     """
 
     def __init__(self, h, q):
@@ -155,17 +159,13 @@ class _RK4:
             q1, p1 = self._advance(h, jet[0], q, p, dt, t1)
         return q1, p1, (t1, q1)
 
-    def _f(self, h, t, q, p):
-        if self.scalar:
-            return float(h.dH_dp(t, q, p)), -float(h.dH_dq(t, q, p))
-        return h.dH_dp(t, q, p), -h.dH_dq(t, q, p)
-
     def _norm(self, x):
         return abs(x) if self.scalar else np.max(np.abs(x))
 
     def _advance(self, h, t, q, p, dt_sub, t1):
         """Steps from (t, q, p) to time t1, dt_sub after t."""
-        k = self.k if self.k is not None else self._f(h, t, q, p)
+        f = h.ops.vector_field
+        k = self.k if self.k is not None else f(h, t, q, p)
         size = dt_sub if self.size is None else self.size
         while True:
             if abs(size) < 1e-9:
@@ -174,17 +174,22 @@ class _RK4:
             proposed = size
             dt = t1 - t if last else size
             t_new = t1 if last else t + dt
-            kq, kp = [k[0]], [k[1]]
-            for c, row in zip(_C, _A):
-                kqi, kpi = self._f(h, t + c * dt, q + dt * _weighted_sum(row, kq), p + dt * _weighted_sum(row, kp))
-                kq.append(kqi)
-                kp.append(kpi)
-            q_new = q + dt * _weighted_sum(_B, kq)
-            p_new = p + dt * _weighted_sum(_B, kp)
-            k_new = self._f(h, t_new, q_new, p_new)
-            kq.append(k_new[0])
-            kp.append(k_new[1])
-            err = max(self._norm(dt * _weighted_sum(_E, kq)), self._norm(dt * _weighted_sum(_E, kp)))
+            kq1, kp1 = k
+            kq2, kp2 = f(h, t + _C2 * dt, q + dt * (_A21 * kq1), p + dt * (_A21 * kp1))
+            kq3, kp3 = f(h, t + _C3 * dt, q + dt * (_A31 * kq1 + _A32 * kq2), p + dt * (_A31 * kp1 + _A32 * kp2))
+            kq4, kp4 = f(h, t + _C4 * dt, q + dt * (_A41 * kq1 + _A42 * kq2 + _A43 * kq3),
+                         p + dt * (_A41 * kp1 + _A42 * kp2 + _A43 * kp3))
+            kq5, kp5 = f(h, t + _C5 * dt, q + dt * (_A51 * kq1 + _A52 * kq2 + _A53 * kq3 + _A54 * kq4),
+                         p + dt * (_A51 * kp1 + _A52 * kp2 + _A53 * kp3 + _A54 * kp4))
+            kq6, kp6 = f(h, t + _C6 * dt, q + dt * (_A61 * kq1 + _A62 * kq2 + _A63 * kq3 + _A64 * kq4 + _A65 * kq5),
+                         p + dt * (_A61 * kp1 + _A62 * kp2 + _A63 * kp3 + _A64 * kp4 + _A65 * kp5))
+            q_new = q + dt * (_B1 * kq1 + _B3 * kq3 + _B4 * kq4 + _B5 * kq5 + _B6 * kq6)
+            p_new = p + dt * (_B1 * kp1 + _B3 * kp3 + _B4 * kp4 + _B5 * kp5 + _B6 * kp6)
+            k_new = kq7, kp7 = f(h, t_new, q_new, p_new)
+            err = max(
+                self._norm(dt * (_E1 * kq1 + _E3 * kq3 + _E4 * kq4 + _E5 * kq5 + _E6 * kq6 + _E7 * kq7)),
+                self._norm(dt * (_E1 * kp1 + _E3 * kp3 + _E4 * kp4 + _E5 * kp5 + _E6 * kp6 + _E7 * kp7)),
+            )
             budget = RK4_TOL * max(abs(dt) / abs(dt_sub), 1e-3)
             factor = 10.0 if err == 0 else min(10.0, max(0.2, 0.9 * (budget / err) ** 0.2))
             size = dt * factor

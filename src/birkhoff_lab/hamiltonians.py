@@ -8,12 +8,20 @@ closed-form and exactly 1-periodic in time and position.
 
 Each family is one object here that owns H and its derivatives, the
 vectorized Lagrangian and its sum over the quadrature nodes of a straight
-segment, the Legendre maximizer (bisection on dH/dp for custom callables)
-and its flow: in closed form, action included, for the solvable families
-(the shifted quadratic, and a mechanical family whose potential has no
-position harmonic); a Strang step on jets (one `TrigPolynomial.jet` pass per
-point and substep) for the other mechanical families; none for custom
-callables, which flow by the Dormand-Prince pair in flow.py.
+segment, the Legendre maximizer (bisection on dH/dp for custom callables),
+the vector field (dH/dp, -dH/dq) in one pass, which the Dormand-Prince pair
+in flow.py steps, and its flow: in closed form, action included, for the
+solvable families (the shifted quadratic, and a mechanical family whose
+potential has no position harmonic); a Strang step on jets (one
+`TrigPolynomial.jet` pass per point and substep) for the other mechanical
+families; none for custom callables, which flow by the Dormand-Prince pair.
+
+A custom callable's first derivatives are complex steps, Im H(x + i h) / h
+with h = COMPLEX_STEP (Squire & Trapp, SIAM Review 40, 1998; Martins,
+Sturdza & Alonso, ACM TOMS 29, 2003): no difference is taken, so there is no
+cancellation, and for a real-analytic H the result is exact to rounding. So
+the callable must accept complex arguments and carry their imaginary parts
+through; each custom Hamiltonian is checked for that when it is built.
 """
 
 from __future__ import annotations
@@ -25,11 +33,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import MaximizerNotFound
+from .errors import MaximizerNotFound, NotComplexAnalytic
 
 TWO_PI = 2.0 * math.pi
 MAX_HARMONIC = 8
 MAXIMIZER_HALVINGS = 45  # bisection halvings of a custom momentum box
+COMPLEX_STEP = 1e-20  # the imaginary step of a custom callable's first derivatives
 
 
 def wrap_unit(x):
@@ -216,6 +225,12 @@ class _Mechanical:
     def dH_dt(self, h, t, q, p):
         return h.potential.deriv(t, q, 1, 0) + 0.0 * np.asarray(p)
 
+    def vector_field(self, h, t, q, p):
+        """(dH/dp, -dH/dq) at (t, q, p), bitwise dH_dp's and dH_dq's, the sign
+        of zero included; Python floats for floats."""
+        (v_q,) = h.potential.jet(t, q, ((0, 1),))
+        return h.kinetic_coefficient * p, -(v_q + 0.0 * p)
+
     def d2H_dpp(self, h, t, q, p):
         return h.kinetic_coefficient + 0.0 * np.asarray(p)
 
@@ -277,6 +292,13 @@ class _ShiftedQuadratic:
         r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
         return -(r + h.drift) * h.shift_profile.deriv(t, q, 1, 1) - h.shift_profile.deriv(t, q, 2, 0)
 
+    def vector_field(self, h, t, q, p):
+        """(dH/dp, -dH/dq) at (t, q, p) from one jet pass, bitwise dH_dp's and
+        dH_dq's; Python floats for floats."""
+        u_q, u_qq, u_tq = h.shift_profile.jet(t, q, ((0, 1), (0, 2), (1, 1)))
+        qdot = (p - u_q) + h.drift
+        return qdot, -(-qdot * u_qq - u_tq)
+
     def d2H_dpp(self, h, t, q, p):
         return 1.0 + 0.0 * np.asarray(p)
 
@@ -294,29 +316,67 @@ class _ShiftedQuadratic:
         return len(taus) * kinetic + v * u.outer_sum(taus, qa, qb, 0, 1) + u.outer_sum(taus, qa, qb, 1, 0)
 
 
+def _autonomy_sample():
+    """The (q, p) sample, an 8 x 5 grid, and the times at which a custom
+    callable's time dependence and its complex steps are checked."""
+    q, p = np.meshgrid(np.arange(8) / 8, np.linspace(-2.0, 2.0, 5))
+    return (0.1, 0.4, 0.7), q, p
+
+
 class _Custom:
-    """Custom callables: finite differences, the maximizer by bisection, no
-    native step (the Dormand-Prince pair in flow.py steps them)."""
+    """Custom callables: complex-step first derivatives (one complex
+    evaluation each), a central-difference d2H/dp2, the maximizer by
+    bisection, no native step (the Dormand-Prince pair in flow.py steps
+    them)."""
 
     step = None
 
     def solvable(self, h):
         return False
 
+    def check(self, h):
+        """Raise NotComplexAnalytic unless the complex-step dH/dp, dH/dq and
+        dH/dt match central differences (step 1e-6) to 1e-6 of
+        1 + |H| + |difference| on the autonomy sample: a callable that drops
+        imaginary parts (abs, comparisons, float()) or rejects them fails."""
+        need = "custom Hamiltonian callables must accept complex arguments and carry their imaginary parts through"
+        e = 1e-6
+        times, q, p = _autonomy_sample()
+        for t in times:
+            value = h.custom_fn(t, q, p)
+            for name, partial, up, down in (
+                ("p", self.dH_dp, (t, q, p + e), (t, q, p - e)),
+                ("q", self.dH_dq, (t, q + e, p), (t, q - e, p)),
+                ("t", self.dH_dt, (t + e, q, p), (t - e, q, p)),
+            ):
+                try:
+                    got = partial(h, t, q, p)
+                except TypeError as exc:
+                    raise NotComplexAnalytic(f"{need}; a complex {name} raised TypeError: {exc}") from exc
+                want = (h.custom_fn(*up) - h.custom_fn(*down)) / (2 * e)
+                bad = np.argwhere(~(np.abs(got - want) <= 1e-6 * (1 + np.abs(value) + np.abs(want))))
+                if len(bad):
+                    i = tuple(bad[0])
+                    raise NotComplexAnalytic(
+                        f"{need}; at t={t}, q={q[i]}, p={p[i]} the complex step gives "
+                        f"dH/d{name} = {float(got[i])!r}, a central difference {float(want[i])!r}"
+                    )
+
     def value(self, h, t, q, p):
         return h.custom_fn(t, q, p)
 
     def dH_dp(self, h, t, q, p):
-        e = 1e-6
-        return (h.custom_fn(t, q, p + e) - h.custom_fn(t, q, p - e)) / (2 * e)
+        return np.imag(h.custom_fn(t, q, p + COMPLEX_STEP * 1j)) / COMPLEX_STEP
 
     def dH_dq(self, h, t, q, p):
-        e = 1e-6
-        return (h.custom_fn(t, q + e, p) - h.custom_fn(t, q - e, p)) / (2 * e)
+        return np.imag(h.custom_fn(t, q + COMPLEX_STEP * 1j, p)) / COMPLEX_STEP
 
     def dH_dt(self, h, t, q, p):
-        e = 1e-6
-        return (h.custom_fn(t + e, q, p) - h.custom_fn(t - e, q, p)) / (2 * e)
+        return np.imag(h.custom_fn(t + COMPLEX_STEP * 1j, q, p)) / COMPLEX_STEP
+
+    def vector_field(self, h, t, q, p):
+        """(dH/dp, -dH/dq) at (t, q, p): two complex evaluations."""
+        return self.dH_dp(h, t, q, p), -self.dH_dq(h, t, q, p)
 
     def d2H_dpp(self, h, t, q, p):
         e = 1e-4
@@ -329,9 +389,11 @@ class _Custom:
         """p v - H(t, q, p) at the maximizer p, and p. dH/dp increases in p for
         a Tonelli H, so halving the momentum box on the sign of
         H(p + e) - H(p - e) - 2 e v brackets the root of dH/dp = v, or the
-        nearer edge. e is d2H_dpp's 1e-4: at dH_dp's 1e-6, rounding in the
-        difference (eps |H| / e) would move p by ~1e-8 where |H| is 50. One
-        point is a 1-element array, so batch and scalar values agree bitwise."""
+        nearer edge. e is d2H_dpp's 1e-4: at 1e-6, rounding in the difference
+        (eps |H| / e) would move p by ~1e-8 where |H| is 50. The sign test
+        needs only real evaluations, so it stays a difference, not a complex
+        step. One point is a 1-element array, so batch and scalar values agree
+        bitwise."""
         e = 1e-4
         q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
         shape = v.shape
@@ -371,7 +433,12 @@ class TonelliHamiltonian:
                        with shift profile u(t,q); u then solves
                        du/dt + H(t, q, du/dq) = offset identically.
     custom:            user callable H(t,q,p), smooth in p, with a declared
-                       momentum search box for the conjugacy.
+                       momentum search box for the conjugacy. It must accept
+                       complex arguments and be analytic in them (numpy's
+                       polynomials, cos, sin and exp are; abs, comparisons
+                       and float() are not): its first derivatives are
+                       complex steps, checked against central differences
+                       at construction, which raises NotComplexAnalytic.
 
     `ops` is the family's object; its methods take the Hamiltonian first. It
     is not a field, so hashing and equality ignore it.
@@ -394,6 +461,8 @@ class TonelliHamiltonian:
         if self.family is Family.CUSTOM and self.custom_fn is None:
             raise ValueError("custom family requires a callable")
         object.__setattr__(self, "ops", _FAMILY_OPS[self.family])
+        if self.family is Family.CUSTOM:
+            self.ops.check(self)
 
     def value(self, t, q, p):
         return self.ops.value(self, t, q, p)
@@ -417,8 +486,8 @@ class TonelliHamiltonian:
         counts as autonomous when dH/dt is exactly 0 on an 8 x 5 (q, p) sample
         at t = 0.1, 0.4 and 0.7."""
         if self.family is Family.CUSTOM:
-            q, p = np.meshgrid(np.arange(8) / 8, np.linspace(-2.0, 2.0, 5))
-            return all(np.all(self.dH_dt(t, q, p) == 0.0) for t in (0.1, 0.4, 0.7))
+            times, q, p = _autonomy_sample()
+            return all(np.all(self.dH_dt(t, q, p) == 0.0) for t in times)
         terms = (*self.potential.terms, *self.shift_profile.terms)
         return not any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
 

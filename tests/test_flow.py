@@ -562,7 +562,9 @@ def test_closed_form_trig_passes(trig_passes):
 @pytest.mark.parametrize("s, t", ORACLE_SPANS)
 def test_default_tolerance_flows_custom_quartic(s, t):
     # step doubling underflowed here from (-0.6, 2.1) over [0, 1], [0.35, 2]
-    # and [1, 0]; the energy drift left is the noise of the finite differences
+    # and [1, 0]; the energy drift left is the Dormand-Prince error, at most
+    # 1.2e-12 with complex-step derivatives (3.3e-10 with the central
+    # differences before them)
     h = ORACLE_FAMILIES["custom quartic"]
     q, p = _oracle_start()
     q1, p1, action = integrate_batch(h, q, p, s, t, ORACLE_SETTINGS)
@@ -571,22 +573,141 @@ def test_default_tolerance_flows_custom_quartic(s, t):
 
 
 @pytest.fixture
-def dH_dq_calls(monkeypatch):
-    """The number of TonelliHamiltonian.dH_dq calls made while the test runs."""
+def vector_field_calls(monkeypatch):
+    """The number of mechanical vector_field calls, one per Dormand-Prince
+    stage, made while the test runs."""
     calls = [0]
-    method = TonelliHamiltonian.dH_dq
+    family = type(pendulum().ops)
+    method = family.vector_field
 
     def counted(self, *args):
         calls[0] += 1
         return method(self, *args)
 
-    monkeypatch.setattr(TonelliHamiltonian, "dH_dq", counted)
+    monkeypatch.setattr(family, "vector_field", counted)
     return calls
 
 
-def test_rk4_dH_dq_calls_per_point_substep(dH_dq_calls):
+def test_rk4_dH_dq_calls_per_point_substep(vector_field_calls):
     # six new stages per Dormand-Prince step (first same as last), and the
     # carried step crosses most substeps of the criterion-2 orbit in two
-    # (11.0 calls per substep measured); step doubling made about 68
+    # (11.0 calls per substep measured); step doubling made about 68. Every
+    # substep takes at least one step, so at least six stages.
     tr = trajectory(pendulum(), PhasePoint(0.0, 2.0), 0, 10, RK4_TIGHT)
-    assert dH_dq_calls[0] <= 12 * (len(tr.times) - 1) * RK4_TIGHT.substeps_per_macro
+    substeps = (len(tr.times) - 1) * RK4_TIGHT.substeps_per_macro
+    assert 6 * substeps <= vector_field_calls[0] <= 12 * substeps
+
+
+def _weighted_sum(weights, ks):
+    """sum(w * k) over the nonzero weights, left to right, on arrays or scalars."""
+    total = None
+    for w, k in zip(weights, ks):
+        if w:
+            total = w * k if total is None else total + w * k
+    return total
+
+
+def _reference_advance(self, h, t, q, p, dt_sub, t1):
+    """_RK4._advance as a loop over the Dormand-Prince tableau, each stage
+    through TonelliHamiltonian.dH_dp and dH_dq: the step before it was
+    unrolled over one vector_field call per stage."""
+
+    def f(t, q, p):
+        if self.scalar:
+            return float(h.dH_dp(t, q, p)), -float(h.dH_dq(t, q, p))
+        return h.dH_dp(t, q, p), -h.dH_dq(t, q, p)
+
+    k = self.k if self.k is not None else f(t, q, p)
+    size = dt_sub if self.size is None else self.size
+    while True:
+        if abs(size) < 1e-9:
+            raise StepSizeUnderflow(f"Dormand-Prince step fell below 1e-9 at t={t}")
+        last = abs(size) >= abs(t1 - t)
+        proposed = size
+        dt = t1 - t if last else size
+        t_new = t1 if last else t + dt
+        kq, kp = [k[0]], [k[1]]
+        for c, row in zip(flow._C, flow._A):
+            kqi, kpi = f(t + c * dt, q + dt * _weighted_sum(row, kq), p + dt * _weighted_sum(row, kp))
+            kq.append(kqi)
+            kp.append(kpi)
+        q_new = q + dt * _weighted_sum(flow._B, kq)
+        p_new = p + dt * _weighted_sum(flow._B, kp)
+        k_new = f(t_new, q_new, p_new)
+        kq.append(k_new[0])
+        kp.append(k_new[1])
+        err = max(self._norm(dt * _weighted_sum(flow._E, kq)), self._norm(dt * _weighted_sum(flow._E, kp)))
+        budget = flow.RK4_TOL * max(abs(dt) / abs(dt_sub), 1e-3)
+        factor = 10.0 if err == 0 else min(10.0, max(0.2, 0.9 * (budget / err) ** 0.2))
+        size = dt * factor
+        if err <= budget:
+            t, q, p, k = t_new, q_new, p_new, k_new
+            if last:
+                self.size, self.k = max(size, proposed, key=abs), k
+                return q, p
+
+
+@pytest.mark.parametrize("s, t", [(0.0, 0.7), (0.4, -0.3)])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "name, settings",
+    [
+        ("pendulum", RK4_TIGHT),
+        ("shifted quadratic time-dependent", RK4_TIGHT),
+        ("custom quartic", RK4_TIGHT),
+        ("custom quartic", FlowSettings()),
+    ],
+    ids=["pendulum-rk4", "shifted quadratic time-dependent-rk4", "custom quartic-rk4", "custom quartic-default"],
+)
+def test_unrolled_step_matches_looped_reference(name, settings, n, s, t, monkeypatch):
+    # the same IEEE operations in the same order, so the same bits: on Python
+    # floats for a lone point of a closed-form family, on arrays otherwise
+    h = ORACLE_FAMILIES[name]
+    q, p = np.array([0.15, 0.45, 0.8][:n]), np.array([1.4, -0.7, 2.6][:n])
+    if n == 1 and h.family is not Family.CUSTOM:
+        field = type(h.ops).vector_field
+
+        def floats_only(self, h, t, q, p):
+            out = field(self, h, t, q, p)
+            assert all(type(x) is float for x in (q, p, *out))
+            return out
+
+        monkeypatch.setattr(type(h.ops), "vector_field", floats_only)
+    got = integrate_batch(h, q, p, s, t, settings, record_knots=True)
+    steps = [0]
+
+    def reference(self, *args):
+        steps[0] += 1
+        return _reference_advance(self, *args)
+
+    monkeypatch.setattr(flow._RK4, "_advance", reference)
+    want = integrate_batch(h, q, p, s, t, settings, record_knots=True)
+    assert steps[0] == round(abs(t - s) / settings.macro_step) * settings.substeps_per_macro
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    for key in ("times", "q_lift", "p", "qdot", "action_increments"):
+        assert np.array_equal(got[3][key], want[3][key])
+
+
+def _counted_quartic():
+    """The criterion-1 quartic and its running count of callable calls."""
+    calls = [0]
+
+    def fn(t, q, p):
+        calls[0] += 1
+        return p**4 / 4 + p**2 / 2 + 0.3 * np.cos(2 * np.pi * q) * (1 + 0.5 * np.cos(2 * np.pi * t))
+
+    return TonelliHamiltonian(family=Family.CUSTOM, custom_fn=fn, momentum_box=(-10.0, 10.0)), calls
+
+
+@pytest.mark.parametrize("p0, bound", [(3.0, 47_000), (3.5, 69_000), (5.0, 180_000)])
+def test_custom_quartic_has_no_step_size_cliff(p0, bound):
+    # central differences with step 1e-6 put rounding noise of eps |H| / 1e-6
+    # into dH/dp and dH/dq, which filled the error budget from |p| ~ 3 on:
+    # 93 k calls from p = 3.0 and 244 k from 3.5, and p = 5.0 did not finish
+    # in 90 s. Complex steps have no such noise: 42.5 k, 62.6 k and 162.5 k
+    # calls measured.
+    h, calls = _counted_quartic()
+    calls[0] = 0
+    trajectory(h, PhasePoint(0.1, p0), 0.0, 1.0)
+    assert calls[0] <= bound

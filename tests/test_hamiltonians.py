@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birkhoff_lab.errors import MaximizerNotFound
+from birkhoff_lab.errors import MaximizerNotFound, NotComplexAnalytic
 from birkhoff_lab.flow import FlowSettings, integrate_batch
 from birkhoff_lab.hamiltonians import (
     Family,
@@ -203,6 +205,40 @@ def test_drift_must_be_finite(drift):
 def test_custom_requires_callable():
     with pytest.raises(ValueError):
         TonelliHamiltonian(family=Family.CUSTOM)
+
+
+def test_custom_derivatives_are_complex_steps():
+    # no difference is taken, so the quartic's dH/dp = p^3 + p and
+    # dH/dq = -0.6 pi sin(2 pi q)(1 + 0.5 cos(2 pi t)) come out to rounding
+    h = custom_quartic()
+    rng = np.random.default_rng(3)
+    t, q, p = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50), rng.uniform(-5, 5, 50)
+    assert np.allclose(h.dH_dp(t, q, p), p**3 + p, rtol=4 * np.finfo(float).eps, atol=0)
+    want = -0.6 * np.pi * np.sin(2 * np.pi * q) * (1 + 0.5 * np.cos(2 * np.pi * t))
+    assert np.allclose(h.dH_dq(t, q, p), want, rtol=0, atol=1e-15)
+    d, dt = h.ops.vector_field(h, t, q, p)
+    assert np.array_equal(d, h.dH_dp(t, q, p)) and np.array_equal(dt, -h.dH_dq(t, q, p))
+
+
+@pytest.mark.parametrize(
+    "fn, why",
+    [
+        # abs drops the imaginary part, so the complex-step dH/dp is 2p, not 3p|p| + 2p
+        (lambda t, q, p: abs(p) ** 3 + p**2, "dH/dp"),
+        # float() of a complex time raises TypeError
+        (lambda t, q, p: 0.5 * p**2 + 0.1 * np.cos(2 * np.pi * q) * math.cos(2 * math.pi * float(t)), "TypeError"),
+    ],
+    ids=["abs", "float"],
+)
+def test_custom_callable_must_be_complex_analytic(fn, why):
+    with pytest.raises(NotComplexAnalytic, match=f"must accept complex arguments.*{why}"):
+        TonelliHamiltonian(family=Family.CUSTOM, custom_fn=fn)
+
+
+def test_time_independent_callable_stays_autonomous():
+    h = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=lambda t, q, p: p**4 / 4 + 0.3 * np.cos(2 * np.pi * q))
+    assert h.autonomous is True
+    assert custom_quartic().autonomous is False
 
 
 def test_legendre_maximizer_not_found_for_concave():
