@@ -120,8 +120,9 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 class _RK4:
     """Adaptive Dormand-Prince 5(4) in the shape of a family's step, for one
     integrate_batch call. Its jet is the point (t, q) itself: the step reads
-    t, and H is evaluated at (t, q) when read. dH/dp is the carried derivative
-    once a step has been taken, and is evaluated only before the first.
+    t, and H is evaluated at (t, q) when read. dH/dp is read off k, the
+    derivative at the current point: evaluated at the start point when built,
+    then carried by each step from its end point.
 
     Each substep is crossed in steps whose local error estimate, the max abs
     over q, p and all points, stays within RK4_TOL per substep length (a
@@ -138,18 +139,18 @@ class _RK4:
     given.
     """
 
-    def __init__(self, h, q):
+    def __init__(self, h, t, q, p):
         self.scalar = q.size == 1 and h.family is not Family.CUSTOM
         self.size = None  # the next step size
-        self.k = None  # (dq/dt, dp/dt) at the current point
+        # (dq/dt, dp/dt) at the current point, in the form the stages use
+        self.k = h.ops.vector_field(h, t, *((float(q[0]), float(p[0])) if self.scalar else (q, p)))
 
     def jet(self, h, t, q):
         return t, q
 
     def qdot_and_value(self, h, p, jet):
         t, q = jet
-        qdot = h.dH_dp(t, q, p) if self.k is None else self.k[0]
-        return qdot, h.value(t, q, p)
+        return self.k[0], h.value(t, q, p)
 
     def step(self, h, q, p, jet, dt, t1):
         if self.scalar:
@@ -165,7 +166,7 @@ class _RK4:
     def _advance(self, h, t, q, p, dt_sub, t1):
         """Steps from (t, q, p) to time t1, dt_sub after t."""
         f = h.ops.vector_field
-        k = self.k if self.k is not None else f(h, t, q, p)
+        k = self.k
         size = dt_sub if self.size is None else self.size
         while True:
             if abs(size) < 1e-9:
@@ -245,7 +246,7 @@ def integrate_batch(
         knots.append((times[-1], q, p, knots[-1][3] if knots else h.dH_dp(s, q, p)))
         action = sum(increments, np.zeros_like(q))
     else:
-        stepper = _RK4(h, q) if settings.integrator == "rk4" or h.ops.step is None else h.ops
+        stepper = _RK4(h, s, q, p) if settings.integrator == "rk4" or h.ops.step is None else h.ops
         m = settings.substeps_per_macro
         dt_sub = dt_macro / m
         weights = simpson_pattern(m) / 3.0 * dt_sub

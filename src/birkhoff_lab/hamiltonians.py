@@ -6,15 +6,17 @@ form, and user-supplied callables. Potentials and shift profiles are finite
 trigonometric polynomials, so evaluation and all needed derivatives are
 closed-form and exactly 1-periodic in time and position.
 
-Each family is one object here that owns H and its derivatives, the
-vectorized Lagrangian and its sum over the quadrature nodes of a straight
-segment, the Legendre maximizer (bisection on dH/dp for custom callables),
-the vector field (dH/dp, -dH/dq) in one pass, which the Dormand-Prince pair
-in flow.py steps, and its flow: in closed form, action included, for the
-solvable families (the shifted quadratic, and a mechanical family whose
-potential has no position harmonic); a Strang step on jets (one
-`TrigPolynomial.jet` pass per point and substep) for the other mechanical
-families; none for custom callables, which flow by the Dormand-Prince pair.
+Each family is one object here that owns H; its vector field
+(dH/dp, -dH/dq) in one pass, the only place a closed form writes its
+derivatives, which the Dormand-Prince pair in flow.py steps; its Legendre
+transform `legendre`, the vectorized Lagrangian with its maximizer
+(bisection on dH/dp for custom callables), and the Lagrangian's sum over
+the quadrature nodes of a straight segment; and its flow: in closed form,
+action included, for the solvable families (the shifted quadratic, and a
+mechanical family whose potential has no position harmonic); a Strang step
+on jets (one `TrigPolynomial.jet` pass per point and substep) for the other
+mechanical families; none for custom callables, which flow by the
+Dormand-Prince pair.
 
 A custom callable's first derivatives are complex steps, Im H(x + i h) / h
 with h = COMPLEX_STEP (Squire & Trapp, SIAM Review 40, 1998; Martins,
@@ -216,29 +218,16 @@ class _Mechanical:
             + h.constant_offset
         )
 
-    def dH_dp(self, h, t, q, p):
-        return h.kinetic_coefficient * np.asarray(p)
-
-    def dH_dq(self, h, t, q, p):
-        return h.potential.deriv(t, q, 0, 1) + 0.0 * np.asarray(p)
-
-    def dH_dt(self, h, t, q, p):
-        return h.potential.deriv(t, q, 1, 0) + 0.0 * np.asarray(p)
-
     def vector_field(self, h, t, q, p):
-        """(dH/dp, -dH/dq) at (t, q, p), bitwise dH_dp's and dH_dq's, the sign
-        of zero included; Python floats for floats."""
+        """(dH/dp, -dH/dq) at (t, q, p), with dH/dq = dV/dq + 0 p in p's shape;
+        Python floats for floats."""
         (v_q,) = h.potential.jet(t, q, ((0, 1),))
         return h.kinetic_coefficient * p, -(v_q + 0.0 * p)
 
-    def d2H_dpp(self, h, t, q, p):
-        return h.kinetic_coefficient + 0.0 * np.asarray(p)
-
-    def lagrangian(self, h, t, q, v):
-        return v * v / (2.0 * h.kinetic_coefficient) - h.potential.value(t, q) - h.constant_offset
-
     def legendre(self, h, t, q, v):
-        return self.lagrangian(h, t, q, v), v / h.kinetic_coefficient
+        """(L, p) at velocity v: L = v^2/(2k) - V - offset, p = v / k."""
+        k = h.kinetic_coefficient
+        return v * v / (2.0 * k) - h.potential.value(t, q) - h.constant_offset, v / k
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
@@ -281,33 +270,18 @@ class _ShiftedQuadratic:
         r = np.asarray(p) - u_q
         return 0.5 * r**2 + h.drift * r - u_t + h.constant_offset
 
-    def dH_dp(self, h, t, q, p):
-        return (np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)) + h.drift
-
-    def dH_dq(self, h, t, q, p):
-        r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
-        return -(r + h.drift) * h.shift_profile.deriv(t, q, 0, 2) - h.shift_profile.deriv(t, q, 1, 1)
-
-    def dH_dt(self, h, t, q, p):
-        r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
-        return -(r + h.drift) * h.shift_profile.deriv(t, q, 1, 1) - h.shift_profile.deriv(t, q, 2, 0)
-
     def vector_field(self, h, t, q, p):
-        """(dH/dp, -dH/dq) at (t, q, p) from one jet pass, bitwise dH_dp's and
-        dH_dq's; Python floats for floats."""
+        """(dH/dp, -dH/dq) at (t, q, p) from one jet pass: dH/dp = p - du/dq +
+        drift, dH/dq = -dH/dp d2u/dq2 - d2u/dtdq; Python floats for floats."""
         u_q, u_qq, u_tq = h.shift_profile.jet(t, q, ((0, 1), (0, 2), (1, 1)))
         qdot = (p - u_q) + h.drift
         return qdot, -(-qdot * u_qq - u_tq)
 
-    def d2H_dpp(self, h, t, q, p):
-        return 1.0 + 0.0 * np.asarray(p)
-
-    def lagrangian(self, h, t, q, v):
-        w = h.shift_profile.deriv(t, q, 0, 1)
-        return w * v + 0.5 * (v - h.drift) ** 2 + h.shift_profile.deriv(t, q, 1, 0) - h.constant_offset
-
     def legendre(self, h, t, q, v):
-        return self.lagrangian(h, t, q, v), h.shift_profile.deriv(t, q, 0, 1) + (v - h.drift)
+        """(L, p) at velocity v, from one jet pass: L = du/dq v + (v - drift)^2/2
+        + du/dt - offset, p = du/dq + v - drift."""
+        u_q, u_t = h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
+        return u_q * v + 0.5 * (v - h.drift) ** 2 + u_t - h.constant_offset, u_q + (v - h.drift)
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
@@ -325,9 +299,8 @@ def _autonomy_sample():
 
 class _Custom:
     """Custom callables: complex-step first derivatives (one complex
-    evaluation each), a central-difference d2H/dp2, the maximizer by
-    bisection, no native step (the Dormand-Prince pair in flow.py steps
-    them)."""
+    evaluation each), the maximizer by bisection, no native step (the
+    Dormand-Prince pair in flow.py steps them)."""
 
     step = None
 
@@ -378,18 +351,11 @@ class _Custom:
         """(dH/dp, -dH/dq) at (t, q, p): two complex evaluations."""
         return self.dH_dp(h, t, q, p), -self.dH_dq(h, t, q, p)
 
-    def d2H_dpp(self, h, t, q, p):
-        e = 1e-4
-        return (h.custom_fn(t, q, p + e) - 2.0 * h.custom_fn(t, q, p) + h.custom_fn(t, q, p - e)) / e**2
-
-    def lagrangian(self, h, t, q, v):
-        return self.legendre(h, t, q, v)[0]
-
     def legendre(self, h, t, q, v):
         """p v - H(t, q, p) at the maximizer p, and p. dH/dp increases in p for
         a Tonelli H, so halving the momentum box on the sign of
         H(p + e) - H(p - e) - 2 e v brackets the root of dH/dp = v, or the
-        nearer edge. e is d2H_dpp's 1e-4: at 1e-6, rounding in the difference
+        nearer edge. e is 1e-4: at 1e-6, rounding in the difference
         (eps |H| / e) would move p by ~1e-8 where |H| is 50. The sign test
         needs only real evaluations, so it stays a difference, not a complex
         step. One point is a 1-element array, so batch and scalar values agree
@@ -413,7 +379,7 @@ class _Custom:
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), point by point."""
         acc = np.zeros(np.shape(v))
         for tau, a, b in zip(taus, qa, qb):
-            acc += self.lagrangian(h, float(tau), a[:, None] + b[None, :], v)
+            acc += self.legendre(h, float(tau), a[:, None] + b[None, :], v)[0]
         return acc
 
 
@@ -441,7 +407,8 @@ class TonelliHamiltonian:
                        at construction, which raises NotComplexAnalytic.
 
     `ops` is the family's object; its methods take the Hamiltonian first. It
-    is not a field, so hashing and equality ignore it.
+    is not a field, so hashing and equality ignore it. dH_dp and dH_dq read
+    its vector_field.
     """
 
     family: Family = Family.MECHANICAL
@@ -468,16 +435,10 @@ class TonelliHamiltonian:
         return self.ops.value(self, t, q, p)
 
     def dH_dp(self, t, q, p):
-        return self.ops.dH_dp(self, t, q, p)
+        return self.ops.vector_field(self, t, q, p)[0]
 
     def dH_dq(self, t, q, p):
-        return self.ops.dH_dq(self, t, q, p)
-
-    def dH_dt(self, t, q, p):
-        return self.ops.dH_dt(self, t, q, p)
-
-    def d2H_dpp(self, t, q, p):
-        return self.ops.d2H_dpp(self, t, q, p)
+        return -self.ops.vector_field(self, t, q, p)[1]
 
     @property
     def autonomous(self) -> bool:
@@ -487,7 +448,7 @@ class TonelliHamiltonian:
         at t = 0.1, 0.4 and 0.7."""
         if self.family is Family.CUSTOM:
             times, q, p = _autonomy_sample()
-            return all(np.all(self.dH_dt(t, q, p) == 0.0) for t in times)
+            return all(np.all(self.ops.dH_dt(self, t, q, p) == 0.0) for t in times)
         terms = (*self.potential.terms, *self.shift_profile.terms)
         return not any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
 

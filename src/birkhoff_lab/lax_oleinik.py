@@ -39,7 +39,7 @@ BARRIER_TOL = 1e-4
 
 def lagrangian_batch(h: TonelliHamiltonian, t: float, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized convex conjugate L(t, q, v), as the family computes it."""
-    return h.ops.lagrangian(h, t, q, v)
+    return h.ops.legendre(h, t, q, v)[0]
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,8 @@ def potential(
     if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
         raise ValueError(f"need max_span > 0 and quad_nodes >= 1, got {max_span} and {quad_nodes}")
     fs, span, mid = _halving(s, t, max_span)
+    if not span:  # a single step divides by the keyed span
+        raise NonpositiveDuration(f"the span t - s = {t - s!r} of [{s}, {t}] rounds to 0 at 12 digits")
     key = (h, fs, span, n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)
     if hit is None:
@@ -293,7 +295,6 @@ def mane_critical_value(
     horizon: int = 64,
     n: int = 256,
     quad_nodes: int = QUAD_NODES,
-    max_span: float = SINGLE_STEP_SPAN,
 ) -> CriticalValueEstimate:
     """Estimate the critical constant as minus the slope of the value iteration.
 
@@ -303,7 +304,7 @@ def mane_critical_value(
     """
     if horizon < 8:
         raise ValueError("horizon must be at least 8")
-    pm = potential(h, 0.0, 1.0, n, quad_nodes=quad_nodes, max_span=max_span)
+    pm = potential(h, 0.0, 1.0, n, SINGLE_STEP_SPAN, quad_nodes)
     alpha0, half_width = _critical_value_from_matrix(pm.entries, horizon)
     return CriticalValueEstimate(alpha0=alpha0, half_width=half_width, horizon_used=horizon)
 

@@ -310,21 +310,13 @@ class SelectorResult:
 
     The unit invariant bounds the selector from below and the top invariant
     from above; slack 1e-9 covers float noise (the discrete inequalities are
-    exact). lower, upper and bounds_ok are None when no invariant exists.
+    exact). bounds_ok is None when no invariant exists.
     """
 
     values: GridFunction
     lipschitz: float
     unit: SpectralValue | None
     top: SpectralValue | None
-
-    @property
-    def lower(self) -> float | None:
-        return None if self.unit is None else self.unit.value
-
-    @property
-    def upper(self) -> float | None:
-        return None if self.top is None else self.top.value
 
     @property
     def bounds_ok(self) -> bool | None:

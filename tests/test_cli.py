@@ -196,6 +196,16 @@ def test_calibrate_nonpositive_horizon_is_a_duration_error(tmp_path, capsys, hor
     assert f"need t1 > t0, got [0.0, {float(horizon)}]" in capsys.readouterr().err
 
 
+def test_potential_span_rounding_to_zero_is_a_duration_error(tmp_path, capsys):
+    # potential keys its span at 12 digits; a span that rounds to 0 made the
+    # single step divide by 0 and write a matrix of NaN with exit 0
+    out = tmp_path / "out"
+    argv = ["--out", out, "--resolution", "16", "potential", "--t0", "0.3", "--t1", "0.30000000000001"]
+    assert run(argv) == cli.EXIT_ERROR
+    assert "rounds to 0 at 12 digits" in capsys.readouterr().err
+    assert not (out / "potential.csv").exists()
+
+
 def test_calibrate_needs_a_curve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "lax_spacetime", lambda *args: pytest.fail("candidate built"))
     assert run(["--out", tmp_path / "out", "calibrate", "--curves", "0"]) == cli.EXIT_ERROR

@@ -121,8 +121,8 @@ def test_selector_function_bounds_and_lipschitz():
     assert np.max(np.abs(sel.values.values - f(qs))) <= 1e-12
     assert sel.bounds_ok is True
     assert (sel.unit, sel.top) == (spectral_unit(s), spectral_top(s)) == global_invariants(s)
-    assert sel.lower == pytest.approx(float(f(qs).min()), abs=1e-12)
-    assert sel.upper == pytest.approx(float(f(qs).max()), abs=1e-12)
+    assert sel.unit.value == pytest.approx(float(f(qs).min()), abs=1e-12)
+    assert sel.top.value == pytest.approx(float(f(qs).max()), abs=1e-12)
     assert sel.lipschitz <= 2 * np.pi * (0.3 + 0.1) + 1e-6
     flat = sample_fqi(lambda q, x: x**2 + 0 * q, (1,), base_resolution=32, fiber_resolution=65)
     self_sel = selector_function(flat)
