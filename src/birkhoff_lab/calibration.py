@@ -1,7 +1,8 @@
 """Calibration defects, domination sweeps, and calibrated-curve extraction.
 
 A candidate solution is a time-knotted stack of grid functions, linear in
-time and cubic-periodic in space. Defects of flow trajectories reuse the
+time and cubic-periodic in space (one spline through all knot rows, which
+`jet` evaluates on arrays). Defects of flow trajectories reuse the
 trajectory's stored action increments: along a Hamiltonian flow the
 action integrand p qdot - H equals the convex conjugate evaluated on the
 velocity, identically at every sample, so the defect quadrature telescopes
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import DomainExceeded, KinkAtSeed, NonpositiveDuration
 from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, trajectory
-from .grids import GridFunction
+from .grids import GridFunction, periodic_spline, require_power_of_two
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .lax_oleinik import QUAD_NODES, lagrangian_batch, lax_negative, potential
 
@@ -60,44 +61,37 @@ class SpaceTimeFunction:
         dt = np.diff(ts)
         if np.any(dt <= 0) or np.max(dt) > 0.25 + 1e-12:
             raise ValueError("knot times must increase with spacing <= 0.25")
-        splines = [GridFunction(row).periodic_spline() for row in ks]
-        object.__setattr__(self, "_splines", splines)
+        require_power_of_two(ks.shape[1], "resolution")
+        if not np.all(np.isfinite(ks)):
+            raise ValueError("knot values must be finite")
+        object.__setattr__(self, "_spline", periodic_spline(ks))
         object.__setattr__(self, "_kinks", grid_kink_mask(ks))
 
     @property
     def resolution(self) -> int:
         return self.knots.shape[1]
 
-    def _interval(self, t: float) -> tuple[int, float]:
+    def _interval(self, t) -> tuple[np.ndarray, np.ndarray]:
         ts = self.times
-        if t < ts[0] - 1e-9 or t > ts[-1] + 1e-9:
-            raise DomainExceeded(f"time {t} outside [{ts[0]}, {ts[-1]}]")
-        j = int(np.searchsorted(ts, t, side="right") - 1)
-        j = min(max(j, 0), len(ts) - 2)
+        t = np.asarray(t, dtype=float)
+        outside = (t < ts[0] - 1e-9) | (t > ts[-1] + 1e-9)
+        if np.any(outside):
+            raise DomainExceeded(f"time {t[outside][0]} outside [{ts[0]}, {ts[-1]}]")
+        j = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
         w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return j, float(np.clip(w, 0.0, 1.0))
+        return j, np.clip(w, 0.0, 1.0)
 
-    def eval(self, t: float, q) -> float | np.ndarray:
+    def jet(self, t, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, dq u, dt u) at broadcastable t and q; dt u is the knot interval's slope."""
         j, w = self._interval(t)
-        qw = wrap_unit(q)
-        lo = self._splines[j](qw)
-        if w == 0.0:
-            return lo
-        return (1 - w) * lo + w * self._splines[j + 1](qw)
-
-    def dq(self, t: float, q) -> float | np.ndarray:
-        j, w = self._interval(t)
-        qw = wrap_unit(q)
-        lo = self._splines[j](qw, 1)
-        if w == 0.0:
-            return lo
-        return (1 - w) * lo + w * self._splines[j + 1](qw, 1)
-
-    def dt(self, t: float, q) -> float | np.ndarray:
-        j, _ = self._interval(t)
+        j, w, qw = np.broadcast_arrays(j, w, wrap_unit(np.asarray(q, dtype=float)))
+        rows = np.stack([j, j + 1])  # the knot rows around each time
+        lo, hi = np.take_along_axis(self._spline(qw), rows, 0)
+        dlo, dhi = np.take_along_axis(self._spline(qw, 1), rows, 0)
         step = self.times[j + 1] - self.times[j]
-        qw = wrap_unit(q)
-        return (self._splines[j + 1](qw) - self._splines[j](qw)) / step
+        u = np.where(w == 0.0, lo, (1 - w) * lo + w * hi)
+        dq = np.where(w == 0.0, dlo, (1 - w) * dlo + w * dhi)
+        return u, dq, (hi - lo) / step
 
     def kink_at(self, t: float, q: float) -> bool:
         """Second-difference kink detector near (t, q)."""
@@ -153,9 +147,8 @@ def calibration_defect(u: SpaceTimeFunction, traj: Trajectory, a: float, b: floa
         a, b = b, a
     action = float(np.sum(traj.action_increments[ia:ib]))
     action += u.alpha0 * (ts[ib] - ts[ia])
-    ua = float(u.eval(a, traj.q_lift[ia]))
-    ub = float(u.eval(b, traj.q_lift[ib]))
-    return action - (ub - ua)
+    ua, ub = u.jet(np.array([a, b]), traj.q_lift[[ia, ib]])[0]
+    return action - float(ub - ua)
 
 
 @dataclass(frozen=True)
@@ -209,8 +202,7 @@ def domination_check(
     for j, tau in enumerate(taus):
         lag[:, j] = lagrangian_batch(h, float(tau), gamma[:, j], dgamma[:, j])
     actions = lag @ w + u.alpha0 * span
-    u_start = np.asarray(u.eval(t0, gamma[:, 0]))
-    u_end = np.asarray(u.eval(t1, gamma[:, -1]))
+    u_start, u_end = u.jet(np.array([[t0], [t1]]), gamma[:, [0, -1]].T)[0]
     defects = actions - (u_end - u_start)
     k = int(np.argmin(defects))
     return DominationReport(float(defects[k]), k, count)
@@ -251,15 +243,11 @@ def calibrated_curve(
     """
     if u.kink_at(t0, q0):
         raise KinkAtSeed(f"candidate solution is kinked near (t={t0}, q={q0})")
-    p0 = float(u.dq(t0, q0))
+    p0 = float(u.jet(t0, q0)[1])
     traj = trajectory(h, PhasePoint(q0, p0), t0, t0 + horizon, settings)
-    dqu = np.array([u.dq(float(tt), qq) for tt, qq in zip(traj.times, traj.q)], dtype=float)
+    _, dqu, dtu = u.jet(traj.times, traj.q)
     mom_res = float(np.max(np.abs(dqu - traj.p)))
-    hvals = np.array(
-        [h.value(float(tt), float(qq), float(pp)) for tt, qq, pp in zip(traj.times, traj.q, dqu)]
-    )
-    dtu = np.array([u.dt(float(tt), qq) for tt, qq in zip(traj.times, traj.q)], dtype=float)
-    hj_res = float(np.max(np.abs(dtu + hvals - u.alpha0)))
+    hj_res = float(np.max(np.abs(dtu + h.value(traj.times, traj.q, dqu) - u.alpha0)))
     defect = calibration_defect(u, traj, float(traj.times[0]), float(traj.times[-1]))
     return CalibratedCurveReport(
         curve=traj,

@@ -211,7 +211,7 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "calibrate":
-            u = lax_spacetime(config, 0.0, args.horizon)
+            u = lax_spacetime(config, args.horizon)
             dom = domination_check(u, h, count=args.curves, seed=config.seed)
             shots = []
             rng = np.random.default_rng(config.seed)

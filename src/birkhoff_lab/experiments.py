@@ -494,9 +494,8 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def lax_spacetime(config: ExperimentConfig, t0: float, t1: float) -> SpaceTimeFunction:
-    """Candidate solution window for the calibration pipeline."""
-    cur, pm, alpha0 = one_period(config)
-    for _ in range(int(max(0, round(t0)))):
-        cur = lax_negative(cur, pm, alpha0)
-    return spacetime_from_lax(config.hamiltonian, cur, t0, t1, alpha0, quad_nodes=config.quad_nodes)
+def lax_spacetime(config: ExperimentConfig, t1: float) -> SpaceTimeFunction:
+    """Candidate solution on [0, t1] for the calibration pipeline."""
+    u0 = grid_from_trig(config.initial_potential, config.resolution)
+    alpha0 = resolve_alpha0(config)
+    return spacetime_from_lax(config.hamiltonian, u0, 0.0, t1, alpha0, quad_nodes=config.quad_nodes)

@@ -1,7 +1,7 @@
 """Scalar functions sampled on the uniform periodic grid of T^1.
 
-`GridFunction.periodic_spline` imports `scipy.interpolate` on first use, so a
-process that never interpolates a grid never loads it.
+`periodic_spline` imports `scipy.interpolate` on first use, so a process
+that never interpolates a grid never loads it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,19 @@ def require_power_of_two(n: int, name: str) -> None:
     """Raise ValueError, naming `name`, unless n is a power of two."""
     if n < 1 or n & (n - 1):
         raise ValueError(f"{name} {n} is not a power of two")
+
+
+def periodic_spline(values):
+    """The periodic scipy CubicSpline on [0, 1] through every row of `values`,
+    sampled on the uniform grid along the last axis."""
+    # imported here: scipy.interpolate pulls in scipy.linalg, .optimize
+    # and .spatial, most of a second that only interpolating callers need
+    from scipy.interpolate import CubicSpline
+
+    v = np.asarray(values, dtype=float)
+    n = v.shape[-1]
+    x = np.append(np.arange(n) / n, 1.0)
+    return CubicSpline(x, np.concatenate([v, v[..., :1]], axis=-1), axis=-1, bc_type="periodic")
 
 
 @dataclass(frozen=True)
@@ -55,19 +68,9 @@ class GridFunction:
         step = 1.0 / self.resolution
         return (np.roll(self.values, -1) - np.roll(self.values, 1)) / (2 * step)
 
-    def periodic_spline(self):
-        """The periodic scipy CubicSpline through the samples, on [0, 1]."""
-        # imported here: scipy.interpolate pulls in scipy.linalg, .optimize
-        # and .spatial, most of a second that only interpolating callers need
-        from scipy.interpolate import CubicSpline
-
-        x = np.append(self.nodes, 1.0)
-        y = np.append(self.values, self.values[0])
-        return CubicSpline(x, y, bc_type="periodic")
-
     def eval(self, q) -> np.ndarray:
         """Cubic periodic interpolation at arbitrary positions."""
-        return self.periodic_spline()(wrap_unit(q))
+        return periodic_spline(self.values)(wrap_unit(q))
 
     def oscillation(self) -> float:
         return float(np.max(self.values) - np.min(self.values))

@@ -35,6 +35,7 @@ SINGLE_STEP_SPAN = 0.25
 QUAD_NODES = 8
 CAUCHY_TOL = 0.5
 BARRIER_TOL = 1e-4
+SPAN_RTOL = 1e-9  # the 12-digit key takes float noise off t - s; a larger move changes the span
 
 
 def lagrangian_batch(h: TonelliHamiltonian, t: float, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -209,8 +210,8 @@ def potential(
     if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
         raise ValueError(f"need max_span > 0 and quad_nodes >= 1, got {max_span} and {quad_nodes}")
     fs, span, mid = _halving(s, t, max_span)
-    if not span:  # a single step divides by the keyed span
-        raise NonpositiveDuration(f"the span t - s = {t - s!r} of [{s}, {t}] rounds to 0 at 12 digits")
+    if abs(span - (t - s)) > SPAN_RTOL * (t - s):  # a span keyed as 0 too, which a single step divides by
+        raise NonpositiveDuration(f"the span t - s = {t - s!r} of [{s}, {t}] rounds to {span:.12g} at 12 digits")
     key = (h, fs, span, n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)
     if hit is None:

@@ -13,7 +13,7 @@ from birkhoff_lab.calibration import (
 from birkhoff_lab.errors import DomainExceeded, KinkAtSeed
 from birkhoff_lab.flow import PhasePoint, trajectory
 from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig
-from birkhoff_lab.hamiltonians import fenchel_gap, free_hamiltonian, pendulum, shifted_quadratic
+from birkhoff_lab.hamiltonians import fenchel_gap, free_hamiltonian, pendulum, shifted_quadratic, wrap_unit
 from birkhoff_lab.lax_oleinik import potential
 
 FREE = free_hamiltonian()
@@ -78,7 +78,7 @@ def test_fenchel_equality_along_calibrated_curve():
     worst = 0.0
     for k in range(0, len(tr.times), 25):
         t, q, v = float(tr.times[k]), float(tr.q[k]), float(tr.qdot[k])
-        gap = fenchel_gap(AUTON_SQ, t, q, v, float(u.dq(t, q)))
+        gap = fenchel_gap(AUTON_SQ, t, q, v, float(u.jet(t, q)[1]))
         worst = max(worst, gap)
     assert worst <= rep.max_momentum_residual + 1e-12
 
@@ -154,3 +154,55 @@ def test_spacetime_validation():
         SpaceTimeFunction(np.array([0.0, 0.25]), np.zeros((3, 16)))  # length mismatch
     with pytest.raises(ValueError):
         SpaceTimeFunction(np.array([0.0]), np.zeros((1, 16)))  # one knot
+    with pytest.raises(ValueError):
+        SpaceTimeFunction(np.array([0.0, 0.25]), np.where(np.eye(2, 16), np.inf, 0.0))  # non-finite knots
+    with pytest.raises(ValueError):
+        SpaceTimeFunction(np.array([0.0, 0.25]), np.zeros((2, 12)))  # resolution not a power of two
+
+
+def _per_row_jet(u, t, q):
+    """(u, dq u, dt u) at one time from one periodic spline per knot row:
+    the formulas jet reproduces bitwise."""
+    from scipy.interpolate import CubicSpline
+
+    n = u.resolution
+    x = np.append(np.arange(n) / n, 1.0)
+    splines = [CubicSpline(x, np.append(row, row[0]), bc_type="periodic") for row in u.knots]
+    ts = u.times
+    j = min(max(int(np.searchsorted(ts, t, side="right") - 1), 0), len(ts) - 2)
+    w = float(np.clip((t - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0))
+    qw = wrap_unit(q)
+    lo, hi = splines[j](qw), splines[j + 1](qw)
+    dlo, dhi = splines[j](qw, 1), splines[j + 1](qw, 1)
+    value = lo if w == 0.0 else (1 - w) * lo + w * hi
+    slope = dlo if w == 0.0 else (1 - w) * dlo + w * dhi
+    return value, slope, (hi - lo) / (ts[j + 1] - ts[j])
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_jet_matches_per_row_splines_bitwise(n):
+    rng = np.random.default_rng(n)
+    times = np.array([0.0, 0.1, 0.3, 0.55, 0.8, 1.0])
+    u = SpaceTimeFunction(times, rng.normal(size=(len(times), n)), 0.5)
+    # both window ends, every knot, mid-interval times and a hair inside the ends
+    ts = np.concatenate([times, 0.5 * (times[1:] + times[:-1]), [1e-12, 1.0 - 1e-12]])
+    qs = np.concatenate([rng.uniform(-2.0, 3.0, 9), np.arange(4) / n, [1.0]])
+    for t in ts:
+        want = _per_row_jet(u, float(t), qs)
+        for k, got in enumerate(u.jet(float(t), qs)):
+            assert np.array_equal(got, want[k])
+        for i, q in enumerate(qs):  # scalar arguments
+            for k, got in enumerate(u.jet(float(t), float(q))):
+                assert np.shape(got) == () and np.array_equal(got, want[k][i])
+    grid = u.jet(ts[:, None], qs[None, :])  # times along one axis, positions along the other
+    paired = u.jet(np.repeat(ts, len(qs)), np.tile(qs, len(ts)))  # one time per position
+    for k in range(3):
+        want = np.array([_per_row_jet(u, float(t), qs)[k] for t in ts])
+        assert np.array_equal(grid[k], want)
+        assert np.array_equal(paired[k], want.ravel())
+
+
+def test_jet_names_the_first_time_outside_the_window():
+    u = SpaceTimeFunction(np.array([0.0, 0.25]), np.zeros((2, 16)))
+    with pytest.raises(DomainExceeded, match=r"^time 0\.5 outside \[0\.0, 0\.25\]$"):
+        u.jet(np.array([0.1, 0.5, -1.0, 0.7]), 0.3)

@@ -206,6 +206,17 @@ def test_potential_span_rounding_to_zero_is_a_duration_error(tmp_path, capsys):
     assert not (out / "potential.csv").exists()
 
 
+def test_potential_span_moved_by_its_key_is_a_duration_error(tmp_path, capsys):
+    # the 12-digit key of a 1.4e-12 span is 1e-12: exit 0 wrote the potential
+    # of the shorter span, entry [0, 1] 7.8e9 where 5.6e9 is right
+    out = tmp_path / "out"
+    argv = ["--out", out, "--resolution", "8", "potential", "--t0", "0", "--t1", "1.4e-12"]
+    assert run(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "t - s = 1.4e-12" in err and "rounds to 1e-12 at 12 digits" in err
+    assert not (out / "potential.csv").exists()
+
+
 def test_calibrate_needs_a_curve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "lax_spacetime", lambda *args: pytest.fail("candidate built"))
     assert run(["--out", tmp_path / "out", "calibrate", "--curves", "0"]) == cli.EXIT_ERROR

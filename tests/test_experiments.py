@@ -409,7 +409,7 @@ def test_lax_spacetime_knots_use_configured_potential_settings():
     from dataclasses import replace
 
     cfg = replace(MANUFACTURED, resolution=64, quad_nodes=4, alpha0=0.0)
-    u = lax_spacetime(cfg, 0.0, 0.25)
+    u = lax_spacetime(cfg, 0.25)
     cur = grid_from_trig(cfg.initial_potential, 64)
     rows = [cur.values]
     for j in range(4):
