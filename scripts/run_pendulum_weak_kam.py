@@ -15,7 +15,6 @@ from pathlib import Path
 
 from birkhoff_lab.calibration import calibrated_curve, domination_check, spacetime_from_grid
 from birkhoff_lab.errors import KinkAtSeed
-from birkhoff_lab.experiments import ALPHA0_HORIZON
 from birkhoff_lab.hamiltonians import pendulum
 from birkhoff_lab.lax_oleinik import mane_critical_value, peierls_barrier, positive_weak_kam
 from birkhoff_lab.reports import grid_to_csv, potential_to_csv
@@ -26,12 +25,12 @@ def main() -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     h = pendulum()
 
-    est = mane_critical_value(h, ALPHA0_HORIZON, 256)
+    est = mane_critical_value(h, 256)
     print(f"critical value: {est.alpha0!r} +- {est.half_width:.2e}")
 
     residuals = {}
     for n in (256, 512):
-        barrier = peierls_barrier(h, est.alpha0, 0, 0, 8, 64, n)
+        barrier = peierls_barrier(h, est.alpha0, 0, 8, 64, n)
         u, res = positive_weak_kam(h, est.alpha0, 0, 0.0, n, barrier=barrier)
         residuals[n] = res
         print(f"N={n}: barrier(0,0) = {barrier.matrix.entries[0, 0]:.3e}, "
@@ -44,7 +43,7 @@ def main() -> int:
 
     # calibrated shots want a sharp derivative profile: rebuild at a finer
     # single-step span before seeding on the kink-free arc
-    sharp = peierls_barrier(h, est.alpha0, 0, 0, 8, 64, 256, max_span=1 / 16)
+    sharp = peierls_barrier(h, est.alpha0, 0, 8, 64, 256, max_span=1 / 16)
     u_sharp, _ = positive_weak_kam(h, est.alpha0, 0, 0.0, 256, barrier=sharp)
     st = spacetime_from_grid(u_sharp, 0.0, 1.0, est.alpha0)
     for seed in (0.2, 0.45, 0.65):

@@ -14,7 +14,7 @@ from .hamiltonians import (
     pendulum,
     shifted_quadratic,
 )
-from .flow import FlowSettings, PhasePoint, Trajectory, flow_map, trajectory, extended_trajectory
+from .flow import FlowSettings, PhasePoint, Trajectory, flow_map, trajectory
 from .grids import GridFunction, constant_grid, grid_from_trig
 from .curves import (
     FoldReport,

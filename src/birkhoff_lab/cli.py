@@ -25,7 +25,6 @@ from . import __version__
 from .calibration import calibrated_curve, domination_check
 from .errors import BirkhoffLabError, KinkAtSeed
 from .experiments import (
-    ALPHA0_HORIZON,
     ExperimentConfig,
     lax_spacetime,
     load_config,
@@ -38,6 +37,7 @@ from .experiments import (
 )
 from .flow import PhasePoint, trajectory
 from .lax_oleinik import (
+    ALPHA0_HORIZON,
     lax_negative,
     lax_positive,
     mane_critical_value,
@@ -170,18 +170,18 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "mane":
-            est = mane_critical_value(h, ALPHA0_HORIZON, **settings)
+            est = mane_critical_value(h, **settings)
             write_json(out / "mane.json", {
                 "alpha0": est.alpha0,
                 "half_width": est.half_width,
-                "horizon_used": est.horizon_used,
+                "horizon_used": ALPHA0_HORIZON,
             })
             say(f"alpha0 = {est.alpha0!r} +- {est.half_width!r}")
             return EXIT_PASS
 
         if args.command == "barrier":
             alpha0 = resolve_alpha0(config)
-            res = peierls_barrier(h, alpha0, 0.0, 0.0, args.n_min, args.n_max, **settings)
+            res = peierls_barrier(h, alpha0, 0.0, args.n_min, args.n_max, **settings)
             potential_to_csv(res.matrix, out / "barrier.csv")
             write_json(out / "barrier.json", {
                 "alpha0": alpha0,

@@ -24,7 +24,7 @@ computed once, so an end time is bitwise the next start time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,9 +71,7 @@ class Trajectory:
     q: np.ndarray
     q_lift: np.ndarray
     p: np.ndarray
-    qdot: np.ndarray
     action_increments: np.ndarray
-    energy_samples: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.times)
@@ -222,7 +220,7 @@ def integrate_batch(
     """Flow arrays of initial conditions from time s to t.
 
     Returns (q_lift_end, p_end, action) by default; with record_knots also a
-    dict of knot-resolved samples (times, q_lift, p, qdot, per-interval action
+    dict of knot-resolved samples (times, q_lift, p, per-interval action
     increments). Positions are integrated on the universal cover, never
     wrapped, so curve lifts stay consistent.
     """
@@ -239,11 +237,11 @@ def integrate_batch(
         times = [s + i * dt_macro for i in range(n_macro + 1)] if record_knots else [s, t] if n_macro else [s]
         knots, increments, start = [], [], None
         for tau0, tau1 in zip(times, times[1:]):
-            q1, p1, inc, qdot, start = h.ops.flow(h, q, p, tau0, tau1, start)
-            knots.append((tau0, q, p, qdot))  # qdot is constant along the flow
+            q1, p1, inc, start = h.ops.flow(h, q, p, tau0, tau1, start)
+            knots.append((tau0, q, p))
             increments.append(inc)
             q, p = q1, p1
-        knots.append((times[-1], q, p, knots[-1][3] if knots else h.dH_dp(s, q, p)))
+        knots.append((times[-1], q, p))
         action = sum(increments, np.zeros_like(q))
     else:
         stepper = _RK4(h, s, q, p) if settings.integrator == "rk4" or h.ops.step is None else h.ops
@@ -252,16 +250,15 @@ def integrate_batch(
         weights = simpson_pattern(m) / 3.0 * dt_sub
 
         def integrand(p, jet):
-            """dH/dp and the action integrand p dH/dp - H at a point with momenta p
-            and jet `jet`, and jet[:1], the part of the jet the next step reads:
-            the rest is not kept across the step."""
+            """The action integrand p dH/dp - H at a point with momenta p and jet
+            `jet`, and jet[:1], the part of the jet the next step reads: the
+            rest is not kept across the step."""
             qdot, value = stepper.qdot_and_value(h, p, jet)
-            qdot = np.asarray(qdot, dtype=float) + np.zeros_like(p)
-            return qdot, qdot * p - np.asarray(value), jet[:1]
+            return qdot * p - np.asarray(value), jet[:1]
 
         action = np.zeros_like(q)
-        qdot, f, jet = integrand(p, stepper.jet(h, s, q))
-        knots = [(s, q.copy(), p.copy(), qdot)] if record_knots else None
+        f, jet = integrand(p, stepper.jet(h, s, q))
+        knots = [(s, q.copy(), p.copy())] if record_knots else None
         increments = []
 
         for i in range(n_macro):
@@ -271,20 +268,19 @@ def integrate_batch(
             for j in range(1, m + 1):
                 tau = tau0 + j * dt_sub if j < m else tau_end
                 q, p, jet = stepper.step(h, q, p, jet, dt_sub, tau)
-                qdot, f, jet = integrand(p, jet)
+                f, jet = integrand(p, jet)
                 inc += weights[j] * f
             action += inc
             if record_knots:
-                knots.append((tau_end, q.copy(), p.copy(), qdot))
+                knots.append((tau_end, q.copy(), p.copy()))
                 increments.append(inc)
 
     if record_knots:
-        times, knot_q, knot_p, knot_qdot = zip(*knots)
+        times, knot_q, knot_p = zip(*knots)
         rec = {
             "times": np.array(times),
             "q_lift": np.array(knot_q),
             "p": np.array(knot_p),
-            "qdot": np.array(knot_qdot),
             "action_increments": np.reshape(increments, (n_macro, len(q))),
         }
         return q, p, action, rec
@@ -320,22 +316,6 @@ def trajectory(
         q=wrap_unit(lift),
         q_lift=lift,
         p=rec["p"][:, 0],
-        qdot=rec["qdot"][:, 0],
         action_increments=rec["action_increments"][:, 0],
     )
 
-
-def extended_trajectory(
-    h: TonelliHamiltonian,
-    x: PhasePoint,
-    s: float,
-    t: float,
-    settings: FlowSettings = FlowSettings(),
-) -> Trajectory:
-    """Trajectory on the zero level of the extended Hamiltonian.
-
-    Energy samples are E(tau) = -H(tau, x(tau)), so E + H vanishes identically
-    by construction.
-    """
-    traj = trajectory(h, x, s, t, settings)
-    return replace(traj, energy_samples=-np.asarray(h.value(traj.times, traj.q_lift, traj.p)))

@@ -73,15 +73,17 @@ class TrigPolynomial:
 
     Terms are (j, k, a, b) with integer harmonics j (time) and k (position),
     so the polynomial is exactly 1-periodic in both arguments. No harmonic
-    exceeds MAX_HARMONIC in absolute value.
+    exceeds MAX_HARMONIC in absolute value, and every coefficient is finite.
     """
 
     terms: tuple[tuple[int, int, float, float], ...] = ()
 
     def __post_init__(self):
-        for j, k, _, _ in self.terms:
+        for j, k, a, b in self.terms:
             if abs(j) > MAX_HARMONIC or abs(k) > MAX_HARMONIC:
                 raise ValueError(f"harmonic ({j},{k}) exceeds max {MAX_HARMONIC}")
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"term ({j},{k}) has a non-finite coefficient: a={a}, b={b}")
         # jet's per-term factors, by orders; not a field, so hashing and
         # equality ignore it
         object.__setattr__(self, "_factors", {})
@@ -150,11 +152,8 @@ class TrigPolynomial:
         qb = np.asarray(qb, dtype=float)
         if not self.terms:
             return np.zeros((qa.shape[1], qb.shape[1]))
-        j, k, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*self.terms))
-        n = nt + nq
-        fac = (TWO_PI**n) * (j**nt) * (k**nq)
-        for _ in range(n):
-            aa, bb = bb, -aa
+        rows = [(j, k, *_factor(j, k, a, b, nt, nq)) for j, k, a, b in self.terms]
+        j, k, fac, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*rows))
         tm = wrap_unit(np.asarray(t, dtype=float))[:, None, None]
         phase_a = TWO_PI * wrap_unit(j * tm + k * qa[:, None, :])  # (i, term, y)
         phase_b = TWO_PI * wrap_unit(k * qb[:, None, :])  # (i, term, x)
@@ -193,7 +192,7 @@ class _Mechanical:
         """Flow from time s to t when V depends on t alone: p and qdot = k p
         are constant, and with V = c + dW/dt the action is
         (k p^2/2 - offset - c)(t - s) - W(t) + W(s). Returns q1, p1, the
-        action, qdot and W(t), the `start` of a call continuing from t."""
+        action and W(t), the `start` of a call continuing from t."""
         terms = h.potential.terms
         w = TrigPolynomial(tuple((j, 0, -b / (TWO_PI * j), a / (TWO_PI * j)) for j, _, a, b in terms if j))
         w0 = w.value(s, 0.0) if start is None else start
@@ -201,7 +200,7 @@ class _Mechanical:
         qdot = h.kinetic_coefficient * p
         mean = sum(a for j, _, a, _ in terms if j == 0)
         action = (0.5 * qdot * p - h.constant_offset - mean) * (t - s) - (w1 - w0)
-        return q + (t - s) * qdot, p, action, qdot, w1
+        return q + (t - s) * qdot, p, action, w1
 
     def jet(self, h, t, q):
         return h.potential.jet(t, q, ((0, 1), (0, 0)))
@@ -254,8 +253,8 @@ class _ShiftedQuadratic:
         """Flow from time s to t. In the shear frame P = p - du/dq the flow is
         free, qdot = P + drift, and p qdot - H = P^2/2 - offset + d/dt u(t, q(t)),
         so the action is (P^2/2 - offset)(t - s) + u(t, q1) - u(s, q). Returns
-        q1, p1, the action, qdot and (du/dq, u) at (t, q1), the `start` of a
-        call continuing from there."""
+        q1, p1, the action and (du/dq, u) at (t, q1), the `start` of a call
+        continuing from there."""
         u = h.shift_profile
         u_q, u0 = u.jet(s, q, ((0, 1), (0, 0))) if start is None else start
         big_p = p - u_q
@@ -263,7 +262,7 @@ class _ShiftedQuadratic:
         q1 = q + (t - s) * qdot
         end = u.jet(t, q1, ((0, 1), (0, 0)))
         action = (0.5 * big_p**2 - h.constant_offset) * (t - s) + (end[1] - u0)
-        return q1, big_p + end[0], action, qdot, end
+        return q1, big_p + end[0], action, end
 
     def value(self, h, t, q, p):
         u_q, u_t = h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
@@ -407,8 +406,8 @@ class TonelliHamiltonian:
                        at construction, which raises NotComplexAnalytic.
 
     `ops` is the family's object; its methods take the Hamiltonian first. It
-    is not a field, so hashing and equality ignore it. dH_dp and dH_dq read
-    its vector_field.
+    is not a field, so hashing and equality ignore it. dH_dq reads its
+    vector_field. The kinetic coefficient, drift and offset are finite.
     """
 
     family: Family = Family.MECHANICAL
@@ -425,6 +424,8 @@ class TonelliHamiltonian:
             raise ValueError(f"kinetic coefficient must be positive and finite, got {self.kinetic_coefficient}")
         if not math.isfinite(self.drift):  # a single step starts at the winding nearest drift * span
             raise ValueError(f"drift must be finite, got {self.drift}")
+        if not math.isfinite(self.constant_offset):
+            raise ValueError(f"offset must be finite, got {self.constant_offset}")
         if self.family is Family.CUSTOM and self.custom_fn is None:
             raise ValueError("custom family requires a callable")
         object.__setattr__(self, "ops", _FAMILY_OPS[self.family])
@@ -433,9 +434,6 @@ class TonelliHamiltonian:
 
     def value(self, t, q, p):
         return self.ops.value(self, t, q, p)
-
-    def dH_dp(self, t, q, p):
-        return self.ops.vector_field(self, t, q, p)[0]
 
     def dH_dq(self, t, q, p):
         return -self.ops.vector_field(self, t, q, p)[1]

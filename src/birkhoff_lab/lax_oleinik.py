@@ -36,6 +36,7 @@ QUAD_NODES = 8
 CAUCHY_TOL = 0.5
 BARRIER_TOL = 1e-4
 SPAN_RTOL = 1e-9  # the 12-digit key takes float noise off t - s; a larger move changes the span
+ALPHA0_HORIZON = 48  # periods of value iteration behind every alpha0 estimate
 
 
 def lagrangian_batch(h: TonelliHamiltonian, t: float, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -262,7 +263,6 @@ def lax_positive(u: GridFunction, pm: PotentialMatrix, alpha0: float = 0.0) -> G
 class CriticalValueEstimate:
     alpha0: float
     half_width: float
-    horizon_used: int
 
 
 def _critical_value_from_matrix(p: np.ndarray, horizon: int):
@@ -293,21 +293,19 @@ def _critical_value_from_matrix(p: np.ndarray, horizon: int):
 
 def mane_critical_value(
     h: TonelliHamiltonian,
-    horizon: int = 64,
     n: int = 256,
     quad_nodes: int = QUAD_NODES,
 ) -> CriticalValueEstimate:
     """Estimate the critical constant as minus the slope of the value iteration.
 
-    The reduced one-period operator is iterated from zero; the constant is the
-    asymptotic per-period decrease of the minimum, fitted on the second half of
-    the horizon. The fit residual doubles as an error bar.
+    The reduced one-period operator is iterated from zero for ALPHA0_HORIZON
+    periods; the constant is the asymptotic per-period decrease of the
+    minimum, fitted on the second half of the horizon. The fit residual
+    doubles as an error bar.
     """
-    if horizon < 8:
-        raise ValueError("horizon must be at least 8")
     pm = potential(h, 0.0, 1.0, n, SINGLE_STEP_SPAN, quad_nodes)
-    alpha0, half_width = _critical_value_from_matrix(pm.entries, horizon)
-    return CriticalValueEstimate(alpha0=alpha0, half_width=half_width, horizon_used=horizon)
+    alpha0, half_width = _critical_value_from_matrix(pm.entries, ALPHA0_HORIZON)
+    return CriticalValueEstimate(alpha0=alpha0, half_width=half_width)
 
 
 @dataclass(frozen=True)
@@ -322,7 +320,6 @@ class BarrierResult:
 def peierls_barrier(
     h: TonelliHamiltonian,
     alpha0: float,
-    s: float,
     t: float,
     n_min: int = 8,
     n_max: int = 64,
@@ -330,18 +327,19 @@ def peierls_barrier(
     max_span: float = SINGLE_STEP_SPAN,
     quad_nodes: int = QUAD_NODES,
 ) -> BarrierResult:
-    """Windowed running minimum of critically normalized long-time potentials.
+    """Windowed running minimum of critically normalized long-time potentials
+    from fractional time t to itself.
 
-    Approximates the liminf over integer-shifted horizons by the entrywise
-    running minimum for horizons in [n_min, n_max]; converged when the minimum
-    moves less than BARRIER_TOL (sup norm) over the last quarter of the window.
+    Approximates the liminf over integer horizons k of the potentials from t
+    to t + k by the entrywise running minimum for k in [n_min, n_max];
+    converged when the minimum moves less than BARRIER_TOL (sup norm) over
+    the last quarter of the window.
     """
-    if not (0 <= s < 1 and 0 <= t < 1):
-        raise ValueError("fractional times s, t must lie in [0, 1)")
+    if not 0 <= t < 1:
+        raise ValueError("fractional time t must lie in [0, 1)")
     if not n_max > n_min >= 4:
         raise ValueError("need n_max > n_min >= 4")
-    one_period = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes)
-    current = potential(h, s, 1.0 + t, n, max_span, quad_nodes=quad_nodes)
+    one_period = current = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes)
     running = None
     changes = []
     for horizon in range(1, n_max + 1):
@@ -349,7 +347,7 @@ def peierls_barrier(
             current = minplus_compose(current, one_period)
         if horizon < n_min:
             continue
-        cand = current.entries + alpha0 * (horizon + t - s)
+        cand = current.entries + alpha0 * horizon
         if running is None:
             running = cand.copy()
             changes.append(float(np.max(np.abs(cand))))
@@ -360,7 +358,7 @@ def peierls_barrier(
     window = max(1, len(changes) // 4)
     converged = bool(max(changes[-window:]) < BARRIER_TOL)
     return BarrierResult(
-        matrix=PotentialMatrix(s, t, running),
+        matrix=PotentialMatrix(t, t, running),
         converged=converged,
         sup_changes=tuple(changes),
         max_span=max_span,
@@ -389,7 +387,7 @@ def positive_weak_kam(
     if not 0 <= anchor < resolution:
         raise ValueError(f"anchor {anchor} is not a grid index below {resolution}")
     if barrier is None:
-        barrier = peierls_barrier(h, alpha0, wrap_unit(t), wrap_unit(t), n=n)
+        barrier = peierls_barrier(h, alpha0, wrap_unit(t), n=n)
     if not barrier.converged:
         raise BarrierNotConverged("refusing to build a solution from a truncated barrier")
     u = GridFunction(-barrier.matrix.entries[:, anchor] + alpha0 * t)

@@ -95,6 +95,7 @@ def test_recurrence_and_mane(tmp_path, small_config):
     assert run(["--config", small_config, "--out", out, "--quiet", "mane"]) == 0
     est = json.loads((out / "mane.json").read_text())
     assert abs(est["alpha0"]) <= 5e-3  # manufactured family, offset zero
+    assert est["horizon_used"] == lax_oleinik.ALPHA0_HORIZON
 
 
 def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
@@ -221,6 +222,21 @@ def test_calibrate_needs_a_curve(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "lax_spacetime", lambda *args: pytest.fail("candidate built"))
     assert run(["--out", tmp_path / "out", "calibrate", "--curves", "0"]) == cli.EXIT_ERROR
     assert "--curves" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mane", "barrier"])
+@pytest.mark.parametrize("key, value, named", [
+    ("potential_coeffs", "0 1 nan 0.0", "term (0,1) has a non-finite coefficient"),
+    ("offset", "inf", "offset must be finite"),
+], ids=["nan-coefficient", "inf-offset"])
+def test_non_finite_hamiltonian_is_a_config_error(tmp_path, capsys, command, key, value, named):
+    # refused when the config is built, before a NaN reaches mane.json or barrier.csv
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[hamiltonian]\nfamily = mechanical\n{key} = {value}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "--resolution", "16", command]) == cli.EXIT_ERROR + 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_strang_integrator_is_a_config_error(tmp_path):

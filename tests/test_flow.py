@@ -9,7 +9,6 @@ from birkhoff_lab.flow import (
     FlowSettings,
     PhasePoint,
     Trajectory,
-    extended_trajectory,
     flow_map,
     integrate_batch,
     trajectory,
@@ -127,13 +126,12 @@ def test_action_at_pendulum_equilibrium():
 
 
 def test_extended_trajectory_energy():
-    tr = extended_trajectory(free_hamiltonian(), PhasePoint(0.0, 1.0), 0, 10)
-    assert np.max(np.abs(tr.energy_samples + 0.5)) <= 1e-12
+    # on the zero level of the extended Hamiltonian the energy E = -H of an
+    # autonomous flow stays put
+    free = free_hamiltonian()
+    assert trajectory(free, PhasePoint(0.0, 1.0), 0, 10).energy_drift(free) <= 1e-12
     h = pendulum()
-    tr = extended_trajectory(h, PhasePoint(0.0, 2.0), 0, 10, RK4_TIGHT)
-    vals = h.value(tr.times, tr.q_lift, tr.p)
-    assert np.max(np.abs(tr.energy_samples + vals)) <= 1e-9  # E = -H by construction
-    assert np.max(np.abs(tr.energy_samples - tr.energy_samples[0])) <= 1e-9
+    assert trajectory(h, PhasePoint(0.0, 2.0), 0, 10, RK4_TIGHT).energy_drift(h) <= 1e-9
 
 
 def test_rk4_lone_point_matches_batch_bitwise():
@@ -197,7 +195,6 @@ def test_trajectory_validation():
             q=np.zeros(2),
             q_lift=np.zeros(2),
             p=np.zeros(2),
-            qdot=np.zeros(2),
             action_increments=np.zeros(1),
         )
     with pytest.raises(ValueError):
@@ -206,7 +203,6 @@ def test_trajectory_validation():
             q=np.zeros(2),
             q_lift=np.zeros(2),
             p=np.zeros(2),
-            qdot=np.zeros(2),
             action_increments=np.zeros(2),
         )
 
@@ -246,7 +242,6 @@ def test_zero_span_returns_start_point(family):
     assert np.array_equal(q2, q) and np.array_equal(p2, p) and np.array_equal(action2, np.zeros(3))
     assert np.array_equal(rec["times"], [s])
     assert np.array_equal(rec["q_lift"], q[None, :]) and np.array_equal(rec["p"], p[None, :])
-    assert rec["qdot"].shape == (1, 3)
     assert rec["action_increments"].shape == (0, 3)
 
     x = PhasePoint(0.7, -0.45)
@@ -434,7 +429,7 @@ def _assert_near_simpson_loop(h, s, t, got, ref):
     m = ORACLE_SETTINGS.substeps_per_macro
     n_macro = len(rec_ref["times"]) - 1
     h_sub = abs(t - s) / (n_macro * m)
-    for a, b in [(q, q_ref), (p, p_ref)] + [(rec[k], rec_ref[k]) for k in ("q_lift", "p", "qdot")]:
+    for a, b in [(q, q_ref), (p, p_ref)] + [(rec[k], rec_ref[k]) for k in ("q_lift", "p")]:
         assert np.all(np.abs(a - b) <= 2 * n_macro * m * np.spacing(np.maximum(np.abs(b), 1.0)))
     rate = h_sub**4 / 180 * _fourth_derivative_bound(h, rec_ref["qdot"][0])
     rounding = n_macro * m * EPS * (1 + np.abs(action_ref))
@@ -453,7 +448,7 @@ def _assert_near_reference_rk4(h, s, t, got, ref):
     solution more accurate than its estimate (the fifth-order one; the two
     half steps), so they differ by a few RK4_TOL per unit of time (measured
     up to 5.7 RK4_TOL |t - s|): 10 RK4_TOL |t - s| are allowed on q, p and
-    the action, and |d2H/dp2| times as much on the velocities dH/dp.
+    the action.
     """
     (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
     bound = 10 * flow.RK4_TOL * abs(t - s)
@@ -461,15 +456,6 @@ def _assert_near_reference_rk4(h, s, t, got, ref):
         (rec[k], rec_ref[k]) for k in ("q_lift", "p", "action_increments")
     ]:
         assert np.all(np.abs(a - b) <= bound)
-    # d2H/dp2: the kinetic coefficient, 1 for the shifted quadratic, and a
-    # central second difference of a custom callable
-    if h.family is Family.CUSTOM:
-        t_ref, q_ref, p_ref, e = rec_ref["times"][:, None], rec_ref["q_lift"], rec_ref["p"], 1e-4
-        stiffness = np.abs((h.value(t_ref, q_ref, p_ref + e) - 2.0 * h.value(t_ref, q_ref, p_ref)
-                            + h.value(t_ref, q_ref, p_ref - e)) / e**2)
-    else:
-        stiffness = h.kinetic_coefficient if h.family is Family.MECHANICAL else 1.0
-    assert np.all(np.abs(rec["qdot"] - rec_ref["qdot"]) <= bound * np.maximum(stiffness, 1.0))
     # knot times are s + i * dt_macro now, (s + (i-1) dt_macro) + dt_macro before
     assert np.allclose(rec["times"], rec_ref["times"], rtol=0, atol=4e-16 * (1 + abs(s) + abs(t)))
 
@@ -494,7 +480,7 @@ def test_flow_matches_reference_bitwise(name, integrator, s, t, monkeypatch):
         return
     (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
     for got, want in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
-        (rec[k], rec_ref[k]) for k in ("q_lift", "p", "qdot", "action_increments")
+        (rec[k], rec_ref[k]) for k in ("q_lift", "p", "action_increments")
     ]:
         assert np.array_equal(got, want)
     # knot times are s + i * dt_macro now, (s + (i-1) dt_macro) + dt_macro before
@@ -514,7 +500,7 @@ def test_flow_matches_reference_time_dependent(name, s, t):
         return
     (q, p, action, rec), (q_ref, p_ref, action_ref, rec_ref) = got, ref
     for got, want in [(q, q_ref), (p, p_ref), (action, action_ref)] + [
-        (rec[k], rec_ref[k]) for k in ("times", "q_lift", "p", "qdot", "action_increments")
+        (rec[k], rec_ref[k]) for k in ("times", "q_lift", "p", "action_increments")
     ]:
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
@@ -709,7 +695,7 @@ def test_unrolled_step_matches_looped_reference(name, settings, n, s, t, monkeyp
     assert steps[0] == round(abs(t - s) / settings.macro_step) * settings.substeps_per_macro
     for a, b in zip(got[:3], want[:3]):
         assert np.array_equal(a, b)
-    for key in ("times", "q_lift", "p", "qdot", "action_increments"):
+    for key in ("times", "q_lift", "p", "action_increments"):
         assert np.array_equal(got[3][key], want[3][key])
 
 

@@ -203,6 +203,20 @@ def test_drift_must_be_finite(drift):
         shifted_quadratic([], drift=drift)
 
 
+@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan])
+def test_offset_must_be_finite(offset):
+    with pytest.raises(ValueError, match="offset must be finite"):
+        mechanical([], offset=offset)
+    with pytest.raises(ValueError, match="offset must be finite"):
+        shifted_quadratic([], offset=offset)
+
+
+@pytest.mark.parametrize("a, b", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0)])
+def test_trig_polynomial_coefficients_must_be_finite(a, b):
+    with pytest.raises(ValueError, match=r"term \(2,1\) has a non-finite coefficient"):
+        TrigPolynomial.from_coeffs([(0, 0, 1.0, 0.0), (2, 1, a, b)])
+
+
 def test_custom_requires_callable():
     with pytest.raises(ValueError):
         TonelliHamiltonian(family=Family.CUSTOM)
@@ -214,7 +228,7 @@ def test_custom_derivatives_are_complex_steps():
     h = custom_quartic()
     rng = np.random.default_rng(3)
     t, q, p = rng.uniform(0, 1, 50), rng.uniform(0, 1, 50), rng.uniform(-5, 5, 50)
-    assert np.allclose(h.dH_dp(t, q, p), p**3 + p, rtol=4 * np.finfo(float).eps, atol=0)
+    assert np.allclose(h.ops.dH_dp(h, t, q, p), p**3 + p, rtol=4 * np.finfo(float).eps, atol=0)
     want = -0.6 * np.pi * np.sin(2 * np.pi * q) * (1 + 0.5 * np.cos(2 * np.pi * t))
     assert np.allclose(h.dH_dq(t, q, p), want, rtol=0, atol=1e-15)
 
