@@ -27,7 +27,7 @@ from .errors import (
     TooFewSamples,
 )
 from .flow import FlowSettings, integrate_batch
-from .grids import GridFunction, place_cells
+from .grids import GridFunction
 from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .textio import write_csv
 
@@ -263,7 +263,7 @@ def _segment_tree(b: LagrangianCurve):
     """Segment ends (l1, p1), (l2, p2) and lifted midpoints of b, and a
     KD-tree on the wrapped midpoints and their images at q +- 1."""
     # imported here: scipy.spatial takes about half a second to import, and
-    # only the Hausdorff and graph checks need it
+    # only points_to_curve_distance and directed_hausdorff need it
     from scipy.spatial import cKDTree
 
     lb = b.closed_lift()
@@ -384,10 +384,10 @@ def curve_to_csv(curve: LagrangianCurve, path) -> None:
 
 
 def curve_from_csv(path) -> LagrangianCurve:
-    """Read a curve written by curve_to_csv, each row placed by its index.
+    """Read a curve written by curve_to_csv: rows in index order.
 
     Raises ValueError on another header, a blank or malformed cell, or an
-    index that is missing, repeated or outside the node range.
+    index column that does not read 0, 1, ..., n - 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -395,8 +395,14 @@ def curve_from_csv(path) -> LagrangianCurve:
             raise ValueError(f"unexpected curve CSV header {header!r}")
         row = np.dtype([("index", np.int64), ("q", float), ("p", float), ("h", float)])
         rows = np.loadtxt(fh, delimiter=",", dtype=row, ndmin=1)
-    q, p, h = (place_cells(path, rows["index"], rows[name], (len(rows),)) for name in ("q", "p", "h"))
-    return LagrangianCurve(_lift_from_wrapped(q), p, h)
+    wrong = np.flatnonzero(rows["index"] != np.arange(len(rows)))
+    if len(wrong):
+        k = wrong[0]
+        raise ValueError(
+            f"{path}: row {k} holds index {rows['index'][k]}; the rows must list indices "
+            f"0 to {len(rows) - 1} in order, none missing or repeated"
+        )
+    return LagrangianCurve(_lift_from_wrapped(rows["q"]), rows["p"].copy(), rows["h"].copy())
 
 
 def _lift_from_wrapped(q: np.ndarray) -> np.ndarray:

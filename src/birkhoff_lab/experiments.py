@@ -246,13 +246,10 @@ def run_detector(records: list[DiagnosticsRecord]) -> dict:
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _initial_objects(config: ExperimentConfig):
-    v_grid = grid_from_trig(config.initial_potential, INITIAL_NODES)
-    limit_poly = config.limit_potential or config.initial_potential
-    u_lim = grid_from_trig(limit_poly, INITIAL_NODES)
-    l0 = from_potential(v_grid)
-    candidate = from_potential(u_lim)
-    return v_grid, u_lim, l0, candidate
+def _bundle(kind: str, verdict: str, config: ExperimentConfig) -> ReportBundle:
+    """A pipeline's bundle, before its results: the verdict it starts from,
+    an empty reason, the config echo and the seed."""
+    return ReportBundle(kind=kind, verdict=verdict, reason="", config_echo=config_echo(config), seed=config.seed)
 
 
 def _diagnose(n: int, curve: LagrangianCurve, candidate: LagrangianCurve, u_lim: GridFunction) -> DiagnosticsRecord:
@@ -270,14 +267,10 @@ def _diagnose(n: int, curve: LagrangianCurve, candidate: LagrangianCurve, u_lim:
 
 def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
     """Theorem-style pipeline over curve iterates in both time directions."""
-    _, u_lim, l0, candidate = _initial_objects(config)
-    bundle = ReportBundle(
-        kind="iteration",
-        verdict="NO_DATA",
-        reason="",
-        config_echo=config_echo(config),
-        seed=config.seed,
-    )
+    l0 = from_potential(grid_from_trig(config.initial_potential, INITIAL_NODES))
+    u_lim = grid_from_trig(config.limit_potential or config.initial_potential, INITIAL_NODES)
+    candidate = from_potential(u_lim)
+    bundle = _bundle("iteration", "NO_DATA", config)
     bundle.curves[0] = l0
     l0_graph = graph_check(l0).is_graph
 
@@ -362,39 +355,20 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
     n = config.resolution
     h = config.hamiltonian
     u0, pm, alpha0 = one_period(config)
+    bundle = _bundle("recurrence", "PASS", config)
 
-    fwd = [u0]
-    for _ in range(config.n_max):
-        fwd.append(lax_negative(fwd[-1], pm, alpha0))
-    bwd = [u0]
-    for _ in range(config.m_max):
-        bwd.append(lax_positive(bwd[-1], pm, alpha0))
-
-    ret_f = [float(np.max(np.abs(u.values - u0.values))) for u in fwd[1:]]
-    ret_b = [float(np.max(np.abs(u.values - u0.values))) for u in bwd[1:]]
-    inc_f = [
-        float(np.max(np.abs(a.values - b.values))) for a, b in zip(fwd[1:], fwd[:-1])
-    ]
-    bundle = ReportBundle(
-        kind="recurrence",
-        verdict="PASS",
-        reason="",
-        config_echo=config_echo(config),
-        seed=config.seed,
-    )
-    bundle.series["return_forward"] = list(enumerate(ret_f, start=1))
-    bundle.series["return_backward"] = list(enumerate(ret_b, start=1))
+    iterates = {}
+    for label, count, lax in (("forward", config.n_max, lax_negative), ("backward", config.m_max, lax_positive)):
+        us = iterates[label] = [u0]
+        for _ in range(count):
+            us.append(lax(us[-1], pm, alpha0))
+        returns = [float(np.max(np.abs(u.values - u0.values))) for u in us[1:]]
+        hits = [k for k, r in enumerate(returns, start=1) if r < GAUGE_TOL]
+        bundle.series[f"return_{label}"] = list(enumerate(returns, start=1))
+        bundle.detectors[label] = {"hits": hits, "fired": bool(hits)}
+    fwd = iterates["forward"]
+    inc_f = [float(np.max(np.abs(a.values - b.values))) for a, b in zip(fwd[1:], fwd[:-1])]
     bundle.series["increments_forward"] = list(enumerate(inc_f, start=1))
-    bundle.detectors = {
-        "forward": {
-            "hits": [k for k, r in enumerate(ret_f, start=1) if r < GAUGE_TOL],
-            "fired": any(r < GAUGE_TOL for r in ret_f),
-        },
-        "backward": {
-            "hits": [k for k, r in enumerate(ret_b, start=1) if r < GAUGE_TOL],
-            "fired": any(r < GAUGE_TOL for r in ret_b),
-        },
-    }
     bundle.events.append(f"alpha0 = {float(alpha0)!r}")
 
     kink_free = not any(bool(grid_kink_mask(u.values).any()) for u in fwd)
@@ -453,13 +427,7 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     for shift in (-2, -1, 1, 2):
         excluded |= np.roll(kinks, shift)
     curve = from_potential(u, derivative="central")
-    bundle = ReportBundle(
-        kind="invariance",
-        verdict="NO_DATA",
-        reason="",
-        config_echo=config_echo(config),
-        seed=config.seed,
-    )
+    bundle = _bundle("invariance", "NO_DATA", config)
     bundle.curves[0] = curve
     bundle.events.append(f"alpha0 = {float(alpha0)!r}")
     bundle.events.append(f"fixed-point residual = {float(residual)!r}")

@@ -15,11 +15,12 @@ Its six stages are unrolled, each one call of the family's vector_field
 evaluations for a custom callable, and Python floats for a single point of
 a closed-form family.
 
-Every step maps a point and its jet to the next point and its jet, and the
-Simpson integrand is read off that jet, so each point is evaluated once: a
-substep's end point, its jet and its integrand are the next substep's
-start (first same as last), across macro knots too. Each substep time is
-computed once, so an end time is bitwise the next start time.
+Both steppers, the family's and _RK4, are built at the start point and hold
+what the next step reads there (dV/dq, or the derivative k), so each point
+is evaluated once: the step that reaches a point leaves what the Simpson
+integrand p dH/dp - H and the next step need there (first same as last),
+across macro knots too. Each substep time is computed once, and the
+previous substep's end time is the next step's start time, bitwise.
 """
 
 from __future__ import annotations
@@ -116,11 +117,11 @@ _E1, _, _E3, _E4, _E5, _E6, _E7 = _E
 
 
 class _RK4:
-    """Adaptive Dormand-Prince 5(4) in the shape of a family's step, for one
-    integrate_batch call. Its jet is the point (t, q) itself: the step reads
-    t, and H is evaluated at (t, q) when read. dH/dp is read off k, the
-    derivative at the current point: evaluated at the start point when built,
-    then carried by each step from its end point.
+    """Adaptive Dormand-Prince 5(4), a stepper with a family stepper's
+    contract (hamiltonians.py), for one integrate_batch call. It holds k, the
+    derivative at the current point: evaluated at the start point when
+    built, then carried by each step from its end point. The integrand reads
+    dH/dp off k and evaluates H.
 
     Each substep is crossed in steps whose local error estimate, the max abs
     over q, p and all points, stays within RK4_TOL per substep length (a
@@ -138,25 +139,20 @@ class _RK4:
     """
 
     def __init__(self, h, t, q, p):
+        self.h = h
         self.scalar = q.size == 1 and h.family is not Family.CUSTOM
         self.size = None  # the next step size
         # (dq/dt, dp/dt) at the current point, in the form the stages use
         self.k = h.ops.vector_field(h, t, *((float(q[0]), float(p[0])) if self.scalar else (q, p)))
 
-    def jet(self, h, t, q):
-        return t, q
+    def integrand(self, t, q, p):
+        return self.k[0] * p - np.asarray(self.h.value(t, q, p))
 
-    def qdot_and_value(self, h, p, jet):
-        t, q = jet
-        return self.k[0], h.value(t, q, p)
-
-    def step(self, h, q, p, jet, dt, t1):
+    def step(self, q, p, t, dt, t1):
         if self.scalar:
-            q1, p1 = self._advance(h, jet[0], float(q[0]), float(p[0]), dt, t1)
-            q1, p1 = np.array([q1]), np.array([p1])
-        else:
-            q1, p1 = self._advance(h, jet[0], q, p, dt, t1)
-        return q1, p1, (t1, q1)
+            q1, p1 = self._advance(self.h, t, float(q[0]), float(p[0]), dt, t1)
+            return np.array([q1]), np.array([p1])
+        return self._advance(self.h, t, q, p, dt, t1)
 
     def _norm(self, x):
         return abs(x) if self.scalar else np.max(np.abs(x))
@@ -244,20 +240,15 @@ def integrate_batch(
         knots.append((times[-1], q, p))
         action = sum(increments, np.zeros_like(q))
     else:
-        stepper = _RK4(h, s, q, p) if settings.integrator == "rk4" or h.ops.step is None else h.ops
+        rk4 = settings.integrator == "rk4" or h.ops.stepper is None
+        stepper = (_RK4 if rk4 else h.ops.stepper)(h, s, q, p)
         m = settings.substeps_per_macro
         dt_sub = dt_macro / m
         weights = simpson_pattern(m) / 3.0 * dt_sub
 
-        def integrand(p, jet):
-            """The action integrand p dH/dp - H at a point with momenta p and jet
-            `jet`, and jet[:1], the part of the jet the next step reads: the
-            rest is not kept across the step."""
-            qdot, value = stepper.qdot_and_value(h, p, jet)
-            return qdot * p - np.asarray(value), jet[:1]
-
         action = np.zeros_like(q)
-        f, jet = integrand(p, stepper.jet(h, s, q))
+        tau = s
+        f = stepper.integrand(tau, q, p)
         knots = [(s, q.copy(), p.copy())] if record_knots else None
         increments = []
 
@@ -266,9 +257,10 @@ def integrate_batch(
             inc = np.zeros_like(q)
             inc += weights[0] * f
             for j in range(1, m + 1):
-                tau = tau0 + j * dt_sub if j < m else tau_end
-                q, p, jet = stepper.step(h, q, p, jet, dt_sub, tau)
-                f, jet = integrand(p, jet)
+                tau1 = tau0 + j * dt_sub if j < m else tau_end
+                q, p = stepper.step(q, p, tau, dt_sub, tau1)
+                tau = tau1
+                f = stepper.integrand(tau, q, p)
                 inc += weights[j] * f
             action += inc
             if record_knots:

@@ -85,19 +85,3 @@ def grid_from_trig(poly: TrigPolynomial, n: int) -> GridFunction:
 def constant_grid(c: float, n: int) -> GridFunction:
     return GridFunction(np.full(n, float(c)))
 
-
-def place_cells(source, flat: np.ndarray, values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of `shape` holding values[k] at C-order position flat[k].
-
-    Raises ValueError, naming `source`, unless each cell is listed exactly once.
-    """
-    out = np.empty(shape)
-    if flat.size and (flat.min() < 0 or flat.max() >= out.size):
-        raise ValueError(f"{source}: a cell index lies outside the shape {shape}")
-    filled = np.zeros(out.size, dtype=bool)
-    filled[flat] = True
-    listed = np.count_nonzero(filled)
-    if listed != out.size or listed != flat.size:  # every cell listed, and no row left over
-        raise ValueError(f"{source}: {out.size - listed} cells missing, {flat.size - listed} rows repeat a cell")
-    out.flat[flat] = values
-    return out

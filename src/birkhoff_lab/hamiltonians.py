@@ -13,10 +13,13 @@ transform `legendre`, the vectorized Lagrangian with its maximizer
 (bisection on dH/dp for custom callables), and the Lagrangian's sum over
 the quadrature nodes of a straight segment; and its flow: in closed form,
 action included, for the solvable families (the shifted quadratic, and a
-mechanical family whose potential has no position harmonic); a Strang step
-on jets (one `TrigPolynomial.jet` pass per point and substep) for the other
-mechanical families; none for custom callables, which flow by the
-Dormand-Prince pair.
+mechanical family whose potential has no position harmonic); for the other
+mechanical families its `stepper`, a Strang splitting (one
+`TrigPolynomial.jet` pass per point and substep); for custom callables
+`stepper` is None, and the Dormand-Prince pair steps them. A stepper is
+built at the start point (h, t, q, p) of a flow and holds what it carries
+from step to step; step(q, p, t, dt, t1) returns the point at t1, and
+integrand(t, q, p) the action density p dH/dp - H at its current point.
 
 A custom callable's first derivatives are complex steps, Im H(x + i h) / h
 with h = COMPLEX_STEP (Squire & Trapp, SIAM Review 40, 1998; Martins,
@@ -178,12 +181,39 @@ class LagrangianFnValue:
     optimal_momentum: float
 
 
+class _Strang:
+    """Strang kinetic/potential splitting of a mechanical family, built at
+    the start point of one integrate_batch call. It holds dV/dq at the
+    current point, which the next step reads, and V until the integrand has
+    read it: one `TrigPolynomial.jet` pass per point and substep.
+    Symplectic, order 2."""
+
+    def __init__(self, h, t, q, p):
+        self.h = h
+        self.v_q, self.v = h.potential.jet(t, q, ((0, 1), (0, 0)))
+
+    def integrand(self, t, q, p):
+        """p dH/dp - H at the current point (t, q, p); drops V."""
+        h, v = self.h, self.v
+        self.v = None
+        k = h.kinetic_coefficient
+        return k * p * p - (0.5 * k * p**2 + v + h.constant_offset)
+
+    def step(self, q, p, t, dt, t1):
+        """Advance (q, p) by dt, from time t to t1."""
+        h = self.h
+        p1 = p - (0.5 * dt) * self.v_q
+        q1 = q + dt * h.kinetic_coefficient * p1
+        self.v_q, self.v = h.potential.jet(t1, q1, ((0, 1), (0, 0)))
+        p1 -= (0.5 * dt) * self.v_q
+        return q1, p1
+
+
 class _Mechanical:
     """Mechanical family; closed-form flow when V depends on t alone, else
-    Strang kinetic/potential splitting.
+    Strang kinetic/potential splitting."""
 
-    Its jet at (t, q) is (dV/dq, V): the step reads dV/dq, H reads V.
-    """
+    stepper = _Strang
 
     def solvable(self, h):
         return not any(k for _, k, _, _ in h.potential.terms)
@@ -201,14 +231,6 @@ class _Mechanical:
         mean = sum(a for j, _, a, _ in terms if j == 0)
         action = (0.5 * qdot * p - h.constant_offset - mean) * (t - s) - (w1 - w0)
         return q + (t - s) * qdot, p, action, w1
-
-    def jet(self, h, t, q):
-        return h.potential.jet(t, q, ((0, 1), (0, 0)))
-
-    def qdot_and_value(self, h, p, jet):
-        """(dH/dp, H) at momentum p and position jet `jet`."""
-        p = np.asarray(p)
-        return h.kinetic_coefficient * p, 0.5 * h.kinetic_coefficient * p**2 + jet[1] + h.constant_offset
 
     def value(self, h, t, q, p):
         return (
@@ -232,15 +254,6 @@ class _Mechanical:
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
         kinetic = v * v / (2.0 * h.kinetic_coefficient) - h.constant_offset
         return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb)
-
-    def step(self, h, q, p, jet, dt, t1):
-        """Advance (q, p) by dt to time t1, reading dV/dq = jet[0] at the
-        start; returns q1, p1 and the jet at (t1, q1). Symplectic, order 2."""
-        p1 = p - (0.5 * dt) * jet[0]
-        q1 = q + dt * h.kinetic_coefficient * p1
-        jet1 = self.jet(h, t1, q1)
-        p1 -= (0.5 * dt) * jet1[0]
-        return q1, p1, jet1
 
 
 class _ShiftedQuadratic:
@@ -298,10 +311,10 @@ def _autonomy_sample():
 
 class _Custom:
     """Custom callables: complex-step first derivatives (one complex
-    evaluation each), the maximizer by bisection, no native step (the
+    evaluation each), the maximizer by bisection, no stepper (the
     Dormand-Prince pair in flow.py steps them)."""
 
-    step = None
+    stepper = None
 
     def solvable(self, h):
         return False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from birkhoff_lab.errors import MaximizerNotFound, NotComplexAnalytic
-from birkhoff_lab.flow import FlowSettings, integrate_batch
+from birkhoff_lab.flow import FlowSettings, _RK4, integrate_batch
 from birkhoff_lab.hamiltonians import (
     COMPLEX_STEP,
     Family,
@@ -323,7 +323,7 @@ def test_family_contract(name):
         scalar = np.vectorize(lambda qq, vv: legendre_transform(h, tt, qq, vv).value)(qs, vs)
         assert np.array_equal(batch, scalar)
 
-    # "auto" takes the family's closed-form flow, its native step, or RK4 for
+    # "auto" takes the family's closed-form flow, its stepper, or RK4 for
     # custom callables
     q0, p0 = np.array([0.3, 0.6]), np.array([0.8, -0.4])
     auto = integrate_batch(h, q0, p0, 0.0, 0.01, FlowSettings(integrator="auto", substeps_per_macro=2))
@@ -334,7 +334,19 @@ def test_family_contract(name):
         q1, p1, *_ = h.ops.flow(h, q0, p0, 0.0, 0.01)
         assert np.array_equal(auto[0], q1) and np.array_equal(auto[1], p1)
     else:
-        jet = h.ops.jet(h, 0.0, q0)
-        q1, p1, jet = h.ops.step(h, q0, p0, jet, 0.005, 0.005)
-        q2, p2, _ = h.ops.step(h, q1, p1, jet, 0.005, 0.01)
+        stepper = h.ops.stepper(h, 0.0, q0, p0)
+        q1, p1 = stepper.step(q0, p0, 0.0, 0.005, 0.005)
+        q2, p2 = stepper.step(q1, p1, 0.005, 0.005, 0.01)
         assert np.array_equal(auto[0], q2) and np.array_equal(auto[1], p2)
+
+    # every stepper that applies to the family: built at a start point, its
+    # integrand there is p dH/dp - H, bitwise, and a step keeps the shape of
+    # a batch and of a lone point
+    for make in [s for s in (getattr(h.ops, "stepper", None), _RK4) if s is not None]:
+        for q0, p0 in ((np.array([0.3, 0.6, 0.85]), np.array([0.8, -0.4, 1.1])), (np.array([0.3]), np.array([0.8]))):
+            stepper = make(h, 0.2, q0, p0)
+            want = h.ops.vector_field(h, 0.2, q0, p0)[0] * p0 - h.value(0.2, q0, p0)
+            assert np.array_equal(stepper.integrand(0.2, q0, p0), want)
+            q1, p1 = stepper.step(q0, p0, 0.2, 0.005, 0.205)
+            q2, p2 = stepper.step(q1, p1, 0.205, 0.005, 0.21)
+            assert all(type(x) is np.ndarray and x.shape == q0.shape for x in (q1, p1, q2, p2))
