@@ -32,6 +32,7 @@ through; each custom Hamiltonian is checked for that when it is built.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -451,12 +452,12 @@ class TonelliHamiltonian:
     def dH_dq(self, t, q, p):
         return -self.ops.vector_field(self, t, q, p)[1]
 
-    @property
+    @functools.cached_property
     def autonomous(self) -> bool:
-        """Whether H does not depend on t. Exact for the closed forms: no term
-        has both a time harmonic and a nonzero coefficient. A custom callable
-        counts as autonomous when dH/dt is exactly 0 on an 8 x 5 (q, p) sample
-        at t = 0.1, 0.4 and 0.7."""
+        """Whether H does not depend on t, worked out once per Hamiltonian.
+        Exact for the closed forms: no term has both a time harmonic and a
+        nonzero coefficient. A custom callable counts as autonomous when dH/dt
+        is exactly 0 on an 8 x 5 (q, p) sample at t = 0.1, 0.4 and 0.7."""
         if self.family is Family.CUSTOM:
             times, q, p = _autonomy_sample()
             return all(np.all(self.ops.dH_dt(self, t, q, p) == 0.0) for t in times)

@@ -11,7 +11,12 @@ visits only the intermediate points that can attain a minimum, and gives the
 same bits as visiting all of them. A matrix is built and cached from
 (Hamiltonian, fractional start, span) alone, so time-1-periodicity of the
 family holds bitwise, also for a matrix rebuilt after the cache, which drops
-the least recently used matrices beyond a byte bound, let it go.
+the least recently used matrices beyond a byte bound, let it go. The
+Lax-Oleinik operator T_{s,t} of an H that does not depend on t depends on
+t - s alone, so an autonomous closed form's matrices are built at fractional
+start 0 and keyed by (Hamiltonian, span), which every start shares; a custom
+callable, whose autonomy is a sampled test, keeps its start. Cached entries
+are read-only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .errors import (
     NonpositiveDuration,
 )
 from .grids import GridFunction
-from .hamiltonians import TonelliHamiltonian, wrap_unit
+from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
 
 SINGLE_STEP_SPAN = 0.25
 QUAD_NODES = 8
@@ -144,6 +149,7 @@ class _PotentialCache:
         return hit
 
     def put(self, key: tuple, pm: PotentialMatrix) -> None:
+        pm.entries.flags.writeable = False  # one array serves every later lookup
         self._items[key] = pm
         self.nbytes += pm.entries.nbytes
         while self.nbytes > self.max_bytes:
@@ -205,7 +211,16 @@ def potential(
     max_span: float = SINGLE_STEP_SPAN,
     quad_nodes: int = QUAD_NODES,
 ) -> PotentialMatrix:
-    """Action potential matrix between times s < t on the n-point grid."""
+    """Action potential matrix between times s < t on the n-point grid.
+
+    Keyed and built at (Hamiltonian, fractional start of s, span t - s), both
+    rounded to 12 digits; a span that rounding moves by more than SPAN_RTOL
+    is refused. A mechanical or shifted-quadratic H that does not depend on t
+    is keyed and built at fractional start 0, so every start of a span shares
+    one matrix. A custom callable keeps its start: its `autonomous` is a
+    sampled test. The result carries the caller's s and t, and its entries
+    are read-only.
+    """
     if t <= s:
         raise NonpositiveDuration(f"need t > s, got [{s}, {t}]")
     if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
@@ -213,6 +228,8 @@ def potential(
     fs, span, mid = _halving(s, t, max_span)
     if abs(span - (t - s)) > SPAN_RTOL * (t - s):  # a span keyed as 0 too, which a single step divides by
         raise NonpositiveDuration(f"the span t - s = {t - s!r} of [{s}, {t}] rounds to {span:.12g} at 12 digits")
+    if h.family is not Family.CUSTOM and h.autonomous:  # T_{s,t} depends on t - s alone
+        fs, span, mid = _halving(0.0, span, max_span)
     key = (h, fs, span, n, max_span, quad_nodes)
     hit = _POTENTIAL_CACHE.get(key)
     if hit is None:

@@ -254,6 +254,18 @@ def test_time_independent_callable_stays_autonomous():
     assert custom_quartic().autonomous is False
 
 
+def test_autonomous_is_worked_out_once(monkeypatch):
+    h = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=lambda t, q, p: 0.5 * p**2)
+    calls = []
+    dH_dt = type(h.ops).dH_dt
+    monkeypatch.setattr(type(h.ops), "dH_dt", lambda *a: calls.append(1) or dH_dt(*a))
+    assert h.autonomous and h.autonomous
+    assert len(calls) == 3  # the three sample times, on the first read only
+    pend = pendulum()
+    assert pend.autonomous
+    assert pend == pendulum() and hash(pend) == hash(pendulum())  # not a field
+
+
 def test_legendre_maximizer_not_found_for_concave():
     bad = TonelliHamiltonian(
         family=Family.CUSTOM,

@@ -32,6 +32,7 @@ from birkhoff_lab.lax_oleinik import (
 FREE = free_hamiltonian()
 PEND = pendulum()
 SHIFT = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.0)
+WAVE = mechanical([(1, 1, 0.5, 0.2)])  # depends on t: one matrix per fractional start
 N = 256
 QS = np.arange(N) / N
 
@@ -317,8 +318,8 @@ def test_weak_kam_anchor_must_be_a_grid_index(anchor):
 
 def test_potential_cache_counts_lookups():
     clear_potential_cache()
-    potential(PEND, 0, 1, 16)  # the period, two halves and four quarters
-    potential(PEND, 1, 2, 16)  # the same fractional start and span
+    potential(WAVE, 0, 1, 16)  # the period, two halves and four quarters
+    potential(WAVE, 1, 2, 16)  # the same fractional start and span
     cache = lax_oleinik._POTENTIAL_CACHE
     assert (cache.hits, cache.misses, cache.evictions) == (1, 7, 0)
     assert cache.nbytes == 7 * 16 * 16 * 8
@@ -332,7 +333,7 @@ def test_potential_cache_bounded_in_bytes(monkeypatch):
     try:
         base = tracemalloc.get_traced_memory()[0]
         for i in range(40):  # 40 matrices of 128 KiB: five times the bound
-            potential(FREE, i / 40, i / 40 + 0.25, 128)
+            potential(WAVE, i / 40, i / 40 + 0.25, 128)
             held = tracemalloc.get_traced_memory()[0] - base
             assert held <= cache.max_bytes + 2**14  # entries plus keys and bookkeeping
     finally:
@@ -340,6 +341,56 @@ def test_potential_cache_bounded_in_bytes(monkeypatch):
     assert cache.nbytes <= cache.max_bytes == 2**20
     assert cache.evictions == 40 - 8
     clear_potential_cache()
+
+
+def test_autonomous_potentials_share_span_keys():
+    from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian
+
+    cache = lax_oleinik._POTENTIAL_CACHE
+    clear_potential_cache()
+    potential(PEND, 0, 1, 16)  # one quarter serves all four, one half both
+    assert (cache.hits, cache.misses, cache.evictions) == (2, 3, 0)
+    potential(PEND, 1, 2, 16)
+    assert (cache.hits, cache.misses, cache.evictions) == (3, 3, 0)
+    assert cache.nbytes == 3 * 16 * 16 * 8
+    potential(PEND, 0.3, 0.55, 16)  # the quarter again, at another start
+    assert (cache.hits, cache.misses) == (4, 3)
+    # a custom callable's autonomy is a sampled test, so it keeps its starts
+    custom = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=lambda t, q, p: 0.5 * p**2)
+    assert custom.autonomous and not WAVE.autonomous
+    for h in (WAVE, custom):
+        clear_potential_cache()
+        potential(h, 0, 0.25, 16)
+        potential(h, 0.25, 0.5, 16)
+        assert (cache.hits, cache.misses) == (0, 2)
+    clear_potential_cache()
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.7 + 1e-9])
+@pytest.mark.parametrize("h", [FREE, PEND, shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.3)], ids=["free", "pendulum", "shift"])
+def test_autonomous_potential_matches_the_per_start_build(h, s):
+    # a matrix built at fractional start 0 serves the span at any start; the
+    # build at the true start stays the oracle
+    def close(fast, slow):
+        return np.all(np.abs(fast - slow) <= 1e-13 * (1 + np.abs(slow)))
+
+    steps = [lax_oleinik._single_step(h, s + k / 4, s + (k + 1) / 4, 64, lax_oleinik.QUAD_NODES) for k in range(4)]
+    assert close(potential(h, s, s + 0.25, 64).entries, steps[0].entries)
+    halves = minplus_compose(steps[0], steps[1]), minplus_compose(steps[2], steps[3])
+    assert close(potential(h, s, s + 1, 64).entries, minplus_compose(*halves).entries)
+
+
+def test_span_rule_holds_under_span_keys():
+    # 1.4e-12 rounds to 1e-12 at 12 digits: the key would change the span
+    with pytest.raises(NonpositiveDuration):
+        potential(pendulum(), 0.3, 0.3 + 1.4e-12, 8)
+
+
+def test_cached_potential_entries_are_read_only():
+    # one array serves every later lookup of the key, at every start
+    pm = potential(PEND, 0.3, 0.55, 16)
+    with pytest.raises(ValueError):
+        pm.entries[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("span", [0.25, 1.0])  # a single step and a compose
