@@ -30,7 +30,7 @@ def main() -> int:
 
     residuals = {}
     for n in (256, 512):
-        barrier = peierls_barrier(h, est.alpha0, 0, 8, 64, n)
+        barrier = peierls_barrier(h, est.alpha0, 0, n)
         u, res = positive_weak_kam(h, est.alpha0, 0, 0.0, n, barrier=barrier)
         residuals[n] = res
         print(f"N={n}: barrier(0,0) = {barrier.matrix.entries[0, 0]:.3e}, "
@@ -43,7 +43,7 @@ def main() -> int:
 
     # calibrated shots want a sharp derivative profile: rebuild at a finer
     # single-step span before seeding on the kink-free arc
-    sharp = peierls_barrier(h, est.alpha0, 0, 8, 64, 256, max_span=1 / 16)
+    sharp = peierls_barrier(h, est.alpha0, 0, 256, max_span=1 / 16)
     u_sharp, _ = positive_weak_kam(h, est.alpha0, 0, 0.0, 256, barrier=sharp)
     st = spacetime_from_grid(u_sharp, 0.0, 1.0, est.alpha0)
     for seed in (0.2, 0.45, 0.65):

@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: flow, potential, lax, mane, barrier, spectral, calibrate,
-birkhoff, recurrence, invariance. Global flags --config/--out/--seed/
---resolution/--quiet. Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE, >= 10
-errors (details on stderr unless --quiet).
+Subcommands: flow, potential, mane, barrier, spectral, calibrate, birkhoff,
+recurrence, invariance. Global flags --config/--out/--seed/--resolution/
+--quiet. Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE, >= 10 errors (details on
+stderr unless --quiet).
+
+A subcommand flag is something a caller varies: the barrier window
+(lax_oleinik.BARRIER_HORIZONS) and the calibration horizon and tolerance
+(experiments.CALIBRATION_HORIZON, CALIBRATION_TOLERANCE) are constants.
 
 Potentials take their settings from experiments.resolve_potential_settings
 and alpha0 from experiments.resolve_alpha0, except in `mane`, the estimator,
@@ -25,10 +29,11 @@ from . import __version__
 from .calibration import calibrated_curve, domination_check
 from .errors import BirkhoffLabError, KinkAtSeed
 from .experiments import (
+    CALIBRATION_HORIZON,
+    CALIBRATION_TOLERANCE,
     ExperimentConfig,
     lax_spacetime,
     load_config,
-    one_period,
     resolve_alpha0,
     resolve_potential_settings,
     run_autonomous_invariance,
@@ -36,15 +41,8 @@ from .experiments import (
     run_recurrence_experiment,
 )
 from .flow import PhasePoint, trajectory
-from .lax_oleinik import (
-    ALPHA0_HORIZON,
-    lax_negative,
-    lax_positive,
-    mane_critical_value,
-    peierls_barrier,
-    potential,
-)
-from .reports import emit_reports, grid_to_csv, potential_to_csv
+from .lax_oleinik import ALPHA0_HORIZON, mane_critical_value, peierls_barrier, potential
+from .reports import emit_reports, potential_to_csv
 from .spectral import fqi_from_csv, global_invariants, selector_function
 from .textio import write_csv, write_json
 
@@ -61,16 +59,12 @@ def _verdict_exit(verdict: str) -> int:
     return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INCONCLUSIVE)
 
 
-def _count(minimum: int):
-    """argparse type: an integer of at least `minimum`."""
-
-    def integer(text: str) -> int:  # argparse reports "x" as an "invalid integer value"
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
-        return value
-
-    return integer
+def _count(text: str) -> int:
+    """argparse type: a positive integer."""
+    value = int(text)  # argparse reports "x" as an "invalid integer value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _finite(text: str) -> float:
@@ -101,23 +95,15 @@ def build_parser() -> _Parser:
     sp.add_argument("--t0", type=_finite, default=0.0)
     sp.add_argument("--t1", type=_finite, default=1.0)
 
-    sp = sub.add_parser("lax", help="iterate the one-period operators")
-    sp.add_argument("--steps", type=_count(0), default=8)
-    sp.add_argument("--direction", choices=("negative", "positive"), default="negative")
-
     sub.add_parser("mane", help="critical value estimate (a pinned alpha0 is not used)")
 
-    sp = sub.add_parser("barrier", help="long-horizon barrier matrix")
-    sp.add_argument("--n-min", type=int, default=8)
-    sp.add_argument("--n-max", type=int, default=64)
+    sub.add_parser("barrier", help="long-horizon barrier matrix")
 
     sp = sub.add_parser("spectral", help="invariants of a sampled CSV instance")
     sp.add_argument("--fqi", type=str, required=True, help="CSV path (sidecar .meta.json)")
 
     sp = sub.add_parser("calibrate", help="domination sweep and calibrated shots")
-    sp.add_argument("--curves", type=_count(1), default=1000)
-    sp.add_argument("--horizon", type=_finite, default=1.0)
-    sp.add_argument("--tolerance", type=_finite, default=5e-3)
+    sp.add_argument("--curves", type=_count, default=1000)
 
     sub.add_parser("birkhoff", help="bidirectional iteration experiment")
     sub.add_parser("recurrence", help="value-function recurrence experiment")
@@ -160,15 +146,6 @@ def main(argv=None) -> int:
             say(f"potential [{args.t0},{args.t1}] written; min={float(pm.entries.min())!r}")
             return EXIT_PASS
 
-        if args.command == "lax":
-            u, pm, alpha0 = one_period(config)
-            step = lax_negative if args.direction == "negative" else lax_positive
-            for _ in range(args.steps):
-                u = step(u, pm, alpha0)
-            grid_to_csv(u, out / f"lax_{args.direction}_{args.steps}.csv")
-            say(f"after {args.steps} {args.direction} periods: osc={u.oscillation()!r}")
-            return EXIT_PASS
-
         if args.command == "mane":
             est = mane_critical_value(h, **settings)
             write_json(out / "mane.json", {
@@ -181,7 +158,7 @@ def main(argv=None) -> int:
 
         if args.command == "barrier":
             alpha0 = resolve_alpha0(config)
-            res = peierls_barrier(h, alpha0, 0.0, args.n_min, args.n_max, **settings)
+            res = peierls_barrier(h, alpha0, 0.0, **settings)
             potential_to_csv(res.matrix, out / "barrier.csv")
             write_json(out / "barrier.json", {
                 "alpha0": alpha0,
@@ -211,21 +188,21 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "calibrate":
-            u = lax_spacetime(config, args.horizon)
+            u = lax_spacetime(config)
             dom = domination_check(u, h, count=args.curves, seed=config.seed)
             shots = []
             rng = np.random.default_rng(config.seed)
             for q0 in rng.uniform(0, 1, 8):
                 try:
-                    rep = calibrated_curve(u, h, 0.0, float(q0), args.horizon, config.flow_settings)
+                    rep = calibrated_curve(u, h, 0.0, float(q0), CALIBRATION_HORIZON, config.flow_settings)
                 except KinkAtSeed:
                     continue
                 shots.append(rep.to_dict())
-            ok = dom.min_defect >= -args.tolerance
+            ok = dom.min_defect >= -CALIBRATION_TOLERANCE
             write_json(out / "calibration.json", {
                 "min_defect": dom.min_defect,
                 "curves": dom.count,
-                "tolerance": args.tolerance,
+                "tolerance": CALIBRATION_TOLERANCE,
                 "verdict": "PASS" if ok else "FAIL",
                 "calibrated_shots": shots,
             })

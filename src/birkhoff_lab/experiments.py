@@ -50,6 +50,8 @@ INITIAL_NODES = 1024  # curve nodes at t = 0 (a power of two)
 SPACING = 2e-3  # phase-space resampling gap of every evolved curve
 HAUSDORFF_TOL = GAUGE_TOL = 1e-4  # detector thresholds
 DETECTOR_WINDOW = 4  # detected subsequence length
+CALIBRATION_HORIZON = 1.0  # the calibration candidate's window is [0, CALIBRATION_HORIZON]
+CALIBRATION_TOLERANCE = 5e-3  # least domination defect that passes calibration
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_max < 1 or self.m_max < 1:
             raise ValueError("iterate counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.alpha0 is not None and not np.isfinite(self.alpha0):
             raise ValueError("a pinned alpha0 must be finite")
         require_power_of_two(self.resolution, "resolution")
@@ -459,8 +463,8 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def lax_spacetime(config: ExperimentConfig, t1: float) -> SpaceTimeFunction:
-    """Candidate solution on [0, t1] for the calibration pipeline."""
+def lax_spacetime(config: ExperimentConfig) -> SpaceTimeFunction:
+    """Candidate solution on [0, CALIBRATION_HORIZON] for the calibration pipeline."""
     u0 = grid_from_trig(config.initial_potential, config.resolution)
     alpha0 = resolve_alpha0(config)
-    return spacetime_from_lax(config.hamiltonian, u0, 0.0, t1, alpha0, quad_nodes=config.quad_nodes)
+    return spacetime_from_lax(config.hamiltonian, u0, 0.0, CALIBRATION_HORIZON, alpha0, quad_nodes=config.quad_nodes)

@@ -40,6 +40,7 @@ SINGLE_STEP_SPAN = 0.25
 QUAD_NODES = 8
 CAUCHY_TOL = 0.5
 BARRIER_TOL = 1e-4
+BARRIER_HORIZONS = range(8, 65)  # integer horizons k of the barrier's running minimum
 SPAN_RTOL = 1e-9  # the 12-digit key takes float noise off t - s; a larger move changes the span
 ALPHA0_HORIZON = 48  # periods of value iteration behind every alpha0 estimate
 
@@ -338,8 +339,6 @@ def peierls_barrier(
     h: TonelliHamiltonian,
     alpha0: float,
     t: float,
-    n_min: int = 8,
-    n_max: int = 64,
     n: int = 256,
     max_span: float = SINGLE_STEP_SPAN,
     quad_nodes: int = QUAD_NODES,
@@ -348,21 +347,19 @@ def peierls_barrier(
     from fractional time t to itself.
 
     Approximates the liminf over integer horizons k of the potentials from t
-    to t + k by the entrywise running minimum for k in [n_min, n_max];
+    to t + k by the entrywise running minimum for k in BARRIER_HORIZONS;
     converged when the minimum moves less than BARRIER_TOL (sup norm) over
     the last quarter of the window.
     """
     if not 0 <= t < 1:
         raise ValueError("fractional time t must lie in [0, 1)")
-    if not n_max > n_min >= 4:
-        raise ValueError("need n_max > n_min >= 4")
     one_period = current = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes)
     running = None
     changes = []
-    for horizon in range(1, n_max + 1):
+    for horizon in range(1, BARRIER_HORIZONS[-1] + 1):
         if horizon > 1:
             current = minplus_compose(current, one_period)
-        if horizon < n_min:
+        if horizon not in BARRIER_HORIZONS:
             continue
         cand = current.entries + alpha0 * horizon
         if running is None:
@@ -393,8 +390,8 @@ def positive_weak_kam(
 ):
     """Weak solution u(t, .) = -barrier(. -> anchor) + alpha0 * t.
 
-    Without a barrier, builds the n-point one with peierls_barrier's default
-    window and potential settings; a given barrier sets the resolution, and n
+    Without a barrier, builds the n-point one over BARRIER_HORIZONS with the
+    default potential settings; a given barrier sets the resolution, and n
     is unused. Returns the grid function and the fixed-point residual of the
     one-period positive operator on twice that resolution, built with the
     barrier's own potential settings, which vanishes for the exact barrier.

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedIndex
-from .grids import GridFunction
+from .grids import GridFunction, require_power_of_two
 from .textio import write_csv, write_json
 
 SHELL_FRACTION = 0.9
@@ -69,6 +69,8 @@ class SampledFqi:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
+        if self.base_resolution is not None:
+            require_power_of_two(self.base_resolution, "base_resolution")
         if not np.isfinite(v).all():
             raise ValueError("values must be finite")
         object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
@@ -449,6 +451,7 @@ def fqi_from_csv(path) -> SampledFqi:
     """Read an instance written by fqi_to_csv.
 
     Raises ValueError on other meta keys or meta values of another type, a
+    base_resolution that is neither null nor a power of two, a
     fiber_resolution that is not one positive int per signature entry, a
     header other than `value` (older files have index columns), a line that
     is not one finite float, or a row count other than the number of cells.
@@ -465,7 +468,8 @@ def fqi_from_csv(path) -> SampledFqi:
         return type(x) is int
 
     for key, ok, want in (
-        ("base_resolution", base is None or is_int(base) and base > 0, "null or a positive int"),
+        ("base_resolution", base is None or is_int(base) and base > 0 and not base & (base - 1),
+         "null or a power of two"),
         ("fiber_resolution", isinstance(fiber, list) and all(is_int(m) and m > 0 for m in fiber),
          "a list of positive ints"),
         ("signature", isinstance(signature, list) and all(is_int(s) and s in (-1, 1) for s in signature),

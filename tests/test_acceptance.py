@@ -195,15 +195,15 @@ def test_criterion_5_lax_oleinik_properties():
 
 def test_criterion_6_peierls_weak_kam():
     with Budget("6. Peierls / weak KAM", 180):
-        bfree = peierls_barrier(FREE, 0.0, 0, 8, 64, 512)
+        bfree = peierls_barrier(FREE, 0.0, 0, 512)
         assert bfree.converged
         assert np.max(np.abs(bfree.matrix.entries)) <= 2e-3
-        bp = peierls_barrier(PEND, 1.0, 0, 8, 64, 256)
+        bp = peierls_barrier(PEND, 1.0, 0, 256)
         assert bp.converged
         assert abs(bp.matrix.entries[0, 0]) <= 1e-2
         _, r256 = positive_weak_kam(PEND, 1.0, 0, 0.0, 256, barrier=bp)
         assert r256 <= 1e-2
-        bp512 = peierls_barrier(PEND, 1.0, 0, 8, 64, 512)
+        bp512 = peierls_barrier(PEND, 1.0, 0, 512)
         _, r512 = positive_weak_kam(PEND, 1.0, 0, 0.0, 512, barrier=bp512)
         assert r512 <= r256 / 2
 

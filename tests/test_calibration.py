@@ -10,7 +10,7 @@ from birkhoff_lab.calibration import (
     spacetime_from_grid,
     spacetime_from_lax,
 )
-from birkhoff_lab.errors import DomainExceeded, KinkAtSeed
+from birkhoff_lab.errors import DomainExceeded, KinkAtSeed, NonpositiveDuration
 from birkhoff_lab.flow import PhasePoint, trajectory
 from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig
 from birkhoff_lab.hamiltonians import fenchel_gap, free_hamiltonian, pendulum, shifted_quadratic, wrap_unit
@@ -110,6 +110,13 @@ def test_domination_of_lax_evolved_free():
     assert rep.min_defect >= -5e-3
 
 
+@pytest.mark.parametrize("t1", [0.0, -1.0])
+def test_spacetime_from_lax_nonpositive_span_is_a_duration_error(t1):
+    # an empty or reversed span, not a knot step that fails to divide it
+    with pytest.raises(NonpositiveDuration, match=rf"need t1 > t0, got \[0.0, {t1}\]"):
+        spacetime_from_lax(FREE, constant_grid(0.0, 16), 0.0, t1, 0.0)
+
+
 def test_domination_fails_for_non_solution():
     bad = spacetime_from_grid(
         GridFunction(10 * np.sin(2 * np.pi * np.arange(256) / 256)), 0.0, 1.0, 1.0
@@ -130,7 +137,7 @@ def test_kink_at_seed_refused_and_forward_calibration():
     # graph is the branch the forward flow preserves)
     from birkhoff_lab.lax_oleinik import peierls_barrier, positive_weak_kam
 
-    barrier = peierls_barrier(PEND, 1.0, 0, 8, 64, 256, max_span=1 / 16)
+    barrier = peierls_barrier(PEND, 1.0, 0, 256, max_span=1 / 16)
     u, _ = positive_weak_kam(PEND, 1.0, 0, 0.0, 256, barrier=barrier)
     st = spacetime_from_grid(u, 0.0, 1.0, 1.0)
     qs = np.arange(256) / 256

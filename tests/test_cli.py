@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -98,12 +99,13 @@ def test_recurrence_and_mane(tmp_path, small_config):
     assert est["horizon_used"] == lax_oleinik.ALPHA0_HORIZON
 
 
-def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
+def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config, monkeypatch):
     # a user who pins the alpha0 that mane printed runs what an unpinned
     # config runs
+    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(4, 9))
     out = tmp_path / "out"
     assert run(["--config", small_config, "--out", out, "--quiet", "mane"]) == 0
-    assert run(["--config", small_config, "--out", out, "--quiet", "barrier", "--n-min", "4", "--n-max", "8"]) in (0, 2)
+    assert run(["--config", small_config, "--out", out, "--quiet", "barrier"]) in (0, 2)
     mane = json.loads((out / "mane.json").read_text())
     assert mane["alpha0"] == json.loads((out / "barrier.json").read_text())["alpha0"]
 
@@ -113,7 +115,6 @@ def test_flow_and_lax_and_potential(tmp_path, small_config):
     assert run(["--config", small_config, "--out", out, "--quiet", "flow", "--p", "0.5"]) == 0
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     assert lines[0] == "t,q,p,action_increment"
-    assert run(["--config", small_config, "--out", out, "--quiet", "lax", "--steps", "2"]) == 0
     assert run(["--config", small_config, "--out", out, "--quiet",
                 "potential", "--t0", "0", "--t1", "0.5"]) == 0
     head = (out / "potential.csv").read_text().splitlines()[0]
@@ -160,29 +161,47 @@ def test_calibrate_subcommand(tmp_path, small_config):
     assert payload["min_defect"] >= -5e-3
 
 
+def test_cli_surface_is_what_callers_use(tmp_path):
+    # a subcommand flag needs callers outside the tests (perfbench, CI, the
+    # README examples, scripts/) that set it to different values; a value
+    # that every caller leaves alone is a module constant, which a test can
+    # monkeypatch. A new flag is added here together with its caller
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+    assert surface == {
+        "flow": {"--q", "--p", "--t0", "--t1"},
+        "potential": {"--t0", "--t1"},
+        "mane": set(),
+        "barrier": set(),
+        "spectral": {"--fqi"},
+        "calibrate": {"--curves"},
+        "birkhoff": set(),
+        "recurrence": set(),
+        "invariance": set(),
+    }
+    out = tmp_path / "out"
+    assert run(["--out", out, "lax"]) == cli.EXIT_ERROR
+    assert run(["--out", out, "barrier", "--n-min", "4"]) == cli.EXIT_ERROR
+    assert not out.exists()
+
+
 def test_bad_arguments_exit_ge_10(tmp_path, capsys):
     assert run(["definitely-not-a-command"]) >= 10
     assert run(["--config", tmp_path / "missing.ini", "--quiet", "mane"]) >= 10
 
 
-def test_negative_lax_steps_refused(tmp_path, capsys):
-    out = tmp_path / "out"
-    assert run(["--out", out, "lax", "--steps", "-3"]) == cli.EXIT_ERROR
-    assert "--steps" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("argv", [
-    ["calibrate", "--horizon", "inf"],
-    ["calibrate", "--tolerance", "nan"],
     ["flow", "--t1", "inf"],
     ["flow", "--q", "inf"],
     ["flow", "--p", "nan"],
     ["potential", "--t1", "inf"],
-], ids=["calibrate-horizon", "calibrate-tolerance", "flow-t1", "flow-q", "flow-p", "potential-t1"])
+], ids=["flow-t1", "flow-q", "flow-p", "potential-t1"])
 def test_non_finite_floats_refused(tmp_path, capsys, argv):
     # refused before any work: a traceback exit 1 reads as FAIL, and a NaN
-    # tolerance or start point wrote NaN output with a verdict
+    # start point wrote NaN output with a verdict
     out = tmp_path / "out"
     assert run(["--out", out, "--resolution", "16", *argv]) == cli.EXIT_ERROR
     assert f"{argv[1]}: must be finite" in capsys.readouterr().err
@@ -190,10 +209,11 @@ def test_non_finite_floats_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("horizon", ["0", "-1"])
-def test_calibrate_nonpositive_horizon_is_a_duration_error(tmp_path, capsys, horizon):
+def test_calibrate_nonpositive_horizon_is_a_duration_error(tmp_path, capsys, monkeypatch, horizon):
     # an empty or reversed span, not a knot step that fails to divide it
+    monkeypatch.setattr(experiments, "CALIBRATION_HORIZON", float(horizon))
     out = tmp_path / "out"
-    assert run(["--out", out, "--resolution", "16", "calibrate", "--horizon", horizon]) == cli.EXIT_ERROR
+    assert run(["--out", out, "--resolution", "16", "calibrate"]) == cli.EXIT_ERROR
     assert f"need t1 > t0, got [0.0, {float(horizon)}]" in capsys.readouterr().err
 
 
@@ -245,7 +265,7 @@ def test_strang_integrator_is_a_config_error(tmp_path):
     assert run(["--config", cfg, "--out", tmp_path / "out", "--quiet", "flow"]) == cli.EXIT_ERROR + 1
 
 
-@pytest.mark.parametrize("command", ["mane", "potential", "lax"])
+@pytest.mark.parametrize("command", ["mane", "potential"])
 @pytest.mark.parametrize("resolution", [0, 100])
 def test_resolution_not_a_power_of_two_is_a_config_error(tmp_path, capsys, monkeypatch, resolution, command):
     # refused when the config is built, before any potential
@@ -268,6 +288,25 @@ def test_malformed_ini_is_an_input_error(tmp_path, capsys, text):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["calibrate", "birkhoff"])
+@pytest.mark.parametrize("route", ["flag", "ini"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, route, command):
+    # refused when the config is built: calibrate built the whole candidate
+    # and then failed in numpy without naming the seed, birkhoff ran and
+    # echoed it
+    monkeypatch.setattr(lax_oleinik, "_single_step", lambda *args: pytest.fail("potential built"))
+    out = tmp_path / "out"
+    if route == "flag":
+        argv = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "seed.ini"
+        cfg.write_text("[experiment]\nseed = -1\n", encoding="utf-8")
+        argv = ["--config", cfg]
+    assert run([*argv, "--out", out, "--resolution", "16", command]) == cli.EXIT_ERROR + 1
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_echo(tmp_path, small_config):
     out = tmp_path / "out"
     run(["--config", small_config, "--out", out, "--seed", "123", "--quiet", "birkhoff"])
@@ -283,7 +322,7 @@ def test_byte_identical_reruns(tmp_path, small_config):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
+def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path, monkeypatch):
     cfg = tmp_path / "pinned.ini"
     cfg.write_text(
         "[experiment]\n"
@@ -299,7 +338,8 @@ def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
     clear_potential_cache()
     expected = potential(load_config(cfg).hamiltonian, 0, 1, 32, quad_nodes=4)
     assert np.array_equal(written, expected.entries)
-    assert run(["--config", cfg, "--out", out, "--quiet", "barrier", "--n-min", "4", "--n-max", "8"]) in (0, 2)
+    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(4, 9))
+    assert run(["--config", cfg, "--out", out, "--quiet", "barrier"]) in (0, 2)
     assert json.loads((out / "barrier.json").read_text())["alpha0"] == 0.25
 
 
@@ -374,6 +414,7 @@ def test_spectral_rejects_damaged_csv(tmp_path, capsys):
     ("fiber_resolution", [9, 9, 9]),
     ("fiber_resolution", [-3, -3]),  # its product, 9, alone would match the file's 81 rows
     ("fiber_resolution", [0, 9]),
+    ("base_resolution", 30),  # not a power of two
 ])
 def test_spectral_rejects_mistyped_meta(tmp_path, capsys, key, value):
     # each was a TypeError traceback with exit 1, or was cast (1.5 and true

@@ -405,11 +405,12 @@ def test_polyline_plot_draws_values_equal_to_rounding_as_equal(tmp_path):
     assert len(ys) == 2 and ys[0] == ys[1]
 
 
-def test_lax_spacetime_knots_use_configured_potential_settings():
+def test_lax_spacetime_knots_use_configured_potential_settings(monkeypatch):
     from dataclasses import replace
 
+    monkeypatch.setattr(experiments, "CALIBRATION_HORIZON", 0.25)
     cfg = replace(MANUFACTURED, resolution=64, quad_nodes=4, alpha0=0.0)
-    u = lax_spacetime(cfg, 0.25)
+    u = lax_spacetime(cfg)
     cur = grid_from_trig(cfg.initial_potential, 64)
     rows = [cur.values]
     for j in range(4):

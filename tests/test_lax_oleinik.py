@@ -199,7 +199,7 @@ def test_mane_divergence_guard():
 def _free_barrier_512():
     """The free barrier at alpha0 = 0 on the 512-point grid, built once for
     the tests that read it (about 19 s)."""
-    return peierls_barrier(FREE, 0.0, 0, 8, 64, 512)
+    return peierls_barrier(FREE, 0.0, 0, 512)
 
 
 def test_barrier_free_vanishes():
@@ -209,7 +209,7 @@ def test_barrier_free_vanishes():
 
 
 def test_barrier_pendulum_diagonal_and_triangle():
-    res = peierls_barrier(PEND, 1.0, 0, 8, 64, N)
+    res = peierls_barrier(PEND, 1.0, 0, N)
     assert res.converged
     assert abs(res.matrix.entries[0, 0]) <= 1e-2
     b = res.matrix.entries
@@ -220,8 +220,9 @@ def test_barrier_pendulum_diagonal_and_triangle():
         assert b[x, y] <= h1[x, z] + b[z, y] + 1e-3
 
 
-def test_barrier_off_critical_constant_reported_not_asserted():
-    res = peierls_barrier(FREE, -0.5, 0, 8, 32, 64)
+def test_barrier_off_critical_constant_reported_not_asserted(monkeypatch):
+    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 33))
+    res = peierls_barrier(FREE, -0.5, 0, 64)
     assert not res.converged  # entries keep dropping linearly
 
 
@@ -230,7 +231,7 @@ def test_weak_kam_free_and_pendulum():
     u, res = positive_weak_kam(FREE, 0.0, 0, 0.0, 512, barrier=bfree)
     assert np.max(np.abs(u.values)) <= 2e-3
     assert res <= 2e-3
-    bp = peierls_barrier(PEND, 1.0, 0, 8, 64, N)
+    bp = peierls_barrier(PEND, 1.0, 0, N)
     up, resp = positive_weak_kam(PEND, 1.0, 0, 0.0, N, barrier=bp)
     assert resp <= 1e-2
 
@@ -239,7 +240,7 @@ def test_weak_kam_residual_grid_follows_the_barrier():
     # a given barrier sets the grid; n only sizes a barrier built inside, so a
     # smaller n must not move the residual onto the barrier's own grid, where
     # the fixed-point identity holds to roundoff
-    bp = peierls_barrier(PEND, 1.0, 0, 8, 64, 64)
+    bp = peierls_barrier(PEND, 1.0, 0, 64)
     _, coarse_n = positive_weak_kam(PEND, 1.0, 0, 0.0, 32, barrier=bp)
     _, same_n = positive_weak_kam(PEND, 1.0, 0, 0.0, 64, barrier=bp)
     assert coarse_n == same_n
@@ -249,7 +250,7 @@ def test_weak_kam_residual_grid_follows_the_barrier():
 def test_weak_kam_residual_composes_nothing_on_the_doubled_grid(monkeypatch):
     # the residual applies the one-period operator single step by single step
     # (semigroup property), so no matrix is composed at twice the resolution
-    bp = peierls_barrier(PEND, 1.0, 0, 8, 64, 64)
+    bp = peierls_barrier(PEND, 1.0, 0, 64)
     clear_potential_cache()
     composed = []
 
@@ -271,15 +272,17 @@ def test_weak_kam_matches_manufactured_solution(monkeypatch):
     monkeypatch.setattr(lax_oleinik, "ALPHA0_HORIZON", 32)
     est = mane_critical_value(h, N, quad_nodes=16)
     assert abs(est.alpha0) <= 2e-3
-    res = peierls_barrier(h, 0.0, 0, 8, 48, N)
+    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 49))
+    res = peierls_barrier(h, 0.0, 0, N)
     u, _ = positive_weak_kam(h, 0.0, 0, 0.0, N, barrier=res)
     target = 0.05 * np.sin(2 * np.pi * QS)
     diff = u.values - (target - target[0])
     assert np.max(diff) - np.min(diff) <= 5e-3
 
 
-def test_weak_kam_requires_converged_barrier():
-    trunc = peierls_barrier(FREE, -0.5, 0, 8, 16, 64)
+def test_weak_kam_requires_converged_barrier(monkeypatch):
+    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 17))
+    trunc = peierls_barrier(FREE, -0.5, 0, 64)
     with pytest.raises(BarrierNotConverged):
         positive_weak_kam(FREE, -0.5, 0, 0.0, 64, barrier=trunc)
 
@@ -308,10 +311,11 @@ def test_potential_custom_family_matches_closed_form():
 
 
 @pytest.mark.parametrize("anchor", [-1, 64])
-def test_weak_kam_anchor_must_be_a_grid_index(anchor):
+def test_weak_kam_anchor_must_be_a_grid_index(monkeypatch, anchor):
     with pytest.raises(ValueError):  # before any barrier is built
         positive_weak_kam(FREE, 0.0, anchor, 0.0, 64)
-    barrier = peierls_barrier(FREE, 0.0, 0, 8, 16, 64)
+    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 17))
+    barrier = peierls_barrier(FREE, 0.0, 0, 64)
     with pytest.raises(ValueError):
         positive_weak_kam(FREE, 0.0, anchor, 0.0, 64, barrier=barrier)
 
@@ -626,7 +630,7 @@ def test_custom_single_step_matches_dense():
 def test_weak_kam_residual_uses_the_barrier_potential_settings():
     # the refined residual applies the one-period operator built with the
     # settings that built the barrier, not the default single-step span
-    bp = peierls_barrier(PEND, 1.0, 0, 8, 64, 64, max_span=1 / 16)
+    bp = peierls_barrier(PEND, 1.0, 0, 64, max_span=1 / 16)
     assert (bp.max_span, bp.quad_nodes) == (1 / 16, lax_oleinik.QUAD_NODES)
     _, res = positive_weak_kam(PEND, 1.0, 0, 0.0, 64, barrier=bp)
     u = GridFunction(-bp.matrix.entries[:, 0])

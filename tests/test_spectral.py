@@ -433,6 +433,20 @@ def test_fqi_csv_header_names_every_fiber_axis(tmp_path):
     assert np.array_equal(fqi_from_csv(path).values, s.values)
 
 
+def test_base_resolution_must_be_a_power_of_two(tmp_path):
+    # every other grid on T^1 is a power of two; a 30-point base ran all 30
+    # fiber selectors and then failed on the selector's grid
+    with pytest.raises(ValueError, match="base_resolution 30 is not a power of two"):
+        sample_fqi(lambda q, x: x**2, (1,), base_resolution=30, fiber_resolution=9)
+    path = tmp_path / "inst.csv"
+    fqi_to_csv(sample_fqi(lambda q, x: x**2, (1,), base_resolution=32, fiber_resolution=9), path)
+    meta_path = path.with_suffix(".meta.json")
+    meta_path.write_text(meta_path.read_text().replace('"base_resolution": 32', '"base_resolution": 30'))
+    with pytest.raises(ValueError) as raised:
+        fqi_from_csv(path)
+    assert str(raised.value) == f"{meta_path}: base_resolution must be null or a power of two, not 30"
+
+
 def test_fibred_sum_not_shell_enforced():
     s1 = sample_fqi(lambda x: x**2, (1,), fiber_resolution=17)
     s2 = sample_fqi(lambda x: -(x**2), (-1,), fiber_resolution=17)
