@@ -28,7 +28,6 @@ from .curves import (
 )
 from .lax_oleinik import (
     BarrierResult,
-    CriticalValueEstimate,
     PotentialMatrix,
     lax_negative,
     lax_positive,

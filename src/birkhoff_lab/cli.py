@@ -5,13 +5,16 @@ recurrence, invariance. Global flags --config/--out/--seed/--resolution/
 --quiet. Exit codes: 0 PASS, 1 FAIL, 2 INCONCLUSIVE, >= 10 errors (details on
 stderr unless --quiet).
 
-A subcommand flag is something a caller varies: the barrier window
-(lax_oleinik.BARRIER_HORIZONS) and the calibration horizon and tolerance
-(experiments.CALIBRATION_HORIZON, CALIBRATION_TOLERANCE) are constants.
+A subcommand flag is something a caller varies: the calibration horizon and
+tolerance (experiments.CALIBRATION_HORIZON, CALIBRATION_TOLERANCE) are
+constants.
 
 Potentials take their settings from experiments.resolve_potential_settings
-and alpha0 from experiments.resolve_alpha0, except in `mane`, the estimator,
-which ignores a pinned alpha0.
+and alpha0 from experiments.resolve_alpha0, except in `mane` and `barrier`,
+which ignore a pinned alpha0: `mane` computes the critical value (Karp's
+minimum cycle mean of the one-period potential), and `barrier` normalizes by
+its own one-period potential's, the only constant its Kleene star is finite
+at. `barrier` exits 0 or >= 10, never 2.
 """
 
 from __future__ import annotations
@@ -34,14 +37,13 @@ from .experiments import (
     ExperimentConfig,
     lax_spacetime,
     load_config,
-    resolve_alpha0,
     resolve_potential_settings,
     run_autonomous_invariance,
     run_iteration_experiment,
     run_recurrence_experiment,
 )
 from .flow import PhasePoint, trajectory
-from .lax_oleinik import ALPHA0_HORIZON, mane_critical_value, peierls_barrier, potential
+from .lax_oleinik import mane_critical_value, peierls_barrier, potential
 from .reports import emit_reports, potential_to_csv
 from .spectral import fqi_from_csv, global_invariants, selector_function
 from .textio import write_csv, write_json
@@ -95,9 +97,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--t0", type=_finite, default=0.0)
     sp.add_argument("--t1", type=_finite, default=1.0)
 
-    sub.add_parser("mane", help="critical value estimate (a pinned alpha0 is not used)")
+    sub.add_parser("mane", help="critical value (a pinned alpha0 is not used)")
 
-    sub.add_parser("barrier", help="long-horizon barrier matrix")
+    sub.add_parser("barrier", help="Peierls barrier matrix (a pinned alpha0 is not used)")
 
     sp = sub.add_parser("spectral", help="invariants of a sampled CSV instance")
     sp.add_argument("--fqi", type=str, required=True, help="CSV path (sidecar .meta.json)")
@@ -147,26 +149,17 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "mane":
-            est = mane_critical_value(h, **settings)
-            write_json(out / "mane.json", {
-                "alpha0": est.alpha0,
-                "half_width": est.half_width,
-                "horizon_used": ALPHA0_HORIZON,
-            })
-            say(f"alpha0 = {est.alpha0!r} +- {est.half_width!r}")
+            alpha0 = mane_critical_value(h, **settings)
+            write_json(out / "mane.json", {"alpha0": alpha0})
+            say(f"alpha0 = {alpha0!r}")
             return EXIT_PASS
 
         if args.command == "barrier":
-            alpha0 = resolve_alpha0(config)
-            res = peierls_barrier(h, alpha0, 0.0, **settings)
+            res = peierls_barrier(h, 0.0, **settings)
             potential_to_csv(res.matrix, out / "barrier.csv")
-            write_json(out / "barrier.json", {
-                "alpha0": alpha0,
-                "converged": res.converged,
-                "final_change": res.sup_changes[-1],
-            })
-            say(f"barrier converged={res.converged}")
-            return EXIT_PASS if res.converged else EXIT_INCONCLUSIVE
+            write_json(out / "barrier.json", {"alpha0": res.alpha0, "converged": True})
+            say(f"barrier at alpha0 = {res.alpha0!r}")
+            return EXIT_PASS
 
         if args.command == "spectral":
             s = fqi_from_csv(args.fqi)

@@ -38,11 +38,9 @@ class GridMismatch(BirkhoffLabError):
 
 
 class DivergenceDetected(BirkhoffLabError):
-    """Per-step increments of the value iteration fail to settle."""
-
-
-class BarrierNotConverged(BirkhoffLabError):
-    """An operation required a converged barrier but got a truncated one."""
+    """A min-plus matrix was normalized by a constant other than its minimum
+    cycle mean: a cycle of negative mean, where its Kleene star diverges, or
+    no cycle of mean zero to anchor the Peierls barrier on."""
 
 
 class UnsupportedIndex(BirkhoffLabError):

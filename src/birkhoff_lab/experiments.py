@@ -65,7 +65,7 @@ class ExperimentConfig:
     seed: int = 0
     outdir: str = "out"
     flow_settings: FlowSettings = field(default_factory=FlowSettings)
-    alpha0: float | None = None  # None: estimate from the value iteration
+    alpha0: float | None = None  # None: the critical value (mane_critical_value)
     quad_nodes: int = QUAD_NODES  # sub-quadrature nodes per single-step potential
 
     def __post_init__(self):
@@ -338,11 +338,11 @@ def resolve_potential_settings(config: ExperimentConfig) -> dict:
 
 
 def resolve_alpha0(config: ExperimentConfig) -> float:
-    """The pinned alpha0, else the value-iteration estimate under the config's
+    """The pinned alpha0, else the critical value under the config's
     potential settings."""
     if config.alpha0 is not None:
         return config.alpha0
-    return mane_critical_value(config.hamiltonian, **resolve_potential_settings(config)).alpha0
+    return mane_critical_value(config.hamiltonian, **resolve_potential_settings(config))
 
 
 def one_period(config: ExperimentConfig) -> tuple[GridFunction, PotentialMatrix, float]:

@@ -16,7 +16,10 @@ Lax-Oleinik operator T_{s,t} of an H that does not depend on t depends on
 t - s alone, so an autonomous closed form's matrices are built at fractional
 start 0 and keyed by (Hamiltonian, span), which every start shares; a custom
 callable, whose autonomy is a sampled test, keeps its start. Cached entries
-are read-only.
+are read-only. The critical value and the Peierls barrier are exact on the
+grid: minus the minimum cycle mean of the one-period matrix (Karp's formula),
+and the Kleene star of that matrix, normalized by it, through its critical
+nodes.
 """
 
 from __future__ import annotations
@@ -27,22 +30,13 @@ from itertools import count
 
 import numpy as np
 
-from .errors import (
-    BarrierNotConverged,
-    DivergenceDetected,
-    GridMismatch,
-    NonpositiveDuration,
-)
+from .errors import DivergenceDetected, GridMismatch, NonpositiveDuration
 from .grids import GridFunction
 from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
 
 SINGLE_STEP_SPAN = 0.25
 QUAD_NODES = 8
-CAUCHY_TOL = 0.5
-BARRIER_TOL = 1e-4
-BARRIER_HORIZONS = range(8, 65)  # integer horizons k of the barrier's running minimum
 SPAN_RTOL = 1e-9  # the 12-digit key takes float noise off t - s; a larger move changes the span
-ALPHA0_HORIZON = 48  # periods of value iteration behind every alpha0 estimate
 
 
 def lagrangian_batch(h: TonelliHamiltonian, t: float, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -277,107 +271,93 @@ def lax_positive(u: GridFunction, pm: PotentialMatrix, alpha0: float = 0.0) -> G
     return GridFunction(tmp.max(axis=1) - alpha0 * pm.span)
 
 
-@dataclass(frozen=True)
-class CriticalValueEstimate:
-    alpha0: float
-    half_width: float
+def _karp(a: np.ndarray) -> float:
+    """The minimum cycle mean of the min-plus matrix a, by Karp's formula.
 
-
-def _critical_value_from_matrix(p: np.ndarray, horizon: int):
-    """Slope estimator on the reduced value iteration seeded at zero.
-
-    Raises DivergenceDetected when the per-step increments over the last
-    quarter of the horizon spread by more than CAUCHY_TOL.
+    D_k(x) is the least weight of a k-edge walk to x from anywhere (D_0 = 0,
+    Karp's source joined to every node by a free edge), and the mean is
+    min_x max_{k < n} (D_n(x) - D_k(x)) / (n - k) (Karp, Discrete Math. 23,
+    1978): n vector-matrix products. Each visits only the z that can attain
+    a minimum, by the bound of _compose_candidates with D_k as the one row
+    of its a, so it gives the same bits as visiting every z: one z for the
+    pendulum's one-period potential, every z under free flow.
     """
-    n = p.shape[0]
-    u = np.zeros(n)
-    mins = [0.0]
-    for _ in range(horizon):
-        u = (u[:, None] + p).min(axis=0)
-        mins.append(float(u.min()))
-    mins = np.array(mins)
-    increments = np.diff(mins)
-    tail = increments[3 * len(increments) // 4 :]
-    if len(tail) >= 2 and float(tail.max() - tail.min()) > CAUCHY_TOL:
-        raise DivergenceDetected(
-            f"per-step increments oscillate by {float(tail.max() - tail.min()):.3g}"
-        )
-    lo = horizon // 2
-    ks = np.arange(lo, horizon + 1)
-    coeffs = np.polyfit(ks, mins[lo:], 1)
-    resid = mins[lo:] - np.polyval(coeffs, ks)
-    return float(-coeffs[0]), float(np.max(np.abs(resid)))
+    n = len(a)
+    d = np.zeros((n + 1, n))
+    excess = np.max(a - np.min(a, axis=0), axis=1)  # max_x a[z, x] - min_z' a[z', x]
+    scale = float(np.max(np.abs(a)))
+    for k in range(n):
+        z0 = np.argmin(d[k])
+        bound = d[k, z0] + excess[z0] + 4.0 * _EPS * (scale + float(np.max(np.abs(d[k]))))
+        zs = np.flatnonzero(d[k] <= bound)
+        d[k + 1] = np.min(d[k, zs, None] + (a if len(zs) == n else a[zs]), axis=0)
+    return float(np.min(np.max((d[n] - d[:n]) / (n - np.arange(n))[:, None], axis=0)))
+
+
+def _star_barrier(a: np.ndarray, lam: float) -> np.ndarray:
+    """min over critical c of A+[y, c] + A+[c, x], A+ the Kleene plus of a - lam.
+
+    Floyd-Warshall forms A+ in place, n passes of n^2. An entry of A+ is a
+    float sum of at most n terms of size at most M = max|a - lam|, which errs
+    by less than (n - 1) (eps / 2) n M; the slack n^2 eps M covers that twice,
+    leaving as much for the rounding of lam itself. The critical c, on a cycle
+    of mean lam, have A+[c, c] within the slack of 0; a diagonal below it is a
+    cycle of smaller mean, and none near 0 means lam is below every mean.
+    """
+    n = len(a)
+    star = a - lam
+    slack = n * n * _EPS * float(np.max(np.abs(star)))
+    for k in range(n):
+        np.minimum(star, star[:, k, None] + star[k], out=star)
+    diag = np.diag(star)
+    least = float(diag.min())
+    if not abs(least) <= slack:
+        raise DivergenceDetected(f"A+ of a - {lam!r} has least diagonal {least!r}, beyond the slack {slack:.3g}")
+    out = np.full((n, n), np.inf)
+    for c in np.flatnonzero(diag <= slack):
+        np.minimum(out, star[:, c, None] + star[c], out=out)
+    return out
 
 
 def mane_critical_value(
     h: TonelliHamiltonian,
     n: int = 256,
     quad_nodes: int = QUAD_NODES,
-) -> CriticalValueEstimate:
-    """Estimate the critical constant as minus the slope of the value iteration.
-
-    The reduced one-period operator is iterated from zero for ALPHA0_HORIZON
-    periods; the constant is the asymptotic per-period decrease of the
-    minimum, fitted on the second half of the horizon. The fit residual
-    doubles as an error bar.
-    """
-    pm = potential(h, 0.0, 1.0, n, SINGLE_STEP_SPAN, quad_nodes)
-    alpha0, half_width = _critical_value_from_matrix(pm.entries, ALPHA0_HORIZON)
-    return CriticalValueEstimate(alpha0=alpha0, half_width=half_width)
+) -> float:
+    """The critical constant: minus the minimum cycle mean of the one-period
+    potential (_karp), the least mean action per period of a grid cycle."""
+    return -_karp(potential(h, 0.0, 1.0, n, SINGLE_STEP_SPAN, quad_nodes).entries)
 
 
 @dataclass(frozen=True)
 class BarrierResult:
     matrix: PotentialMatrix
-    converged: bool
-    sup_changes: tuple[float, ...]
+    alpha0: float  # the critical constant of the one-period potential, -lambda
     max_span: float  # the potential settings that built it
     quad_nodes: int
 
 
 def peierls_barrier(
     h: TonelliHamiltonian,
-    alpha0: float,
     t: float,
     n: int = 256,
     max_span: float = SINGLE_STEP_SPAN,
     quad_nodes: int = QUAD_NODES,
 ) -> BarrierResult:
-    """Windowed running minimum of critically normalized long-time potentials
-    from fractional time t to itself.
+    """Peierls barrier from fractional time t to itself.
 
-    Approximates the liminf over integer horizons k of the potentials from t
-    to t + k by the entrywise running minimum for k in BARRIER_HORIZONS;
-    converged when the minimum moves less than BARRIER_TOL (sup norm) over
-    the last quarter of the window.
+    With A the one-period potential from t and lambda its minimum cycle mean
+    (_karp), the liminf over integer horizons k of (A - lambda)^k, the
+    critically normalized potentials from t to t + k, is
+    min over critical c of A+[y, c] + A+[c, x] (_star_barrier): the discrete
+    form of h(y, x) = min over the Aubry set of Phi(y, z) + Phi(z, x). Raises
+    DivergenceDetected if rounding hides the critical cycles.
     """
     if not 0 <= t < 1:
         raise ValueError("fractional time t must lie in [0, 1)")
-    one_period = current = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes)
-    running = None
-    changes = []
-    for horizon in range(1, BARRIER_HORIZONS[-1] + 1):
-        if horizon > 1:
-            current = minplus_compose(current, one_period)
-        if horizon not in BARRIER_HORIZONS:
-            continue
-        cand = current.entries + alpha0 * horizon
-        if running is None:
-            running = cand.copy()
-            changes.append(float(np.max(np.abs(cand))))
-        else:
-            new = np.minimum(running, cand)
-            changes.append(float(np.max(np.abs(new - running))))
-            running = new
-    window = max(1, len(changes) // 4)
-    converged = bool(max(changes[-window:]) < BARRIER_TOL)
-    return BarrierResult(
-        matrix=PotentialMatrix(t, t, running),
-        converged=converged,
-        sup_changes=tuple(changes),
-        max_span=max_span,
-        quad_nodes=quad_nodes,
-    )
+    a = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes).entries
+    lam = _karp(a)
+    return BarrierResult(PotentialMatrix(t, t, _star_barrier(a, lam)), -lam, max_span, quad_nodes)
 
 
 def positive_weak_kam(
@@ -390,20 +370,18 @@ def positive_weak_kam(
 ):
     """Weak solution u(t, .) = -barrier(. -> anchor) + alpha0 * t.
 
-    Without a barrier, builds the n-point one over BARRIER_HORIZONS with the
-    default potential settings; a given barrier sets the resolution, and n
-    is unused. Returns the grid function and the fixed-point residual of the
-    one-period positive operator on twice that resolution, built with the
-    barrier's own potential settings, which vanishes for the exact barrier.
-    The anchor is a grid index, 0 <= anchor < resolution.
+    Without a barrier, builds the n-point one with the default potential
+    settings; a given barrier sets the resolution, and n is unused. Returns
+    the grid function and the fixed-point residual of the one-period
+    positive operator on twice that resolution, built with the barrier's own
+    potential settings, which vanishes for the exact barrier. The anchor is
+    a grid index, 0 <= anchor < resolution.
     """
     resolution = n if barrier is None else barrier.matrix.resolution
     if not 0 <= anchor < resolution:
         raise ValueError(f"anchor {anchor} is not a grid index below {resolution}")
     if barrier is None:
-        barrier = peierls_barrier(h, alpha0, wrap_unit(t), n=n)
-    if not barrier.converged:
-        raise BarrierNotConverged("refusing to build a solution from a truncated barrier")
+        barrier = peierls_barrier(h, wrap_unit(t), n=n)
     u = GridFunction(-barrier.matrix.entries[:, anchor] + alpha0 * t)
     # fixed-point residual measured against a refined application of the
     # operator (doubled grid, cubic-interpolated input): the same-grid

@@ -137,7 +137,7 @@ def test_kink_at_seed_refused_and_forward_calibration():
     # graph is the branch the forward flow preserves)
     from birkhoff_lab.lax_oleinik import peierls_barrier, positive_weak_kam
 
-    barrier = peierls_barrier(PEND, 1.0, 0, 256, max_span=1 / 16)
+    barrier = peierls_barrier(PEND, 0, 256, max_span=1 / 16)
     u, _ = positive_weak_kam(PEND, 1.0, 0, 0.0, 256, barrier=barrier)
     st = spacetime_from_grid(u, 0.0, 1.0, 1.0)
     qs = np.arange(256) / 256

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -7,17 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from birkhoff_lab import lax_oleinik
-from birkhoff_lab.errors import (
-    BarrierNotConverged,
-    DivergenceDetected,
-    GridMismatch,
-    NonpositiveDuration,
-)
+from birkhoff_lab.errors import DivergenceDetected, GridMismatch, NonpositiveDuration
 from birkhoff_lab.grids import GridFunction, constant_grid
 from birkhoff_lab.hamiltonians import free_hamiltonian, mechanical, pendulum, shifted_quadratic, wrap_unit
 from birkhoff_lab.lax_oleinik import (
     PotentialMatrix,
-    _critical_value_from_matrix,
+    _karp,
+    _star_barrier,
     clear_potential_cache,
     lagrangian_batch,
     lax_negative,
@@ -169,48 +166,78 @@ def test_positive_uniform_boundedness_plateau():
     assert sups[-1] - sups[-16] < 1e-3
 
 
-def test_mane_free_and_pendulum(monkeypatch):
-    monkeypatch.setattr(lax_oleinik, "ALPHA0_HORIZON", 64)
-    est = mane_critical_value(FREE, N)
-    assert abs(est.alpha0) <= 1e-3
-    est = mane_critical_value(PEND, N)
-    assert abs(est.alpha0 - 1.0) <= 5e-3
-    assert est.half_width >= 0
+def test_mane_free_and_pendulum():
+    assert abs(mane_critical_value(FREE, N)) <= 1e-3
+    assert abs(mane_critical_value(PEND, N) - 1.0) <= 5e-3
 
 
-def test_mane_constant_shift_equivariance(monkeypatch):
-    monkeypatch.setattr(lax_oleinik, "ALPHA0_HORIZON", 32)
+def test_mane_constant_shift_equivariance():
     base = mane_critical_value(PEND, 128)
     shifted = mane_critical_value(mechanical([(0, 1, 1.0, 0.0)], offset=0.37), 128)
-    assert abs(shifted.alpha0 - base.alpha0 - 0.37) <= 1e-6
+    assert abs(shifted - base - 0.37) <= 1e-6
 
 
 def test_mane_divergence_guard():
-    # adversarial min-plus matrix with a two-cycle optimum: increments oscillate
+    # adversarial min-plus matrix whose value iteration oscillates with
+    # period two: its cheapest cycle is the 8-cycle of mean 0, which Karp's
+    # formula finds exactly
     n = 8
     p = np.full((n, n), 5.0)
     for i in range(n):
         p[i, (i + 1) % n] = -1.0 if i % 2 == 0 else 1.0
-    with pytest.raises(DivergenceDetected):
-        _critical_value_from_matrix(p, 32)
+    assert _karp(p) == 0.0
 
 
 @functools.cache
 def _free_barrier_512():
-    """The free barrier at alpha0 = 0 on the 512-point grid, built once for
-    the tests that read it (about 19 s)."""
-    return peierls_barrier(FREE, 0.0, 0, 512)
+    """The free barrier on the 512-point grid, built once for the tests that
+    read it."""
+    return peierls_barrier(FREE, 0, 512)
 
 
 def test_barrier_free_vanishes():
     res = _free_barrier_512()
-    assert res.converged
     assert np.max(np.abs(res.matrix.entries)) <= 2e-3
 
 
+def _pendulum_barrier_closed_form(n):
+    """h(y, x) = g(y) + g(x) for H = p^2/2 + cos 2 pi q: the Aubry set is
+    q = 0, and g(x) = (2 / pi)(1 - cos pi d), d the torus distance from x to 0,
+    is the Mane potential from 0, the integral of sqrt(2 (1 - cos 2 pi q))."""
+    g = 2 / np.pi * (1 - np.cos(np.pi * torus_distance(np.arange(n) / n, 0.0)))
+    return g[:, None] + g
+
+
+def test_pendulum_barrier_matches_closed_form():
+    # the error follows the single-step span, not n
+    exact = _pendulum_barrier_closed_form(N)
+    fine = np.max(np.abs(peierls_barrier(PEND, 0, N, max_span=1 / 16).matrix.entries - exact))
+    coarse = np.max(np.abs(peierls_barrier(PEND, 0, N).matrix.entries - exact))
+    assert fine <= 5e-3  # 3.27e-3
+    assert fine < coarse  # 4.75e-2 at span 1/4
+
+
+def test_critical_set_is_well_separated_from_rounding():
+    # a time-dependent pendulum has one critical node, and the least
+    # diagonal of A+ off it (5.7e-5) stands far above the slack that
+    # _star_barrier leaves for rounding (n^2 eps max|A - lambda|)
+    h = mechanical([(0, 1, 1.0, 0.0), (1, 1, 0.2, 0.1)])
+    a = potential(h, 0, 1, N).entries
+    lam = _karp(a)
+    star = a - lam
+    slack = N * N * np.finfo(float).eps * np.max(np.abs(star))
+    for k in range(N):
+        star = np.minimum(star, star[:, k, None] + star[k])
+    diag = np.diag(star)
+    critical = np.flatnonzero(np.abs(diag) <= slack)
+    assert len(critical) == 1
+    assert np.min(np.delete(diag, critical)) >= 1e6 * slack
+    c = critical[0]
+    assert np.array_equal(peierls_barrier(h, 0, N).matrix.entries, star[:, c, None] + star[c])
+
+
 def test_barrier_pendulum_diagonal_and_triangle():
-    res = peierls_barrier(PEND, 1.0, 0, N)
-    assert res.converged
+    res = peierls_barrier(PEND, 0, N)
     assert abs(res.matrix.entries[0, 0]) <= 1e-2
     b = res.matrix.entries
     h1 = potential(PEND, 0, 1, N).entries + 1.0
@@ -220,18 +247,12 @@ def test_barrier_pendulum_diagonal_and_triangle():
         assert b[x, y] <= h1[x, z] + b[z, y] + 1e-3
 
 
-def test_barrier_off_critical_constant_reported_not_asserted(monkeypatch):
-    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 33))
-    res = peierls_barrier(FREE, -0.5, 0, 64)
-    assert not res.converged  # entries keep dropping linearly
-
-
 def test_weak_kam_free_and_pendulum():
     bfree = _free_barrier_512()
     u, res = positive_weak_kam(FREE, 0.0, 0, 0.0, 512, barrier=bfree)
     assert np.max(np.abs(u.values)) <= 2e-3
     assert res <= 2e-3
-    bp = peierls_barrier(PEND, 1.0, 0, N)
+    bp = peierls_barrier(PEND, 0, N)
     up, resp = positive_weak_kam(PEND, 1.0, 0, 0.0, N, barrier=bp)
     assert resp <= 1e-2
 
@@ -240,7 +261,7 @@ def test_weak_kam_residual_grid_follows_the_barrier():
     # a given barrier sets the grid; n only sizes a barrier built inside, so a
     # smaller n must not move the residual onto the barrier's own grid, where
     # the fixed-point identity holds to roundoff
-    bp = peierls_barrier(PEND, 1.0, 0, 64)
+    bp = peierls_barrier(PEND, 0, 64)
     _, coarse_n = positive_weak_kam(PEND, 1.0, 0, 0.0, 32, barrier=bp)
     _, same_n = positive_weak_kam(PEND, 1.0, 0, 0.0, 64, barrier=bp)
     assert coarse_n == same_n
@@ -250,7 +271,7 @@ def test_weak_kam_residual_grid_follows_the_barrier():
 def test_weak_kam_residual_composes_nothing_on_the_doubled_grid(monkeypatch):
     # the residual applies the one-period operator single step by single step
     # (semigroup property), so no matrix is composed at twice the resolution
-    bp = peierls_barrier(PEND, 1.0, 0, 64)
+    bp = peierls_barrier(PEND, 0, 64)
     clear_potential_cache()
     composed = []
 
@@ -267,24 +288,14 @@ def test_weak_kam_residual_composes_nothing_on_the_doubled_grid(monkeypatch):
     assert abs(res - float(np.max(np.abs(image.values - u_fine.values)))) <= 1e-14
 
 
-def test_weak_kam_matches_manufactured_solution(monkeypatch):
+def test_weak_kam_matches_manufactured_solution():
     h = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.0)
-    monkeypatch.setattr(lax_oleinik, "ALPHA0_HORIZON", 32)
-    est = mane_critical_value(h, N, quad_nodes=16)
-    assert abs(est.alpha0) <= 2e-3
-    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 49))
-    res = peierls_barrier(h, 0.0, 0, N)
+    assert abs(mane_critical_value(h, N, quad_nodes=16)) <= 2e-3
+    res = peierls_barrier(h, 0, N)
     u, _ = positive_weak_kam(h, 0.0, 0, 0.0, N, barrier=res)
     target = 0.05 * np.sin(2 * np.pi * QS)
     diff = u.values - (target - target[0])
     assert np.max(diff) - np.min(diff) <= 5e-3
-
-
-def test_weak_kam_requires_converged_barrier(monkeypatch):
-    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 17))
-    trunc = peierls_barrier(FREE, -0.5, 0, 64)
-    with pytest.raises(BarrierNotConverged):
-        positive_weak_kam(FREE, -0.5, 0, 0.0, 64, barrier=trunc)
 
 
 @given(c=st.floats(-10, 10))
@@ -311,11 +322,10 @@ def test_potential_custom_family_matches_closed_form():
 
 
 @pytest.mark.parametrize("anchor", [-1, 64])
-def test_weak_kam_anchor_must_be_a_grid_index(monkeypatch, anchor):
+def test_weak_kam_anchor_must_be_a_grid_index(anchor):
     with pytest.raises(ValueError):  # before any barrier is built
         positive_weak_kam(FREE, 0.0, anchor, 0.0, 64)
-    monkeypatch.setattr(lax_oleinik, "BARRIER_HORIZONS", range(8, 17))
-    barrier = peierls_barrier(FREE, 0.0, 0, 64)
+    barrier = peierls_barrier(FREE, 0, 64)
     with pytest.raises(ValueError):
         positive_weak_kam(FREE, 0.0, anchor, 0.0, 64, barrier=barrier)
 
@@ -412,8 +422,9 @@ def test_potential_rebuilt_after_eviction_is_bitwise_periodic(monkeypatch, span)
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the dense single step and the row-by-row compose, which the
-# separable single step and the pruned compose replaced.
+# Oracles: the dense single step, the row-by-row compose and the windowed
+# barrier, which the separable single step, the pruned compose and the
+# Kleene-star barrier replaced.
 
 
 def _dense_minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
@@ -426,6 +437,92 @@ def _dense_minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialM
     for y in range(n):
         out[y, :] = np.min(a.entries[y, :, None] + bb, axis=0)
     return PotentialMatrix(a.s, b.t, out)
+
+
+def _window_barrier(h, alpha0, t, n):
+    """Running minimum of A^k + k alpha0 over the horizons k = 8..64, with A
+    the one-period potential from t: the windowed barrier the Kleene star
+    replaced."""
+    one_period = current = potential(h, t, t + 1.0, n)
+    running = None
+    for k in range(1, 65):
+        if k > 1:
+            current = minplus_compose(current, one_period)
+        if k >= 8:
+            cand = current.entries + alpha0 * k
+            running = cand if running is None else np.minimum(running, cand)
+    return running
+
+
+@pytest.mark.parametrize("h, tol", [
+    (FREE, 0.0),
+    (PEND, 1e-13),
+    (shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3), 1e-3),  # the default config's
+])
+def test_star_barrier_matches_the_window(h, tol):
+    res = peierls_barrier(h, 0, N)
+    window = _window_barrier(h, res.alpha0, 0, N)
+    assert np.max(np.abs(res.matrix.entries - window)) <= tol
+
+
+def _simple_cycle_means(a):
+    """The mean weight of every simple cycle of the min-plus matrix a, each
+    listed once, from its least node."""
+    n = len(a)
+    for length in range(1, n + 1):
+        for cycle in itertools.permutations(range(n), length):
+            if cycle[0] == min(cycle):
+                yield sum(a[y, x] for y, x in zip(cycle, cycle[1:] + cycle[:1])) / length
+
+
+_SMALL_MATRICES = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.floats(-10, 10), min_size=n * n, max_size=n * n)
+).map(lambda xs: np.reshape(xs, (math.isqrt(len(xs)),) * 2))
+
+
+@given(a=_SMALL_MATRICES)
+@settings(max_examples=100, deadline=None)
+def test_karp_is_the_least_simple_cycle_mean(a):
+    assert abs(_karp(a) - min(_simple_cycle_means(a))) <= 1e-12
+
+
+def _minplus_power_window(a, k0, width):
+    """a^k0, the entrywise minimum of a^k over k0 <= k < k0 + width, and
+    a^(k0 + width)."""
+    power = a
+    for _ in range(k0 - 1):
+        power = np.min(power[:, :, None] + a, axis=1)
+    first = low = power
+    for _ in range(width):
+        low = np.minimum(low, power)
+        power = np.min(power[:, :, None] + a, axis=1)
+    return first, low, power
+
+
+STAR_TRANSIENT = 300  # powers past this have reached their periodic regime
+STAR_PERIODS = 840  # lcm(1..8): a whole period of every cyclicity up to 8
+
+
+@given(n=st.integers(1, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_star_barrier_is_the_liminf_of_normalized_powers(n, data):
+    # tie-heavy small integers: many critical cycles of unequal lengths
+    a = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)), float).reshape(n, n)
+    lam = _karp(a)
+    first, low, last = _minplus_power_window(a - lam, STAR_TRANSIENT, STAR_PERIODS)
+    # a^(K + 840) = a^K: K lies past the transient, so the window spans the
+    # periodic regime and its minimum is the liminf
+    assert np.max(np.abs(last - first)) <= 1e-9
+    assert np.max(np.abs(_star_barrier(a, lam) - low)) <= 1e-9
+
+
+@pytest.mark.parametrize("shift", [1e-3, -1e-3])
+def test_star_barrier_refuses_a_constant_off_the_cycle_mean(shift):
+    # above the minimum cycle mean a cycle has negative weight, below it no
+    # cycle has weight zero: either way there is no barrier
+    a = np.array([[1.0, 3.0, 0.5], [0.0, 2.0, 4.0], [1.5, 1.0, 2.5]])
+    with pytest.raises(DivergenceDetected):
+        _star_barrier(a, _karp(a) + shift)
 
 
 # wide enough for every Hamiltonian the tests draw: at drift -12 a quarter
@@ -501,6 +598,34 @@ def test_pruned_compose_bitwise_on_potentials(h, n, s, spans):
     a = potential(h, s, s + spans[0], n)
     b = potential(h, s + spans[0], s + spans[0] + spans[1], n)
     assert np.array_equal(minplus_compose(a, b).entries, _dense_minplus_compose(a, b).entries)
+
+
+def _dense_karp(a):
+    """Karp's formula with every z visited in each product."""
+    n = len(a)
+    d = np.zeros((n + 1, n))
+    for k in range(n):
+        d[k + 1] = np.min(d[k][:, None] + a, axis=0)
+    return float(np.min(np.max((d[n] - d[:n]) / (n - np.arange(n))[:, None], axis=0)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([1, 2, 8, 64]),
+    shape=st.sampled_from([_tied, _funnel]),
+    offset=st.integers(-30, 30),
+    levels=st.integers(1, 60),
+)
+@settings(max_examples=60, deadline=None)
+def test_pruned_karp_bitwise_on_tied_matrices(seed, n, shape, offset, levels):
+    a = shape(np.random.default_rng(seed), n, offset, levels)
+    assert _karp(a) == _dense_karp(a)
+
+
+@pytest.mark.parametrize("h", [PEND, FREE, SHIFT, WAVE])
+def test_pruned_karp_bitwise_on_potentials(h):
+    a = potential(h, 0, 1, 128).entries
+    assert _karp(a) == _dense_karp(a)
 
 
 _MECHANICAL_TERMS = st.lists(
@@ -630,7 +755,7 @@ def test_custom_single_step_matches_dense():
 def test_weak_kam_residual_uses_the_barrier_potential_settings():
     # the refined residual applies the one-period operator built with the
     # settings that built the barrier, not the default single-step span
-    bp = peierls_barrier(PEND, 1.0, 0, 64, max_span=1 / 16)
+    bp = peierls_barrier(PEND, 0, 64, max_span=1 / 16)
     assert (bp.max_span, bp.quad_nodes) == (1 / 16, lax_oleinik.QUAD_NODES)
     _, res = positive_weak_kam(PEND, 1.0, 0, 0.0, 64, barrier=bp)
     u = GridFunction(-bp.matrix.entries[:, 0])
