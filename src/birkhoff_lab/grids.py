@@ -1,7 +1,11 @@
 """Scalar functions sampled on the uniform periodic grid of T^1.
 
-`periodic_spline` imports `scipy.interpolate` on first use, so a process
-that never interpolates a grid never loads it.
+`periodic_spline` is the periodic cubic spline through such samples, in
+numpy alone. On the uniform grid its moments (second derivatives) M solve
+M[i-1] + 4 M[i] + M[i+1] = 6 n^2 (y[i+1] - 2 y[i] + y[i-1]) (de Boor, *A
+Practical Guide to Splines*, 1978). That system is circulant, so one real
+FFT, a division by its eigenvalues 4 + 2 cos(2 pi k / n) and one inverse FFT
+solve it (Davis, *Circulant Matrices*, 1979).
 """
 
 from __future__ import annotations
@@ -20,16 +24,38 @@ def require_power_of_two(n: int, name: str) -> None:
 
 
 def periodic_spline(values):
-    """The periodic scipy CubicSpline on [0, 1] through every row of `values`,
-    sampled on the uniform grid along the last axis."""
-    # imported here: scipy.interpolate pulls in scipy.linalg, .optimize
-    # and .spatial, most of a second that only interpolating callers need
-    from scipy.interpolate import CubicSpline
+    """The periodic cubic spline on [0, 1] through every row of `values`,
+    sampled on the uniform grid along the last axis.
 
-    v = np.asarray(values, dtype=float)
-    n = v.shape[-1]
-    x = np.append(np.arange(n) / n, 1.0)
-    return CubicSpline(x, np.concatenate([v, v[..., :1]], axis=-1), axis=-1, bc_type="periodic")
+    Returns `f(x, nu=0)`: the spline (nu = 0) or its first derivative
+    (nu = 1) at every x in [0, 1], with the leading axes of `values` in
+    front of the shape of x. The moments come from the circulant solve of
+    the module docstring; each cell then keeps the coefficients of its cubic
+    in powers of the offset from its left node. Every row is solved and
+    evaluated on its own, so a stacked spline equals the per-row splines
+    bitwise.
+    """
+    y = np.asarray(values, dtype=float)
+    n = y.shape[-1]
+    y1 = np.roll(y, -1, axis=-1)
+    rhs = 6.0 * n * n * (y1 - 2.0 * y + np.roll(y, 1, axis=-1))
+    eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    m = np.fft.irfft(np.fft.rfft(rhs, axis=-1) / eig, n, axis=-1)
+    m1 = np.roll(m, -1, axis=-1)
+    coeffs = np.stack([y, n * (y1 - y) - (2.0 * m + m1) / (6.0 * n), 0.5 * m, (m1 - m) * (n / 6.0)])
+
+    def spline(x, nu=0):
+        x = np.asarray(x, dtype=float)
+        cell = np.minimum((x * n).astype(np.intp), n - 1)
+        t = x - cell / n  # exact: n is a power of two
+        c0, c1, c2, c3 = coeffs[..., cell]
+        if nu == 0:
+            return ((c3 * t + c2) * t + c1) * t + c0
+        if nu == 1:
+            return (3.0 * c3 * t + 2.0 * c2) * t + c1
+        raise ValueError(f"derivative order {nu} is not 0 or 1")
+
+    return spline
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from birkhoff_lab.calibration import (
 )
 from birkhoff_lab.errors import DomainExceeded, KinkAtSeed, NonpositiveDuration
 from birkhoff_lab.flow import PhasePoint, trajectory
-from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig
+from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig, periodic_spline
 from birkhoff_lab.hamiltonians import fenchel_gap, free_hamiltonian, pendulum, shifted_quadratic, wrap_unit
 from birkhoff_lab.lax_oleinik import potential
 
@@ -171,11 +171,7 @@ def test_spacetime_validation():
 def _per_row_jet(u, t, q):
     """(u, dq u, dt u) at one time from one periodic spline per knot row:
     the formulas jet reproduces bitwise."""
-    from scipy.interpolate import CubicSpline
-
-    n = u.resolution
-    x = np.append(np.arange(n) / n, 1.0)
-    splines = [CubicSpline(x, np.append(row, row[0]), bc_type="periodic") for row in u.knots]
+    splines = [periodic_spline(row) for row in u.knots]
     ts = u.times
     j = min(max(int(np.searchsorted(ts, t, side="right") - 1), 0), len(ts) - 2)
     w = float(np.clip((t - ts[j]) / (ts[j + 1] - ts[j]), 0.0, 1.0))

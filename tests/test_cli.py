@@ -516,9 +516,10 @@ def test_calibration_shots_are_the_reports_payloads(tmp_path, small_config, monk
 
 def test_import_and_scipy_free_pipelines_load_no_scipy(tmp_path):
     # scipy is imported by the layers that use it, on first use: a fresh
-    # process that imports the package, runs mane and an rk4 flow, and takes
-    # the Legendre transform of a custom callable, scalar and through a
-    # potential, loads none of it
+    # process that imports the package, runs mane, barrier, recurrence on a
+    # kinked pendulum, calibrate and an rk4 flow, builds the positive weak
+    # KAM solution, and takes the Legendre transform of a custom callable,
+    # scalar and through a potential, loads none of it
     cfg = tmp_path / "pendulum.ini"
     cfg.write_text(
         "[hamiltonian]\n"
@@ -534,10 +535,12 @@ def test_import_and_scipy_free_pipelines_load_no_scipy(tmp_path):
 import sys
 import birkhoff_lab, birkhoff_lab.cli
 cfg, out = sys.argv[1:]
-for command in (["mane"], ["flow", "--p", "2"]):
+for command in (["mane"], ["barrier"], ["recurrence"], ["calibrate"], ["flow", "--p", "2"]):
     assert birkhoff_lab.cli.main(["--config", cfg, "--out", out, "--quiet", *command]) == 0, command
-from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian, legendre_transform
-from birkhoff_lab.lax_oleinik import potential
+from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian, legendre_transform, pendulum
+from birkhoff_lab.lax_oleinik import positive_weak_kam, potential
+_, residual = positive_weak_kam(pendulum(), 1.0, 0, 0.0, 64)
+assert residual <= 1e-2, residual
 custom = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=lambda t, q, p: 0.5 * p**2)
 assert abs(legendre_transform(custom, 0.0, 0.3, 0.7).optimal_momentum - 0.7) <= 1e-9
 assert potential(custom, 0, 0.25, 16).entries.shape == (16, 16)
@@ -550,5 +553,5 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
         env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout.split() == []
-    assert (tmp_path / "out" / "mane.json").is_file()
-    assert (tmp_path / "out" / "trajectory.csv").is_file()
+    for name in ("mane.json", "barrier.json", "report.json", "calibration.json", "trajectory.csv"):
+        assert (tmp_path / "out" / name).is_file(), name
