@@ -7,15 +7,17 @@ advances primitives by the per-node action integral, and resamples by
 bisecting in the initial-condition parameter and re-flowing (never by
 interpolating in phase space at the final time).
 
-`points_to_curve_distance` and `directed_hausdorff` import `scipy.spatial` on
-first use, so a process that flows curves but never measures a distance
-between them does not load it.
+Distances to a curve are exact and need no spatial index from outside numpy:
+`points_to_curve_distance` and `directed_hausdorff` search a hierarchy of
+boxes over runs of consecutive segments, in the polyline's own order, from an
+upper bound seeded by the segments whose midpoints bracket each point in q.
+Boxes farther than the bound are dropped, and `directed_hausdorff` also drops
+every point whose bound is under a lower bound on the largest distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +35,8 @@ from .textio import write_csv
 
 MIN_NODES = 16
 NODE_CAP = 2**16  # a curve stretched past this is reported as a blow-up, not refined
-PAIR_BLOCK = 2**14  # candidate point-segment pairs evaluated at once
+PAIR_BLOCK = 2**14  # candidate point-box pairs taken at once
+FAN = 4  # runs of segments, or segments, under each box of the hierarchy
 
 
 @dataclass(frozen=True)
@@ -259,21 +262,26 @@ def _point_segment_sq(dx1, dy1, dx2, dy2):
     return px * px + py * py
 
 
-def _segment_tree(b: LagrangianCurve):
-    """Segment ends (l1, p1), (l2, p2) and lifted midpoints of b, and a
-    KD-tree on the wrapped midpoints and their images at q +- 1."""
-    # imported here: scipy.spatial takes about half a second to import, and
-    # only points_to_curve_distance and directed_hausdorff need it
-    from scipy.spatial import cKDTree
+def _segment_index(b: LagrangianCurve):
+    """Segment ends (l1, p1), (l2, p2) and lifted midpoints of b, a box
+    hierarchy over them, and the segments in order of wrapped midpoint q.
 
+    levels[k] holds the boxes (lo_q, hi_q, lo_p, hi_p), in lifted q and in p,
+    of the runs of FAN**k consecutive segments in b's own order, so the
+    hierarchy needs no sort; the last level is one box over every segment.
+    """
     lb = b.closed_lift()
     pb = b.closed_p()
     l1, l2 = lb[:-1], lb[1:]
     p1, p2 = pb[:-1], pb[1:]
     mid = 0.5 * (l1 + l2)
-    mq = wrap_unit(mid)
-    tree = cKDTree(np.column_stack([np.concatenate([mq - 1.0, mq, mq + 1.0]), np.tile(0.5 * (p1 + p2), 3)]))
-    return (l1, p1, l2, p2, mid), tree
+    boxes = (np.minimum(l1, l2), np.maximum(l1, l2), np.minimum(p1, p2), np.maximum(p1, p2))
+    levels = [boxes]
+    while len(boxes[0]) > 1:
+        runs = np.arange(0, len(boxes[0]), FAN)
+        boxes = tuple(f.reduceat(x, runs) for f, x in zip((np.minimum, np.maximum) * 2, boxes))
+        levels.append(boxes)
+    return (l1, p1, l2, p2, mid), levels, np.argsort(wrap_unit(mid), kind="stable")
 
 
 def _pair_sq(segments, j, qs, ps) -> np.ndarray:
@@ -288,6 +296,128 @@ def _pair_sq(segments, j, qs, ps) -> np.ndarray:
     return d2
 
 
+def _box_gap(boxes, c, qs, ps) -> np.ndarray:
+    """Distances from wrapped points (qs, ps) to boxes c: the torus gap to
+    the box in q (0 once the box spans a turn) and the gap in p."""
+    lo_q, hi_q, lo_p, hi_p = boxes
+    r = wrap_unit(qs - lo_q[c])
+    gap_q = np.maximum(np.minimum(r - (hi_q[c] - lo_q[c]), 1.0 - r), 0.0)
+    gap_p = np.maximum(np.maximum(lo_p[c] - ps, ps - hi_p[c]), 0.0)
+    return np.hypot(gap_q, gap_p)
+
+
+def _node_bound(segments, j, qs, ps, slack) -> np.ndarray:
+    """Upper bounds on the distances from wrapped points (qs, ps) to b: the
+    distance to the first node of segment j, in the chart of the segment's
+    midpoint (at least the distance to segment j), times 1 + 1e-9 plus the
+    slack."""
+    l1, p1, _, _, mid = segments
+    return np.hypot(l1[j] - np.round(mid[j] - qs) - qs, p1[j] - ps) * (1.0 + 1e-9) + slack
+
+
+def _groups(i: np.ndarray) -> np.ndarray:
+    """Where each run of equal entries of i starts."""
+    new = np.empty(len(i), bool)
+    new[:1] = True
+    np.not_equal(i[1:], i[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _nearest_sq(q, p, b: LagrangianCurve, farthest: bool = False) -> np.ndarray:
+    """Squared distances from phase points (q, p) to b, bitwise those of the
+    all-pairs search; with `farthest`, a point that cannot hold the largest
+    distance reads -inf instead. Raises ValueError unless the points and the
+    nodes of b are finite.
+
+    Each point carries an upper bound u on its distance, and (point, box)
+    pairs descend the hierarchy of _segment_index from its one top box. A
+    box's gap to the point is at most its distance to any segment in the
+    box, so a box whose gap exceeds u holds no nearest segment and is
+    dropped; the first node of each box kept tightens u. At the bottom the
+    boxes are segments, projected onto by _pair_sq, the same float
+    expressions as over all segments, over a superset of the nearest ones.
+    u starts at the distance to the first node of b or to either segment
+    whose wrapped midpoint brackets the point in q, whichever is less. Every
+    upper bound is scaled by 1 + 1e-9 and given 1e-12 (1 + |p| + max |p_b|)
+    of slack, which covers rounding in each distance: a few ulps of
+    coordinates bounded by a few units in q and by |p| in p.
+
+    With `farthest`, points are taken in decreasing order of u, in batches
+    that double from 64, and a point's least box gap, less the same slack,
+    bounds its distance from below. A point whose u is under the largest
+    such bound or exact distance seen so far cannot hold the largest
+    distance, and its search stops (Taha & Hanbury, IEEE TPAMI 37, 2015).
+
+    The pairs of each point stay together, and a batch whose children
+    would exceed PAIR_BLOCK pairs is halved between points first, so memory
+    is bounded whatever the curve.
+    """
+    q = np.asarray(q, dtype=float)
+    pa = np.asarray(p, dtype=float)
+    segments, levels, by_q = _segment_index(b)
+    if not all(np.isfinite(x).all() for x in (q, pa, segments[0], segments[1])):
+        raise ValueError("phase points and curve nodes must be finite")
+    qa = wrap_unit(q)
+    m = len(segments[0])
+    slack = 1e-12 * (1.0 + np.abs(pa) + np.max(np.abs(segments[1])))
+    mq = wrap_unit(segments[4])[by_q]
+    batch = PAIR_BLOCK // FAN
+    u = np.empty(len(qa))
+    for i0 in range(0, len(qa), batch):
+        i = slice(i0, i0 + batch)
+        k = np.searchsorted(mq, qa[i])
+        near = np.minimum(_pair_sq(segments, by_q[k - 1], qa[i], pa[i]), _pair_sq(segments, by_q[k % m], qa[i], pa[i]))
+        first = _node_bound(segments, np.zeros(len(k), np.intp), qa[i], pa[i], slack[i])
+        u[i] = np.minimum(np.sqrt(near) * (1.0 + 1e-9) + slack[i], first)
+    order, edges, size = np.arange(len(qa)), [0], batch
+    if farthest:
+        order, size = np.argsort(-u, kind="stable"), 64
+    while edges[-1] < len(qa):
+        edges.append(min(edges[-1] + size, len(qa)))
+        size = min(2 * size, batch)
+    stack = [(len(levels) - 1, order[a:z], np.zeros(z - a, np.intp)) for a, z in zip(edges[-2::-1], edges[:0:-1])]
+    best = np.full(len(qa), np.inf)
+    floor = -np.inf  # with farthest: at most the largest distance
+    while stack:
+        level, i, c = stack.pop()
+        if farthest:
+            gone = u[i] < floor
+            best[i[gone]] = -np.inf
+            i, c = i[~gone], c[~gone]
+        if len(i) == 0:
+            continue
+        if len(i) > batch and i[0] != i[-1]:
+            starts = _groups(i)[1:]
+            cut = starts[min(np.searchsorted(starts, len(i) // 2), len(starts) - 1)]
+            stack += [(level, i[cut:], c[cut:]), (level, i[:cut], c[:cut])]
+            continue
+        level -= 1
+        boxes = levels[level]
+        i = np.repeat(i, FAN)
+        c = (FAN * c[:, None] + np.arange(FAN)).ravel()
+        real = c < len(boxes[0])
+        i, c = i[real], c[real]
+        gap = _box_gap(boxes, c, qa[i], pa[i])
+        keep = gap <= u[i]
+        i, c, gap = i[keep], c[keep], gap[keep]
+        starts = _groups(i)
+        pts = i[starts]
+        if level == 0:
+            best[pts] = np.minimum.reduceat(_pair_sq(segments, c, qa[i], pa[i]), starts)
+            if farthest:
+                floor = max(floor, float(np.sqrt(np.max(best[pts]))))
+            continue
+        anchor = _node_bound(segments, c * FAN**level, qa[i], pa[i], slack[i])
+        u[pts] = np.minimum(u[pts], np.minimum.reduceat(anchor, starts))
+        keep = gap <= u[i]
+        i, c, gap = i[keep], c[keep], gap[keep]
+        if farthest:
+            starts = _groups(i)
+            floor = max(floor, float(np.max(np.minimum.reduceat(gap, starts) * (1.0 - 1e-9) - slack[i[starts]])))
+        stack.append((level, i, c))
+    return best
+
+
 def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -> np.ndarray:
     """Exact distances from phase points to the closed polyline b.
 
@@ -296,70 +426,32 @@ def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -
     segment unwrapped into the chart of the query point: the winding image
     whose midpoint is nearest in q and the two adjacent ones.
 
-    Only candidate segments are projected onto. The wrapped segment midpoints
-    and their images at q +- 1 are indexed in a KD-tree. The distance d_nn
-    from the point to the nearest midpoint image bounds the answer, since a
-    midpoint lies on its segment. A segment none of whose midpoint images lies
-    within d_nn + (largest segment half-length) of the point is farther than
-    d_nn, so it is skipped. The projections are the same float expressions as
-    over all segments, so the distances are bitwise those of the all-pairs
-    search.
+    Only candidate segments are projected onto: a box hierarchy over runs of
+    consecutive segments of b drops every run whose box lies farther from the
+    point than an upper bound on its distance (_nearest_sq). The candidates
+    left include every nearest segment, and the projections are the same
+    float expressions as over all segments, so the distances are bitwise
+    those of the all-pairs search.
     """
-    qa = wrap_unit(np.asarray(q, dtype=float))
-    pa = np.asarray(p, dtype=float)
-    best = np.full(len(qa), np.inf)
-    if len(qa) == 0:
-        return best
-    segments, tree = _segment_tree(b)
-    l1, p1, l2, p2, _ = segments
-    m = len(l1)
-    points = np.column_stack([qa, pa])
-    d_nn = tree.query(points)[0]
-    half = 0.5 * float(np.max(np.hypot(l2 - l1, p2 - p1)))
-    # the slack covers rounding in every distance involved: a few ulps of
-    # coordinates bounded by 3 in q and by |p| in p
-    radius = (d_nn + half) * (1.0 + 1e-9) + 1e-12 * (1.0 + np.abs(pa) + np.max(np.abs(p1)))
-    # blocks of points with at most PAIR_BLOCK candidate pairs (plus one
-    # point's) keep memory bounded whatever the curve
-    pairs = np.cumsum(tree.query_ball_point(points, radius, return_length=True))
-    cuts = np.searchsorted(pairs, np.arange(PAIR_BLOCK, pairs[-1], PAIR_BLOCK), side="right")
-    for i0, i1 in zip([0, *cuts], [*cuts, len(qa)]):
-        near = tree.query_ball_point(points[i0:i1], radius[i0:i1], return_sorted=False)
-        counts = np.fromiter(map(len, near), np.intp, len(near))
-        i = np.repeat(np.arange(i0, i1), counts)
-        j = np.fromiter(chain.from_iterable(near), np.intp, int(counts.sum())) % m
-        np.minimum.at(best, i, _pair_sq(segments, j, qa[i], pa[i]))
-    return np.sqrt(best)
+    if len(q) == 0:
+        return np.full(0, np.inf)
+    return np.sqrt(_nearest_sq(q, p, b))
 
 
 def directed_hausdorff(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -> float:
     """max(points_to_curve_distance(q, p, b)), taking exact distances only
     for the points that can raise it.
 
-    A point's nearest midpoint image belongs to one of its candidate
-    segments, so its distance to that segment, in the same float expressions,
-    is at least its exact distance, bitwise. Points are visited in decreasing
-    order of this bound, in blocks that double from 64, until no bound left
-    exceeds the running max (Taha & Hanbury, IEEE TPAMI 37, 2015). Raises
-    EmptyInput on an empty point set.
+    The search of points_to_curve_distance also bounds each point's
+    distance from below by its least box gap. A point whose upper bound is
+    under the largest lower bound, or under an exact distance already taken,
+    cannot raise the max, so its search stops (_nearest_sq). The point that
+    holds the max never stops, and its distance is the one of the all-pairs
+    search, bitwise. Raises EmptyInput on an empty point set.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
     if len(q) == 0:
         raise EmptyInput("directed Hausdorff distance from an empty point set")
-    # points_to_curve_distance wraps q itself, and wrapping twice can move a
-    # point: wrap_unit(-1e-17) is 1.0, and wrap_unit(1.0) is 0.0
-    qa = wrap_unit(q)
-    segments, tree = _segment_tree(b)
-    j = tree.query(np.column_stack([qa, p]))[1] % len(segments[0])
-    bound = np.sqrt(_pair_sq(segments, j, qa, p))
-    order = np.argsort(-bound, kind="stable")
-    best, i0, size = -np.inf, 0, 64
-    while i0 < len(order) and bound[order[i0]] > best:
-        block = order[i0 : i0 + size]
-        best = max(best, float(np.max(points_to_curve_distance(q[block], p[block], b))))
-        i0, size = i0 + size, 2 * size
-    return best
+    return float(np.sqrt(np.max(_nearest_sq(q, p, b, farthest=True))))
 
 
 def hausdorff_distance(a: LagrangianCurve, b: LagrangianCurve) -> float:

@@ -517,9 +517,11 @@ def test_calibration_shots_are_the_reports_payloads(tmp_path, small_config, monk
 def test_import_and_scipy_free_pipelines_load_no_scipy(tmp_path):
     # scipy is imported by the layers that use it, on first use: a fresh
     # process that imports the package, runs mane, barrier, recurrence on a
-    # kinked pendulum, calibrate and an rk4 flow, builds the positive weak
-    # KAM solution, and takes the Legendre transform of a custom callable,
-    # scalar and through a potential, loads none of it
+    # kinked pendulum, calibrate and an rk4 flow, then birkhoff and
+    # recurrence on the default config, which evolve curves and measure
+    # Hausdorff distances, builds the positive weak KAM solution, and takes
+    # the Legendre transform of a custom callable, scalar and through a
+    # potential, loads none of it
     cfg = tmp_path / "pendulum.ini"
     cfg.write_text(
         "[hamiltonian]\n"
@@ -537,6 +539,8 @@ import birkhoff_lab, birkhoff_lab.cli
 cfg, out = sys.argv[1:]
 for command in (["mane"], ["barrier"], ["recurrence"], ["calibrate"], ["flow", "--p", "2"]):
     assert birkhoff_lab.cli.main(["--config", cfg, "--out", out, "--quiet", *command]) == 0, command
+for command in ("birkhoff", "recurrence"):
+    assert birkhoff_lab.cli.main(["--resolution", "64", "--out", f"{out}/{command}", "--quiet", command]) == 0, command
 from birkhoff_lab.hamiltonians import Family, TonelliHamiltonian, legendre_transform, pendulum
 from birkhoff_lab.lax_oleinik import positive_weak_kam, potential
 _, residual = positive_weak_kam(pendulum(), 1.0, 0, 0.0, 64)
@@ -555,3 +559,5 @@ print(" ".join(sorted(m for m in sys.modules if m == "scipy" or m.startswith("sc
     assert done.stdout.split() == []
     for name in ("mane.json", "barrier.json", "report.json", "calibration.json", "trajectory.csv"):
         assert (tmp_path / "out" / name).is_file(), name
+    for command in ("birkhoff", "recurrence"):
+        assert (tmp_path / "out" / command / "report.json").is_file(), command

@@ -342,6 +342,55 @@ def test_directed_hausdorff_visits_past_a_first_block_of_loose_bounds():
     assert directed_hausdorff(q, p, b) == np.max(exact) == pytest.approx(0.01)
 
 
+def _graph_4000():
+    """The 4 000-node curve of the memory test, and query q between its nodes."""
+    n = 4000
+    grid = np.arange(n) / n
+    return LagrangianCurve(grid, 0.3 * np.sin(2 * np.pi * grid), np.zeros(n)), grid + 0.5 / n
+
+
+def _traced_peak(distance, q, p, b):
+    distance(q, p, b)
+    tracemalloc.start()
+    try:
+        distance(q, p, b)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_directed_hausdorff_memory_is_bounded():
+    b, q = _graph_4000()
+    assert _traced_peak(directed_hausdorff, q, 0.25 * np.cos(2 * np.pi * q), b) < 8e6
+
+
+@pytest.mark.parametrize("distance", [points_to_curve_distance, directed_hausdorff])
+def test_far_points_memory_is_bounded(distance):
+    # at p = 1e6 the rounding slack of every bound, 1e-9 of the distance,
+    # exceeds the gaps between the nearest segments, so each point keeps
+    # scores of candidate segments
+    b, q = _graph_4000()
+    assert _traced_peak(distance, q, np.full(len(q), 1e6), b) < 8e6
+
+
+@pytest.mark.parametrize("n, t", [(4097, 1.0), (5000, -1.0), (4097, 0.0), (5000, 0.0)])
+def test_deep_hierarchies_match_all_pairs_oracle(n, t):
+    # the strategies above reach about 1 000 segments; here b has 4 097 or
+    # 5 000, neither a power of the fan-out: the graph of v' for the shock
+    # potential v = sin(2 pi q) / (2 pi^2) (t = 0), or its free flow to
+    # t = +-1, folded. The points are the nodes of both evolved folded
+    # iterates and points between the nodes of the 4 000-node graph.
+    theta = np.arange(n) / n
+    dv = np.cos(2 * np.pi * theta) / np.pi
+    b = LagrangianCurve(theta + t * dv, dv, np.zeros(n))
+    graph, q_graph = _graph_4000()
+    q = np.concatenate([_folded(1.0).q_lift, _folded(-1.0).q_lift, q_graph])
+    p = np.concatenate([_folded(1.0).p, _folded(-1.0).p, 0.25 * np.cos(2 * np.pi * q_graph)])
+    want = _brute_points_to_curve_distance(q, p, b, chunk=64)
+    assert np.array_equal(points_to_curve_distance(q, p, b), want)
+    assert np.float64(directed_hausdorff(q, p, b)).tobytes() == np.max(want).tobytes()
+
+
 def test_directed_hausdorff_of_no_points():
     with pytest.raises(EmptyInput, match="empty point set"):
         directed_hausdorff(np.array([]), np.array([]), zero_section())
