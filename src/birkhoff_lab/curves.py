@@ -433,8 +433,6 @@ def points_to_curve_distance(q: np.ndarray, p: np.ndarray, b: LagrangianCurve) -
     float expressions as over all segments, so the distances are bitwise
     those of the all-pairs search.
     """
-    if len(q) == 0:
-        return np.full(0, np.inf)
     return np.sqrt(_nearest_sq(q, p, b))
 
 
