@@ -12,8 +12,15 @@ discrete primitives stay consistent with the discrete flow. The integrator
 keeps the name rk4, which configs use, and so does its tolerance RK4_TOL.
 Its six stages are unrolled, each one call of the family's vector_field
 (dH/dp, -dH/dq): a single trig pass for the closed forms, two complex-step
-evaluations for a custom callable, and Python floats for a single point of
-a closed-form family.
+evaluations for a custom callable.
+
+A lone point of a stepped flow runs on Python floats from start to return,
+whatever its family: the stepper's steps and integrand, the carried
+derivatives, the Simpson increments and the action. They are the same IEEE
+operations in the same order as on a 1-element array, so the same bits,
+without numpy's per-call overhead. Arrays are built only at the return,
+the recorded knots' among them. A custom callable still sees 1-element
+arrays.
 
 Both steppers, the family's and _RK4, are built at the start point and hold
 what the next step reads there (dV/dq, or the derivative k), so each point
@@ -25,6 +32,7 @@ previous substep's end time is the next step's start time, bitwise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +66,9 @@ class FlowSettings:
     def __post_init__(self):
         if not 0 < self.macro_step <= 0.1:
             raise ValueError("macro_step must lie in (0, 0.1]")
-        if self.substeps_per_macro < 2 or self.substeps_per_macro % 2:
-            raise ValueError("substeps_per_macro must be even and >= 2")
+        m = self.substeps_per_macro
+        if not isinstance(m, numbers.Integral) or m < 2 or m % 2:
+            raise ValueError(f"substeps_per_macro must be an even integer >= 2, got {m!r}")
         if self.integrator not in ("auto", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -131,27 +140,33 @@ class _RK4:
     is clipped to land on its end.
 
     Each stage is one call of the family's vector_field, and each weighted
-    sum of stages runs left to right over the nonzero weights. A single point
-    of a closed-form family is stepped on Python floats by the same code: the
-    same IEEE operations, so the same bits, without numpy's per-call overhead
-    on 1-element arrays. Custom callables always see the arrays they are
-    given.
+    sum of stages runs left to right over the nonzero weights. The same code
+    steps a batch on arrays and a lone point on Python floats (scalar). At a
+    lone point a custom callable still sees the 1-element arrays of a batch
+    column: each of its evaluations wraps the point and reads the floats back.
     """
 
     def __init__(self, h, t, q, p):
         self.h = h
-        self.scalar = q.size == 1 and h.family is not Family.CUSTOM
+        self.scalar = type(q) is float
         self.size = None  # the next step size
-        # (dq/dt, dp/dt) at the current point, in the form the stages use
-        self.k = h.ops.vector_field(h, t, *((float(q[0]), float(p[0])) if self.scalar else (q, p)))
+        self.field, self.value = h.ops.vector_field, h.ops.value
+        if self.scalar and h.family is Family.CUSTOM:
+            self.field, self.value = self._column_field, self._column_value
+        # (dq/dt, dp/dt) at the current point
+        self.k = self.field(h, t, q, p)
+
+    def _column_field(self, h, t, q, p):
+        kq, kp = h.ops.vector_field(h, t, np.array([q]), np.array([p]))
+        return float(kq[0]), float(kp[0])
+
+    def _column_value(self, h, t, q, p):
+        return float(h.ops.value(h, t, np.array([q]), np.array([p]))[0])
 
     def integrand(self, t, q, p):
-        return self.k[0] * p - np.asarray(self.h.value(t, q, p))
+        return self.k[0] * p - self.value(self.h, t, q, p)
 
     def step(self, q, p, t, dt, t1):
-        if self.scalar:
-            q1, p1 = self._advance(self.h, t, float(q[0]), float(p[0]), dt, t1)
-            return np.array([q1]), np.array([p1])
         return self._advance(self.h, t, q, p, dt, t1)
 
     def _norm(self, x):
@@ -159,7 +174,7 @@ class _RK4:
 
     def _advance(self, h, t, q, p, dt_sub, t1):
         """Steps from (t, q, p) to time t1, dt_sub after t."""
-        f = h.ops.vector_field
+        f = self.field
         k = self.k
         size = dt_sub if self.size is None else self.size
         while True:
@@ -240,21 +255,27 @@ def integrate_batch(
         knots.append((times[-1], q, p))
         action = sum(increments, np.zeros_like(q))
     else:
+        # a lone point runs on Python floats until the return
+        lone = q.shape == (1,)
+        if lone:
+            q, p = float(q[0]), float(p[0])
+        zeros = (lambda: 0.0) if lone else (lambda: np.zeros_like(q))
         rk4 = settings.integrator == "rk4" or h.ops.stepper is None
         stepper = (_RK4 if rk4 else h.ops.stepper)(h, s, q, p)
         m = settings.substeps_per_macro
         dt_sub = dt_macro / m
-        weights = simpson_pattern(m) / 3.0 * dt_sub
+        weights = (simpson_pattern(m) / 3.0 * dt_sub).tolist()
 
-        action = np.zeros_like(q)
+        action = zeros()
         tau = s
         f = stepper.integrand(tau, q, p)
-        knots = [(s, q.copy(), p.copy())] if record_knots else None
+        knots = [(s, q, p)] if record_knots else None
         increments = []
 
         for i in range(n_macro):
             tau0, tau_end = s + i * dt_macro, s + (i + 1) * dt_macro
-            inc = np.zeros_like(q)
+            # from zero, as a batch's increment is, so a -0.0 first term gives +0.0
+            inc = zeros()
             inc += weights[0] * f
             for j in range(1, m + 1):
                 tau1 = tau0 + j * dt_sub if j < m else tau_end
@@ -264,15 +285,18 @@ def integrate_batch(
                 inc += weights[j] * f
             action += inc
             if record_knots:
-                knots.append((tau_end, q.copy(), p.copy()))
+                knots.append((tau_end, q, p))
                 increments.append(inc)
+        if lone:
+            q, p, action = np.array([q]), np.array([p]), np.array([action])
 
     if record_knots:
         times, knot_q, knot_p = zip(*knots)
+        shape = (len(times), len(q))
         rec = {
             "times": np.array(times),
-            "q_lift": np.array(knot_q),
-            "p": np.array(knot_p),
+            "q_lift": np.reshape(knot_q, shape),
+            "p": np.reshape(knot_p, shape),
             "action_increments": np.reshape(increments, (n_macro, len(q))),
         }
         return q, p, action, rec

@@ -20,6 +20,8 @@ mechanical families its `stepper`, a Strang splitting (one
 built at the start point (h, t, q, p) of a flow and holds what it carries
 from step to step; step(q, p, t, dt, t1) returns the point at t1, and
 integrand(t, q, p) the action density p dH/dp - H at its current point.
+q and p are arrays for a batch and Python floats for a lone point, and
+`value` and `vector_field` of a closed form return Python floats for floats.
 
 A custom callable's first derivatives are complex steps, Im H(x + i h) / h
 with h = COMPLEX_STEP (Squire & Trapp, SIAM Review 40, 1998; Martins,
@@ -59,6 +61,14 @@ def _reduced(x):
         x = float(x)
         return x - math.floor(x)
     return wrap_unit(np.asarray(x, dtype=float))
+
+
+def _operand(x):
+    """x itself for a Python float, which takes the same IEEE operations as
+    an array without numpy's per-call overhead; otherwise x as an array.
+    Squares are written x * x, the multiply numpy's x**2 is: a Python
+    float's ** calls libm's pow."""
+    return x if isinstance(x, float) else np.asarray(x)
 
 
 def _factor(j, k, a, b, nt, nq):
@@ -198,7 +208,7 @@ class _Strang:
         h, v = self.h, self.v
         self.v = None
         k = h.kinetic_coefficient
-        return k * p * p - (0.5 * k * p**2 + v + h.constant_offset)
+        return k * p * p - (0.5 * k * (p * p) + v + h.constant_offset)  # p * p: see _operand
 
     def step(self, q, p, t, dt, t1):
         """Advance (q, p) by dt, from time t to t1."""
@@ -234,11 +244,9 @@ class _Mechanical:
         return q + (t - s) * qdot, p, action, w1
 
     def value(self, h, t, q, p):
-        return (
-            0.5 * h.kinetic_coefficient * np.asarray(p) ** 2
-            + h.potential.value(t, q)
-            + h.constant_offset
-        )
+        """H at (t, q, p); a Python float when t, q and p are."""
+        p = _operand(p)
+        return 0.5 * h.kinetic_coefficient * (p * p) + h.potential.value(t, q) + h.constant_offset
 
     def vector_field(self, h, t, q, p):
         """(dH/dp, -dH/dq) at (t, q, p), with dH/dq = dV/dq + 0 p in p's shape;
@@ -279,9 +287,10 @@ class _ShiftedQuadratic:
         return q1, big_p + end[0], action, end
 
     def value(self, h, t, q, p):
+        """H at (t, q, p); a Python float when t, q and p are."""
         u_q, u_t = h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
-        r = np.asarray(p) - u_q
-        return 0.5 * r**2 + h.drift * r - u_t + h.constant_offset
+        r = _operand(p) - u_q
+        return 0.5 * (r * r) + h.drift * r - u_t + h.constant_offset
 
     def vector_field(self, h, t, q, p):
         """(dH/dp, -dH/dq) at (t, q, p) from one jet pass: dH/dp = p - du/dq +

@@ -188,6 +188,21 @@ def test_settings_validation():
             FlowSettings(integrator=integrator)
 
 
+def test_settings_refuse_non_integer_substeps():
+    # 4.0 used to be accepted and then failed inside simpson_pattern
+    for bad in (4.0, np.float64(4.0), "4", True):
+        with pytest.raises(ValueError, match="substeps_per_macro"):
+            FlowSettings(substeps_per_macro=bad)
+    settings = FlowSettings(substeps_per_macro=np.int64(4))
+    h, q, p = pendulum(), np.array([0.15, 0.6]), np.array([1.4, -0.3])
+    got = integrate_batch(h, q, p, 0.0, 0.3, settings, record_knots=True)
+    want = integrate_batch(h, q, p, 0.0, 0.3, FlowSettings(), record_knots=True)
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(a, b)
+    for key in ("times", "q_lift", "p", "action_increments"):
+        assert np.array_equal(got[3][key], want[3][key])
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(
@@ -505,6 +520,58 @@ def test_flow_matches_reference_time_dependent(name, s, t):
         assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
 
 
+@pytest.mark.parametrize("s, t", ORACLE_SPANS)
+@pytest.mark.parametrize("integrator", ["auto", "rk4"])
+@pytest.mark.parametrize("name", sorted(ORACLE_FAMILIES))
+def test_lone_point_matches_its_batch_column_bitwise(name, integrator, s, t):
+    # a lone stepped point runs on Python floats, a batch on arrays: the same
+    # IEEE operations in the same order, so each column has the lone bits.
+    # The Dormand-Prince pair sizes each step by the largest error over the
+    # batch, so there a lone point is checked against a batch of its copies.
+    h = ORACLE_FAMILIES[name]
+    q, p = _oracle_start()
+    settings = replace(ORACLE_SETTINGS, integrator=integrator)
+    adaptive = integrator == "rk4" or h.family is Family.CUSTOM
+    batch = None if adaptive else integrate_batch(h, q, p, s, t, settings, record_knots=True)
+    for i in range(len(q)):
+        if adaptive:
+            batch = integrate_batch(h, np.full(5, q[i]), np.full(5, p[i]), s, t, settings, record_knots=True)
+        lone = integrate_batch(h, q[i : i + 1], p[i : i + 1], s, t, settings, record_knots=True)
+        for a, b in zip(lone[:3], batch[:3]):
+            assert a.shape == (1,) and np.array_equal(a, b[i : i + 1])
+        assert np.array_equal(lone[3]["times"], batch[3]["times"])
+        for key in ("q_lift", "p", "action_increments"):
+            assert np.array_equal(lone[3][key], batch[3][key][:, i : i + 1])
+
+
+def test_zero_integrand_sums_to_positive_zero():
+    # each increment starts from +0.0 and is added to, so a zero integrand
+    # under the negative Simpson weights of a backward span gives +0.0, not
+    # -0.0, lone or batched (a CSV would print the sign)
+    h = free_hamiltonian()
+    for q in (np.array([0.3]), np.array([0.3, 0.6])):
+        _, _, action, rec = integrate_batch(h, q, np.zeros_like(q), 1.0, 0.0, RK4_TIGHT, record_knots=True)
+        assert not np.any(action) and not np.any(np.signbit(action))
+        assert not np.any(np.signbit(rec["action_increments"]))
+
+
+def test_custom_callable_sees_one_element_arrays_at_a_lone_point():
+    # the stages of a lone point are floats, but the callable is handed the
+    # 1-element arrays a batch column gives it
+    seen = []
+
+    def fn(t, q, p):
+        seen.append((type(q), np.shape(q), type(p), np.shape(p)))
+        return 0.25 * p**4 + 0.5 * p**2 + 0.2 * np.cos(2 * np.pi * q)
+
+    h = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=fn, momentum_box=(-10, 10))
+    seen.clear()  # construction checks the callable on a grid
+    tr = trajectory(h, PhasePoint(0.1, 0.7), 0.0, 0.2)
+    # two complex evaluations for each of at least six stages a substep
+    assert len(seen) >= 12 * (len(tr.times) - 1) * FlowSettings().substeps_per_macro
+    assert set(seen) == {(np.ndarray, (1,), np.ndarray, (1,))}
+
+
 @pytest.mark.parametrize("s, t", [(0.35, 2.0), (0.8, -0.65)])
 @pytest.mark.parametrize("name", ["shifted quadratic", "shifted quadratic time-dependent", "mechanical time-only"])
 def test_simpson_loop_converges_to_closed_form_at_fourth_order(name, s, t):
@@ -671,18 +738,20 @@ def _reference_advance(self, h, t, q, p, dt_sub, t1):
 )
 def test_unrolled_step_matches_looped_reference(name, settings, n, s, t, monkeypatch):
     # the same IEEE operations in the same order, so the same bits: on Python
-    # floats for a lone point of a closed-form family, on arrays otherwise
+    # floats for a lone point, on arrays otherwise. A custom callable sees a
+    # lone point's stage points as 1-element arrays, through _RK4._column_field.
     h = ORACLE_FAMILIES[name]
     q, p = np.array([0.15, 0.45, 0.8][:n]), np.array([1.4, -0.7, 2.6][:n])
-    if n == 1 and h.family is not Family.CUSTOM:
-        field = type(h.ops).vector_field
+    if n == 1:
+        owner, method = (flow._RK4, "_column_field") if h.family is Family.CUSTOM else (type(h.ops), "vector_field")
+        field = getattr(owner, method)
 
         def floats_only(self, h, t, q, p):
             out = field(self, h, t, q, p)
             assert all(type(x) is float for x in (q, p, *out))
             return out
 
-        monkeypatch.setattr(type(h.ops), "vector_field", floats_only)
+        monkeypatch.setattr(owner, method, floats_only)
     got = integrate_batch(h, q, p, s, t, settings, record_knots=True)
     steps = [0]
 
