@@ -60,7 +60,7 @@ class FixedPointNotReached(BirkhoffLabError):
 
 
 class IoFailure(BirkhoffLabError):
-    """Report emission failed."""
+    """A file could not be written."""
 
 
 class NotComplexAnalytic(BirkhoffLabError):

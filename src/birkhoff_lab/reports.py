@@ -3,7 +3,9 @@
 Everything written here is byte-deterministic for a fixed bundle: textio
 writes the files (CSV cells by its one rule, JSON with sorted keys), and the
 SVG writer formats coordinates with a fixed precision and embeds no external
-assets.
+assets. It scales the coordinates of each polyline in numpy, by the same IEEE
+operations in the same order as a scalar loop would, and formats them with
+one `%.4f` pass per polyline.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from . import __version__
 from .curves import curve_to_csv
-from .errors import IoFailure
 from .experiments import DiagnosticsRecord, ReportBundle
 from .grids import GridFunction
 from .lax_oleinik import PotentialMatrix
@@ -73,7 +74,19 @@ def _x_ticks(x0, x1, y1, lo, hi):
 
 def _scale(vals, lo, hi, out_lo, out_hi):
     span = hi - lo if hi > lo else 1.0
-    return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in vals]
+    return out_lo + (np.asarray(vals, dtype=float) - lo) / span * (out_hi - out_lo)
+
+
+def _range(pieces) -> tuple[float, float]:
+    """(min, max) over every value of the pieces, and (0.0, 1.0) when there
+    are none.
+
+    Python's min/max over the values as floats: ndarray.min would pick -0.0
+    from a tie with 0.0 and label a tick "-0". The list is dropped on return,
+    before any polyline is drawn.
+    """
+    values = np.concatenate([np.empty(0), *(np.asarray(p, dtype=float) for p in pieces)]).tolist()
+    return (min(values), max(values)) if values else (0.0, 1.0)
 
 
 def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
@@ -83,12 +96,8 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
     y values that all agree to rounding are drawn as equal, on the bottom edge
     of a unit y-range, so a last-bit difference is not stretched over the plot.
     """
-    xs_all = [x for _, xs, _ in series for piece in xs for x in piece]
-    ys_all = [y for _, _, ys in series for piece in ys for y in piece]
-    if not xs_all:
-        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    lo_x, hi_x = min(xs_all), max(xs_all)
-    lo_y, hi_y = min(ys_all), max(ys_all)
+    lo_x, hi_x = _range(piece for _, xs, _ in series for piece in xs)
+    lo_y, hi_y = _range(piece for _, _, ys in series for piece in ys)
     if hi_y - lo_y <= 4 * np.finfo(float).eps * max(abs(lo_y), abs(hi_y)):
         hi_y = lo_y + 1.0
     parts, (x0, y0, x1, y1) = _svg_frame(title)
@@ -99,7 +108,7 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
         for piece_x, piece_y in zip(xs, ys):
             px = _scale(piece_x, lo_x, hi_x, x0, x1)
             py = _scale(piece_y, lo_y, hi_y, y1, y0)
-            pts = " ".join(f"{a:.4f},{b:.4f}" for a, b in zip(px, py))
+            pts = " ".join(["%.4f,%.4f"] * len(px)) % tuple(np.column_stack((px, py)).ravel().tolist())
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>\n')
         if name:
             parts.append(
@@ -150,60 +159,57 @@ def histogram_svg(path, values, title):
 def emit_reports(bundle: ReportBundle, outdir) -> list[Path]:
     """Write diagnostics.csv, report.json, SVG plots, and any witness curve."""
     out = Path(outdir)
-    try:
-        csv_path = out / "diagnostics.csv"
-        names = [f.name for f in fields(DiagnosticsRecord)]
-        write_csv(csv_path, names, [[getattr(r, name) for r in bundle.records] for name in names])
+    csv_path = out / "diagnostics.csv"
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    write_csv(csv_path, names, [[getattr(r, name) for r in bundle.records] for name in names])
 
-        json_path = out / "report.json"
-        write_json(json_path, {
-            "schema_version": SCHEMA_VERSION,
-            "tool": {"name": "birkhoff-lab", "version": __version__},
-            "kind": bundle.kind,
-            "verdict": bundle.verdict,
-            "reason": bundle.reason,
-            "witness": bundle.witness,
-            "detectors": bundle.detectors,
-            "events": bundle.events,
-            "series": {k: [[a, b] for a, b in v] for k, v in bundle.series.items()},
-            "config": bundle.config_echo,
-            "seed": bundle.seed,
-            "record_count": len(bundle.records),
-        })
-        written = [csv_path, json_path]
+    json_path = out / "report.json"
+    write_json(json_path, {
+        "schema_version": SCHEMA_VERSION,
+        "tool": {"name": "birkhoff-lab", "version": __version__},
+        "kind": bundle.kind,
+        "verdict": bundle.verdict,
+        "reason": bundle.reason,
+        "witness": bundle.witness,
+        "detectors": bundle.detectors,
+        "events": bundle.events,
+        "series": {k: [[a, b] for a, b in v] for k, v in bundle.series.items()},
+        "config": bundle.config_echo,
+        "seed": bundle.seed,
+        "record_count": len(bundle.records),
+    })
+    written = [csv_path, json_path]
 
-        portrait = []
-        for n in sorted(bundle.curves):
-            # in parameter order, a new piece at each period crossing of the
-            # lift: no drawn segment jumps between the sheets of a fold
-            c = bundle.curves[n]
-            starts = (np.flatnonzero(np.diff(np.floor(c.closed_lift()))) + 1) % c.n_nodes
-            pieces = np.split(np.roll(np.arange(c.n_nodes), -starts[0]), np.sort((starts - starts[0]) % c.n_nodes)[1:])
-            portrait.append((f"n={n}", [c.q[i] for i in pieces], [c.p[i] for i in pieces]))
-        svg1 = out / "phase_portrait.svg"
-        polyline_plot_svg(svg1, portrait, "iterates in phase space", "q", "p")
-        written.append(svg1)
+    portrait = []
+    for n in sorted(bundle.curves):
+        # in parameter order, a new piece at each period crossing of the
+        # lift: no drawn segment jumps between the sheets of a fold
+        c = bundle.curves[n]
+        starts = (np.flatnonzero(np.diff(np.floor(c.closed_lift()))) + 1) % c.n_nodes
+        pieces = np.split(np.roll(np.arange(c.n_nodes), -starts[0]), np.sort((starts - starts[0]) % c.n_nodes)[1:])
+        portrait.append((f"n={n}", [c.q[i] for i in pieces], [c.p[i] for i in pieces]))
+    svg1 = out / "phase_portrait.svg"
+    polyline_plot_svg(svg1, portrait, "iterates in phase space", "q", "p")
+    written.append(svg1)
 
-        series = []
-        for name in ("return_forward", "return_backward", "hausdorff", "gauge", "invariance"):
-            if name in bundle.series and bundle.series[name]:
-                xs, ys = zip(*bundle.series[name])
-                series.append((name, [xs], [ys]))
-        svg2 = out / "return_distance.svg"
-        polyline_plot_svg(svg2, series, "convergence diagnostics", "iterate", "distance")
-        written.append(svg2)
+    series = []
+    for name in ("return_forward", "return_backward", "hausdorff", "gauge", "invariance"):
+        if name in bundle.series and bundle.series[name]:
+            xs, ys = zip(*bundle.series[name])
+            series.append((name, [xs], [ys]))
+    svg2 = out / "return_distance.svg"
+    polyline_plot_svg(svg2, series, "convergence diagnostics", "iterate", "distance")
+    written.append(svg2)
 
-        hist_vals = [r.gauge for r in bundle.records]
-        if "increments_forward" in bundle.series:
-            hist_vals.extend(v for _, v in bundle.series["increments_forward"])
-        svg3 = out / "defect_hist.svg"
-        histogram_svg(svg3, hist_vals, "gauge / increment histogram")
-        written.append(svg3)
+    hist_vals = [r.gauge for r in bundle.records]
+    if "increments_forward" in bundle.series:
+        hist_vals.extend(v for _, v in bundle.series["increments_forward"])
+    svg3 = out / "defect_hist.svg"
+    histogram_svg(svg3, hist_vals, "gauge / increment histogram")
+    written.append(svg3)
 
-        if bundle.witness is not None and bundle.witness in bundle.curves:
-            wpath = out / "witness_curve.csv"
-            curve_to_csv(bundle.curves[bundle.witness], wpath)
-            written.append(wpath)
-        return written
-    except OSError as exc:
-        raise IoFailure(f"cannot write reports under {out}: {exc}") from exc
+    if bundle.witness is not None and bundle.witness in bundle.curves:
+        wpath = out / "witness_curve.csv"
+        curve_to_csv(bundle.curves[bundle.witness], wpath)
+        written.append(wpath)
+    return written

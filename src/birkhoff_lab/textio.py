@@ -4,25 +4,35 @@ One rule formats CSV cells: a float is written as repr of the Python float
 (the shortest string that reads back to the same double), an int in decimal,
 a bool as true/false, and a missing cell empty. JSON has sorted keys, an
 indent of 2 and a trailing newline. Files are UTF-8 with "\\n" line endings,
-and each writer creates the parent directory.
+and each writer creates the parent directory. An OSError while a file is
+opened or written (its directory under a regular file, a full disk) is raised
+as IoFailure naming the file.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
+from .errors import IoFailure
+
 BLOCK_CELLS = 2048  # cells formatted at a time, so no file is held as strings at once
 _CELL_TEXT = {"f": repr, "i": str, "u": str, "b": lambda v: "true" if v else "false"}  # by dtype kind
 
 
+@contextmanager
 def _open(path):
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
 def _cells(block) -> list[str]:

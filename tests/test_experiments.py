@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from birkhoff_lab import experiments, reports
+from birkhoff_lab import cli, experiments, reports
 from birkhoff_lab.curves import LagrangianCurve, curve_from_csv, graph_check
 from birkhoff_lab.experiments import (
     ExperimentConfig,
@@ -35,6 +35,7 @@ from birkhoff_lab.hamiltonians import (
 )
 from birkhoff_lab.lax_oleinik import lax_negative, potential
 from birkhoff_lab.reports import emit_reports, polyline_plot_svg
+from birkhoff_lab.textio import write_text
 
 MANUFACTURED = ExperimentConfig(
     hamiltonian=shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
@@ -403,6 +404,138 @@ def test_polyline_plot_draws_values_equal_to_rounding_as_equal(tmp_path):
     drawn = re.findall(r'<polyline points="([^"]*)"', path.read_text())
     ys = [[point.split(",")[1] for point in points.split()] for points in drawn]
     assert len(ys) == 2 and ys[0] == ys[1]
+
+
+def _reference_scale(vals, lo, hi, out_lo, out_hi):
+    span = hi - lo if hi > lo else 1.0
+    return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in vals]
+
+
+def _reference_polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
+    """polyline_plot_svg as a loop over Python scalars: the oracle its numpy
+    scaling and one-format-per-polyline drawing must match byte for byte."""
+    xs_all = [x for _, xs, _ in series for piece in xs for x in piece]
+    ys_all = [y for _, _, ys in series for piece in ys for y in piece]
+    if not xs_all:
+        xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
+    lo_x, hi_x = min(xs_all), max(xs_all)
+    lo_y, hi_y = min(ys_all), max(ys_all)
+    if hi_y - lo_y <= 4 * np.finfo(float).eps * max(abs(lo_y), abs(hi_y)):
+        hi_y = lo_y + 1.0
+    parts, (x0, y0, x1, y1) = reports._svg_frame(title)
+    for k, (name, xs, ys) in enumerate(series):
+        if not any(map(len, xs)):
+            continue
+        color = reports._PALETTE[k % len(reports._PALETTE)]
+        for piece_x, piece_y in zip(xs, ys):
+            px = _reference_scale(piece_x, lo_x, hi_x, x0, x1)
+            py = _reference_scale(piece_y, lo_y, hi_y, y1, y0)
+            pts = " ".join(f"{a:.4f},{b:.4f}" for a, b in zip(px, py))
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>\n')
+        if name:
+            parts.append(
+                f'<text x="{x1 - 8}" y="{y0 + 14 + 13 * k}" font-family="monospace" '
+                f'font-size="11" text-anchor="end" fill="{color}">{name}</text>\n'
+            )
+    parts.extend(reports._x_ticks(x0, x1, y1, lo_x, hi_x))
+    for frac, val in ((0.0, lo_y), (1.0, hi_y)):
+        parts.append(
+            f'<text x="{x0 - 6}" y="{y1 - frac * (y1 - y0) + 4:.1f}" font-family="monospace" '
+            f'font-size="11" text-anchor="end">{val:.4g}</text>\n'
+        )
+    if xlabel:
+        parts.append(
+            f'<text x="{(x0 + x1) / 2:.1f}" y="{reports.PLOT_HEIGHT - 8}" font-family="monospace" '
+            f'font-size="12" text-anchor="middle">{xlabel}</text>\n'
+        )
+    if ylabel:
+        parts.append(
+            f'<text x="14" y="{(y0 + y1) / 2:.1f}" font-family="monospace" font-size="12" '
+            f'text-anchor="middle" transform="rotate(-90 14 {(y0 + y1) / 2:.1f})">{ylabel}</text>\n'
+        )
+    write_text(path, "".join(parts) + "</svg>\n")
+
+
+def _assert_drawn_as_reference(directory, series, *labels):
+    polyline_plot_svg(directory / "plot.svg", series, *labels)
+    _reference_polyline_plot_svg(directory / "reference.svg", series, *labels)
+    assert (directory / "plot.svg").read_bytes() == (directory / "reference.svg").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["birkhoff", "recurrence", "invariance"])
+def test_polyline_plots_of_pipeline_bundles_match_the_reference(tmp_path, monkeypatch, command):
+    drawn = []
+
+    def both(path, series, *labels):
+        _assert_drawn_as_reference(tmp_path, series, *labels)
+        drawn.append(path.name)
+
+    monkeypatch.setattr(reports, "polyline_plot_svg", both)
+    argv = ["--quiet", "--resolution", "64", "--out", str(tmp_path / "out"), command]
+    if command == "invariance":  # needs an autonomous Hamiltonian
+        cfg = tmp_path / "auto.ini"
+        cfg.write_text(
+            "[hamiltonian]\nfamily = shifted_quadratic\nshift_coeffs = 0 1 0.0 0.05\ndrift = 0.3\n"
+            "[experiment]\ninitial_potential_coeffs = 0 1 0.0 0.05\n",
+            encoding="utf-8",
+        )
+        argv[:0] = ["--config", str(cfg)]
+    assert cli.main(argv) in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_INCONCLUSIVE)
+    assert drawn == ["phase_portrait.svg", "return_distance.svg"]
+
+
+_FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _piece_pair(draw):
+    """Equal-length x and y pieces, each an int tuple, a float list or an ndarray."""
+    n = draw(st.integers(0, 6))
+
+    def piece():
+        kind = draw(st.sampled_from(["ints", "floats", "ndarray"]))
+        if kind == "ints":
+            return tuple(draw(st.lists(st.integers(-10**9, 10**9), min_size=n, max_size=n)))
+        values = draw(st.lists(_FINITE | st.sampled_from([0.0, -0.0, 1.0]), min_size=n, max_size=n))
+        return values if kind == "floats" else np.array(values)
+
+    return piece(), piece()
+
+
+_SERIES = st.lists(
+    st.tuples(st.sampled_from(["", "a", "n=1"]), st.lists(_piece_pair(), max_size=3)).map(
+        lambda s: (s[0], [x for x, _ in s[1]], [y for _, y in s[1]])
+    ),
+    max_size=4,
+)
+
+
+@given(series=_SERIES)
+@settings(max_examples=300, deadline=None)
+def test_polyline_plot_matches_the_reference(tmp_path_factory, series):
+    _assert_drawn_as_reference(tmp_path_factory.mktemp("plot"), series, "t", "x", "y")
+
+
+@given(values=st.lists(_FINITE | st.integers(-10**9, 10**9), min_size=1, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_scale_keeps_the_bits_of_the_scalar_loop(values):
+    lo, hi = min(values), max(values)
+    for out_lo, out_hi in ((60, 620), (375, 30)):
+        want = np.array(_reference_scale(values, lo, hi, out_lo, out_hi), dtype=float)
+        assert reports._scale(values, lo, hi, out_lo, out_hi).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("series", [
+    [],
+    [("a", [[1, 2, 3]], [[1.390316998156393] * 3]), ("b", [[1, 2, 3]], [[1.3903169981563932] * 3])],
+    [("a", [[0.25]], [[-3.5]])],
+    [("a", [[-1e300, 1e300], []], [[1e300, -1e300], []]), ("", [np.array([3.0])], [np.array([-1e300])])],
+    [("a", [[0.0, 1.0, -0.0]], [[-0.0, 2.0, 0.0]])],
+    [("a", [[-0.0, 1.0, 0.0]], [[0.0, 2.0, -0.0]])],
+    [("a", [(0, 1)], [[-0.0, 0.0]]), ("b", [[-0.0]], [[0]])],
+], ids=["no-series", "rounding-equal-y", "one-point", "near-1e300", "zero-first", "minus-zero-first", "int-zero"])
+def test_polyline_plot_edge_cases_match_the_reference(tmp_path, series):
+    _assert_drawn_as_reference(tmp_path, series, "t", "x", "y")
 
 
 def test_lax_spacetime_knots_use_configured_potential_settings(monkeypatch):
