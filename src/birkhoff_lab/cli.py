@@ -46,7 +46,7 @@ from .flow import PhasePoint, trajectory
 from .lax_oleinik import mane_critical_value, peierls_barrier, potential
 from .reports import emit_reports, potential_to_csv
 from .spectral import fqi_from_csv, global_invariants, selector_function
-from .textio import write_csv, write_json
+from .textio import make_dir, write_csv, write_json
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_ERROR = 0, 1, 2, 10
 
@@ -131,6 +131,7 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(load_config(args.config), args)
         out = Path(config.outdir)
+        make_dir(out)  # an unwritable --out fails here, before any work
         say = (lambda *a: None) if args.quiet else print
         h = config.hamiltonian
         settings = resolve_potential_settings(config)

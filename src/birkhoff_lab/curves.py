@@ -152,6 +152,34 @@ def reduced_complexity_gauge(curve: LagrangianCurve, limit_potential: GridFuncti
     return oscillation(curve.primitive - u_at_nodes)
 
 
+def graph_selector(curve: LagrangianCurve, n: int) -> GridFunction:
+    """The least primitive over the sheets of the curve above each point of
+    the n-point grid.
+
+    For an exact curve flowed from graph(dv) under a Tonelli H, with its
+    primitive advanced by the action, this is the Lax-Oleinik value T^- v,
+    folds included: the minimax graph selector (Viterbo, "Solutions of
+    Hamilton-Jacobi equations and symplectic geometry", 1996). Each segment
+    of the closed lift covers a run of grid points, in any winding; the runs
+    are laid out by np.repeat over their lengths, in O(nodes + crossings)
+    memory. The primitive is extended along each segment as _initial_state
+    does, and np.minimum.at keeps the least value above each point.
+    """
+    lift = curve.closed_lift()
+    p = curve.closed_p()
+    l0, l1 = lift[:-1], lift[1:]
+    first = np.ceil(np.minimum(l0, l1) * n).astype(np.intp)
+    count = np.maximum(np.floor(np.maximum(l0, l1) * n).astype(np.intp) - first + 1, 0)
+    j = np.repeat(np.arange(len(l0)), count)
+    k = first[j] + np.arange(len(j)) - np.repeat(np.cumsum(count) - count, count)
+    x, dl = k / n, l1[j] - l0[j]
+    frac = np.where(dl != 0, (x - l0[j]) / np.where(dl != 0, dl, 1.0), 0.0)
+    pi = p[j] + frac * (p[j + 1] - p[j])
+    least = np.full(n, np.inf)
+    np.minimum.at(least, k % n, curve.primitive[j] + 0.5 * (p[j] + pi) * (x - l0[j]))
+    return GridFunction(least)
+
+
 # ---------------------------------------------------------------------------
 # evolution
 

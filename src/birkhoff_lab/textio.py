@@ -4,9 +4,9 @@ One rule formats CSV cells: a float is written as repr of the Python float
 (the shortest string that reads back to the same double), an int in decimal,
 a bool as true/false, and a missing cell empty. JSON has sorted keys, an
 indent of 2 and a trailing newline. Files are UTF-8 with "\\n" line endings,
-and each writer creates the parent directory. An OSError while a file is
-opened or written (its directory under a regular file, a full disk) is raised
-as IoFailure naming the file.
+and each writer creates the parent directory (make_dir). An OSError while a
+directory is made is raised as IoFailure naming the directory; one while a
+file is opened or written (a full disk) as IoFailure naming the file.
 """
 
 from __future__ import annotations
@@ -24,11 +24,19 @@ BLOCK_CELLS = 2048  # cells formatted at a time, so no file is held as strings a
 _CELL_TEXT = {"f": repr, "i": str, "u": str, "b": lambda v: "true" if v else "false"}  # by dtype kind
 
 
+def make_dir(path) -> None:
+    """Create the directory and its parents, if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
+
+
 @contextmanager
 def _open(path):
     path = Path(path)
+    make_dir(path.parent)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     except OSError as exc:

@@ -307,15 +307,17 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, route, c
 
 @pytest.mark.parametrize("argv", [["flow", "--t1", "0.1"], ["potential"], ["mane"], ["barrier"], ["birkhoff"]],
                          ids=lambda argv: argv[0])
-def test_unwritable_out_is_an_io_failure_naming_the_file(tmp_path, capsys, small_curves, argv):
-    # every file is written through textio, which raises IoFailure: the
-    # first four let NotADirectoryError reach the read-error exit, 11
+def test_unwritable_out_is_an_io_failure_naming_the_file(tmp_path, capsys, monkeypatch, small_curves, argv):
+    # cli.main makes --out through textio before any work, so the IoFailure
+    # names the directory and no flow, potential or pipeline runs
+    for name in ("trajectory", "potential", "mane_critical_value", "peierls_barrier", "run_iteration_experiment"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("work started"))
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
     out = blocker / "out"
     assert run(["--out", out, "--resolution", "16", *argv]) == cli.EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {out}{os.sep}") and "Not a directory" in err
+    assert err.startswith(f"error: cannot create directory {out}: ") and "Not a directory" in err
 
 
 def test_seed_override_changes_echo(tmp_path, small_config):

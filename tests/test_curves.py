@@ -15,6 +15,7 @@ from birkhoff_lab.curves import (
     exactness_defects,
     from_potential,
     graph_check,
+    graph_selector,
     hausdorff_distance,
     loop_integral,
     oscillation,
@@ -80,6 +81,59 @@ def test_evolve_matches_characteristics():
     du = 2 * np.pi * a * np.cos(2 * np.pi * qs)
     char = LagrangianCurve(qs + 0.2 * du, du, np.zeros(8192))
     assert hausdorff_distance(c1, char) <= 1e-5
+
+
+SHOCK_AMP = 1 / (2 * np.pi**2)  # v = SHOCK_AMP sin(2 pi q) folds under free flow before t = 1
+
+
+def _hopf_lax(x, k):
+    """min over y of v(y) + (x - y)^2 / (2k), v the shock profile: the time-k
+    free-flow value. Every minimiser lies within k max|v'| = k/pi of x, so
+    y = x + s with |s| <= 1 for k <= 3 covers every winding. Each sample of
+    s is polished by Newton steps, and any y bounds the min from above."""
+    s = np.linspace(-1.0, 1.0, 2049)
+    y = x[:, None] + s
+    for _ in range(8):
+        dv = 2 * np.pi * SHOCK_AMP * np.cos(2 * np.pi * y)
+        d2v = -4 * np.pi**2 * SHOCK_AMP * np.sin(2 * np.pi * y)
+        y = y - (dv - (x[:, None] - y) / k) / (d2v + 1 / k)
+    y = np.concatenate([x[:, None] + s, y], axis=1)
+    return np.nanmin(SHOCK_AMP * np.sin(2 * np.pi * y) + (x[:, None] - y) ** 2 / (2 * k), axis=1)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_graph_selector_is_the_hopf_lax_value_through_folds(n):
+    x = np.arange(n) / n
+    cur = from_potential(sine_potential(SHOCK_AMP))
+    for k in (1, 2, 3):
+        cur = evolve(FREE, cur, k - 1.0, float(k), FlowSettings(), spacing=2e-3)
+        assert not graph_check(cur).is_graph
+        assert np.max(np.abs(graph_selector(cur, n).values - _hopf_lax(x, k))) <= 1e-8
+
+
+def test_graph_selector_of_a_graph_is_its_primitive():
+    # each grid point is a node, reached at its own primitive and at the
+    # trapezoid extension of the segment before it, which differs from it
+    # by that segment's exactness defect
+    u = sine_potential(0.1, 64, harmonic=3)
+    c = from_potential(u)
+    sel = graph_selector(c, 64).values
+    assert np.all(sel <= u.values)
+    assert np.max(u.values - sel) <= np.max(np.abs(exactness_defects(c))) * (1 + 1e-9)
+    assert np.array_equal(graph_selector(c, 16).values, sel[::4])
+
+
+def test_graph_selector_takes_the_least_sheet():
+    # the time-1 free flow of the shock profile has three sheets over an
+    # arc, and the greatest is minus the selector of the curve with p and h
+    # negated
+    c = evolve(FREE, from_potential(sine_potential(SHOCK_AMP)), 0.0, 1.0, FlowSettings(), spacing=2e-3)
+    neg = LagrangianCurve(c.q_lift, -c.p, -c.primitive)
+    least, greatest = graph_selector(c, 256).values, -graph_selector(neg, 256).values
+    assert np.all(least <= greatest)
+    assert np.max(greatest - least) > 1e-3
+    dense = graph_selector(c, 2**14).values
+    assert np.array_equal(dense[::64], least)
 
 
 def test_curve_requires_primitive():

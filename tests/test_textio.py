@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 import birkhoff_lab
 from birkhoff_lab import textio
+from birkhoff_lab.errors import IoFailure
 from birkhoff_lab.textio import json_text, write_csv, write_json, write_text
 
 PACKAGE = Path(birkhoff_lab.__file__).parent
@@ -72,3 +74,13 @@ def test_json_and_text(tmp_path):
     assert text.index('"a"') < text.index('"b"') and '\n  "a": {\n' in text
     write_text(tmp_path / "e" / "t.svg", "<svg/>\n")
     assert (tmp_path / "e" / "t.svg").read_bytes() == b"<svg/>\n"
+
+
+def test_a_directory_that_cannot_be_made_is_named(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    textio.make_dir(tmp_path / "a" / "b")
+    textio.make_dir(tmp_path / "a" / "b")  # already there
+    assert (tmp_path / "a" / "b").is_dir()
+    with pytest.raises(IoFailure, match=re.escape(f"cannot create directory {blocker / 'out'}: ")):
+        write_text(blocker / "out" / "x.txt", "x")
