@@ -7,7 +7,6 @@ fires at every integer and all iterates stay graphs.
 """
 
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from birkhoff_lab.experiments import load_config, run_iteration_experiment, run_recurrence_experiment
@@ -16,7 +15,7 @@ from birkhoff_lab.reports import emit_reports
 
 def main() -> int:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/positive")
-    cfg = replace(load_config(None), quad_nodes=32)
+    cfg = load_config(None)
 
     bundle = run_iteration_experiment(cfg)
     emit_reports(bundle, outdir / "iteration")

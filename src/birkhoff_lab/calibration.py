@@ -19,7 +19,7 @@ from .errors import DomainExceeded, KinkAtSeed, NonpositiveDuration
 from .flow import FlowSettings, PhasePoint, Trajectory, simpson_pattern, trajectory
 from .grids import GridFunction, periodic_spline, require_power_of_two
 from .hamiltonians import TonelliHamiltonian, wrap_unit
-from .lax_oleinik import QUAD_NODES, lagrangian_batch, lax_negative, potential
+from .lax_oleinik import lagrangian_batch, lax_negative, potential
 
 KINK_RATIO = 50.0
 KINK_FLOOR = 1e-9
@@ -116,7 +116,6 @@ def spacetime_from_lax(
     t0: float,
     t1: float,
     alpha0: float,
-    quad_nodes: int = QUAD_NODES,
 ) -> SpaceTimeFunction:
     """Viscosity-type evolution of u0 sampled every LAX_KNOT_STEP, on the grid of u0."""
     if t1 <= t0:
@@ -128,7 +127,7 @@ def spacetime_from_lax(
     rows = [u0.values.copy()]
     cur = u0
     for j in range(k):
-        pm = potential(h, float(times[j]), float(times[j + 1]), u0.resolution, quad_nodes=quad_nodes)
+        pm = potential(h, float(times[j]), float(times[j + 1]), u0.resolution)
         cur = lax_negative(cur, pm, alpha0)
         rows.append(cur.values.copy())
     return SpaceTimeFunction(times, np.array(rows), alpha0)

@@ -9,12 +9,12 @@ A subcommand flag is something a caller varies: the calibration horizon and
 tolerance (experiments.CALIBRATION_HORIZON, CALIBRATION_TOLERANCE) are
 constants.
 
-Potentials take their settings from experiments.resolve_potential_settings
-and alpha0 from experiments.resolve_alpha0, except in `mane` and `barrier`,
-which ignore a pinned alpha0: `mane` computes the critical value (Karp's
-minimum cycle mean of the one-period potential), and `barrier` normalizes by
-its own one-period potential's, the only constant its Kleene star is finite
-at. `barrier` exits 0 or >= 10, never 2.
+Potentials are built on the config's grid and alpha0 comes from
+experiments.resolve_alpha0, except in `mane` and `barrier`, which ignore a
+pinned alpha0: `mane` computes the critical value (Karp's minimum cycle mean
+of the one-period potential), and `barrier` normalizes by its own one-period
+potential's, the only constant its Kleene star is finite at. `barrier` exits
+0 or >= 10, never 2.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .experiments import (
     ExperimentConfig,
     lax_spacetime,
     load_config,
-    resolve_potential_settings,
     run_autonomous_invariance,
     run_iteration_experiment,
     run_recurrence_experiment,
@@ -134,7 +133,6 @@ def main(argv=None) -> int:
         make_dir(out)  # an unwritable --out fails here, before any work
         say = (lambda *a: None) if args.quiet else print
         h = config.hamiltonian
-        settings = resolve_potential_settings(config)
 
         if args.command == "flow":
             tr = trajectory(h, PhasePoint(args.q, args.p), args.t0, args.t1, config.flow_settings)
@@ -144,19 +142,19 @@ def main(argv=None) -> int:
             return EXIT_PASS
 
         if args.command == "potential":
-            pm = potential(h, args.t0, args.t1, **settings)
+            pm = potential(h, args.t0, args.t1, config.resolution)
             potential_to_csv(pm, out / "potential.csv")
             say(f"potential [{args.t0},{args.t1}] written; min={float(pm.entries.min())!r}")
             return EXIT_PASS
 
         if args.command == "mane":
-            alpha0 = mane_critical_value(h, **settings)
+            alpha0 = mane_critical_value(h, config.resolution)
             write_json(out / "mane.json", {"alpha0": alpha0})
             say(f"alpha0 = {alpha0!r}")
             return EXIT_PASS
 
         if args.command == "barrier":
-            res = peierls_barrier(h, 0.0, **settings)
+            res = peierls_barrier(h, 0.0, config.resolution)
             potential_to_csv(res.matrix, out / "barrier.csv")
             write_json(out / "barrier.json", {"alpha0": res.alpha0, "converged": True})
             say(f"barrier at alpha0 = {res.alpha0!r}")

@@ -38,7 +38,6 @@ from .hamiltonians import (
     shifted_quadratic,
 )
 from .lax_oleinik import (
-    QUAD_NODES,
     PotentialMatrix,
     lax_negative,
     lax_positive,
@@ -66,7 +65,6 @@ class ExperimentConfig:
     outdir: str = "out"
     flow_settings: FlowSettings = field(default_factory=FlowSettings)
     alpha0: float | None = None  # None: the critical value (mane_critical_value)
-    quad_nodes: int = QUAD_NODES  # sub-quadrature nodes per single-step potential
 
     def __post_init__(self):
         if self.n_max < 1 or self.m_max < 1:
@@ -110,7 +108,7 @@ class ReportBundle:
 # takes its type and default from that field; a section or key that no
 # setting reads is an error (README lists them all)
 
-EXPERIMENT_KEYS = ("n_max", "m_max", "resolution", "seed", "quad_nodes")
+EXPERIMENT_KEYS = ("n_max", "m_max", "resolution", "seed")
 FLOW_KEYS = ("macro_step", "integrator", "substeps_per_macro")
 FAMILY_KEYS = {"mechanical": ("kinetic", "potential_coeffs"), "shifted_quadratic": ("shift_coeffs", "drift")}
 CONFIG_KEYS = {
@@ -332,17 +330,11 @@ def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
     return bundle
 
 
-def resolve_potential_settings(config: ExperimentConfig) -> dict:
-    """Keyword settings of every potential built from the config."""
-    return {"n": config.resolution, "quad_nodes": config.quad_nodes}
-
-
 def resolve_alpha0(config: ExperimentConfig) -> float:
-    """The pinned alpha0, else the critical value under the config's
-    potential settings."""
+    """The pinned alpha0, else the critical value on the config's grid."""
     if config.alpha0 is not None:
         return config.alpha0
-    return mane_critical_value(config.hamiltonian, **resolve_potential_settings(config))
+    return mane_critical_value(config.hamiltonian, config.resolution)
 
 
 def one_period(config: ExperimentConfig) -> tuple[GridFunction, PotentialMatrix, float]:
@@ -350,7 +342,7 @@ def one_period(config: ExperimentConfig) -> tuple[GridFunction, PotentialMatrix,
     iteration of the one-period Lax operators starts from."""
     u0 = grid_from_trig(config.initial_potential, config.resolution)
     alpha0 = resolve_alpha0(config)
-    pm = potential(config.hamiltonian, 0.0, 1.0, **resolve_potential_settings(config))
+    pm = potential(config.hamiltonian, 0.0, 1.0, config.resolution)
     return u0, pm, alpha0
 
 
@@ -453,4 +445,4 @@ def lax_spacetime(config: ExperimentConfig) -> SpaceTimeFunction:
     """Candidate solution on [0, CALIBRATION_HORIZON] for the calibration pipeline."""
     u0 = grid_from_trig(config.initial_potential, config.resolution)
     alpha0 = resolve_alpha0(config)
-    return spacetime_from_lax(config.hamiltonian, u0, 0.0, CALIBRATION_HORIZON, alpha0, quad_nodes=config.quad_nodes)
+    return spacetime_from_lax(config.hamiltonian, u0, 0.0, CALIBRATION_HORIZON, alpha0)

@@ -10,13 +10,14 @@ Each family is one object here that owns H; its vector field
 (dH/dp, -dH/dq) in one pass, the only place a closed form writes its
 derivatives, which the Dormand-Prince pair in flow.py steps; its Legendre
 transform `legendre`, the vectorized Lagrangian with its maximizer
-(bisection on dH/dp for custom callables), and the Lagrangian's sum over
-the quadrature nodes of a straight segment; and its flow: in closed form,
-action included, for the solvable families (the shifted quadratic, and a
-mechanical family whose potential has no position harmonic); for the other
-mechanical families its `stepper`, a Strang splitting (one
-`TrigPolynomial.jet` pass per point and substep); for custom callables
-`stepper` is None, and the Dormand-Prince pair steps them. A stepper is
+(bisection on dH/dp for custom callables); its flow and action potential:
+in closed form for the solvable families (the shifted quadratic, and a
+mechanical family whose potential has no position harmonic), `flow` and
+`potential`, the Hopf-Lax formula in the shear frame; for the others the
+Lagrangian's sum over the quadrature nodes of a straight segment
+(`segment_lagrangian`) and a `stepper`: a Strang splitting for mechanical
+families (one `TrigPolynomial.jet` pass per point and substep), None for
+custom callables, which the Dormand-Prince pair steps. A stepper is
 built at the start point (h, t, q, p) of a flow and holds what it carries
 from step to step; step(q, p, t, dt, t1) returns the point at t1, and
 integrand(t, q, p) the action density p dH/dp - H at its current point.
@@ -152,29 +153,28 @@ class TrigPolynomial:
     def value(self, t, q):
         return self.deriv(t, q, 0, 0)
 
-    def outer_sum(self, t, qa, qb, nt: int = 0, nq: int = 0) -> np.ndarray:
-        """Sum over i of deriv(t[i], qa[i][:, None] + qb[i][None, :], nt, nq).
+    def outer_sum(self, t, qa, qb) -> np.ndarray:
+        """Sum over i of value(t[i], qa[i][:, None] + qb[i][None, :]).
 
         By angle addition, cos(A + B) = cos A cos B - sin A sin B, each term
         at each i is two rank-1 outer products. So cos and sin are taken on
         len(qa[i]) + len(qb[i]) phases instead of on their product grid, and
         one matrix product sums every term and every i. The phases round
-        differently from `deriv` on the summed argument, so the two agree to
+        differently from `value` on the summed argument, so the two agree to
         a few ulps of the phases, not bitwise.
         """
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float)
         if not self.terms:
             return np.zeros((qa.shape[1], qb.shape[1]))
-        rows = [(j, k, *_factor(j, k, a, b, nt, nq)) for j, k, a, b in self.terms]
-        j, k, fac, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*rows))
+        j, k, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*self.terms))
         tm = wrap_unit(np.asarray(t, dtype=float))[:, None, None]
         phase_a = TWO_PI * wrap_unit(j * tm + k * qa[:, None, :])  # (i, term, y)
         phase_b = TWO_PI * wrap_unit(k * qb[:, None, :])  # (i, term, x)
         cb, sb = np.cos(phase_b), np.sin(phase_b)
         # aa cos(A+B) + bb sin(A+B) = cos A (aa cos B + bb sin B) + sin A (bb cos B - aa sin B)
         left = np.concatenate([np.cos(phase_a), np.sin(phase_a)], axis=1)
-        right = np.concatenate([fac * (aa * cb + bb * sb), fac * (bb * cb - aa * sb)], axis=1)
+        right = np.concatenate([aa * cb + bb * sb, bb * cb - aa * sb], axis=1)
         return left.reshape(-1, qa.shape[1]).T @ right.reshape(-1, qb.shape[1])
 
 
@@ -220,6 +220,16 @@ class _Strang:
         return q1, p1
 
 
+def _hopf_lax(n, s, t, kinetic, drift, u, rest):
+    """The Hopf-Lax formula (Evans, PDE, 3.3) in the shear frame: entry [y, x]
+    is d^2 / (2 kinetic (t - s)) + u(t, x) - u(s, y) - rest, d = x + w - y -
+    drift (t - s) at the winding w nearest 0, the least action over w."""
+    grid = np.arange(n) / n
+    d = grid - grid[:, None] - drift * (t - s)
+    d -= np.round(d)
+    return d * d / (2.0 * kinetic * (t - s)) + (u.value(t, grid) - u.value(s, grid)[:, None]) - rest
+
+
 class _Mechanical:
     """Mechanical family; closed-form flow when V depends on t alone, else
     Strang kinetic/potential splitting."""
@@ -229,19 +239,30 @@ class _Mechanical:
     def solvable(self, h):
         return not any(k for _, k, _, _ in h.potential.terms)
 
+    def _time_primitive(self, h):
+        """(c, W) with V(t) = c + dW/dt: int_s^t V = c (t - s) + W(t) - W(s)."""
+        terms = h.potential.terms
+        w = TrigPolynomial(tuple((j, 0, -b / (TWO_PI * j), a / (TWO_PI * j)) for j, _, a, b in terms if j))
+        return sum(a for j, _, a, _ in terms if j == 0), w
+
     def flow(self, h, q, p, s, t, start=None):
         """Flow from time s to t when V depends on t alone: p and qdot = k p
         are constant, and with V = c + dW/dt the action is
         (k p^2/2 - offset - c)(t - s) - W(t) + W(s). Returns q1, p1, the
         action and W(t), the `start` of a call continuing from t."""
-        terms = h.potential.terms
-        w = TrigPolynomial(tuple((j, 0, -b / (TWO_PI * j), a / (TWO_PI * j)) for j, _, a, b in terms if j))
+        mean, w = self._time_primitive(h)
         w0 = w.value(s, 0.0) if start is None else start
         w1 = w.value(t, 0.0)
         qdot = h.kinetic_coefficient * p
-        mean = sum(a for j, _, a, _ in terms if j == 0)
         action = (0.5 * qdot * p - h.constant_offset - mean) * (t - s) - (w1 - w0)
         return q + (t - s) * qdot, p, action, w1
+
+    def potential(self, h, s, t, n):
+        """The action potential from s to t when V depends on t alone, the least
+        `flow` action: no shift, no drift, less the integrals of V and offset."""
+        mean, w = self._time_primitive(h)
+        rest = (mean + h.constant_offset) * (t - s) + (w.value(t, 0.0) - w.value(s, 0.0))
+        return _hopf_lax(n, s, t, h.kinetic_coefficient, 0.0, TrigPolynomial(), rest)
 
     def value(self, h, t, q, p):
         """H at (t, q, p); a Python float when t, q and p are."""
@@ -305,11 +326,10 @@ class _ShiftedQuadratic:
         u_q, u_t = h.shift_profile.jet(t, q, ((0, 1), (1, 0)))
         return u_q * v + 0.5 * (v - h.drift) ** 2 + u_t - h.constant_offset, u_q + (v - h.drift)
 
-    def segment_lagrangian(self, h, taus, qa, qb, v):
-        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
-        u = h.shift_profile
-        kinetic = 0.5 * (v - h.drift) ** 2 - h.constant_offset
-        return len(taus) * kinetic + v * u.outer_sum(taus, qa, qb, 0, 1) + u.outer_sum(taus, qa, qb, 1, 0)
+    def potential(self, h, s, t, n):
+        """The action potential from s to t, the least `flow` action: free in
+        the shear frame, with the shift profile u, less the offset."""
+        return _hopf_lax(n, s, t, 1.0, h.drift, h.shift_profile, h.constant_offset * (t - s))
 
 
 def _autonomy_sample():
@@ -445,7 +465,7 @@ class TonelliHamiltonian:
     def __post_init__(self):
         if not 0 < self.kinetic_coefficient < math.inf:
             raise ValueError(f"kinetic coefficient must be positive and finite, got {self.kinetic_coefficient}")
-        if not math.isfinite(self.drift):  # a single step starts at the winding nearest drift * span
+        if not math.isfinite(self.drift):  # the closed-form potential rounds drift * span to a winding
             raise ValueError(f"drift must be finite, got {self.drift}")
         if not math.isfinite(self.constant_offset):
             raise ValueError(f"offset must be finite, got {self.constant_offset}")

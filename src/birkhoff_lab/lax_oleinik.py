@@ -1,25 +1,26 @@
 """Action potentials, Lax-Oleinik operators, Mane critical value, Peierls barrier.
 
-Everything runs on uniform periodic grids. Short-time potentials are built by
-midpoint quadrature of the Lagrangian along straight segments, least over the
-windings walked out from the one nearest drift * span while one improves an
-entry. A node of a segment is an outer sum of a start-point and an end-point
-term, so the closed-form families sum their trig terms by angle addition with
-O(n) cos/sin calls per term and node, not O(n^2). Longer spans compose by
-min-plus matrix products over grid midpoints, halving recursively. A compose
-visits only the intermediate points that can attain a minimum, and gives the
-same bits as visiting all of them. A matrix is built and cached from
-(Hamiltonian, fractional start, span) alone, so time-1-periodicity of the
-family holds bitwise, also for a matrix rebuilt after the cache, which drops
-the least recently used matrices beyond a byte bound, let it go. The
-Lax-Oleinik operator T_{s,t} of an H that does not depend on t depends on
-t - s alone, so an autonomous closed form's matrices are built at fractional
-start 0 and keyed by (Hamiltonian, span), which every start shares; a custom
-callable, whose autonomy is a sampled test, keeps its start. Cached entries
-are read-only. The critical value and the Peierls barrier are exact on the
-grid: minus the minimum cycle mean of the one-period matrix (Karp's formula),
-and the Kleene star of that matrix, normalized by it, through its critical
-nodes.
+Everything runs on uniform periodic grids. A solvable family's potential
+over any span is one O(n^2) closed form, its `potential` op: no single
+steps, no angle-addition sums, no composes. For the others, short-time
+potentials are built by midpoint quadrature of the Lagrangian along straight
+segments, least over the windings walked out from 0 while one improves an
+entry; a mechanical V sums its trig terms over a segment's nodes by angle
+addition, O(n) cos/sin calls per term and node, not O(n^2). Longer spans
+compose by min-plus matrix products over grid midpoints, halving
+recursively. A compose visits only the intermediate points that can attain
+a minimum, and gives the same bits as visiting all of them. A matrix is
+built and cached from (Hamiltonian, fractional start, span) alone, so
+time-1-periodicity of the family holds bitwise, also for a matrix rebuilt
+after the cache, which drops the least recently used matrices beyond a byte
+bound, let it go. The Lax-Oleinik operator T_{s,t} of an H that does not
+depend on t depends on t - s alone, so an autonomous closed form's matrices
+are built at fractional start 0 and keyed by (Hamiltonian, span), which
+every start shares; a custom callable, whose autonomy is a sampled test,
+keeps its start. Cached entries are read-only. The critical value and the
+Peierls barrier are exact on the grid: minus the minimum cycle mean of the
+one-period matrix (Karp's formula), and the Kleene star of that matrix,
+normalized by it, through its critical nodes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .grids import GridFunction
 from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
 
 SINGLE_STEP_SPAN = 0.25
-QUAD_NODES = 8
+QUAD_NODES = 8  # midpoint nodes of a straight single step
 SPAN_RTOL = 1e-9  # the 12-digit key takes float noise off t - s; a larger move changes the span
 
 
@@ -157,32 +158,31 @@ class _PotentialCache:
 _POTENTIAL_CACHE = _PotentialCache(max_bytes=128 * 2**20)
 
 
-def _single_step(h, s, t, n, quad_nodes):
+def _single_step(h, s, t, n):
     """Midpoint-rule action of the straight segments y -> x + w, least over w.
 
     Node i of a segment sits at (1 - f_i) y + f_i (x + w), an outer sum of a
-    start-point and an end-point term, which the family sums over the nodes
-    in one pass (`segment_lagrangian`). Tonelli minimisers have bounded speed
-    about the drift, so the useful w form one range around w0, the winding
-    nearest drift * span: each side walks out from w0 and stops at the first
-    w that improves no entry.
+    start-point and an end-point term, which the family sums over the
+    QUAD_NODES nodes in one pass (`segment_lagrangian`). Tonelli minimisers
+    of a family without drift have bounded speed, so the useful w form one
+    range around 0: each side walks out from 0 and stops at the first w that
+    improves no entry.
     """
     grid = np.arange(n) / n
     span = t - s
-    taus = s + (np.arange(quad_nodes) + 0.5) * span / quad_nodes
+    taus = s + (np.arange(QUAD_NODES) + 0.5) * span / QUAD_NODES
     fracs = (taus - s) / span
     start = (1.0 - fracs)[:, None] * grid
 
     def action(w):
         vel = (grid[None, :] - grid[:, None] + w) / span
         acc = h.ops.segment_lagrangian(h, taus, start, fracs[:, None] * (grid + w), vel)
-        acc *= span / quad_nodes
+        acc *= span / QUAD_NODES
         return acc
 
-    w0 = round(h.drift * span)  # drift is 0 but for the shifted quadratic
-    best = action(w0)
+    best = action(0)
     for side in (-1, 1):
-        for w in count(w0 + side, side):
+        for w in count(side, side):
             acc = action(w)
             better = acc < best
             if not better.any():
@@ -191,11 +191,12 @@ def _single_step(h, s, t, n, quad_nodes):
     return PotentialMatrix(s, t, best)
 
 
-def _halving(s, t, max_span):
+def _halving(h, s, t, max_span):
     """potential's key times (fractional start, span), and the midpoint it
-    halves at, or None when [s, t] is one single step."""
+    halves at, or None for one leaf: a single step, or a solvable family's."""
     fs, span = round(s - np.floor(s), 12), round(t - s, 12)
-    return fs, span, None if span <= max_span + 1e-12 else fs + 0.5 * span
+    leaf = h.ops.solvable(h) or span <= max_span + 1e-12
+    return fs, span, None if leaf else fs + 0.5 * span
 
 
 def potential(
@@ -204,55 +205,52 @@ def potential(
     t: float,
     n: int = 256,
     max_span: float = SINGLE_STEP_SPAN,
-    quad_nodes: int = QUAD_NODES,
 ) -> PotentialMatrix:
     """Action potential matrix between times s < t on the n-point grid.
 
     Keyed and built at (Hamiltonian, fractional start of s, span t - s), both
     rounded to 12 digits; a span that rounding moves by more than SPAN_RTOL
-    is refused. A mechanical or shifted-quadratic H that does not depend on t
-    is keyed and built at fractional start 0, so every start of a span shares
-    one matrix. A custom callable keeps its start: its `autonomous` is a
-    sampled test. The result carries the caller's s and t, and its entries
-    are read-only.
+    is refused. A solvable family's matrix is its closed form; the others
+    compose single steps of at most max_span. A mechanical or shifted-quadratic
+    H that does not depend on t is keyed and built at fractional start 0, so
+    every start of a span shares one matrix. A custom callable keeps its
+    start: its `autonomous` is a sampled test. The result carries the
+    caller's s and t, and its entries are read-only.
     """
     if t <= s:
         raise NonpositiveDuration(f"need t > s, got [{s}, {t}]")
-    if not max_span > 0 or quad_nodes < 1:  # max_span <= 0 never reaches a single step
-        raise ValueError(f"need max_span > 0 and quad_nodes >= 1, got {max_span} and {quad_nodes}")
-    fs, span, mid = _halving(s, t, max_span)
+    if not max_span > 0:  # max_span <= 0 never reaches a single step
+        raise ValueError(f"need max_span > 0, got {max_span}")
+    fs, span, mid = _halving(h, s, t, max_span)
     if abs(span - (t - s)) > SPAN_RTOL * (t - s):  # a span keyed as 0 too, which a single step divides by
         raise NonpositiveDuration(f"the span t - s = {t - s!r} of [{s}, {t}] rounds to {span:.12g} at 12 digits")
     if h.family is not Family.CUSTOM and h.autonomous:  # T_{s,t} depends on t - s alone
-        fs, span, mid = _halving(0.0, span, max_span)
-    key = (h, fs, span, n, max_span, quad_nodes)
+        fs, span, mid = _halving(h, 0.0, span, max_span)
+    key = (h, fs, span, n, max_span)
     hit = _POTENTIAL_CACHE.get(key)
     if hit is None:
         # built from the key alone, so an evicted matrix comes back with the same bits
-        if mid is None:
-            hit = _single_step(h, fs, fs + span, n, quad_nodes)
+        if mid is not None:
+            hit = minplus_compose(potential(h, fs, mid, n, max_span), potential(h, mid, fs + span, n, max_span))
+        elif h.ops.solvable(h):
+            hit = PotentialMatrix(fs, fs + span, h.ops.potential(h, fs, fs + span, n))
         else:
-            hit = minplus_compose(
-                potential(h, fs, mid, n, max_span, quad_nodes),
-                potential(h, mid, fs + span, n, max_span, quad_nodes),
-            )
+            hit = _single_step(h, fs, fs + span, n)
         _POTENTIAL_CACHE.put(key, hit)
     return PotentialMatrix(s, t, hit.entries)
 
 
-def _single_steps(h, s, t, n, max_span, quad_nodes) -> list[PotentialMatrix]:
-    """The single steps potential(h, s, t, ...) composes, in time order.
+def _single_steps(h, s, t, n, max_span) -> list[PotentialMatrix]:
+    """The leaves potential(h, s, t, ...) composes, in time order.
 
     Halves as `potential` does and fetches each leaf through it, with the
     arguments `potential` would pass, so the leaves share its cache keys and
     bits. Applying them one by one costs O(k n^2), against O(n^3) per compose.
     """
-    fs, span, mid = _halving(s, t, max_span)
+    fs, span, mid = _halving(h, s, t, max_span)
     if mid is None:
-        return [potential(h, s, t, n, max_span, quad_nodes)]
-    return _single_steps(h, fs, mid, n, max_span, quad_nodes) + _single_steps(
-        h, mid, fs + span, n, max_span, quad_nodes
-    )
+        return [potential(h, s, t, n, max_span)]
+    return _single_steps(h, fs, mid, n, max_span) + _single_steps(h, mid, fs + span, n, max_span)
 
 
 def lax_negative(u: GridFunction, pm: PotentialMatrix, alpha0: float = 0.0) -> GridFunction:
@@ -319,31 +317,20 @@ def _star_barrier(a: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def mane_critical_value(
-    h: TonelliHamiltonian,
-    n: int = 256,
-    quad_nodes: int = QUAD_NODES,
-) -> float:
+def mane_critical_value(h: TonelliHamiltonian, n: int = 256) -> float:
     """The critical constant: minus the minimum cycle mean of the one-period
     potential (_karp), the least mean action per period of a grid cycle."""
-    return -_karp(potential(h, 0.0, 1.0, n, SINGLE_STEP_SPAN, quad_nodes).entries)
+    return -_karp(potential(h, 0.0, 1.0, n).entries)
 
 
 @dataclass(frozen=True)
 class BarrierResult:
     matrix: PotentialMatrix
     alpha0: float  # the critical constant of the one-period potential, -lambda
-    max_span: float  # the potential settings that built it
-    quad_nodes: int
+    max_span: float  # the single-step span that built it
 
 
-def peierls_barrier(
-    h: TonelliHamiltonian,
-    t: float,
-    n: int = 256,
-    max_span: float = SINGLE_STEP_SPAN,
-    quad_nodes: int = QUAD_NODES,
-) -> BarrierResult:
+def peierls_barrier(h: TonelliHamiltonian, t: float, n: int = 256, max_span: float = SINGLE_STEP_SPAN) -> BarrierResult:
     """Peierls barrier from fractional time t to itself.
 
     With A the one-period potential from t and lambda its minimum cycle mean
@@ -355,9 +342,9 @@ def peierls_barrier(
     """
     if not 0 <= t < 1:
         raise ValueError("fractional time t must lie in [0, 1)")
-    a = potential(h, t, t + 1.0, n, max_span, quad_nodes=quad_nodes).entries
+    a = potential(h, t, t + 1.0, n, max_span).entries
     lam = _karp(a)
-    return BarrierResult(PotentialMatrix(t, t, _star_barrier(a, lam)), -lam, max_span, quad_nodes)
+    return BarrierResult(PotentialMatrix(t, t, _star_barrier(a, lam)), -lam, max_span)
 
 
 def positive_weak_kam(
@@ -370,11 +357,11 @@ def positive_weak_kam(
 ):
     """Weak solution u(t, .) = -barrier(. -> anchor) + alpha0 * t.
 
-    Without a barrier, builds the n-point one with the default potential
-    settings; a given barrier sets the resolution, and n is unused. Returns
-    the grid function and the fixed-point residual of the one-period
-    positive operator on twice that resolution, built with the barrier's own
-    potential settings, which vanishes for the exact barrier. The anchor is
+    Without a barrier, builds the n-point one with the default single-step
+    span; a given barrier sets the resolution, and n is unused. Returns the
+    grid function and the fixed-point residual of the one-period positive
+    operator on twice that resolution, built with the barrier's own
+    single-step span, which vanishes for the exact barrier. The anchor is
     a grid index, 0 <= anchor < resolution.
     """
     resolution = n if barrier is None else barrier.matrix.resolution
@@ -390,7 +377,7 @@ def positive_weak_kam(
     u_fine = GridFunction(u.eval(np.arange(fine) / fine))
     # the one-period operator applied leaf by leaf, latest first, by the
     # semigroup property T_{s,t} = T_{tau,t} o T_{s,tau}: no 2n-point compose
-    leaves = _single_steps(h, wrap_unit(t), wrap_unit(t) + 1.0, fine, barrier.max_span, barrier.quad_nodes)
+    leaves = _single_steps(h, wrap_unit(t), wrap_unit(t) + 1.0, fine, barrier.max_span)
     image = u_fine
     for leaf in reversed(leaves):
         image = lax_positive(image, leaf, alpha0)

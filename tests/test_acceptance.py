@@ -6,7 +6,6 @@ enforces its wall-clock budget. Everything is seeded and deterministic.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -260,7 +259,6 @@ def test_criterion_8_calibration():
 def test_criterion_9_birkhoff_positive(tmp_path):
     with Budget("9. Birkhoff pipeline, positive case", 120):
         cfg = load_config(None)  # manufactured family, v = shift profile at t=0
-        cfg = replace(cfg, quad_nodes=32)
         bundle = bl.run_iteration_experiment(cfg)
         assert bundle.verdict == "PASS"
         assert bundle.detectors["forward"]["fired"]
@@ -300,7 +298,7 @@ def test_criterion_10_birkhoff_negative():
 
 def test_criterion_11_recurrence():
     with Budget("11. Recurrence experiment", 120):
-        cfg = replace(load_config(None), quad_nodes=32)
+        cfg = load_config(None)
         bundle = bl.run_recurrence_experiment(cfg)
         assert max(v for _, v in bundle.series["return_forward"]) <= 1e-4
         assert max(v for _, v in bundle.series["return_backward"]) <= 1e-4

@@ -89,7 +89,7 @@ def test_calibration_implies_minimization():
     rep = calibrated_curve(star_candidate(), AUTON_SQ, 0.0, 0.3, 1.0)
     tr = rep.curve
     n = 256
-    pm = potential(AUTON_SQ, 0.0, 1.0, n, quad_nodes=32)
+    pm = potential(AUTON_SQ, 0.0, 1.0, n)
     y = int(round(float(tr.q[0]) * n)) % n
     x = int(round(float(tr.q[-1]) * n)) % n
     action = float(np.sum(tr.action_increments))

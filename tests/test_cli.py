@@ -13,7 +13,7 @@ from birkhoff_lab import cli, curves, experiments, lax_oleinik, spectral
 from birkhoff_lab.calibration import calibrated_curve
 from birkhoff_lab.cli import main
 from birkhoff_lab.errors import ExactnessLost
-from birkhoff_lab.experiments import load_config, resolve_potential_settings
+from birkhoff_lab.experiments import load_config
 from birkhoff_lab.flow import PhasePoint, trajectory
 from birkhoff_lab.grids import GridFunction
 from birkhoff_lab.hamiltonians import free_hamiltonian
@@ -37,7 +37,6 @@ def small_config(tmp_path, small_curves):
         "[experiment]\n"
         "n_max = 2\n"
         "m_max = 2\n"
-        "quad_nodes = 32\n"
         "resolution = 128\n",
         encoding="utf-8",
     )
@@ -98,6 +97,16 @@ def test_recurrence_and_mane(tmp_path, small_config):
     assert abs(est["alpha0"]) <= 5e-3  # manufactured family, offset zero
 
 
+def test_default_mane_is_the_grid_critical_value(tmp_path):
+    # the default H's closed-form potential puts drift 0.3 between grid
+    # points: a cycle of 77-cell steps misses it by 0.2 cells per period, so
+    # the least cycle mean is (0.2 / 256)^2 / 2, and the critical value minus it
+    out = tmp_path / "out"
+    assert run(["--out", out, "--quiet", "mane"]) == 0
+    alpha0 = json.loads((out / "mane.json").read_text())["alpha0"]
+    assert abs(alpha0 - -((0.2 / 256) ** 2) / 2) <= 1e-15
+
+
 def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
     # a user who pins the alpha0 that mane printed runs what an unpinned
     # config runs
@@ -141,8 +150,7 @@ def test_invariance_subcommand(tmp_path, small_curves):
         "drift = 0.3\n"
         "[experiment]\n"
         "initial_potential_coeffs = 0 1 0.0 0.05\n"
-        "resolution = 128\n"
-        "quad_nodes = 32\n",
+        "resolution = 128\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
@@ -267,10 +275,23 @@ def test_strang_integrator_is_a_config_error(tmp_path):
 @pytest.mark.parametrize("resolution", [0, 100])
 def test_resolution_not_a_power_of_two_is_a_config_error(tmp_path, capsys, monkeypatch, resolution, command):
     # refused when the config is built, before any potential
-    monkeypatch.setattr(lax_oleinik, "_single_step", lambda *args: pytest.fail("potential built"))
+    monkeypatch.setattr(lax_oleinik._POTENTIAL_CACHE, "put", lambda *args: pytest.fail("potential built"))
     out = tmp_path / "out"
     assert run(["--out", out, "--resolution", resolution, command]) == cli.EXIT_ERROR + 1
     assert f"resolution {resolution} is not a power of two" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["quad_nodes = 32", "max_span = 0.0625"], ids=["quad_nodes", "max_span"])
+def test_removed_experiment_key_is_a_config_error(tmp_path, capsys, monkeypatch, key):
+    # the single-step span and node count are lax_oleinik constants, not
+    # settings; a config that still sets one is refused before any potential
+    monkeypatch.setattr(lax_oleinik._POTENTIAL_CACHE, "put", lambda *args: pytest.fail("potential built"))
+    cfg = tmp_path / "removed.ini"
+    cfg.write_text(f"[experiment]\n{key}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["--config", cfg, "--out", out, "--resolution", "16", "mane"]) == cli.EXIT_ERROR + 1
+    assert f"unknown keys in config section [experiment]: ['{key.split()[0]}']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -292,7 +313,7 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys, monkeypatch, route, c
     # refused when the config is built: calibrate built the whole candidate
     # and then failed in numpy without naming the seed, birkhoff ran and
     # echoed it
-    monkeypatch.setattr(lax_oleinik, "_single_step", lambda *args: pytest.fail("potential built"))
+    monkeypatch.setattr(lax_oleinik._POTENTIAL_CACHE, "put", lambda *args: pytest.fail("potential built"))
     out = tmp_path / "out"
     if route == "flag":
         argv = ["--seed", "-1"]
@@ -340,7 +361,6 @@ def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
     cfg.write_text(
         "[experiment]\n"
         "resolution = 32\n"
-        "quad_nodes = 4\n"
         "alpha0 = 0.25\n",
         encoding="utf-8",
     )
@@ -349,7 +369,7 @@ def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
     rows = (out / "potential.csv").read_text().splitlines()[1:]
     written = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
     clear_potential_cache()
-    expected = potential(load_config(cfg).hamiltonian, 0, 1, 32, quad_nodes=4)
+    expected = potential(load_config(cfg).hamiltonian, 0, 1, 32)
     assert np.array_equal(written, expected.entries)
     # barrier normalizes by the critical value under the same settings, as
     # mane reports it: its Kleene star is finite at no other constant
@@ -507,7 +527,7 @@ def test_potential_csv_reads_back_bitwise(tmp_path, small_config):
     header, *rows = [line.split(",") for line in (out / "potential.csv").read_text().splitlines()]
     clear_potential_cache()
     config = load_config(small_config)
-    expected = potential(config.hamiltonian, 0.0, 0.5, **resolve_potential_settings(config))
+    expected = potential(config.hamiltonian, 0.0, 0.5, config.resolution)
     grid = np.arange(expected.resolution) / expected.resolution
     assert header[0] == "y\\x"
     assert np.array_equal([float(x) for x in header[1:]], grid)

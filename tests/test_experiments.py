@@ -50,7 +50,6 @@ MANUFACTURED = ExperimentConfig(
     initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, 0.05)]),
     n_max=3,
     m_max=3,
-    quad_nodes=32,
 )
 
 SHOCK = ExperimentConfig(
@@ -145,7 +144,6 @@ def test_config_echo_of_the_defaults(tmp_path):
         "m_max": 8,
         "resolution": 256,
         "seed": 0,
-        "quad_nodes": 8,
         "macro_step": 1e-2,
         "integrator": "auto",
         "substeps_per_macro": 4,
@@ -327,7 +325,6 @@ def test_invariance_autonomous_guard():
         hamiltonian=moving_well,
         initial_potential=TrigPolynomial(),
         resolution=16,
-        quad_nodes=2,
     )
     with pytest.raises(ValueError, match="autonomous"):
         run_autonomous_invariance(cfg)
@@ -339,7 +336,6 @@ def test_invariance_shifted(monkeypatch):
         hamiltonian=shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.3),
         initial_potential=TrigPolynomial.from_coeffs([(0, 1, 0.0, 0.05)]),
         resolution=256,
-        quad_nodes=32,
     )
     bundle = run_autonomous_invariance(cfg)
     assert bundle.verdict == "PASS"
@@ -588,12 +584,12 @@ def test_lax_spacetime_knots_use_configured_potential_settings(monkeypatch):
     from dataclasses import replace
 
     monkeypatch.setattr(experiments, "CALIBRATION_HORIZON", 0.25)
-    cfg = replace(MANUFACTURED, resolution=64, quad_nodes=4, alpha0=0.0)
+    cfg = replace(MANUFACTURED, resolution=64, alpha0=0.0)
     u = lax_spacetime(cfg)
     cur = grid_from_trig(cfg.initial_potential, 64)
     rows = [cur.values]
     for j in range(4):
-        pm = potential(cfg.hamiltonian, j / 16, (j + 1) / 16, 64, quad_nodes=4)
+        pm = potential(cfg.hamiltonian, j / 16, (j + 1) / 16, 64)
         cur = lax_negative(cur, pm, 0.0)
         rows.append(cur.values)
     assert np.array_equal(u.knots, np.array(rows))
