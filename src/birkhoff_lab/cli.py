@@ -11,9 +11,10 @@ constants.
 
 Potentials are built on the config's grid and alpha0 comes from
 experiments.resolve_alpha0, except in `mane` and `barrier`, which ignore a
-pinned alpha0: `mane` computes the critical value (Karp's minimum cycle mean
-of the one-period potential), and `barrier` normalizes by its own one-period
-potential's, the only constant its Kleene star is finite at. `barrier` exits
+pinned alpha0: `mane` computes the critical value (minus the minimum cycle
+mean of the one-period potential, lax_oleinik._least_cycle_mean), and
+`barrier` normalizes by its own one-period potential's, the only constant
+its Kleene star is finite at. `barrier` exits
 0 or >= 10, never 2.
 """
 

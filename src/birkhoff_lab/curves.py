@@ -206,18 +206,26 @@ def _coarsened(lift_c, p_c, gaps, spacing: float) -> list[int]:
     """The nodes evolve's coarsening drops, from the closed arrays and gaps.
 
     Only a node whose gap to the next is under spacing/3 can go, and no drop
-    changes that gap. The last node kept before i is i - 1 unless that went.
+    changes that gap. The last node kept before i is i - 1 unless that went:
+    then its gap is gaps[i - 1], and its join over i - 1 is one vectorised
+    np.hypot for every candidate. A node after a drop takes its own pair from
+    the last node kept, the same np.hypot on scalars.
     """
+    third = spacing / 3
+    cand = np.flatnonzero(gaps[1:] < third) + 1
+    gap_join = np.hypot(lift_c[cand + 1] - lift_c[cand - 1], p_c[cand + 1] - p_c[cand - 1])
+    goes = ((gaps[cand - 1] < third) & (gap_join <= spacing)).tolist()
     drop: list[int] = []
     prev = 0
-    for i in (np.flatnonzero(gaps[1:] < spacing / 3) + 1).tolist():
+    for i, go in zip(cand.tolist(), goes):
         if len(gaps) - len(drop) <= MIN_NODES:
             break
         if not drop or drop[-1] != i - 1:
             prev = i - 1
-        gap_prev = np.hypot(lift_c[i] - lift_c[prev], p_c[i] - p_c[prev])
-        gap_join = np.hypot(lift_c[i + 1] - lift_c[prev], p_c[i + 1] - p_c[prev])
-        if gap_prev < spacing / 3 and gap_join <= spacing:
+        else:
+            gap_prev = np.hypot(lift_c[i] - lift_c[prev], p_c[i] - p_c[prev])
+            go = gap_prev < third and np.hypot(lift_c[i + 1] - lift_c[prev], p_c[i + 1] - p_c[prev]) <= spacing
+        if go:
             drop.append(i)
     return drop
 

@@ -402,7 +402,15 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
 
 
 def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
-    """Fixed-point construction and flow invariance of its graph (autonomous)."""
+    """Flow invariance of the graph of an approximate fixed point (autonomous).
+
+    The one-period negative operator is iterated until one period changes u
+    by less than 1e-4, at most 512 periods. That stops the loop; it does not
+    make u a fixed point: under an exact potential u may still be moving, so
+    the reported fixed-point residual, the last one-period change, says how
+    far u is from stationary. The graph of du is then flowed to t = 0.1, ...,
+    0.9 and its least sheet compared with u - alpha0 t.
+    """
     h = config.hamiltonian
     if not h.autonomous:
         raise ValueError("invariance experiment needs an autonomous Hamiltonian")

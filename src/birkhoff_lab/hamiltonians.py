@@ -13,7 +13,8 @@ transform `legendre`, the vectorized Lagrangian with its maximizer
 (bisection on dH/dp for custom callables); its flow and action potential:
 in closed form for the solvable families (the shifted quadratic, and a
 mechanical family whose potential has no position harmonic), `flow` and
-`potential`, the Hopf-Lax formula in the shear frame; for the others the
+`potential`, the Hopf-Lax formula in the shear frame, and the one-period
+potential's minimum cycle mean `least_cycle_mean`, O(n); for the others the
 Lagrangian's sum over the quadrature nodes of a straight segment
 (`segment_lagrangian`) and a `stepper`: a Strang splitting for mechanical
 families (one `TrigPolynomial.jet` pass per point and substep), None for
@@ -220,14 +221,49 @@ class _Strang:
         return q1, p1
 
 
+def _shear_offsets(n, y, shift):
+    """d = x + w - y - shift for each of the n grid points x (a row per start
+    y), at the winding w that brings d nearest 0."""
+    d = np.arange(n) / n - y - shift
+    d -= np.round(d)
+    return d
+
+
 def _hopf_lax(n, s, t, kinetic, drift, u, rest):
     """The Hopf-Lax formula (Evans, PDE, 3.3) in the shear frame: entry [y, x]
     is d^2 / (2 kinetic (t - s)) + u(t, x) - u(s, y) - rest, d = x + w - y -
     drift (t - s) at the winding w nearest 0, the least action over w."""
     grid = np.arange(n) / n
-    d = grid - grid[:, None] - drift * (t - s)
-    d -= np.round(d)
+    d = _shear_offsets(n, grid[:, None], drift * (t - s))
     return d * d / (2.0 * kinetic * (t - s)) + (u.value(t, grid) - u.value(s, grid)[:, None]) - rest
+
+
+def _hopf_lax_cycle_mean(n, kinetic, drift, rest):
+    """The minimum cycle mean of the one-period Hopf-Lax matrix, _hopf_lax
+    over [s, s + 1] with the same rest, from any s: min over the n grid
+    offsets j of d_j^2 / (2 kinetic), less rest, where d_j = j/n - drift
+    at its nearest winding. O(n), no matrix.
+
+    Entry [z, x] is c(x - z) + u(s + 1, x) - u(s, z) - rest, with c(j) =
+    d_j^2 / (2 kinetic). u is 1-periodic in t, so the u terms cancel around
+    every cycle, whose mean is then the mean of its steps' c, less rest. That
+    is at least the least c(j), and the cycle that repeats the step j
+    attains it.
+
+    Rounding, with eps the machine epsilon and S = max|A| + |rest| +
+    (2 + |drift|) / kinetic for the built matrix A: each float d lies within
+    (2 + |drift|) eps of the real one, so with |d| <= 1/2 each c does within
+    S eps / 2, and each other operation of an entry rounds by eps/2 of a
+    value below S. u(s + 1) and u(s) round alike at s = 0; elsewhere they
+    differ by a few eps |du/dt|. So this value and the matrix's exact minimum
+    cycle mean differ by about 3 eps S. Karp's formula (lax_oleinik._karp)
+    on A rounds each D_k once per product; rounding is monotone, so the
+    least rounded sum is the rounded least sum, D_k errs by at most
+    k (k + 1) eps max|A| / 4, and its cycle mean by (n + 3)^2 eps max|A| / 2.
+    The two agree within n^2 eps S for n >= 16.
+    """
+    d = _shear_offsets(n, 0.0, drift)
+    return float(np.min(d * d)) / (2.0 * kinetic) - rest
 
 
 class _Mechanical:
@@ -263,6 +299,12 @@ class _Mechanical:
         mean, w = self._time_primitive(h)
         rest = (mean + h.constant_offset) * (t - s) + (w.value(t, 0.0) - w.value(s, 0.0))
         return _hopf_lax(n, s, t, h.kinetic_coefficient, 0.0, TrigPolynomial(), rest)
+
+    def least_cycle_mean(self, h, n):
+        """The one-period potential's minimum cycle mean when V depends on t
+        alone: W(s + 1) - W(s) = 0, so rest is the mean of V plus offset."""
+        mean, _ = self._time_primitive(h)
+        return _hopf_lax_cycle_mean(n, h.kinetic_coefficient, 0.0, mean + h.constant_offset)
 
     def value(self, h, t, q, p):
         """H at (t, q, p); a Python float when t, q and p are."""
@@ -330,6 +372,10 @@ class _ShiftedQuadratic:
         """The action potential from s to t, the least `flow` action: free in
         the shear frame, with the shift profile u, less the offset."""
         return _hopf_lax(n, s, t, 1.0, h.drift, h.shift_profile, h.constant_offset * (t - s))
+
+    def least_cycle_mean(self, h, n):
+        """The one-period potential's minimum cycle mean: rest is the offset."""
+        return _hopf_lax_cycle_mean(n, 1.0, h.drift, h.constant_offset)
 
 
 def _autonomy_sample():

@@ -19,8 +19,10 @@ are built at fractional start 0 and keyed by (Hamiltonian, span), which
 every start shares; a custom callable, whose autonomy is a sampled test,
 keeps its start. Cached entries are read-only. The critical value and the
 Peierls barrier are exact on the grid: minus the minimum cycle mean of the
-one-period matrix (Karp's formula), and the Kleene star of that matrix,
-normalized by it, through its critical nodes.
+one-period matrix, and the Kleene star of that matrix, normalized by it,
+through its critical nodes. A solvable family's minimum cycle mean is its
+O(n) closed form, `least_cycle_mean`, which builds no matrix; the others
+take Karp's formula on the matrix.
 """
 
 from __future__ import annotations
@@ -317,10 +319,22 @@ def _star_barrier(a: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+def _least_cycle_mean(h: TonelliHamiltonian, n: int, a: np.ndarray | None = None) -> float:
+    """lambda, the minimum cycle mean of h's one-period potential on the
+    n-point grid. A solvable family gives its closed form (its
+    `least_cycle_mean` op), which no start moves and which builds no matrix;
+    the others take Karp's formula on a, the one-period matrix, built from 0
+    when None."""
+    if h.ops.solvable(h):
+        return h.ops.least_cycle_mean(h, n)
+    return _karp(potential(h, 0.0, 1.0, n).entries if a is None else a)
+
+
 def mane_critical_value(h: TonelliHamiltonian, n: int = 256) -> float:
     """The critical constant: minus the minimum cycle mean of the one-period
-    potential (_karp), the least mean action per period of a grid cycle."""
-    return -_karp(potential(h, 0.0, 1.0, n).entries)
+    potential (_least_cycle_mean), the least mean action per period of a grid
+    cycle. A solvable family builds no potential for it."""
+    return -_least_cycle_mean(h, n)
 
 
 @dataclass(frozen=True)
@@ -334,7 +348,9 @@ def peierls_barrier(h: TonelliHamiltonian, t: float, n: int = 256, max_span: flo
     """Peierls barrier from fractional time t to itself.
 
     With A the one-period potential from t and lambda its minimum cycle mean
-    (_karp), the liminf over integer horizons k of (A - lambda)^k, the
+    (_least_cycle_mean: the closed form for a solvable family, so lambda is
+    the one mane_critical_value negates, bit for bit; Karp's formula on A
+    otherwise), the liminf over integer horizons k of (A - lambda)^k, the
     critically normalized potentials from t to t + k, is
     min over critical c of A+[y, c] + A+[c, x] (_star_barrier): the discrete
     form of h(y, x) = min over the Aubry set of Phi(y, z) + Phi(z, x). Raises
@@ -343,7 +359,7 @@ def peierls_barrier(h: TonelliHamiltonian, t: float, n: int = 256, max_span: flo
     if not 0 <= t < 1:
         raise ValueError("fractional time t must lie in [0, 1)")
     a = potential(h, t, t + 1.0, n, max_span).entries
-    lam = _karp(a)
+    lam = _least_cycle_mean(h, n, a)
     return BarrierResult(PotentialMatrix(t, t, _star_barrier(a, lam)), -lam, max_span)
 
 

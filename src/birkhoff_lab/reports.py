@@ -135,11 +135,16 @@ def polyline_plot_svg(path, series, title, xlabel="", ylabel=""):
 
 
 def histogram_svg(path, values, title):
-    """HISTOGRAM_BINS equal bins over the range of the values."""
+    """HISTOGRAM_BINS equal bins over the range of the values, widened by 1/2
+    on each side, as numpy widens a single value's, when it is too narrow
+    for that many distinct edges (values a few ulps apart)."""
     values = np.asarray(list(values), dtype=float)
     parts, (x0, y0, x1, y1) = _svg_frame(title)
     if len(values):
-        counts, edges = np.histogram(values, bins=HISTOGRAM_BINS)
+        lo, hi = float(values.min()), float(values.max())
+        if np.any(np.diff(np.linspace(lo, hi, HISTOGRAM_BINS + 1)) <= 0):
+            lo, hi = lo - 0.5, hi + 0.5
+        counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=(lo, hi))
         top = max(1, counts.max())
         bw = (x1 - x0) / HISTOGRAM_BINS
         for i, c in enumerate(counts):

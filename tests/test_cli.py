@@ -117,6 +117,29 @@ def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
     assert mane["alpha0"] == json.loads((out / "barrier.json").read_text())["alpha0"]
 
 
+@pytest.mark.parametrize("hamiltonian, autonomous", [
+    ("family = shifted_quadratic\nshift_coeffs = 1 1 0.0 0.05\ndrift = 0.3\n", False),
+    ("family = shifted_quadratic\nshift_coeffs = 0 1 0.0 0.05\ndrift = 0.3\n", True),
+    ("family = mechanical\nkinetic = 0.5\npotential_coeffs = 1 0 0.3 -0.2; 0 0 0.1 0.0\noffset = 0.2\n", False),
+], ids=["default", "autonomous", "vt"])
+def test_solvable_pipelines_run_without_karp(tmp_path, small_curves, monkeypatch, hamiltonian, autonomous):
+    # a solvable family's critical value is its closed form: no subcommand
+    # reaches Karp's formula
+    def no_karp(a):
+        raise AssertionError("Karp's formula on a solvable family")
+
+    monkeypatch.setattr(lax_oleinik, "_karp", no_karp)
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(f"[hamiltonian]\n{hamiltonian}[experiment]\nn_max = 2\nm_max = 2\nresolution = 64\n", encoding="utf-8")
+    commands = [["mane"], ["barrier"], ["recurrence"], ["calibrate", "--curves", "20"]]
+    if autonomous:  # invariance refuses an H that depends on t
+        commands.append(["invariance"])
+    for command in commands:
+        assert run(["--config", cfg, "--out", tmp_path / command[0], "--quiet", *command]) in (0, 1, 2), command
+    mane = json.loads((tmp_path / "mane" / "mane.json").read_text())["alpha0"]
+    assert mane == json.loads((tmp_path / "barrier" / "barrier.json").read_text())["alpha0"]
+
+
 def test_flow_and_lax_and_potential(tmp_path, small_config):
     out = tmp_path / "out"
     assert run(["--config", small_config, "--out", out, "--quiet", "flow", "--p", "0.5"]) == 0

@@ -204,11 +204,35 @@ def _coarsen_oracle(lift, p, spacing):
     return keep
 
 
-def _coarsen_kept(lift, p, spacing):
-    """The indices evolve's coarsening keeps, from the arrays its refinement leaves."""
+def _coarsened_loop(lift_c, p_c, gaps, spacing):
+    """evolve's coarsening with both pairs of every candidate node taken by
+    np.hypot on numpy scalars: the drops _coarsened must match."""
+    drop = []
+    prev = 0
+    for i in (np.flatnonzero(gaps[1:] < spacing / 3) + 1).tolist():
+        if len(gaps) - len(drop) <= MIN_NODES:
+            break
+        if not drop or drop[-1] != i - 1:
+            prev = i - 1
+        gap_prev = np.hypot(lift_c[i] - lift_c[prev], p_c[i] - p_c[prev])
+        gap_join = np.hypot(lift_c[i + 1] - lift_c[prev], p_c[i + 1] - p_c[prev])
+        if gap_prev < spacing / 3 and gap_join <= spacing:
+            drop.append(i)
+    return drop
+
+
+def _closed_arrays(lift, p):
+    """The closed arrays and gaps evolve hands its coarsening."""
     lift_c, p_c = np.append(lift, lift[0] + 1), np.append(p, p[0])
-    gaps = np.hypot(np.diff(lift_c), np.diff(p_c))
-    return np.delete(np.arange(len(lift)), _coarsened(lift_c, p_c, gaps, spacing)).tolist()
+    return lift_c, p_c, np.hypot(np.diff(lift_c), np.diff(p_c))
+
+
+def _coarsen_kept(lift, p, spacing):
+    """The indices evolve's coarsening keeps, from the arrays its refinement
+    leaves; it drops what the scalar loop drops."""
+    drop = _coarsened(*_closed_arrays(lift, p), spacing)
+    assert drop == _coarsened_loop(*_closed_arrays(lift, p), spacing)
+    return np.delete(np.arange(len(lift)), drop).tolist()
 
 
 def _closed_polyline(ratios, angles, origin=0j):
@@ -255,6 +279,47 @@ def test_coarsening_cases(ratios, dropped):
     kept = [i for i in range(len(ratios)) if i not in dropped]
     assert _coarsen_oracle(lift, p, spacing) == kept
     assert _coarsen_kept(lift, p, spacing) == kept
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(MIN_NODES, 400), tiny=st.floats(0.5, 1.0))
+def test_coarsening_matches_the_loop_on_long_runs_of_drops(seed, n, tiny):
+    # most gaps tiny, so runs of drops are long and many nodes take their own
+    # pair from a kept node further back; with few nodes the MIN_NODES stop ends them
+    rng = np.random.default_rng(seed)
+    ratios = np.where(rng.random(n) < tiny, rng.uniform(0, 0.34, n), rng.uniform(0.3, 1.2, n))
+    lift, p, spacing = _closed_polyline(ratios, rng.uniform(-1.5, 1.5, n), complex(*rng.normal(size=2)))
+    arrays = _closed_arrays(lift, p)
+    assert _coarsened(*arrays, spacing) == _coarsened_loop(*arrays, spacing)
+
+
+@pytest.mark.parametrize("cell", [121, 171])  # the curve_iteration benchmark's phases at seeds 1 and 5
+def test_coarsening_matches_the_loop_on_the_pipeline_curves(cell, monkeypatch):
+    # the manufactured and shock birkhoff runs and the autonomous invariance
+    # run, each translated by cell / 256 in q
+    from birkhoff_lab import curves
+    from birkhoff_lab.experiments import ExperimentConfig, run_autonomous_invariance, run_iteration_experiment
+    from birkhoff_lab.hamiltonians import mechanical
+
+    psi = 2 * np.pi * cell / 256
+
+    def sine(j, amp):
+        return TrigPolynomial.from_coeffs([(j, 1, -amp * np.sin(psi), amp * np.cos(psi))])
+
+    calls = []
+
+    def spy(lift_c, p_c, gaps, spacing):
+        drop = _coarsened(lift_c, p_c, gaps, spacing)
+        calls.append(drop == _coarsened_loop(lift_c, p_c, gaps, spacing))
+        return drop
+
+    monkeypatch.setattr(curves, "_coarsened", spy)
+    manufactured = shifted_quadratic(sine(1, 0.05).terms, drift=0.3)
+    autonomous = shifted_quadratic(sine(0, 0.05).terms, drift=0.3)
+    run_iteration_experiment(ExperimentConfig(manufactured, sine(0, 0.05)))
+    run_iteration_experiment(ExperimentConfig(mechanical(), sine(0, 1 / (2 * np.pi**2)), n_max=4, m_max=4))
+    run_autonomous_invariance(ExperimentConfig(autonomous, sine(0, 0.05)))
+    assert len(calls) >= 30 and all(calls)
 
 
 def test_hausdorff_examples():

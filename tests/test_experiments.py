@@ -448,6 +448,23 @@ def test_polyline_plot_draws_values_equal_to_rounding_as_equal(tmp_path):
     assert len(ys) == 2 and ys[0] == ys[1]
 
 
+@pytest.mark.parametrize("values", [
+    [0.02292861783455442, 0.02292861783455441],  # a V(t) recurrence's two increments
+    [0.25, 0.25],
+    [0.25, 0.5, 1.0],
+])
+def test_histogram_bins_values_a_few_ulps_apart(tmp_path, values):
+    # np.histogram refuses 24 bins over a range of one ulp; such values are
+    # binned as one value is, over the range widened by 1/2 on each side
+    path = tmp_path / "hist.svg"
+    reports.histogram_svg(path, values, "t")
+    bars = re.findall(r'height="([^"]*)" fill="#1f77b4"', path.read_text())
+    filled = [float(h) > 0 for h in bars]
+    assert len(bars) == reports.HISTOGRAM_BINS and sum(filled) == (len(set(values)) if max(values) - min(values) > 1e-3 else 1)
+    if max(values) - min(values) > 1e-3:  # wide enough: numpy's own bins over [min, max]
+        assert filled == list(np.histogram(values, bins=reports.HISTOGRAM_BINS)[0] > 0)
+
+
 def _reference_scale(vals, lo, hi, out_lo, out_hi):
     span = hi - lo if hi > lo else 1.0
     return [(out_lo + (v - lo) / span * (out_hi - out_lo)) for v in vals]

@@ -197,6 +197,60 @@ def test_mane_divergence_guard():
     assert _karp(p) == 0.0
 
 
+# the solvable families of the closed-form sweep, with the rest each one's
+# one-period potential subtracts: shifted quadratics over drift, with a time
+# harmonic in the shift and an offset, and mechanical V(t) over kinetic
+_SOLVABLE_SWEEP = [
+    *[pytest.param(shifted_quadratic([(1, 1, 0.0, 0.05), (0, 2, 0.02, 0.0)], drift=drift, offset=0.1), 0.1,
+                   id=f"shift-drift{drift:.3g}") for drift in (0.0, 0.3, 1 / 3, 0.5, -0.7)],
+    *[pytest.param(mechanical([(0, 0, 0.25, 0.0), (1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1)], kinetic=kinetic, offset=-0.4),
+                   0.25 - 0.4, id=f"vt-kinetic{kinetic}") for kinetic in (0.5, 1.0, 2.0)],
+]
+VT = _SOLVABLE_SWEEP[-1].values[0]
+
+
+@pytest.mark.parametrize("n", [64, 256, 512])
+@pytest.mark.parametrize("h, rest", _SOLVABLE_SWEEP)
+def test_closed_form_cycle_mean_matches_karp(h, rest, n):
+    # Karp's formula on the closed-form matrix is the oracle, within the
+    # rounding bound that hamiltonians._hopf_lax_cycle_mean derives
+    a = potential(h, 0, 1, n).entries
+    closed = h.ops.least_cycle_mean(h, n)
+    scale = np.max(np.abs(a)) + abs(rest) + (2 + abs(h.drift)) / h.kinetic_coefficient
+    assert abs(closed - _karp(a)) <= n * n * np.finfo(float).eps * scale
+
+
+def test_closed_form_cycle_mean_on_the_autonomous_config():
+    # a cycle of 77-cell steps misses the drift 0.3 by 0.2 cells
+    h = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.3)
+    assert abs(h.ops.least_cycle_mean(h, N) - (0.2 / N) ** 2 / 2) <= 1e-20
+    assert -mane_critical_value(h, N) == h.ops.least_cycle_mean(h, N)
+
+
+@pytest.mark.parametrize("h", [FREE, SHIFT, shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3), VT])
+def test_mane_of_a_solvable_family_builds_no_potential(h):
+    clear_potential_cache()
+    mane_critical_value(h, N)
+    assert (lax_oleinik._POTENTIAL_CACHE.misses, lax_oleinik._POTENTIAL_CACHE.hits) == (0, 0)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("h", [shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3), VT], ids=["shift", "vt"])
+def test_barrier_of_a_solvable_family_at_the_closed_form(h, t, monkeypatch):
+    # the closed-form lambda passes _star_barrier's least-diagonal check, also
+    # at t = 0.3, where the time-dependent terms at t + 1 and t round
+    # differently: u(t + 1, x) - u(t, x) for the shifted quadratic, W(t + 1) - W(t)
+    # for the V(t), whose integral of V over [t, t + 1] is c + W(t + 1) - W(t)
+    if t:
+        grid = np.arange(64) / 64
+        u = h.shift_profile if h.family is Family.SHIFTED_QUADRATIC else h.ops._time_primitive(h)[1]
+        assert np.any(u.value(t + 1.0, grid) != u.value(t, grid))
+    monkeypatch.setattr(lax_oleinik, "_karp", mock.Mock(side_effect=AssertionError("Karp on a solvable family")))
+    res = peierls_barrier(h, t, 64)
+    assert res.alpha0 == mane_critical_value(h, 64) == -h.ops.least_cycle_mean(h, 64)
+    assert np.all(np.isfinite(res.matrix.entries))
+
+
 @functools.cache
 def _free_barrier_512():
     """The free barrier on the 512-point grid, built once for the tests that
