@@ -9,13 +9,11 @@ A subcommand flag is something a caller varies: the calibration horizon and
 tolerance (experiments.CALIBRATION_HORIZON, CALIBRATION_TOLERANCE) are
 constants.
 
-Potentials are built on the config's grid and alpha0 comes from
-experiments.resolve_alpha0, except in `mane` and `barrier`, which ignore a
-pinned alpha0: `mane` computes the critical value (minus the minimum cycle
-mean of the one-period potential, lax_oleinik._least_cycle_mean), and
-`barrier` normalizes by its own one-period potential's, the only constant
-its Kleene star is finite at. `barrier` exits
-0 or >= 10, never 2.
+Potentials are built on the config's grid, and every subcommand that needs
+alpha0 uses the critical value there (minus the minimum cycle mean of the
+one-period potential, lax_oleinik.mane_critical_value): `mane` reports it,
+and `barrier` normalizes by it, the only constant its Kleene star is finite
+at. `barrier` exits 0 or >= 10, never 2.
 """
 
 from __future__ import annotations
@@ -97,9 +95,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--t0", type=_finite, default=0.0)
     sp.add_argument("--t1", type=_finite, default=1.0)
 
-    sub.add_parser("mane", help="critical value (a pinned alpha0 is not used)")
+    sub.add_parser("mane", help="critical value")
 
-    sub.add_parser("barrier", help="Peierls barrier matrix (a pinned alpha0 is not used)")
+    sub.add_parser("barrier", help="Peierls barrier matrix")
 
     sp = sub.add_parser("spectral", help="invariants of a sampled CSV instance")
     sp.add_argument("--fqi", type=str, required=True, help="CSV path (sidecar .meta.json)")

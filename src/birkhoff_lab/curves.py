@@ -34,6 +34,7 @@ from .hamiltonians import TonelliHamiltonian, wrap_unit
 from .textio import write_csv
 
 MIN_NODES = 16
+SPACING = 2e-3  # phase-space resampling gap of every evolved curve
 NODE_CAP = 2**16  # a curve stretched past this is reported as a blow-up, not refined
 PAIR_BLOCK = 2**14  # candidate point-box pairs taken at once
 FAN = 4  # runs of segments, or segments, under each box of the hierarchy
@@ -236,19 +237,18 @@ def evolve(
     s: float,
     t: float,
     settings: FlowSettings = FlowSettings(),
-    spacing: float = 0.02,
 ) -> LagrangianCurve:
     """Flow the curve from time s to t, transporting the primitive.
 
     Each node follows the Hamiltonian flow and its primitive value advances by
     the action integral along its own trajectory. Adjacent nodes whose
-    phase-space gap exceeds `spacing` trigger midpoint insertion: the midpoint
+    phase-space gap exceeds SPACING trigger midpoint insertion: the midpoint
     is taken on the *initial* curve (parameter bisection) and re-flowed, which
     keeps inserted nodes on the evolved invariant curve under stretching.
     Then one scan in node order coarsens: it drops node i >= 1 when its gap to
     the last node kept before it and its gap to node i + 1 (node 0 one turn
-    up, after the last node) are under spacing/3, the gap from that kept node
-    to node i + 1 is at most `spacing`, and more than MIN_NODES nodes remain.
+    up, after the last node) are under SPACING/3, the gap from that kept node
+    to node i + 1 is at most SPACING, and more than MIN_NODES nodes remain.
     Resampling past NODE_CAP nodes raises ResamplingBudgetExceeded, a loop
     integral off zero ExactnessLost.
     """
@@ -259,7 +259,7 @@ def evolve(
     for _round in range(64):
         lift_c, p_c = np.append(lift_t, lift_t[0] + 1), np.append(p_t, p_t[0])
         gaps = np.hypot(np.diff(lift_c), np.diff(p_c))
-        need = np.nonzero(gaps > spacing)[0]
+        need = np.nonzero(gaps > SPACING)[0]
         if len(need) == 0:
             break
         if len(thetas) + len(need) > NODE_CAP:
@@ -274,7 +274,7 @@ def evolve(
     else:
         raise ResamplingBudgetExceeded("refinement did not settle in 64 rounds")
 
-    drop = _coarsened(lift_c, p_c, gaps, spacing)
+    drop = _coarsened(lift_c, p_c, gaps, SPACING)
     lift_t, p_t, h_t = (np.delete(x, drop) for x in (lift_t, p_t, h_t))
 
     out = LagrangianCurve(lift_t - np.floor(lift_t[0]), p_t, h_t)

@@ -126,7 +126,8 @@ def test_criterion_2_flow_fidelity():
         assert abs(a.p - b.p) <= 1e-8
 
 
-def test_criterion_3_liouville_exactness():
+def test_criterion_3_liouville_exactness(monkeypatch):
+    monkeypatch.setattr(bl.curves, "SPACING", 4e-4)
     with Budget("3. Liouville exactness", 30):
         rng = np.random.default_rng(103)
         settings = FlowSettings()
@@ -137,7 +138,7 @@ def test_criterion_3_liouville_exactness():
             u = grid_from_trig(TrigPolynomial.from_coeffs(terms), 4096)
             h = SQ_TIME if trial % 2 else FREE
             span = 0.25
-            c = bl.evolve(h, from_potential(u), 0.0, span, settings, spacing=4e-4)
+            c = bl.evolve(h, from_potential(u), 0.0, span, settings)
             bound = 1e-6 * (1 + np.max(np.abs(c.p))) * np.max(np.diff(c.closed_lift()))
             assert np.max(np.abs(exactness_defects(c))) <= bound
 

@@ -26,7 +26,7 @@ def small_curves(monkeypatch):
     """Half the default curve nodes at twice the default resampling gap, and a
     detected subsequence of 2 iterates."""
     monkeypatch.setattr(experiments, "INITIAL_NODES", 512)
-    monkeypatch.setattr(experiments, "SPACING", 4e-3)
+    monkeypatch.setattr(curves, "SPACING", 4e-3)
     monkeypatch.setattr(experiments, "DETECTOR_WINDOW", 2)
 
 
@@ -108,8 +108,8 @@ def test_default_mane_is_the_grid_critical_value(tmp_path):
 
 
 def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
-    # a user who pins the alpha0 that mane printed runs what an unpinned
-    # config runs
+    # barrier normalizes by the alpha0 mane reports, the critical value
+    # every pipeline uses
     out = tmp_path / "out"
     assert run(["--config", small_config, "--out", out, "--quiet", "mane"]) == 0
     assert run(["--config", small_config, "--out", out, "--quiet", "barrier"]) == 0
@@ -305,16 +305,26 @@ def test_resolution_not_a_power_of_two_is_a_config_error(tmp_path, capsys, monke
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["quad_nodes = 32", "max_span = 0.0625"], ids=["quad_nodes", "max_span"])
-def test_removed_experiment_key_is_a_config_error(tmp_path, capsys, monkeypatch, key):
-    # the single-step span and node count are lax_oleinik constants, not
-    # settings; a config that still sets one is refused before any potential
+@pytest.mark.parametrize("section, key", [
+    ("experiment", "quad_nodes = 32"),
+    ("experiment", "max_span = 0.0625"),
+    ("experiment", "alpha0 = 0.25"),
+    ("experiment", "limit_potential_coeffs = 0 1 0.0 0.05"),
+    ("flow", "macro_step = 1e-2"),
+    ("flow", "substeps_per_macro = 4"),
+], ids=["quad_nodes", "max_span", "alpha0", "limit_potential_coeffs", "macro_step", "substeps_per_macro"])
+def test_removed_experiment_key_is_a_config_error(tmp_path, capsys, monkeypatch, section, key):
+    # the single-step span and node count are lax_oleinik constants, alpha0
+    # is always the critical value, iterates are scored against the initial
+    # graph, and the macro step and its substeps are FlowSettings constants:
+    # a config that still sets one, even to its old default, is refused
+    # before any potential
     monkeypatch.setattr(lax_oleinik._POTENTIAL_CACHE, "put", lambda *args: pytest.fail("potential built"))
     cfg = tmp_path / "removed.ini"
-    cfg.write_text(f"[experiment]\n{key}\n", encoding="utf-8")
+    cfg.write_text(f"[{section}]\n{key}\n", encoding="utf-8")
     out = tmp_path / "out"
     assert run(["--config", cfg, "--out", out, "--resolution", "16", "mane"]) == cli.EXIT_ERROR + 1
-    assert f"unknown keys in config section [experiment]: ['{key.split()[0]}']" in capsys.readouterr().err
+    assert f"unknown keys in config section [{section}]: ['{key.split()[0]}']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -379,12 +389,11 @@ def test_byte_identical_reruns(tmp_path, small_config):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
-    cfg = tmp_path / "pinned.ini"
+def test_cli_honours_config_resolution_in_potential_barrier_and_mane(tmp_path):
+    cfg = tmp_path / "coarse.ini"
     cfg.write_text(
         "[experiment]\n"
-        "resolution = 32\n"
-        "alpha0 = 0.25\n",
+        "resolution = 32\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"
@@ -400,29 +409,7 @@ def test_cli_honours_config_potential_settings_and_pinned_alpha0(tmp_path):
     assert run(["--config", cfg, "--out", out, "--quiet", "mane"]) == 0
     alpha0 = json.loads((out / "barrier.json").read_text())["alpha0"]
     assert alpha0 == json.loads((out / "mane.json").read_text())["alpha0"]
-    assert alpha0 != 0.25
-
-
-def test_birkhoff_scores_iterates_against_the_configured_limit(tmp_path):
-    # the default initial potential is 0.05 sin(2 pi q); a limit that equals it
-    # is the blank key's default, and one 0.01 higher moves every graph by
-    # 2 pi 0.01 in p and its primitive by 0.01 sin, of oscillation 0.02
-    def birkhoff(limit):
-        cfg = tmp_path / f"{limit or 'blank'}.ini"
-        cfg.write_text(f"[experiment]\nn_max = 2\nm_max = 2\nlimit_potential_coeffs = {limit}\n", encoding="utf-8")
-        out = tmp_path / cfg.stem
-        run(["--config", cfg, "--out", out, "--quiet", "birkhoff"])
-        return out
-
-    blank, same, higher = birkhoff(""), birkhoff("0 1 0.0 0.05"), birkhoff("0 1 0.0 0.06")
-    assert (same / "diagnostics.csv").read_bytes() == (blank / "diagnostics.csv").read_bytes()
-    rows = [row.split(",") for row in (higher / "diagnostics.csv").read_text().splitlines()[1:]]
-    assert [int(row[0]) for row in rows] == [-2, -1, 1, 2]
-    assert all(float(row[1]) == pytest.approx(2 * np.pi * 0.01, abs=1e-5) for row in rows)
-    assert all(float(row[2]) == pytest.approx(0.02, abs=1e-6) for row in rows)
-    report = json.loads((higher / "report.json").read_text())
-    assert all(not d["fired"] and d["hits"] == [] for d in report["detectors"].values())
-    assert report["config"]["limit_potential_coeffs"] == [[0, 1, 0.0, 0.06]]
+    assert alpha0 == lax_oleinik.mane_critical_value(load_config(cfg).hamiltonian, 32)
 
 
 def test_spectral_runs_each_global_percolation_once(tmp_path, monkeypatch):

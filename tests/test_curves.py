@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from birkhoff_lab import curves
 from birkhoff_lab.curves import (
     MIN_NODES,
     LagrangianCurve,
@@ -73,10 +74,11 @@ def test_oscillation():
         oscillation([])
 
 
-def test_evolve_matches_characteristics():
+def test_evolve_matches_characteristics(monkeypatch):
+    monkeypatch.setattr(curves, "SPACING", 1e-3)
     a = 0.1
     c0 = from_potential(sine_potential(a, 2048))
-    c1 = evolve(FREE, c0, 0, 0.2, FlowSettings(), spacing=1e-3)
+    c1 = evolve(FREE, c0, 0, 0.2, FlowSettings())
     qs = np.arange(8192) / 8192
     du = 2 * np.pi * a * np.cos(2 * np.pi * qs)
     char = LagrangianCurve(qs + 0.2 * du, du, np.zeros(8192))
@@ -106,7 +108,7 @@ def test_graph_selector_is_the_hopf_lax_value_through_folds(n):
     x = np.arange(n) / n
     cur = from_potential(sine_potential(SHOCK_AMP))
     for k in (1, 2, 3):
-        cur = evolve(FREE, cur, k - 1.0, float(k), FlowSettings(), spacing=2e-3)
+        cur = evolve(FREE, cur, k - 1.0, float(k), FlowSettings())
         assert not graph_check(cur).is_graph
         assert np.max(np.abs(graph_selector(cur, n).values - _hopf_lax(x, k))) <= 1e-8
 
@@ -127,7 +129,7 @@ def test_graph_selector_takes_the_least_sheet():
     # the time-1 free flow of the shock profile has three sheets over an
     # arc, and the greatest is minus the selector of the curve with p and h
     # negated
-    c = evolve(FREE, from_potential(sine_potential(SHOCK_AMP)), 0.0, 1.0, FlowSettings(), spacing=2e-3)
+    c = evolve(FREE, from_potential(sine_potential(SHOCK_AMP)), 0.0, 1.0, FlowSettings())
     neg = LagrangianCurve(c.q_lift, -c.p, -c.primitive)
     least, greatest = graph_selector(c, 256).values, -graph_selector(neg, 256).values
     assert np.all(least <= greatest)
@@ -151,7 +153,7 @@ def test_shifted_period_invariance():
     h = shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3)
     u = grid_from_trig(h.shift_profile, 1024)
     c0 = from_potential(u)
-    c1 = evolve(h, c0, 0, 1, FlowSettings(), spacing=2e-3)
+    c1 = evolve(h, c0, 0, 1, FlowSettings())
     assert hausdorff_distance(c1, c0) <= 1e-6
 
 
@@ -161,29 +163,31 @@ def test_evolution_consistency_grid_aligned():
     a = 0.02
     c0 = from_potential(sine_potential(a, 1024))
     st = FlowSettings()
-    direct = evolve(FREE, c0, 0, 0.2, st, spacing=2e-3)
-    half = evolve(FREE, c0, 0, 0.1, st, spacing=2e-3)
-    composed = evolve(FREE, half, 0.1, 0.2, st, spacing=2e-3)
+    direct = evolve(FREE, c0, 0, 0.2, st)
+    half = evolve(FREE, c0, 0, 0.1, st)
+    composed = evolve(FREE, half, 0.1, 0.2, st)
     assert direct.n_nodes == composed.n_nodes
     assert hausdorff_distance(direct, composed) <= 1e-6
     assert np.max(np.abs(direct.primitive - composed.primitive)) <= 1e-6
 
 
-def test_discrete_exactness_after_evolution():
+def test_discrete_exactness_after_evolution(monkeypatch):
+    monkeypatch.setattr(curves, "SPACING", 4e-4)
     rng = np.random.default_rng(5)
     for _ in range(3):
         terms = [(0, k, rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02)) for k in (1, 2)]
         u = grid_from_trig(TrigPolynomial.from_coeffs(terms), 4096)
-        c = evolve(FREE, from_potential(u), 0, 0.25, FlowSettings(), spacing=4e-4)
+        c = evolve(FREE, from_potential(u), 0, 0.25, FlowSettings())
         bound = 1e-6 * (1 + np.max(np.abs(c.p))) * np.max(np.diff(c.closed_lift()))
         assert np.max(np.abs(exactness_defects(c))) <= bound
 
 
 def test_resampling_budget(monkeypatch):
     monkeypatch.setattr("birkhoff_lab.curves.NODE_CAP", 256)
+    monkeypatch.setattr(curves, "SPACING", 1e-3)
     c0 = from_potential(sine_potential(0.2, 64))
     with pytest.raises(ResamplingBudgetExceeded):
-        evolve(FREE, c0, 0, 2.0, FlowSettings(), spacing=1e-3)
+        evolve(FREE, c0, 0, 2.0, FlowSettings())
 
 
 def _coarsen_oracle(lift, p, spacing):
@@ -360,7 +364,9 @@ def _brute_points_to_curve_distance(q, p, b, chunk=512):
 def _folded(t):
     """Free flow of the shock potential to time t: folded for |t| = 1."""
     amp = 1.0 / (2 * np.pi**2)
-    return evolve(FREE, from_potential(sine_potential(amp, 256)), 0, t, spacing=8e-3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curves, "SPACING", 8e-3)
+        return evolve(FREE, from_potential(sine_potential(amp, 256)), 0, t)
 
 
 @st.composite
@@ -529,9 +535,9 @@ def test_hausdorff_metric_properties():
 def test_graph_check_fold_oracle():
     amp = 1.0 / (2 * np.pi**2)
     c0 = from_potential(sine_potential(amp, 2048))
-    quarter = evolve(FREE, c0, 0, 0.25, spacing=2e-3)
+    quarter = evolve(FREE, c0, 0, 0.25)
     assert graph_check(quarter).is_graph
-    one = evolve(FREE, c0, 0, 1.0, spacing=2e-3)
+    one = evolve(FREE, c0, 0, 1.0)
     fr = graph_check(one)
     assert not fr.is_graph
     assert fr.min_projection_jacobian <= 0
