@@ -262,8 +262,8 @@ def _diagnose(n: int, curve: LagrangianCurve, candidate: LagrangianCurve, u_lim:
 
 def run_iteration_experiment(config: ExperimentConfig) -> ReportBundle:
     """Theorem-style pipeline over curve iterates in both time directions."""
-    l0 = from_potential(grid_from_trig(config.initial_potential, INITIAL_NODES))
     u_lim = grid_from_trig(config.initial_potential, INITIAL_NODES)
+    l0 = from_potential(u_lim)
     bundle = _bundle("iteration", "NO_DATA", config)
     bundle.curves[0] = l0
     l0_graph = graph_check(l0).is_graph

@@ -5,14 +5,15 @@ minima, sublevel percolation thresholds, and their duals under sign flip.
 The percolation threshold is computed exactly on the sampled complex: cells
 enter in increasing (value, flat index) order, and the threshold is the value
 of the first cell whose sublevel set joins the two faces of the negative
-quadratic direction (0-dimensional sublevel persistence). Its rank lies
-between the max over slices across that direction of the slice minimum (a
-joining path meets every slice) and the min over lines along it of the line
-maximum (each line is a joining path): the weak duality of bottleneck paths.
-Only inside that bracket is the rank found by bisection, labelling the
-components of the inserted cells at each probe; on smooth instances the
-bracket closes and no probe runs. Adjacency is axis-neighbor only, and the
-base circle (when present) wraps periodically.
+quadratic direction (0-dimensional sublevel persistence). That cell lies
+between two cells found in O(N) passes, with no sort: the greatest over slices
+across that direction of the slice's least cell (a joining path meets every
+slice) and the least over lines along it of the line's greatest cell (each
+line is a joining path), the weak duality of bottleneck paths. On smooth
+instances the two are one cell, which is the threshold. Only when the bracket
+stays open are the cells ranked and the rank found by bisection, labelling
+the components of the inserted cells at each probe. Adjacency is
+axis-neighbor only, and the base circle (when present) wraps periodically.
 """
 
 from __future__ import annotations
@@ -114,22 +115,23 @@ class SampledFqi:
     def fiber_grids(self) -> tuple[np.ndarray, ...]:
         return np.meshgrid(*(self.fiber_axis(i) for i in range(self.fiber_dims)), indexing="ij")
 
-    def quadratic_part(self) -> np.ndarray:
-        q = sum(s * g**2 for s, g in zip(self.signature, self.fiber_grids()))
-        return np.broadcast_to(q, self.values.shape)
-
-    def _shell_mask(self) -> np.ndarray:
-        mask = np.zeros(self.fiber_shape, dtype=bool)
-        for g in self.fiber_grids():
-            mask |= np.abs(g) > SHELL_FRACTION * FIBER_HALFWIDTH
-        return np.broadcast_to(mask, self.values.shape)
+    def _shell_slabs(self):
+        """Yield, per fiber axis, the index of its outer band (|xi| above
+        SHELL_FRACTION of the box, at both ends) into values, and the
+        quadratic part on that band. The bands of two axes share their corner
+        cells; together they cover the outer shell."""
+        off = 1 if self.base_resolution else 0
+        axes = [self.fiber_axis(i) for i in range(self.fiber_dims)]
+        for i, x in enumerate(axes):
+            band = np.flatnonzero(np.abs(x) > SHELL_FRACTION * FIBER_HALFWIDTH)
+            grids = [(x[band] if k == i else g).reshape((-1,) + (1,) * (self.fiber_dims - k - 1))
+                     for k, g in enumerate(axes)]
+            q = sum(s * g**2 for s, g in zip(self.signature, grids))
+            yield (slice(None),) * (off + i) + (band,), q
 
     def shell_error(self) -> float:
-        mask = self._shell_mask()
-        if not mask.any():
-            return 0.0
-        target = self.quadratic_part()
-        return float(np.max(np.abs(self.values[mask] - target[mask])))
+        errors = (float(np.max(np.abs(self.values[index] - q))) for index, q in self._shell_slabs())
+        return max(errors, default=0.0)
 
 
 def sample_fqi(
@@ -156,8 +158,8 @@ def sample_fqi(
         s.values[...] = fn(q, *[g[None] for g in grids])
     else:
         s.values[...] = fn(*grids)
-    mask = s._shell_mask()
-    s.values[mask] = s.quadratic_part()[mask]
+    for index, q in s._shell_slabs():
+        s.values[index] = q
     return replace(s, shell_enforced=True)
 
 
@@ -167,6 +169,21 @@ def negate(s: SampledFqi) -> SampledFqi:
 
 # ---------------------------------------------------------------------------
 # percolation
+
+
+def _bracket_cells(values: np.ndarray, neg_axis: int) -> tuple[int, int]:
+    """Flat indices of the cells lo and hi that bracket the percolation
+    threshold cell in (value, flat index) order; see
+    sublevel_percolation_threshold."""
+    cell = np.arange(values.size).reshape(values.shape)
+    across = tuple(k for k in range(values.ndim) if k != neg_axis)
+    low = values.min(axis=across, keepdims=True)
+    slice_least = np.where(values == low, cell, values.size).min(axis=across)
+    high = values.max(axis=neg_axis, keepdims=True)
+    line_greatest = np.where(values == high, cell, -1).max(axis=neg_axis)
+    lo = slice_least[low.ravel() == low.max()].max()
+    hi = line_greatest[high.squeeze(neg_axis) == high.min()].min()
+    return int(lo), int(hi)
 
 
 def sublevel_percolation_threshold(
@@ -179,20 +196,23 @@ def sublevel_percolation_threshold(
     Cells enter in increasing (value, flat index) order. The threshold cell is
     the first whose insertion joins the two boundary faces of neg_axis through
     axis-neighbor cells already inserted, the periodic axes wrapping (neg_axis
-    itself may not wrap). Joining only switches on as cells are added, so the
-    rank of that cell is found by bisection: each probe labels the components
-    of the inserted cells and merges labels across the periodic seams.
+    itself may not wrap).
 
-    The bisection runs only over the bracket [lo, hi] of the threshold rank,
-    lo the max over slices across neg_axis of the least rank in the slice, hi
-    the min over lines along neg_axis of the greatest rank on the line:
-    - lo: a joining path moves at most one slice at a time along neg_axis,
-      which does not wrap, so it meets every slice, and its greatest rank is
-      at least the least rank of each slice;
-    - hi: every line along neg_axis joins the two faces, so they have joined
-      once the line of least greatest rank is in.
-    The probes are monotone in the rank, so the result is that of a bisection
-    over all ranks; when lo == hi no probe runs and scipy is not imported.
+    The threshold cell lies in the bracket [lo, hi] of two cells, both found in
+    O(N) passes of min, max and an equality mask on the flat indices:
+    - lo, the greatest over slices across neg_axis of each slice's least cell:
+      a joining path moves at most one slice at a time along neg_axis, which
+      does not wrap, so it meets every slice, and its greatest cell is at
+      least the least cell of each slice;
+    - hi, the least over lines along neg_axis of each line's greatest cell:
+      every line along neg_axis joins the two faces, so they have joined once
+      the line of least greatest cell is in.
+    When lo == hi that cell is the threshold, and no sort runs and scipy is
+    not imported. Otherwise the cells are ranked in (value, flat index) order
+    and the threshold rank is found by bisection between the ranks of lo and
+    hi: joining only switches on as cells are added, and each probe labels
+    the components of the inserted cells and merges labels across the
+    periodic seams.
     Returns (threshold value, witness multi-index of the joining cell).
     Raises ValueError unless periodic_axes has one entry per axis with
     neg_axis not periodic.
@@ -201,12 +221,20 @@ def sublevel_percolation_threshold(
         raise ValueError(f"periodic_axes has {len(periodic_axes)} entries for {values.ndim} axes")
     if periodic_axes[neg_axis]:
         raise ValueError("the negative axis cannot wrap: a path could skip its slices")
-    shape = values.shape
+    lo, hi = _bracket_cells(values, neg_axis)
+    if lo != hi:
+        lo = _bisect_open_bracket(values, neg_axis, periodic_axes, lo, hi)
+    return float(values.flat[lo]), tuple(int(i) for i in np.unravel_index(lo, values.shape))
+
+
+def _bisect_open_bracket(values, neg_axis, periodic_axes, lo: int, hi: int) -> int:
+    """Flat index of the threshold cell, by bisection over the ranks between
+    those of the bracket cells lo and hi."""
     flat = values.ravel()
     order = np.lexsort((np.arange(flat.size), flat))
     rank = np.empty(flat.size, dtype=np.intp)
     rank[order] = np.arange(flat.size)
-    rank = rank.reshape(shape)
+    rank = rank.reshape(values.shape)
     periodic = [k for k, per in enumerate(periodic_axes) if per]
 
     def joined(r: int) -> bool:
@@ -226,16 +254,14 @@ def sublevel_percolation_threshold(
         first, last = (labels.take(i, axis=neg_axis) for i in (0, -1))
         return np.intersect1d(comp[first[first > 0]], comp[last[last > 0]]).size > 0
 
-    across = tuple(k for k in range(values.ndim) if k != neg_axis)
-    lo, hi = int(rank.min(axis=across).max()), int(rank.max(axis=neg_axis).min())
+    lo, hi = int(rank.flat[lo]), int(rank.flat[hi])
     while lo < hi:
         mid = (lo + hi) // 2
         if joined(mid):
             hi = mid
         else:
             lo = mid + 1
-    c = int(order[lo])
-    return float(flat[c]), tuple(int(i) for i in np.unravel_index(c, shape))
+    return int(order[lo])
 
 
 def _complex_axes(s: SampledFqi) -> tuple[bool, ...]:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from birkhoff_lab.errors import UnsupportedIndex
 from birkhoff_lab.spectral import (
+    FIBER_HALFWIDTH,
+    SHELL_FRACTION,
     Certificate,
     SampledFqi,
     fiber_selector,
@@ -14,6 +16,7 @@ from birkhoff_lab.spectral import (
     fqi_to_csv,
     global_invariants,
     negate,
+    _bracket_cells,
     sample_fqi,
     selector_difference_bounds,
     selector_function,
@@ -210,6 +213,46 @@ def test_shell_enforced_by_construction():
         )
 
 
+def _full_mask_shell(s):
+    """The shell as a full-grid mask with the quadratic part on every cell:
+    the reference for SampledFqi._shell_slabs."""
+    grids = s.fiber_grids()
+    mask = np.zeros(s.fiber_shape, dtype=bool)
+    for g in grids:
+        mask |= np.abs(g) > SHELL_FRACTION * FIBER_HALFWIDTH
+    q = sum(sig * g**2 for sig, g in zip(s.signature, grids))
+    return np.broadcast_to(mask, s.values.shape), np.broadcast_to(q, s.values.shape)
+
+
+_SHELL_CASES = [((1,), 9), ((-1,), 9), ((1, -1), 17), ((-1, -1), 9), ((1, 1, -1), 9), ((-1, 1, 1), 5)]
+
+
+@pytest.mark.parametrize("base", [None, 8])
+@pytest.mark.parametrize("signature, m", _SHELL_CASES)
+def test_shell_slabs_match_the_full_mask(signature, m, base):
+    shape = ((base,) if base else ()) + (m,) * len(signature)
+    raw = SampledFqi(np.random.default_rng(m).uniform(-1, 1, shape), signature, base, shell_enforced=False)
+    mask, quad = _full_mask_shell(raw)
+    assert raw.shell_error() == float(np.max(np.abs(raw.values[mask] - quad[mask])))
+    s = sample_fqi(lambda *args: raw.values, signature, base_resolution=base, fiber_resolution=m)
+    assert s.values.tobytes() == np.where(mask, quad, raw.values).tobytes()
+
+
+@pytest.mark.parametrize("base", [None, 4])
+@pytest.mark.parametrize("where, cell", [
+    ("corner", (0, 8, 0)), ("edge", (8, 0, 4)), ("face", (4, 4, 8)), ("interior", (3, 5, 4)),
+])
+def test_one_shell_cell_moved_is_refused(where, cell, base):
+    s = sample_fqi(lambda *a: np.cos(a[-1]) + 0.5, (1, 1, -1), base_resolution=base, fiber_resolution=9)
+    values = s.values.copy()
+    values[(1,) * bool(base) + cell] += 1e-6
+    if where == "interior":  # |xi| <= 3 on every axis: inside the shell
+        SampledFqi(values, s.signature, base, shell_enforced=True)
+        return
+    with pytest.raises(ValueError, match="outer shell deviates"):
+        SampledFqi(values, s.signature, base, shell_enforced=True)
+
+
 def test_percolation_base_connectivity():
     # ends connect through the cheapest base point: threshold = min f
     f = trig([(0.3, 0.2)])
@@ -328,6 +371,7 @@ def test_percolation_matches_union_find_oracle(case):
     assert sublevel_percolation_threshold(values, neg_axis, periodic) == _union_find_percolation(
         values, neg_axis, periodic
     )
+    assert _bracket_cells(values, neg_axis) == _rank_bracket(values, neg_axis)[1]
 
 
 @st.composite
@@ -354,6 +398,7 @@ def test_percolation_on_saddles_matches_union_find_oracle(case):
     assert sublevel_percolation_threshold(values, neg_axis, periodic) == _union_find_percolation(
         values, neg_axis, periodic
     )
+    assert _bracket_cells(values, neg_axis) == _rank_bracket(values, neg_axis)[1]
 
 
 def test_percolation_refuses_axes_that_break_the_bracket():
@@ -364,20 +409,28 @@ def test_percolation_refuses_axes_that_break_the_bracket():
 
 
 def _rank_bracket(values, neg_axis):
+    """The bracket's (lo, hi) ranks and the cells at them, from a full lexsort:
+    the reference for _bracket_cells."""
     flat = values.ravel()
+    order = np.lexsort((np.arange(flat.size), flat))
     rank = np.empty(flat.size, dtype=np.intp)
-    rank[np.lexsort((np.arange(flat.size), flat))] = np.arange(flat.size)
+    rank[order] = np.arange(flat.size)
     slices = [np.take(rank.reshape(values.shape), i, axis=neg_axis).min() for i in range(values.shape[neg_axis])]
     lines = np.moveaxis(rank.reshape(values.shape), neg_axis, -1).reshape(-1, values.shape[neg_axis])
-    return max(slices), min(line.max() for line in lines)
+    lo, hi = max(slices), min(line.max() for line in lines)
+    return (lo, hi), (int(order[lo]), int(order[hi]))
 
 
 def test_percolation_probe_count(monkeypatch):
     import scipy.ndimage
 
-    calls = []
-    label = scipy.ndimage.label
-    monkeypatch.setattr(scipy.ndimage, "label", lambda mask: calls.append(1) or label(mask))
+    noise = np.random.default_rng(3).uniform(-1, 1, (65, 65))
+    (lo, hi), _ = _rank_bracket(noise, 1)
+    expected = _union_find_percolation(noise, 1, (False, False))
+    probes, sorts = [], []
+    label, lexsort = scipy.ndimage.label, np.lexsort
+    monkeypatch.setattr(scipy.ndimage, "label", lambda mask: probes.append(1) or label(mask))
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
     saddle = lambda x, y: x**2 - y**2 + np.exp(-(x**2 + y**2))
     global_invariants(sample_fqi(saddle, (1, -1), fiber_resolution=513))
     f, g = trig([(0.3, -0.1), (0.1, 0.2)]), trig([(-0.2, 0.25), (0.0, -0.1)])
@@ -386,14 +439,11 @@ def test_percolation_probe_count(monkeypatch):
     total = fibred_sum_fqi(s1, s2, negate_second=True)
     assert total.values.shape == (32, 33, 33)
     selector_function(total)
-    assert calls == []  # both brackets closed on every call: no probe ran
+    assert probes == [] and sorts == []  # both brackets closed on every call: no sort, no probe
 
-    noise = np.random.default_rng(3).uniform(-1, 1, (65, 65))
-    lo, hi = _rank_bracket(noise, 1)
-    assert sublevel_percolation_threshold(noise, 1, (False, False)) == _union_find_percolation(
-        noise, 1, (False, False)
-    )
-    assert 1 <= len(calls) <= np.ceil(np.log2(hi - lo + 1))
+    assert sublevel_percolation_threshold(noise, 1, (False, False)) == expected
+    assert sorts == [1]
+    assert 1 <= len(probes) <= np.ceil(np.log2(hi - lo + 1))
 
 
 def test_fqi_csv_roundtrip(tmp_path):
