@@ -6,8 +6,9 @@ maximum, the refined fixed-point residual at two resolutions, and a few
 forward calibrated shots seeded on the kink-free arc of the positive weak
 solution. Exits 0 (PASS) when the critical value is within 5e-3 of the
 pendulum's max V = 1, the residual falls below 0.75 of itself from 256 to 512
-points, and the domination minimum defect is at least -5e-3 (`calibrate`'s
-default tolerance); otherwise it names each check that failed and exits 1.
+points, and the domination minimum defect is at least minus `calibrate`'s
+tolerance (experiments.CALIBRATION_TOLERANCE); otherwise it names each check
+that failed and exits 1.
 """
 
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 from birkhoff_lab.calibration import calibrated_curve, domination_check, spacetime_from_grid
 from birkhoff_lab.errors import KinkAtSeed
+from birkhoff_lab.experiments import CALIBRATION_TOLERANCE
 from birkhoff_lab.hamiltonians import pendulum
 from birkhoff_lab.lax_oleinik import mane_critical_value, peierls_barrier, positive_weak_kam
 from birkhoff_lab.reports import grid_to_csv, potential_to_csv
@@ -61,7 +63,7 @@ def main() -> int:
     failed = [name for name, ok in (
         ("critical value within 5e-3 of max V = 1", abs(alpha0 - 1.0) <= 5e-3),
         ("residual ratio 256 -> 512 below 0.75", ratio < 0.75),
-        ("domination min defect at least -5e-3", dom.min_defect >= -5e-3),
+        (f"domination min defect at least {-CALIBRATION_TOLERANCE!r}", dom.min_defect >= -CALIBRATION_TOLERANCE),
     ) if not ok]
     for name in failed:
         print(f"FAILED: {name}")

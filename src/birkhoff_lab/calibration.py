@@ -27,6 +27,7 @@ LAX_KNOT_STEP = 1.0 / 16.0
 TEST_LOOP_DEGREE = 4
 TEST_LOOP_AMPLITUDE = 0.5
 TEST_LOOP_INTERVALS = 64
+TEST_LOOP_BLOCK = 4096  # test loops evaluated at a time, so memory does not grow with the count
 
 
 def grid_kink_mask(values: np.ndarray) -> np.ndarray:
@@ -168,7 +169,8 @@ def domination_check(
     Test curves are random trig polynomials in time of degree TEST_LOOP_DEGREE
     and amplitude at most TEST_LOOP_AMPLITUDE spanning the whole knot window;
     their action uses composite Simpson on TEST_LOOP_INTERVALS intervals of an
-    analytic sampling.
+    analytic sampling. The loops are drawn at once, in one order of the
+    seeded generator, and evaluated TEST_LOOP_BLOCK at a time.
     """
     degree = TEST_LOOP_DEGREE
     t0, t1 = float(u.times[0]), float(u.times[-1])
@@ -186,23 +188,20 @@ def domination_check(
     d = np.arange(1, degree + 1)
     # half-period harmonics keep the endpoints moving (loops dominate trivially)
     ang = np.pi * d[None, :, None] * sigma[None, None, :]
-    gamma = q0[:, None] + np.sum(
-        coef[:, :, 0:1] * np.cos(ang) + coef[:, :, 1:2] * np.sin(ang), axis=1
-    )
-    dgamma = np.sum(
-        (np.pi / span)
-        * d[None, :, None]
-        * (-coef[:, :, 0:1] * np.sin(ang) + coef[:, :, 1:2] * np.cos(ang)),
-        axis=1,
-    )
-
+    cos, sin = np.cos(ang), np.sin(ang)
     w = simpson_pattern(m) * (span / (3.0 * m))
-    lag = np.empty_like(gamma)
-    for j, tau in enumerate(taus):
-        lag[:, j] = lagrangian_batch(h, float(tau), gamma[:, j], dgamma[:, j])
-    actions = lag @ w + u.alpha0 * span
-    u_start, u_end = u.jet(np.array([[t0], [t1]]), gamma[:, [0, -1]].T)[0]
-    defects = actions - (u_end - u_start)
+    defects = np.empty(count)
+    for lo in range(0, count, TEST_LOOP_BLOCK):
+        block = slice(lo, lo + TEST_LOOP_BLOCK)
+        c = coef[block]
+        gamma = q0[block, None] + np.sum(c[:, :, 0:1] * cos + c[:, :, 1:2] * sin, axis=1)
+        dgamma = np.sum((np.pi / span) * d[None, :, None] * (-c[:, :, 0:1] * sin + c[:, :, 1:2] * cos), axis=1)
+        lag = np.empty_like(gamma)
+        for j, tau in enumerate(taus):
+            lag[:, j] = lagrangian_batch(h, float(tau), gamma[:, j], dgamma[:, j])
+        actions = lag @ w + u.alpha0 * span
+        u_start, u_end = u.jet(np.array([[t0], [t1]]), gamma[:, [0, -1]].T)[0]
+        defects[block] = actions - (u_end - u_start)
     k = int(np.argmin(defects))
     return DominationReport(float(defects[k]), k, count)
 

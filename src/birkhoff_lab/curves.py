@@ -512,8 +512,8 @@ def curve_to_csv(curve: LagrangianCurve, path) -> None:
 def curve_from_csv(path) -> LagrangianCurve:
     """Read a curve written by curve_to_csv: rows in index order.
 
-    Raises ValueError on another header, a blank or malformed cell, or an
-    index column that does not read 0, 1, ..., n - 1.
+    Raises ValueError on another header, a blank, malformed or non-finite
+    cell, or an index column that does not read 0, 1, ..., n - 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -528,6 +528,11 @@ def curve_from_csv(path) -> LagrangianCurve:
             f"{path}: row {k} holds index {rows['index'][k]}; the rows must list indices "
             f"0 to {len(rows) - 1} in order, none missing or repeated"
         )
+    finite = np.isfinite(rows["q"]) & np.isfinite(rows["p"]) & np.isfinite(rows["h"])
+    if not finite.all():
+        with open(path, "r", encoding="utf-8") as fh:  # loadtxt skips blank and comment lines
+            lines = [n for n, line in enumerate(fh, 1) if n > 1 and line.split("#", 1)[0].strip()]
+        raise ValueError(f"{path}: line {lines[int(np.argmin(finite))]} holds a cell that is not a finite float")
     return LagrangianCurve(_lift_from_wrapped(rows["q"]), rows["p"].copy(), rows["h"].copy())
 
 

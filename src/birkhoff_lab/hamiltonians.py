@@ -260,7 +260,7 @@ def _hopf_lax_cycle_mean(n, kinetic, drift, rest):
     on A rounds each D_k once per product; rounding is monotone, so the
     least rounded sum is the rounded least sum, D_k errs by at most
     k (k + 1) eps max|A| / 4, and its cycle mean by (n + 3)^2 eps max|A| / 2.
-    The two agree within n^2 eps S for n >= 16.
+    The two agree within ((n + 3)^2 / 2 + 3) eps S.
     """
     d = _shear_offsets(n, 0.0, drift)
     return float(np.min(d * d)) / (2.0 * kinetic) - rest

@@ -299,14 +299,17 @@ def _star_barrier(a: np.ndarray, lam: float) -> np.ndarray:
 
     Floyd-Warshall forms A+ in place, n passes of n^2. An entry of A+ is a
     float sum of at most n terms of size at most M = max|a - lam|, which errs
-    by less than (n - 1) (eps / 2) n M; the slack n^2 eps M covers that twice,
-    leaving as much for the rounding of lam itself. The critical c, on a cycle
-    of mean lam, have A+[c, c] within the slack of 0; a diagonal below it is a
-    cycle of smaller mean, and none near 0 means lam is below every mean.
+    by less than (n - 1) (eps / 2) n M; n^2 eps M covers that twice. The
+    entries of a and lam round on their own scale, max|a| + |lam|, which a
+    constant offset of H inflates while M stays: a cycle of at most n steps
+    gathers n eps (max|a| + |lam|) of that, the rest of the slack. The
+    critical c, on a cycle of mean lam, have A+[c, c] within the slack of 0;
+    a diagonal below it is a cycle of smaller mean, and none near 0 means lam
+    is below every mean.
     """
     n = len(a)
     star = a - lam
-    slack = n * n * _EPS * float(np.max(np.abs(star)))
+    slack = n * _EPS * (n * float(np.max(np.abs(star))) + float(np.max(np.abs(a))) + abs(lam))
     for k in range(n):
         np.minimum(star, star[:, k, None] + star[k], out=star)
     diag = np.diag(star)

@@ -264,34 +264,42 @@ def _bisect_open_bracket(values, neg_axis, periodic_axes, lo: int, hi: int) -> i
     return int(order[lo])
 
 
-def _complex_axes(s: SampledFqi) -> tuple[bool, ...]:
-    per = (True,) if s.base_resolution else ()
-    return per + (False,) * s.fiber_dims
+def _spectral_class(values: np.ndarray, signature: tuple[int, ...], top: bool) -> SpectralValue:
+    """The one rule for the unit (top False) or top class of the samples
+    values, whose last len(signature) axes are the fiber and any axis before
+    them the base circle.
+
+    The unit class needs index 0, the global min, or 1, the percolation
+    threshold along the one negative axis, the base wrapping. The top class
+    is -unit(-S): the same rule on the negated values and signature.
+    """
+    k = len(signature)
+    if top:
+        values, signature = -values, tuple(-x for x in signature)
+    m = signature.count(-1)
+    if m > 1:
+        raise UnsupportedIndex(f"top invariant needs index {k - 1} or {k}" if top
+                               else f"unit invariant needs index 0 or 1, got {m}")
+    if m:
+        off = values.ndim - k
+        periodic = (True,) * off + (False,) * k
+        val, witness = sublevel_percolation_threshold(values, off + signature.index(-1), periodic)
+        cert = Certificate.PERCOLATION_THRESHOLD
+    else:
+        flat = int(np.argmin(values))
+        witness = tuple(int(i) for i in np.unravel_index(flat, values.shape))
+        val, cert = float(values.min()), Certificate.GLOBAL_MAX if top else Certificate.GLOBAL_MIN
+    return SpectralValue(-val if top else val, cert, witness)
 
 
 def spectral_unit(s: SampledFqi) -> SpectralValue:
     """Invariant of the unit class: global min (index 0) or percolation (index 1)."""
-    m = s.index
-    if m == 0:
-        flat = int(np.argmin(s.values))
-        witness = tuple(int(i) for i in np.unravel_index(flat, s.values.shape))
-        return SpectralValue(float(s.values.min()), Certificate.GLOBAL_MIN, witness)
-    if m == 1:
-        off = 1 if s.base_resolution else 0
-        neg_axis = off + s.signature.index(-1)
-        val, witness = sublevel_percolation_threshold(s.values, neg_axis, _complex_axes(s))
-        return SpectralValue(val, Certificate.PERCOLATION_THRESHOLD, witness)
-    raise UnsupportedIndex(f"unit invariant needs index 0 or 1, got {m}")
+    return _spectral_class(s.values, s.signature, top=False)
 
 
 def spectral_top(s: SampledFqi) -> SpectralValue:
     """Invariant of the top class, defined through duality as -unit(-S)."""
-    neg = negate(s)
-    if neg.index > 1:
-        raise UnsupportedIndex(f"top invariant needs index {s.fiber_dims - 1} or {s.fiber_dims}")
-    r = spectral_unit(neg)
-    cert = Certificate.GLOBAL_MAX if r.certificate is Certificate.GLOBAL_MIN else Certificate.PERCOLATION_THRESHOLD
-    return SpectralValue(-r.value, cert, r.witness)
+    return _spectral_class(s.values, s.signature, top=True)
 
 
 def global_invariants(s: SampledFqi) -> tuple[SpectralValue | None, SpectralValue | None]:
@@ -302,15 +310,6 @@ def global_invariants(s: SampledFqi) -> tuple[SpectralValue | None, SpectralValu
     return unit, top
 
 
-def _restrict_to_fiber(s: SampledFqi, q_index: int) -> SampledFqi:
-    return SampledFqi(
-        values=s.values[q_index].copy(),
-        signature=s.signature,
-        base_resolution=None,
-        shell_enforced=False,
-    )
-
-
 def fiber_selector(s: SampledFqi, q_index: int) -> float:
     """Invariant of the fiber over one base point (q_index is ignored without a base).
 
@@ -318,12 +317,10 @@ def fiber_selector(s: SampledFqi, q_index: int) -> float:
     minimum, fiber percolation); full index and (-1,+1) take the top one, so
     that selector(-S) = -selector(S) holds exactly.
     """
-    fq = _restrict_to_fiber(s, q_index) if s.base_resolution else s
-    if fq.index == fq.fiber_dims or fq.signature == (-1, 1):
-        return spectral_top(fq).value
-    if fq.index == 0 or fq.signature == (1, -1):
-        return spectral_unit(fq).value
-    raise UnsupportedIndex(f"fiber signature {fq.signature} unsupported")
+    top = s.index == s.fiber_dims or s.signature == (-1, 1)
+    if not (top or s.index == 0 or s.signature == (1, -1)):
+        raise UnsupportedIndex(f"fiber signature {s.signature} unsupported")
+    return _spectral_class(s.values[q_index] if s.base_resolution else s.values, s.signature, top).value
 
 
 def _fiber_selectors(s: SampledFqi) -> np.ndarray:
@@ -375,14 +372,10 @@ def fibred_sum_fqi(s1: SampledFqi, s2: SampledFqi, negate_second: bool = False) 
         raise UnsupportedIndex("fibred sums implemented for 1-D fiber factors")
     if s1.base_resolution != s2.base_resolution:
         raise ValueError("factors must share their base")
-    b = negate(s2) if negate_second else s2
-    if s1.base_resolution:
-        vals = s1.values[:, :, None] + b.values[:, None, :]
-    else:
-        vals = s1.values[:, None] + b.values[None, :]
+    sign = -1 if negate_second else 1
     return SampledFqi(
-        values=vals,
-        signature=(s1.signature[0], b.signature[0]),
+        values=s1.values[..., :, None] + sign * s2.values[..., None, :],
+        signature=(s1.signature[0], sign * s2.signature[0]),
         base_resolution=s1.base_resolution,
         shell_enforced=False,
     )

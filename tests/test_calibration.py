@@ -1,7 +1,10 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from birkhoff_lab import calibration
 from birkhoff_lab.calibration import (
     SpaceTimeFunction,
     calibrated_curve,
@@ -130,6 +133,33 @@ def test_domination_deterministic():
     a = domination_check(u, AUTON_SQ, count=200, seed=11)
     b = domination_check(u, AUTON_SQ, count=200, seed=11)
     assert a.min_defect == b.min_defect and a.argmin == b.argmin
+
+
+@pytest.mark.parametrize("block", [5000, 333])
+@pytest.mark.parametrize("candidate, h", [
+    (lambda: star_candidate(1.0), AUTON_SQ),
+    (lambda: spacetime_from_grid(GridFunction(np.cos(2 * np.pi * np.arange(64) / 64)), 0.0, 1.0, 1.0), PEND),
+], ids=["manufactured", "pendulum-grid"])
+def test_domination_in_blocks_equals_one_pass(monkeypatch, candidate, h, block):
+    # the loops are drawn before any block, so the report does not depend on
+    # the block size; block = count is the one pass over every loop
+    u = candidate()
+    blocked = domination_check(u, h, count=5000, seed=3)
+    monkeypatch.setattr(calibration, "TEST_LOOP_BLOCK", block)
+    assert domination_check(u, h, count=5000, seed=3) == blocked
+
+
+def test_domination_memory_does_not_grow_with_the_count():
+    # one pass over 100 000 loops held every loop's samples and temporaries,
+    # about 4.6 KB a loop (a traced peak near 480 MB)
+    u = star_candidate(1.0)
+    tracemalloc.start()
+    try:
+        domination_check(u, FREE, count=100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def test_kink_at_seed_refused_and_forward_calibration():

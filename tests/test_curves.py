@@ -612,3 +612,17 @@ def test_curve_csv_blank_primitive(tmp_path):
     path.write_text("\n".join([header, *rows]) + "\n")
     with pytest.raises(ValueError):
         curve_from_csv(path)
+
+
+@pytest.mark.parametrize("column, cell", [(2, "nan"), (1, "inf"), (3, "-inf")])
+def test_curve_csv_non_finite_cell(tmp_path, column, cell):
+    path = tmp_path / "c.csv"
+    curve_to_csv(zero_section(32), path)
+    header, *rows = path.read_text().splitlines()
+    row = rows[5].split(",")
+    row[column] = cell
+    rows[5] = ",".join(row)
+    path.write_text("\n".join([header, "", *rows]) + "\n")  # a blank line, which is skipped
+    with pytest.raises(ValueError) as raised:
+        curve_from_csv(path)
+    assert str(raised.value) == f"{path}: line 8 holds a cell that is not a finite float"

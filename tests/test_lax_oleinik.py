@@ -251,6 +251,21 @@ def test_barrier_of_a_solvable_family_at_the_closed_form(h, t, monkeypatch):
     assert np.all(np.isfinite(res.matrix.entries))
 
 
+@pytest.mark.parametrize("n", [2, 16, 256])
+@pytest.mark.parametrize("offset", [1e3, 1e6, -1e6])
+@pytest.mark.parametrize("shift", [(1, 1, 0.0, 0.05), (0, 1, 0.0, 0.05)], ids=["default", "autonomous"])
+def test_barrier_under_a_large_constant_offset(shift, offset, n):
+    # a constant added to H shifts alpha0 by it and leaves the barrier, though
+    # it inflates the rounding of a and lambda while max|a - lambda| stays
+    h0 = shifted_quadratic([shift], drift=0.3)
+    hc = shifted_quadratic([shift], drift=0.3, offset=offset)
+    base, shifted = peierls_barrier(h0, 0.0, n), peierls_barrier(hc, 0.0, n)
+    eps = np.finfo(float).eps
+    assert shifted.alpha0 == mane_critical_value(hc, n)
+    assert abs(shifted.alpha0 - (base.alpha0 + offset)) <= 4 * eps * abs(offset)
+    assert np.max(np.abs(shifted.matrix.entries - base.matrix.entries)) <= 4 * n * eps * abs(offset)
+
+
 @functools.cache
 def _free_barrier_512():
     """The free barrier on the 512-point grid, built once for the tests that

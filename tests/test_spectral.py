@@ -505,6 +505,39 @@ def test_fibred_sum_not_shell_enforced():
     assert total.signature == (1, -1)
 
 
+def test_spectral_classes_build_no_instance(monkeypatch):
+    f = trig([(0.3, -0.1)])
+    s1 = sample_fqi(lambda q, x: x**2 + f(q), (1,), base_resolution=8, fiber_resolution=17)
+    s2 = sample_fqi(lambda q, x: x**2 - f(q), (1,), base_resolution=8, fiber_resolution=15)
+    saddle = sample_fqi(lambda x, y: x**2 - y**2 + np.exp(-(x**2 + y**2)), (1, -1), fiber_resolution=33)
+    mixed = sample_fqi(lambda q, x, y, z: x**2 + y**2 - z**2 + f(q), (1, 1, -1), base_resolution=4,
+                       fiber_resolution=5)
+    sums = [fibred_sum_fqi(s1, s2, negate_second=flip) for flip in (False, True)]
+    instances = [s1, negate(s1), saddle, negate(saddle), *sums, *map(negate, sums)]
+
+    def fiber_oracle(s, i):
+        """The selector of the fiber over point i taken as its own instance."""
+        fq = SampledFqi(s.values[i] if s.base_resolution else s.values, s.signature, shell_enforced=False)
+        return (spectral_top(fq) if fq.index == fq.fiber_dims or fq.signature == (-1, 1) else spectral_unit(fq)).value
+
+    want = [[fiber_oracle(s, i) for i in range(s.base_resolution or 1)] for s in instances]
+    built = []
+    post_init = SampledFqi.__post_init__
+    monkeypatch.setattr(SampledFqi, "__post_init__", lambda self: built.append(1) or post_init(self))
+    for s, selectors in zip(instances, want):
+        global_invariants(s)
+        assert [fiber_selector(s, i) for i in range(s.base_resolution or 1)] == selectors
+        if s.base_resolution:
+            selector_function(s)
+    with pytest.raises(UnsupportedIndex, match="fiber signature"):  # a mixed signature on k >= 3 axes
+        fiber_selector(mixed, 0)
+    assert built == []
+    for flip in (False, True):
+        total = fibred_sum_fqi(s1, s2, negate_second=flip)
+        assert len(built) == 1 and (total.values == s1.values[:, :, None] + (-1) ** flip * s2.values[:, None, :]).all()
+        built.clear()
+
+
 @pytest.mark.parametrize("damage", [
     "extra column", "missing cell", "duplicate cell", "nan value", "inf value", "old-format header",
     "extra meta key",
