@@ -19,6 +19,7 @@ import numpy as np
 
 from .calibration import SpaceTimeFunction, grid_kink_mask, spacetime_from_lax
 from .curves import (
+    MIN_NODES,
     LagrangianCurve,
     evolve,
     from_potential,
@@ -28,7 +29,7 @@ from .curves import (
     oscillation,
     reduced_complexity_gauge,
 )
-from .errors import FixedPointNotReached, ResamplingBudgetExceeded
+from .errors import FixedPointNotReached, ResamplingBudgetExceeded, TooFewSamples
 from .flow import FlowSettings
 from .grids import GridFunction, grid_from_trig, require_power_of_two
 from .hamiltonians import (
@@ -241,6 +242,11 @@ def run_detector(records: list[DiagnosticsRecord]) -> dict:
 # ---------------------------------------------------------------------------
 # pipelines
 
+def _within_curve_value_bound(error: float, n: int) -> bool:
+    """Whether curve and value evolutions agree on the n-point grid: error below 10/n, strictly."""
+    return error < 10.0 / n
+
+
 def _bundle(kind: str, verdict: str, config: ExperimentConfig) -> ReportBundle:
     """A pipeline's bundle, before its results: the verdict it starts from,
     an empty reason, the config echo and the seed."""
@@ -354,7 +360,9 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
 
     kinked = next((k for k, u in enumerate(fwd) if grid_kink_mask(u.values).any()), None)
     consistency = None
-    if kinked is not None:
+    if n < MIN_NODES:
+        bundle.events.append(f"curve/value consistency skipped: resolution {n} is below {MIN_NODES}")
+    elif kinked is not None:
         bundle.events.append(f"curve/value consistency skipped: iterate {kinked} has a kink")
     else:
         bundle.events.append(f"curve/value consistency over iterates 1..{config.n_max}")
@@ -372,11 +380,9 @@ def run_recurrence_experiment(config: ExperimentConfig) -> ReportBundle:
             consistency = max(consistency, float(np.max(np.abs(gap))))
     if consistency is not None:
         bundle.series["consistency"] = [(config.n_max, consistency)]
-        if consistency > 10.0 / n:
+        if not _within_curve_value_bound(consistency, n):
             bundle.verdict = "FAIL"
-            bundle.reason = (
-                f"curve and value evolutions disagree by {consistency:.3e} (> 10/{n})"
-            )
+            bundle.reason = f"curve and value evolutions disagree by {consistency:.3e} (not below 10/{n})"
             return bundle
     rec_f = bundle.detectors["forward"]["fired"]
     rec_b = bundle.detectors["backward"]["fired"]
@@ -407,6 +413,8 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
     if not h.autonomous:
         raise ValueError("invariance experiment needs an autonomous Hamiltonian")
     n = config.resolution
+    if n < MIN_NODES:
+        raise TooFewSamples(f"invariance flows a curve of one node per grid point: resolution {n} is below {MIN_NODES}")
     u, pm, alpha0 = one_period(config)
     budget = 512
     residual = np.inf
@@ -433,10 +441,11 @@ def run_autonomous_invariance(config: ExperimentConfig) -> ReportBundle:
         d = float(np.max(np.abs(graph_selector(lt, n).values - (u.values - alpha0 * t))))
         worst = max(worst, d)
         bundle.series.setdefault("invariance", []).append((t, d))
-    bundle.verdict = "PASS" if worst < 10.0 / n else "FAIL"
+    ok = _within_curve_value_bound(worst, n)
+    bundle.verdict = "PASS" if ok else "FAIL"
     bundle.reason = (
         f"max |selector - (u - alpha0 t)| {worst:.3e} over t in (0,1) "
-        f"({'below' if worst < 10.0 / n else 'above'} 10/{n})"
+        f"({'below' if ok else 'not below'} 10/{n})"
     )
     return bundle
 

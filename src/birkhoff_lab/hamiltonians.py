@@ -10,13 +10,14 @@ Each family is one object here that owns H; its vector field
 (dH/dp, -dH/dq) in one pass, the only place a closed form writes its
 derivatives, which the Dormand-Prince pair in flow.py steps; its Legendre
 transform `legendre`, the vectorized Lagrangian with its maximizer
-(bisection on dH/dp for custom callables); its flow and action potential:
+(bisection on dH/dp for custom callables, which raise MaximizerNotFound for
+a maximizer on the momentum-box edge); its flow and action potential:
 in closed form for the solvable families (the shifted quadratic, and a
-mechanical family whose potential has no position harmonic), `flow` and
+mechanical family whose potential has no live position harmonic), `flow` and
 `potential`, the Hopf-Lax formula in the shear frame, and the one-period
 potential's minimum cycle mean `least_cycle_mean`, O(n); for the others the
-Lagrangian's sum over the quadrature nodes of a straight segment
-(`segment_lagrangian`) and a `stepper`: a Strang splitting for mechanical
+Lagrangian's sum over the quadrature nodes of a straight segment, with the
+mask of sums that took a clipped maximizer (`segment_lagrangian`), and a `stepper`: a Strang splitting for mechanical
 families (one `TrigPolynomial.jet` pass per point and substep), None for
 custom callables, which the Dormand-Prince pair steps. A stepper is
 built at the start point (h, t, q, p) of a flow and holds what it carries
@@ -52,17 +53,14 @@ COMPLEX_STEP = 1e-20  # the imaginary step of a custom callable's first derivati
 
 
 def wrap_unit(x):
-    """Reduce a coordinate (scalar or array) to [0, 1)."""
-    return x - np.floor(x)
-
-
-def _reduced(x):
-    """wrap_unit of x: a Python float for a finite scalar (the same IEEE
-    operations without numpy's 0-d overhead), an array otherwise."""
+    """Reduce a coordinate to [0, 1): a Python float for a finite float, the
+    same IEEE operations as on an array without numpy's 0-d overhead, and an
+    array or numpy scalar otherwise."""
     if isinstance(x, float) and math.isfinite(x):
         x = float(x)
-        return x - math.floor(x)
-    return wrap_unit(np.asarray(x, dtype=float))
+        # + 0.0 gives -0.0 the array's +0.0: there np.floor(-0.0) is -0.0
+        return x - math.floor(x) + 0.0
+    return x - np.floor(x)
 
 
 def _operand(x):
@@ -109,6 +107,11 @@ class TrigPolynomial:
         out = tuple((int(j), int(k), float(a), float(b)) for j, k, a, b in terms)
         return TrigPolynomial(out)
 
+    @functools.cached_property
+    def live_terms(self) -> tuple[tuple[int, int, float, float], ...]:
+        """The terms that count, a or b nonzero: the harmonics H depends on."""
+        return tuple(term for term in self.terms if term[2] != 0.0 or term[3] != 0.0)
+
     def deriv(self, t, q, nt: int = 0, nq: int = 0):
         """Evaluate the (nt, nq)-th mixed derivative at (t, q)."""
         return self.jet(t, q, ((nt, nq),))[0]
@@ -125,8 +128,8 @@ class TrigPolynomial:
         if not self.terms:
             shape = np.broadcast(t, q).shape
             return tuple([np.zeros(shape) if shape else 0.0 for _ in orders])
-        tm = _reduced(t)
-        qm = _reduced(q)
+        tm = wrap_unit(t)
+        qm = wrap_unit(q)
         orders = tuple(orders)
         rows = self._factors.get(orders)
         if rows is None:
@@ -273,11 +276,11 @@ class _Mechanical:
     stepper = _Strang
 
     def solvable(self, h):
-        return not any(k for _, k, _, _ in h.potential.terms)
+        return not any(k for _, k, _, _ in h.potential.live_terms)
 
     def _time_primitive(self, h):
         """(c, W) with V(t) = c + dW/dt: int_s^t V = c (t - s) + W(t) - W(s)."""
-        terms = h.potential.terms
+        terms = h.potential.live_terms
         w = TrigPolynomial(tuple((j, 0, -b / (TWO_PI * j), a / (TWO_PI * j)) for j, _, a, b in terms if j))
         return sum(a for j, _, a, _ in terms if j == 0), w
 
@@ -323,9 +326,10 @@ class _Mechanical:
         return v * v / (2.0 * k) - h.potential.value(t, q) - h.constant_offset, v / k
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
-        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v)."""
+        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), and
+        None: the closed form clips no maximizer."""
         kinetic = v * v / (2.0 * h.kinetic_coefficient) - h.constant_offset
-        return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb)
+        return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb), None
 
 
 class _ShiftedQuadratic:
@@ -439,15 +443,17 @@ class _Custom:
         """(dH/dp, -dH/dq) at (t, q, p): two complex evaluations."""
         return self.dH_dp(h, t, q, p), -self.dH_dq(h, t, q, p)
 
-    def legendre(self, h, t, q, v):
-        """p v - H(t, q, p) at the maximizer p, and p. dH/dp increases in p for
-        a Tonelli H, so halving the momentum box on the sign of
-        H(p + e) - H(p - e) - 2 e v brackets the root of dH/dp = v, or the
-        nearer edge. e is 1e-4: at 1e-6, rounding in the difference
-        (eps |H| / e) would move p by ~1e-8 where |H| is 50. The sign test
-        needs only real evaluations, so it stays a difference, not a complex
-        step. One point is a 1-element array, so batch and scalar values agree
-        bitwise."""
+    def _bisect(self, h, t, q, v):
+        """p v - H(t, q, p) at the maximizer p, p, and whether p is on the box
+        edge. dH/dp increases in p for a Tonelli H, so halving the momentum box
+        on the sign of H(p + e) - H(p - e) - 2 e v brackets the root of
+        dH/dp = v, or the nearer edge. e is 1e-4: at 1e-6, rounding in the
+        difference (eps |H| / e) would move p by ~1e-8 where |H| is 50. The
+        sign test needs only real evaluations, so it stays a difference, not a
+        complex step. One point is a 1-element array, so batch and scalar
+        values agree bitwise. The one rule for the edge: p within 1e-6 of the
+        box width from it, where the bisection clips, and its L only bounds
+        the true one from below."""
         e = 1e-4
         q, v = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(v, dtype=float))
         shape = v.shape
@@ -461,14 +467,27 @@ class _Custom:
             up, down = h.custom_fn(t, q, p + steps)
             p += np.where(up - down < slope, half, -half)
             half *= 0.5
-        return (p * v - h.custom_fn(t, q, p)).reshape(shape), p.reshape(shape)
+        edge = np.minimum(p - lo, hi - p) <= 1e-6 * (hi - lo)
+        return (p * v - h.custom_fn(t, q, p)).reshape(shape), p.reshape(shape), edge.reshape(shape)
+
+    def legendre(self, h, t, q, v):
+        """(L, p) at velocity v; raises MaximizerNotFound where p is on the edge."""
+        value, p, edge = self._bisect(h, t, q, v)
+        if edge.any():
+            v = np.broadcast_to(v, edge.shape)[edge][0]
+            raise MaximizerNotFound(f"no interior Legendre maximizer in the momentum box at v={v}")
+        return value, p
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
-        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), point by point."""
+        """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), point by
+        point, and the mask of sums with a maximizer on the edge."""
         acc = np.zeros(np.shape(v))
+        edge = np.zeros(np.shape(v), dtype=bool)
         for tau, a, b in zip(taus, qa, qb):
-            acc += self.legendre(h, float(tau), a[:, None] + b[None, :], v)[0]
-        return acc
+            value, _, on_edge = self._bisect(h, float(tau), a[:, None] + b[None, :], v)
+            acc += value
+            edge |= on_edge
+        return acc, edge
 
 
 _FAMILY_OPS = {
@@ -530,14 +549,14 @@ class TonelliHamiltonian:
     @functools.cached_property
     def autonomous(self) -> bool:
         """Whether H does not depend on t, worked out once per Hamiltonian.
-        Exact for the closed forms: no term has both a time harmonic and a
-        nonzero coefficient. A custom callable counts as autonomous when dH/dt
-        is exactly 0 on an 8 x 5 (q, p) sample at t = 0.1, 0.4 and 0.7."""
+        Exact for the closed forms: no live term has a time harmonic. A
+        custom callable counts as autonomous when dH/dt is exactly 0 on an
+        8 x 5 (q, p) sample at t = 0.1, 0.4 and 0.7."""
         if self.family is Family.CUSTOM:
             times, q, p = _autonomy_sample()
             return all(np.all(self.ops.dH_dt(self, t, q, p) == 0.0) for t in times)
-        terms = (*self.potential.terms, *self.shift_profile.terms)
-        return not any(j != 0 and (a != 0.0 or b != 0.0) for j, _, a, b in terms)
+        terms = (*self.potential.live_terms, *self.shift_profile.live_terms)
+        return not any(j for j, _, _, _ in terms)
 
 
 def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> LagrangianFnValue:
@@ -548,9 +567,6 @@ def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> L
     maximizer lies within 1e-6 of the box width from a momentum-box edge.
     """
     value, p = (float(x) for x in h.ops.legendre(h, t, q, v))
-    lo, hi = h.momentum_box
-    if h.family is Family.CUSTOM and min(p - lo, hi - p) <= 1e-6 * (hi - lo):
-        raise MaximizerNotFound(f"no interior Legendre maximizer in the momentum box at v={v}")
     return LagrangianFnValue(value, p)
 
 

@@ -33,7 +33,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import DivergenceDetected, GridMismatch, NonpositiveDuration
+from .errors import DivergenceDetected, GridMismatch, MaximizerNotFound, NonpositiveDuration
 from .grids import GridFunction
 from .hamiltonians import Family, TonelliHamiltonian, wrap_unit
 
@@ -169,6 +169,9 @@ def _single_step(h, s, t, n):
     of a family without drift have bounded speed, so the useful w form one
     range around 0: each side walks out from 0 and stops at the first w that
     improves no entry.
+
+    A custom L clipped at the momentum-box edge only lowers it, so a clipped loser
+    loses unclipped too; a clipped winner raises MaximizerNotFound.
     """
     grid = np.arange(n) / n
     span = t - s
@@ -178,18 +181,22 @@ def _single_step(h, s, t, n):
 
     def action(w):
         vel = (grid[None, :] - grid[:, None] + w) / span
-        acc = h.ops.segment_lagrangian(h, taus, start, fracs[:, None] * (grid + w), vel)
+        acc, edge = h.ops.segment_lagrangian(h, taus, start, fracs[:, None] * (grid + w), vel)
         acc *= span / QUAD_NODES
-        return acc
+        return acc, edge
 
-    best = action(0)
+    best, clipped = action(0)
     for side in (-1, 1):
         for w in count(side, side):
-            acc = action(w)
+            acc, edge = action(w)
             better = acc < best
             if not better.any():
                 break
             best = np.where(better, acc, best)
+            if edge is not None:  # None: the family's L is never clipped
+                clipped = np.where(better, edge, clipped)
+    if np.any(clipped):
+        raise MaximizerNotFound(f"{np.count_nonzero(clipped)} entries over [{s}, {t}] have an edge maximizer")
     return PotentialMatrix(s, t, best)
 
 

@@ -22,7 +22,7 @@ import enum
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,23 +64,19 @@ class SampledFqi:
 
     values: np.ndarray
     signature: tuple[int, ...]
-    base_resolution: int | None = None
-    shell_enforced: bool = True
+    shell_enforced: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
+        k = len(self.signature)
+        if not k <= v.ndim <= k + 1:
+            raise ValueError(f"values ndim {v.ndim} is not {k} fiber axes and at most one base axis")
         if self.base_resolution is not None:
             require_power_of_two(self.base_resolution, "base_resolution")
         if not np.isfinite(v).all():
             raise ValueError("values must be finite")
-        object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
-        k = len(self.signature)
-        expected_ndim = k + (1 if self.base_resolution else 0)
-        if v.ndim != expected_ndim:
-            raise ValueError(f"values ndim {v.ndim} != expected {expected_ndim}")
-        if self.base_resolution and v.shape[0] != self.base_resolution:
-            raise ValueError("base axis length mismatch")
         for m in self.fiber_shape:
             if m < 3 or m % 2 == 0:
                 raise ValueError("fiber resolutions must be odd and >= 3")
@@ -92,13 +88,17 @@ class SampledFqi:
                 raise ValueError(f"outer shell deviates from the quadratic part by {err}")
 
     @property
+    def base_resolution(self) -> int | None:
+        """The length of the base axis, any axis before the fiber's, None without one."""
+        return self.values.shape[0] if self.values.ndim > self.fiber_dims else None
+
+    @property
     def fiber_dims(self) -> int:
         return len(self.signature)
 
     @property
     def fiber_shape(self) -> tuple[int, ...]:
-        off = 1 if self.base_resolution else 0
-        return self.values.shape[off:]
+        return self.values.shape[self.values.ndim - self.fiber_dims:]
 
     @property
     def index(self) -> int:
@@ -120,7 +120,7 @@ class SampledFqi:
         SHELL_FRACTION of the box, at both ends) into values, and the
         quadratic part on that band. The bands of two axes share their corner
         cells; together they cover the outer shell."""
-        off = 1 if self.base_resolution else 0
+        off = self.values.ndim - self.fiber_dims
         axes = [self.fiber_axis(i) for i in range(self.fiber_dims)]
         for i, x in enumerate(axes):
             band = np.flatnonzero(np.abs(x) > SHELL_FRACTION * FIBER_HALFWIDTH)
@@ -151,7 +151,7 @@ def sample_fqi(
     if isinstance(fiber_resolution, int):
         fiber_resolution = (fiber_resolution,) * len(signature)
     shape = ((base_resolution,) if base_resolution else ()) + tuple(fiber_resolution)
-    s = SampledFqi(np.zeros(shape), signature, base_resolution, shell_enforced=False)
+    s = SampledFqi(np.zeros(shape), signature, shell_enforced=False)
     grids = s.fiber_grids()
     if base_resolution:
         q = (np.arange(base_resolution) / base_resolution).reshape((-1,) + (1,) * len(signature))
@@ -345,12 +345,21 @@ class SelectorResult:
 
     @property
     def bounds_ok(self) -> bool | None:
-        if self.unit is None and self.top is None:
-            return None
         vals = self.values.values
-        return (self.unit is None or self.unit.value <= float(vals.min()) + 1e-9) and (
-            self.top is None or float(vals.max()) <= self.top.value + 1e-9
-        )
+        return _within_bounds(*(None if sv is None else sv.value for sv in (self.unit, self.top)),
+                              float(vals.min()), float(vals.max()), 1e-9)
+
+
+def _within_bounds(lower: float | None, upper: float | None, low: float, high: float, slack: float) -> bool | None:
+    """Whether lower <= low + slack and high <= upper + slack; None bounds are open, both None gives None."""
+    if lower is None and upper is None:
+        return None
+    return (lower is None or lower <= low + slack) and (upper is None or high <= upper + slack)
+
+
+def _pair_tolerance(s1: SampledFqi, s2: SampledFqi) -> float:
+    """The slack of a selector identity of two instances: twice the coarser fiber step."""
+    return 2.0 * max(s1.fiber_step, s2.fiber_step)
 
 
 def selector_function(s: SampledFqi) -> SelectorResult:
@@ -376,7 +385,6 @@ def fibred_sum_fqi(s1: SampledFqi, s2: SampledFqi, negate_second: bool = False) 
     return SampledFqi(
         values=s1.values[..., :, None] + sign * s2.values[..., None, :],
         signature=(s1.signature[0], sign * s2.signature[0]),
-        base_resolution=s1.base_resolution,
         shell_enforced=False,
     )
 
@@ -397,8 +405,7 @@ def sum_additivity_check(s1: SampledFqi, s2: SampledFqi, q_index: int) -> Additi
     """Selector of the product-fiber sum against the sum of fiber selectors."""
     a, b = fiber_selector(s1, q_index), fiber_selector(s2, q_index)
     c = fiber_selector(fibred_sum_fqi(s1, s2), q_index)
-    tol = 2.0 * max(s1.fiber_step, s2.fiber_step)
-    return AdditivityReport(c, (a, b), c - (a + b), tol)
+    return AdditivityReport(c, (a, b), c - (a + b), _pair_tolerance(s1, s2))
 
 
 @dataclass(frozen=True)
@@ -410,13 +417,8 @@ class DifferenceBoundsReport:
     tolerance: float
 
     @property
-    def ok(self) -> bool:
-        good = True
-        if self.lower is not None:
-            good = good and self.lower <= self.min_gap + self.tolerance
-        if self.upper is not None:
-            good = good and self.max_gap <= self.upper + self.tolerance
-        return good
+    def ok(self) -> bool | None:
+        return _within_bounds(self.lower, self.upper, self.min_gap, self.max_gap, self.tolerance)
 
 
 def selector_difference_bounds(s1: SampledFqi, s2: SampledFqi) -> DifferenceBoundsReport:
@@ -430,8 +432,7 @@ def selector_difference_bounds(s1: SampledFqi, s2: SampledFqi) -> DifferenceBoun
     if lower is None and upper is None:
         raise UnsupportedIndex(f"difference signature {diff.signature} unsupported")
     gaps = _fiber_selectors(s1) - _fiber_selectors(s2)
-    tol = 2.0 * max(s1.fiber_step, s2.fiber_step)
-    return DifferenceBoundsReport(lower, upper, float(gaps.min()), float(gaps.max()), tol)
+    return DifferenceBoundsReport(lower, upper, float(gaps.min()), float(gaps.max()), _pair_tolerance(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +518,5 @@ def fqi_from_csv(path) -> SampledFqi:
     return SampledFqi(
         values=vals.reshape(shape),
         signature=tuple(signature),
-        base_resolution=base,
         shell_enforced=shell,
     )

@@ -14,10 +14,10 @@ from birkhoff_lab.calibration import (
     spacetime_from_lax,
 )
 from birkhoff_lab.errors import DomainExceeded, KinkAtSeed, NonpositiveDuration
-from birkhoff_lab.flow import PhasePoint, trajectory
+from birkhoff_lab.flow import PhasePoint, simpson_pattern, trajectory
 from birkhoff_lab.grids import GridFunction, constant_grid, grid_from_trig, periodic_spline
 from birkhoff_lab.hamiltonians import fenchel_gap, free_hamiltonian, pendulum, shifted_quadratic, wrap_unit
-from birkhoff_lab.lax_oleinik import potential
+from birkhoff_lab.lax_oleinik import lagrangian_batch, potential
 
 FREE = free_hamiltonian()
 PEND = pendulum()
@@ -135,27 +135,56 @@ def test_domination_deterministic():
     assert a.min_defect == b.min_defect and a.argmin == b.argmin
 
 
+def _domination_all_at_once(u, h, count, seed):
+    """domination_check with every loop drawn from one generator before the
+    first is evaluated, and one argmin over all defects: the reference for
+    its block-by-block draws."""
+    degree, m = calibration.TEST_LOOP_DEGREE, calibration.TEST_LOOP_INTERVALS
+    t0, t1 = float(u.times[0]), float(u.times[-1])
+    span = t1 - t0
+    rng = np.random.default_rng(seed)
+    q0 = rng.uniform(0.0, 1.0, size=count)
+    coef = rng.uniform(-1.0, 1.0, size=(count, degree, 2))
+    norm = np.sum(np.abs(coef), axis=(1, 2))
+    scale = calibration.TEST_LOOP_AMPLITUDE * rng.uniform(0.2, 1.0, size=count) / np.maximum(norm, 1e-12)
+    coef *= scale[:, None, None]
+    taus = t0 + span * np.arange(m + 1) / m
+    d = np.arange(1, degree + 1)
+    ang = np.pi * d[None, :, None] * ((taus - t0) / span)[None, None, :]
+    cos, sin = np.cos(ang), np.sin(ang)
+    gamma = q0[:, None] + np.sum(coef[:, :, 0:1] * cos + coef[:, :, 1:2] * sin, axis=1)
+    dgamma = np.sum((np.pi / span) * d[None, :, None] * (-coef[:, :, 0:1] * sin + coef[:, :, 1:2] * cos), axis=1)
+    lag = np.stack([lagrangian_batch(h, float(tau), gamma[:, j], dgamma[:, j]) for j, tau in enumerate(taus)], axis=1)
+    actions = lag @ (simpson_pattern(m) * (span / (3.0 * m))) + u.alpha0 * span
+    u_start, u_end = u.jet(np.array([[t0], [t1]]), gamma[:, [0, -1]].T)[0]
+    defects = actions - (u_end - u_start)
+    k = int(np.argmin(defects))
+    return calibration.DominationReport(float(defects[k]), k, count)
+
+
 @pytest.mark.parametrize("block", [5000, 333])
 @pytest.mark.parametrize("candidate, h", [
     (lambda: star_candidate(1.0), AUTON_SQ),
     (lambda: spacetime_from_grid(GridFunction(np.cos(2 * np.pi * np.arange(64) / 64)), 0.0, 1.0, 1.0), PEND),
 ], ids=["manufactured", "pendulum-grid"])
 def test_domination_in_blocks_equals_one_pass(monkeypatch, candidate, h, block):
-    # the loops are drawn before any block, so the report does not depend on
-    # the block size; block = count is the one pass over every loop
+    # each block draws its loops where drawing them all at once would, so the
+    # report does not depend on the block size and is the one-pass report
     u = candidate()
-    blocked = domination_check(u, h, count=5000, seed=3)
+    blocked = domination_check(u, h, count=5003, seed=3)
+    assert blocked == _domination_all_at_once(u, h, 5003, 3)
     monkeypatch.setattr(calibration, "TEST_LOOP_BLOCK", block)
-    assert domination_check(u, h, count=5000, seed=3) == blocked
+    assert domination_check(u, h, count=5003, seed=3) == blocked
 
 
 def test_domination_memory_does_not_grow_with_the_count():
     # one pass over 100 000 loops held every loop's samples and temporaries,
-    # about 4.6 KB a loop (a traced peak near 480 MB)
+    # about 4.6 KB a loop (a traced peak near 480 MB); drawing every loop
+    # before the first block still held about 120 bytes a loop (137 MiB here)
     u = star_candidate(1.0)
     tracemalloc.start()
     try:
-        domination_check(u, FREE, count=100_000, seed=0)
+        domination_check(u, FREE, count=1_000_000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -4,6 +4,7 @@ import math
 import re
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from birkhoff_lab.curves import (
     graph_check,
     graph_selector,
 )
+from birkhoff_lab.errors import TooFewSamples
 from birkhoff_lab.experiments import (
     ExperimentConfig,
     ReportBundle,
@@ -281,6 +283,30 @@ def test_recurrence_keeps_its_verdict_when_the_consistency_curve_blows_up():
     assert bundle.verdict == "PASS"
     assert "consistency" not in bundle.series and "consistency" not in bundle.reason
     assert bundle.reason.startswith("no bidirectional recurrence of the value function")
+
+
+def test_curve_pipelines_refuse_or_skip_a_grid_below_the_least_curve(monkeypatch):
+    # an 8-point grid has too few points for a curve: recurrence skips its
+    # consistency check and keeps the detectors' verdict, and invariance
+    # refuses the resolution before it builds anything
+    cfg = ExperimentConfig(
+        hamiltonian=pendulum(),
+        initial_potential=TrigPolynomial.from_coeffs([(0, 1, 1.0, 0.0)]),
+        resolution=8,
+    )
+    bundle = run_recurrence_experiment(cfg)
+    assert bundle.events[1:] == ["curve/value consistency skipped: resolution 8 is below 16"]
+    assert bundle.verdict == "PASS" and "consistency" not in bundle.series
+    monkeypatch.setattr(experiments, "one_period", mock.Mock(side_effect=AssertionError("built before the check")))
+    with pytest.raises(TooFewSamples, match="resolution 8 is below 16"):
+        run_autonomous_invariance(cfg)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_the_curve_value_bound_passes_strictly_below_10_over_n(n):
+    # one rule for recurrence and invariance: equality fails in both
+    assert experiments._within_curve_value_bound(np.nextafter(10.0 / n, 0.0), n)
+    assert not experiments._within_curve_value_bound(10.0 / n, n)
 
 
 def test_recurrence_nonexpansive_return_bound():

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from birkhoff_lab import lax_oleinik
-from birkhoff_lab.errors import DivergenceDetected, GridMismatch, NonpositiveDuration
+from birkhoff_lab.errors import DivergenceDetected, GridMismatch, MaximizerNotFound, NonpositiveDuration
+from birkhoff_lab.flow import FlowSettings, integrate_batch
 from birkhoff_lab.grids import GridFunction, constant_grid
 from birkhoff_lab.hamiltonians import (
     Family,
     TonelliHamiltonian,
     free_hamiltonian,
+    legendre_transform,
     mechanical,
     pendulum,
     shifted_quadratic,
@@ -883,6 +885,37 @@ def test_custom_single_step_matches_dense(monkeypatch):
     monkeypatch.setattr(lax_oleinik, "QUAD_NODES", 4)
     fast = lax_oleinik._single_step(hc, 0.1, 0.35, 16).entries
     assert np.all(np.abs(fast - dense) <= 1e-12 * (1 + np.abs(dense)))
+
+
+def test_a_maximizer_on_the_box_edge_raises_on_every_path():
+    # H = p^2/2 in the box (-1, 1): at v = 3 the maximizer p = 3 lies outside,
+    # and the bisection's clipped L(3) = 2.5 would stand for 4.5. A quarter
+    # period at n = 16 needs speeds up to 4, so winners of the single step clip
+    h = TonelliHamiltonian(family=Family.CUSTOM, custom_fn=lambda t, q, p: 0.5 * p**2, momentum_box=(-1.0, 1.0))
+    with pytest.raises(MaximizerNotFound, match="v=3.0"):
+        legendre_transform(h, 0.0, 0.0, 3.0)
+    with pytest.raises(MaximizerNotFound, match="v=3.0"):
+        lagrangian_batch(h, 0.0, np.zeros(3), np.array([0.5, 3.0, -0.25]))
+    assert lagrangian_batch(h, 0.0, np.zeros(2), np.array([0.5, -0.25])) == pytest.approx([0.125, 0.03125], abs=1e-12)
+    with pytest.raises(MaximizerNotFound, match="144 entries"):
+        potential(h, 0.0, 0.25, 16)
+
+
+def test_a_zero_term_changes_nothing():
+    # free flow with a zero position term and a zero time term is the empty
+    # potential's closed form, bit for bit
+    zero, empty = mechanical([(0, 1, 0.0, 0.0), (1, 2, 0.0, 0.0)]), mechanical([])
+    assert zero.ops.solvable(zero) and zero.autonomous
+    for n in (64, 256):
+        a, b = peierls_barrier(zero, 0.0, n), peierls_barrier(empty, 0.0, n)
+        assert a.matrix.entries.tobytes() == b.matrix.entries.tobytes() and a.alpha0 == b.alpha0
+        assert potential(zero, 0.3, 0.55, n).entries.tobytes() == potential(empty, 0.3, 0.55, n).entries.tobytes()
+        assert mane_critical_value(zero, n) == mane_critical_value(empty, n)
+    q, p = np.array([0.1, 0.7, -0.4]), np.array([0.5, -1.2, 0.0])
+    (*ends_a, rec_a), (*ends_b, rec_b) = (integrate_batch(h, q, p, 0.2, 1.3, FlowSettings(), record_knots=True)
+                                          for h in (zero, empty))
+    for x, y in [*zip(ends_a, ends_b), *((rec_a[key], rec_b[key]) for key in rec_a)]:
+        assert x.tobytes() == y.tobytes()
 
 
 def test_weak_kam_residual_uses_the_barrier_potential_settings():

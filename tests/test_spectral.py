@@ -156,7 +156,6 @@ def test_selector_nonexpansive_under_perturbation():
         pert = SampledFqi(
             values=s.values + delta[:, None],
             signature=s.signature,
-            base_resolution=32,
             shell_enforced=False,
         )
         a = selector_function(s).values.values
@@ -231,7 +230,7 @@ _SHELL_CASES = [((1,), 9), ((-1,), 9), ((1, -1), 17), ((-1, -1), 9), ((1, 1, -1)
 @pytest.mark.parametrize("signature, m", _SHELL_CASES)
 def test_shell_slabs_match_the_full_mask(signature, m, base):
     shape = ((base,) if base else ()) + (m,) * len(signature)
-    raw = SampledFqi(np.random.default_rng(m).uniform(-1, 1, shape), signature, base, shell_enforced=False)
+    raw = SampledFqi(np.random.default_rng(m).uniform(-1, 1, shape), signature, shell_enforced=False)
     mask, quad = _full_mask_shell(raw)
     assert raw.shell_error() == float(np.max(np.abs(raw.values[mask] - quad[mask])))
     s = sample_fqi(lambda *args: raw.values, signature, base_resolution=base, fiber_resolution=m)
@@ -247,10 +246,22 @@ def test_one_shell_cell_moved_is_refused(where, cell, base):
     values = s.values.copy()
     values[(1,) * bool(base) + cell] += 1e-6
     if where == "interior":  # |xi| <= 3 on every axis: inside the shell
-        SampledFqi(values, s.signature, base, shell_enforced=True)
+        SampledFqi(values, s.signature, shell_enforced=True)
         return
     with pytest.raises(ValueError, match="outer shell deviates"):
-        SampledFqi(values, s.signature, base, shell_enforced=True)
+        SampledFqi(values, s.signature, shell_enforced=True)
+
+
+def test_the_base_axis_is_read_off_the_array():
+    # the axes before the fiber are the base: none or one, never two
+    s = SampledFqi(np.zeros((4, 5)), (1,), shell_enforced=False)
+    assert s.base_resolution == 4 and s.fiber_shape == (5,)
+    assert SampledFqi(np.zeros(5), (1,), shell_enforced=False).base_resolution is None
+    for shape, signature in (((2, 4, 5), (1,)), ((5,), (1, 1))):
+        with pytest.raises(ValueError, match="at most one base axis"):
+            SampledFqi(np.zeros(shape), signature, shell_enforced=False)
+    with pytest.raises(TypeError):  # a positional base is refused, not read as shell_enforced
+        SampledFqi(np.zeros((4, 5)), (1,), 4)
 
 
 def test_percolation_base_connectivity():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -63,3 +65,14 @@ def test_jet_of_empty_polynomial_matches_deriv():
             assert _bits(got) == _bits(poly.deriv(t, q, nt, nq))
         if np.ndim(q):
             assert jet[0] is not jet[1]  # no shared output array
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([-0.0, 0.0, -1.0, math.nextafter(1.0, 0.0), -5e-324, 2.0**53 + 2.0])))
+def test_wrap_unit_of_a_float_is_the_array_path_bitwise(x):
+    # a finite Python float takes the float path and returns a Python float,
+    # with the bits of the array path, -0.0 too
+    got = wrap_unit(x)
+    assert type(got) is float
+    assert np.array([got]).tobytes() == wrap_unit(np.array([x])).tobytes()
