@@ -110,7 +110,7 @@ class ReportBundle:
 
 EXPERIMENT_KEYS = ("n_max", "m_max", "resolution", "seed")
 FLOW_KEYS = ("integrator",)
-FAMILY_KEYS = {"mechanical": ("kinetic", "potential_coeffs"), "shifted_quadratic": ("shift_coeffs", "drift")}
+FAMILY_KEYS = {"mechanical": ("potential_coeffs",), "shifted_quadratic": ("shift_coeffs", "drift")}
 CONFIG_KEYS = {
     "hamiltonian": ("family", *FAMILY_KEYS["mechanical"], *FAMILY_KEYS["shifted_quadratic"], "offset"),
     "experiment": ("initial_potential_coeffs", *EXPERIMENT_KEYS),
@@ -153,11 +153,7 @@ def hamiltonian_from_config(cp: configparser.ConfigParser) -> TonelliHamiltonian
                 raise ValueError(f"[hamiltonian] key {key!r} is read by family {other}, not {family}")
     offset = sec.getfloat("offset", 0.0)
     if family == "mechanical":
-        return mechanical(
-            parse_trig_coeffs(sec.get("potential_coeffs", "")).terms,
-            kinetic=sec.getfloat("kinetic", 1.0),
-            offset=offset,
-        )
+        return mechanical(parse_trig_coeffs(sec.get("potential_coeffs", "")).terms, offset=offset)
     return shifted_quadratic(
         parse_trig_coeffs(sec.get("shift_coeffs", "1 1 0.0 0.05")).terms,
         drift=sec.getfloat("drift", 0.3),
@@ -192,7 +188,6 @@ def config_echo(config: ExperimentConfig) -> dict:
     own [hamiltonian] keys (none for a custom callable)."""
     h = config.hamiltonian
     family_values = {
-        "kinetic": h.kinetic_coefficient,
         "potential_coeffs": list(h.potential.terms),
         "shift_coeffs": list(h.shift_profile.terms),
         "drift": h.drift,

@@ -1,6 +1,6 @@
 """Tonelli Hamiltonian families on the cotangent bundle of the circle.
 
-Three families are built in: mechanical (kinetic + potential), a manufactured
+Three families are built in: mechanical (p^2/2 + potential), a manufactured
 shifted-quadratic family that solves the Hamilton-Jacobi equation in closed
 form, and user-supplied callables. Potentials and shift profiles are finite
 trigonometric polynomials, so evaluation and all needed derivatives are
@@ -13,7 +13,8 @@ transform `legendre`, the vectorized Lagrangian with its maximizer
 (bisection on dH/dp for custom callables, which raise MaximizerNotFound for
 a maximizer on the momentum-box edge); its flow and action potential:
 in closed form for the solvable families (the shifted quadratic, and a
-mechanical family whose potential has no live position harmonic), `flow` and
+mechanical family whose potential has no live position harmonic, which takes
+those of its `_gauge`, the shifted quadratic it equals), `flow` and
 `potential`, the Hopf-Lax formula in the shear frame, and the one-period
 potential's minimum cycle mean `least_cycle_mean`, O(n); for the others the
 Lagrangian's sum over the quadrature nodes of a straight segment, with the
@@ -109,7 +110,8 @@ class TrigPolynomial:
 
     @functools.cached_property
     def live_terms(self) -> tuple[tuple[int, int, float, float], ...]:
-        """The terms that count, a or b nonzero: the harmonics H depends on."""
+        """The terms that count, a or b nonzero: the harmonics H depends on,
+        and the only terms `jet` and `outer_sum` evaluate."""
         return tuple(term for term in self.terms if term[2] != 0.0 or term[3] != 0.0)
 
     def deriv(self, t, q, nt: int = 0, nq: int = 0):
@@ -125,7 +127,7 @@ class TrigPolynomial:
         in term order, so an entry does not depend on which other orders are
         asked for. A float comes back for scalar arguments, an array otherwise.
         """
-        if not self.terms:
+        if not self.live_terms:
             shape = np.broadcast(t, q).shape
             return tuple([np.zeros(shape) if shape else 0.0 for _ in orders])
         tm = wrap_unit(t)
@@ -133,7 +135,7 @@ class TrigPolynomial:
         orders = tuple(orders)
         rows = self._factors.get(orders)
         if rows is None:
-            rows = [(j, k, [_factor(j, k, a, b, *o) for o in orders]) for j, k, a, b in self.terms]
+            rows = [(j, k, [_factor(j, k, a, b, *o) for o in orders]) for j, k, a, b in self.live_terms]
             self._factors[orders] = rows
         outs = [0.0] * len(orders)
         for j, k, factors in rows:
@@ -169,9 +171,9 @@ class TrigPolynomial:
         """
         qa = np.asarray(qa, dtype=float)
         qb = np.asarray(qb, dtype=float)
-        if not self.terms:
+        if not self.live_terms:
             return np.zeros((qa.shape[1], qb.shape[1]))
-        j, k, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*self.terms))
+        j, k, aa, bb = (np.array(c, dtype=float)[:, None] for c in zip(*self.live_terms))
         tm = wrap_unit(np.asarray(t, dtype=float))[:, None, None]
         phase_a = TWO_PI * wrap_unit(j * tm + k * qa[:, None, :])  # (i, term, y)
         phase_b = TWO_PI * wrap_unit(k * qb[:, None, :])  # (i, term, x)
@@ -211,14 +213,13 @@ class _Strang:
         """p dH/dp - H at the current point (t, q, p); drops V."""
         h, v = self.h, self.v
         self.v = None
-        k = h.kinetic_coefficient
-        return k * p * p - (0.5 * k * (p * p) + v + h.constant_offset)  # p * p: see _operand
+        return p * p - (0.5 * (p * p) + v + h.constant_offset)  # p * p: see _operand
 
     def step(self, q, p, t, dt, t1):
         """Advance (q, p) by dt, from time t to t1."""
         h = self.h
         p1 = p - (0.5 * dt) * self.v_q
-        q1 = q + dt * h.kinetic_coefficient * p1
+        q1 = q + dt * p1
         self.v_q, self.v = h.potential.jet(t1, q1, ((0, 1), (0, 0)))
         p1 -= (0.5 * dt) * self.v_q
         return q1, p1
@@ -232,103 +233,44 @@ def _shear_offsets(n, y, shift):
     return d
 
 
-def _hopf_lax(n, s, t, kinetic, drift, u, rest):
-    """The Hopf-Lax formula (Evans, PDE, 3.3) in the shear frame: entry [y, x]
-    is d^2 / (2 kinetic (t - s)) + u(t, x) - u(s, y) - rest, d = x + w - y -
-    drift (t - s) at the winding w nearest 0, the least action over w."""
-    grid = np.arange(n) / n
-    d = _shear_offsets(n, grid[:, None], drift * (t - s))
-    return d * d / (2.0 * kinetic * (t - s)) + (u.value(t, grid) - u.value(s, grid)[:, None]) - rest
-
-
-def _hopf_lax_cycle_mean(n, kinetic, drift, rest):
-    """The minimum cycle mean of the one-period Hopf-Lax matrix, _hopf_lax
-    over [s, s + 1] with the same rest, from any s: min over the n grid
-    offsets j of d_j^2 / (2 kinetic), less rest, where d_j = j/n - drift
-    at its nearest winding. O(n), no matrix.
-
-    Entry [z, x] is c(x - z) + u(s + 1, x) - u(s, z) - rest, with c(j) =
-    d_j^2 / (2 kinetic). u is 1-periodic in t, so the u terms cancel around
-    every cycle, whose mean is then the mean of its steps' c, less rest. That
-    is at least the least c(j), and the cycle that repeats the step j
-    attains it.
-
-    Rounding, with eps the machine epsilon and S = max|A| + |rest| +
-    (2 + |drift|) / kinetic for the built matrix A: each float d lies within
-    (2 + |drift|) eps of the real one, so with |d| <= 1/2 each c does within
-    S eps / 2, and each other operation of an entry rounds by eps/2 of a
-    value below S. u(s + 1) and u(s) round alike at s = 0; elsewhere they
-    differ by a few eps |du/dt|. So this value and the matrix's exact minimum
-    cycle mean differ by about 3 eps S. Karp's formula (lax_oleinik._karp)
-    on A rounds each D_k once per product; rounding is monotone, so the
-    least rounded sum is the rounded least sum, D_k errs by at most
-    k (k + 1) eps max|A| / 4, and its cycle mean by (n + 3)^2 eps max|A| / 2.
-    The two agree within ((n + 3)^2 / 2 + 3) eps S.
-    """
-    d = _shear_offsets(n, 0.0, drift)
-    return float(np.min(d * d)) / (2.0 * kinetic) - rest
-
-
 class _Mechanical:
-    """Mechanical family; closed-form flow when V depends on t alone, else
-    Strang kinetic/potential splitting."""
+    """Mechanical family: Strang kinetic/potential splitting, and the closed
+    forms of its gauge, the shifted quadratic it equals, when V depends on t
+    alone."""
 
     stepper = _Strang
 
     def solvable(self, h):
-        return not any(k for _, k, _, _ in h.potential.live_terms)
+        return h._gauge is not None
 
-    def _time_primitive(self, h):
-        """(c, W) with V(t) = c + dW/dt: int_s^t V = c (t - s) + W(t) - W(s)."""
-        terms = h.potential.live_terms
-        w = TrigPolynomial(tuple((j, 0, -b / (TWO_PI * j), a / (TWO_PI * j)) for j, _, a, b in terms if j))
-        return sum(a for j, _, a, _ in terms if j == 0), w
+    def flow(self, h, *args):
+        return h._gauge.ops.flow(h._gauge, *args)
 
-    def flow(self, h, q, p, s, t, start=None):
-        """Flow from time s to t when V depends on t alone: p and qdot = k p
-        are constant, and with V = c + dW/dt the action is
-        (k p^2/2 - offset - c)(t - s) - W(t) + W(s). Returns q1, p1, the
-        action and W(t), the `start` of a call continuing from t."""
-        mean, w = self._time_primitive(h)
-        w0 = w.value(s, 0.0) if start is None else start
-        w1 = w.value(t, 0.0)
-        qdot = h.kinetic_coefficient * p
-        action = (0.5 * qdot * p - h.constant_offset - mean) * (t - s) - (w1 - w0)
-        return q + (t - s) * qdot, p, action, w1
-
-    def potential(self, h, s, t, n):
-        """The action potential from s to t when V depends on t alone, the least
-        `flow` action: no shift, no drift, less the integrals of V and offset."""
-        mean, w = self._time_primitive(h)
-        rest = (mean + h.constant_offset) * (t - s) + (w.value(t, 0.0) - w.value(s, 0.0))
-        return _hopf_lax(n, s, t, h.kinetic_coefficient, 0.0, TrigPolynomial(), rest)
+    def potential(self, h, *args):
+        return h._gauge.ops.potential(h._gauge, *args)
 
     def least_cycle_mean(self, h, n):
-        """The one-period potential's minimum cycle mean when V depends on t
-        alone: W(s + 1) - W(s) = 0, so rest is the mean of V plus offset."""
-        mean, _ = self._time_primitive(h)
-        return _hopf_lax_cycle_mean(n, h.kinetic_coefficient, 0.0, mean + h.constant_offset)
+        return h._gauge.ops.least_cycle_mean(h._gauge, n)
 
     def value(self, h, t, q, p):
         """H at (t, q, p); a Python float when t, q and p are."""
         p = _operand(p)
-        return 0.5 * h.kinetic_coefficient * (p * p) + h.potential.value(t, q) + h.constant_offset
+        return 0.5 * (p * p) + h.potential.value(t, q) + h.constant_offset
 
     def vector_field(self, h, t, q, p):
-        """(dH/dp, -dH/dq) at (t, q, p), with dH/dq = dV/dq + 0 p in p's shape;
-        Python floats for floats."""
+        """(dH/dp, -dH/dq) at (t, q, p), with dH/dp = p itself and dH/dq =
+        dV/dq + 0 p in p's shape; Python floats for floats."""
         (v_q,) = h.potential.jet(t, q, ((0, 1),))
-        return h.kinetic_coefficient * p, -(v_q + 0.0 * p)
+        return p, -(v_q + 0.0 * p)
 
     def legendre(self, h, t, q, v):
-        """(L, p) at velocity v: L = v^2/(2k) - V - offset, p = v / k."""
-        k = h.kinetic_coefficient
-        return v * v / (2.0 * k) - h.potential.value(t, q) - h.constant_offset, v / k
+        """(L, p) at velocity v: L = v^2/2 - V - offset, p = v itself."""
+        return v * v / 2.0 - h.potential.value(t, q) - h.constant_offset, v
 
     def segment_lagrangian(self, h, taus, qa, qb, v):
         """Sum over i of L(taus[i], qa[i][:, None] + qb[i][None, :], v), and
         None: the closed form clips no maximizer."""
-        kinetic = v * v / (2.0 * h.kinetic_coefficient) - h.constant_offset
+        kinetic = v * v / 2.0 - h.constant_offset
         return len(taus) * kinetic - h.potential.outer_sum(taus, qa, qb), None
 
 
@@ -373,13 +315,41 @@ class _ShiftedQuadratic:
         return u_q * v + 0.5 * (v - h.drift) ** 2 + u_t - h.constant_offset, u_q + (v - h.drift)
 
     def potential(self, h, s, t, n):
-        """The action potential from s to t, the least `flow` action: free in
-        the shear frame, with the shift profile u, less the offset."""
-        return _hopf_lax(n, s, t, 1.0, h.drift, h.shift_profile, h.constant_offset * (t - s))
+        """The action potential from s to t, the least `flow` action, by the
+        Hopf-Lax formula (Evans, PDE, 3.3) in the shear frame: entry [y, x] is
+        d^2 / (2 (t - s)) + u(t, x) - u(s, y) - offset (t - s), d = x + w - y -
+        drift (t - s) at the winding w nearest 0, the least action over w."""
+        grid = np.arange(n) / n
+        d = _shear_offsets(n, grid[:, None], h.drift * (t - s))
+        u = h.shift_profile
+        return d * d / (2.0 * (t - s)) + (u.value(t, grid) - u.value(s, grid)[:, None]) - h.constant_offset * (t - s)
 
     def least_cycle_mean(self, h, n):
-        """The one-period potential's minimum cycle mean: rest is the offset."""
-        return _hopf_lax_cycle_mean(n, 1.0, h.drift, h.constant_offset)
+        """The minimum cycle mean of the one-period potential, `potential`
+        over [s, s + 1], from any s: min over the n grid offsets j of
+        d_j^2 / 2, less the offset, where d_j = j/n - drift at its nearest
+        winding. O(n), no matrix.
+
+        Entry [z, x] is c(x - z) + u(s + 1, x) - u(s, z) - offset, with c(j) =
+        d_j^2 / 2. u is 1-periodic in t, so the u terms cancel around every
+        cycle, whose mean is then the mean of its steps' c, less the offset.
+        That is at least the least c(j), and the cycle that repeats the step j
+        attains it.
+
+        Rounding, with eps the machine epsilon and S = max|A| + |offset| +
+        2 + |drift| for the built matrix A: each float d lies within
+        (2 + |drift|) eps of the real one, so with |d| <= 1/2 each c does within
+        S eps / 2, and each other operation of an entry rounds by eps/2 of a
+        value below S. u(s + 1) and u(s) round alike at s = 0; elsewhere they
+        differ by a few eps |du/dt|. So this value and the matrix's exact minimum
+        cycle mean differ by about 3 eps S. Karp's formula (lax_oleinik._karp)
+        on A rounds each D_k once per product; rounding is monotone, so the
+        least rounded sum is the rounded least sum, D_k errs by at most
+        k (k + 1) eps max|A| / 4, and its cycle mean by (n + 3)^2 eps max|A| / 2.
+        The two agree within ((n + 3)^2 / 2 + 3) eps S.
+        """
+        d = _shear_offsets(n, 0.0, h.drift)
+        return float(np.min(d * d)) / 2.0 - h.constant_offset
 
 
 def _autonomy_sample():
@@ -501,7 +471,7 @@ _FAMILY_OPS = {
 class TonelliHamiltonian:
     """Closed-form Hamiltonian family, 1-periodic in time and position.
 
-    mechanical:        H = kinetic/2 * p^2 + V(t,q) + offset
+    mechanical:        H = p^2/2 + V(t,q) + offset
     shifted_quadratic: H = (p - du/dq)^2 / 2 + drift*(p - du/dq) - du/dt + offset
                        with shift profile u(t,q); u then solves
                        du/dt + H(t, q, du/dq) = offset identically.
@@ -515,11 +485,10 @@ class TonelliHamiltonian:
 
     `ops` is the family's object; its methods take the Hamiltonian first. It
     is not a field, so hashing and equality ignore it. dH_dq reads its
-    vector_field. The kinetic coefficient, drift and offset are finite.
+    vector_field. The drift and offset are finite.
     """
 
     family: Family = Family.MECHANICAL
-    kinetic_coefficient: float = 1.0
     potential: TrigPolynomial = field(default_factory=TrigPolynomial)
     shift_profile: TrigPolynomial = field(default_factory=TrigPolynomial)
     drift: float = 0.0
@@ -528,8 +497,6 @@ class TonelliHamiltonian:
     momentum_box: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
-        if not 0 < self.kinetic_coefficient < math.inf:
-            raise ValueError(f"kinetic coefficient must be positive and finite, got {self.kinetic_coefficient}")
         if not math.isfinite(self.drift):  # the closed-form potential rounds drift * span to a winding
             raise ValueError(f"drift must be finite, got {self.drift}")
         if not math.isfinite(self.constant_offset):
@@ -558,6 +525,19 @@ class TonelliHamiltonian:
         terms = (*self.potential.live_terms, *self.shift_profile.live_terms)
         return not any(j for j, _, _, _ in terms)
 
+    @functools.cached_property
+    def _gauge(self) -> "TonelliHamiltonian | None":
+        """The shifted quadratic a mechanical H equals, worked out once per
+        Hamiltonian, or None. A V with no live position harmonic depends on t
+        alone, V = c + dW/dt, so H is free flow plus a function of t: the
+        shifted quadratic with profile u = -W, no drift and offset c + offset.
+        Other families, and a V that depends on q, have none."""
+        terms = self.potential.live_terms
+        if self.family is not Family.MECHANICAL or any(k for _, k, _, _ in terms):
+            return None
+        u = tuple((j, 0, b / (TWO_PI * j), -a / (TWO_PI * j)) for j, _, a, b in terms if j)
+        return shifted_quadratic(u, offset=sum(a for j, _, a, _ in terms if j == 0) + self.constant_offset)
+
 
 def legendre_transform(h: TonelliHamiltonian, t: float, q: float, v: float) -> LagrangianFnValue:
     """Convex conjugate L(t,q,v) = sup_p (p v - H) with its maximizer.
@@ -576,11 +556,10 @@ def fenchel_gap(h: TonelliHamiltonian, t: float, q: float, v: float, p: float) -
     return float(h.value(t, q, p) + lag.value - p * v)
 
 
-def mechanical(potential_terms: Sequence[Sequence[float]] = (), kinetic: float = 1.0, offset: float = 0.0) -> TonelliHamiltonian:
+def mechanical(potential_terms: Sequence[Sequence[float]] = (), offset: float = 0.0) -> TonelliHamiltonian:
     """Convenience constructor for the mechanical family."""
     return TonelliHamiltonian(
         family=Family.MECHANICAL,
-        kinetic_coefficient=kinetic,
         potential=TrigPolynomial.from_coeffs(potential_terms),
         constant_offset=offset,
     )

@@ -73,23 +73,28 @@ COMPOSE_ROWS = 16  # rows that share one candidate set
 _EPS = float(np.finfo(float).eps)
 
 
-def _compose_candidates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mask of the z that can attain min_z a[y, z] + b[z, x] for some x.
+def _excess(b: np.ndarray) -> np.ndarray:
+    """excess[z] = max_x b[z, x] - min_z' b[z', x], the row bound _candidates reads."""
+    return np.max(b - np.min(b, axis=0), axis=1)
 
-    With z0 = argmin a[y, :], ub[y, x] = a[y, z0] + b[z0, x] is one of the
-    sums, so the minimiser z has fl(a[y, z] + b[z, x]) <= ub[y, x], hence
-    a[y, z] <= ub[y, x] - min_z b[z, x] <= T_y = max_x of the same, up to
-    rounding. With S = max|a| + max|b| and u = eps/2, the sum errs by at
-    most u S, the difference by 2u S and adding the slack by 2u S (to first
-    order), so a slack of 4 eps S = 8u S covers all three. Non-finite input
-    keeps every z.
+
+def _candidates(a: np.ndarray, excess: np.ndarray, b_scale: float) -> np.ndarray:
+    """Mask of the z that can attain min_z a[y, z] + b[z, x] for some x, for
+    each row y of a, from b's _excess and b_scale = max|b|.
+
+    With z0 = argmin a[y, :], a[y, z0] + b[z0, x] is one of the sums, so the
+    minimiser z has fl(a[y, z] + b[z, x]) <= fl(a[y, z0] + b[z0, x]), hence
+    a[y, z] <= a[y, z0] + b[z0, x] - min_z' b[z', x] <= a[y, z0] + excess[z0],
+    up to rounding. With S = max|a| + max|b| and u = eps/2, the two sums err
+    by u S each, excess by 2u S, and adding excess and then the slack by 2u S
+    each (to first order), so a slack of 4 eps S = 8u S covers all of them.
+    Non-finite input keeps every z.
     """
-    scale = float(np.max(np.abs(a)) + np.max(np.abs(b)))
+    scale = float(np.max(np.abs(a))) + b_scale
     if not np.isfinite(scale):
         return np.ones(a.shape, dtype=bool)
     z0 = np.argmin(a, axis=1)
-    ub = a[np.arange(len(a)), z0][:, None] + b[z0]
-    bound = np.max(ub - np.min(b, axis=0), axis=1) + 4.0 * _EPS * scale
+    bound = a[np.arange(len(a)), z0] + excess[z0] + 4.0 * _EPS * scale
     return a <= bound[:, None]
 
 
@@ -99,7 +104,7 @@ def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
     A min of floats is exact and each entry is the same float sum whatever
     order z is visited in, so a minimum over any superset of the minimising
     z is the full minimum. Each block of COMPOSE_ROWS rows visits only the
-    union of its rows' candidates (_compose_candidates), in tensors of at most
+    union of its rows' candidates (_candidates), in tensors of at most
     COMPOSE_BLOCK entries. Potentials spanning a period or more keep well
     under 1 % of the z; short spans and free flow keep nearly all of them,
     and then each tensor holds whole rows, as in a dense compose.
@@ -109,7 +114,7 @@ def minplus_compose(a: PotentialMatrix, b: PotentialMatrix) -> PotentialMatrix:
     n = a.resolution
     aa, bb = a.entries, b.entries
     out = np.empty((n, n))
-    keep = _compose_candidates(aa, bb)
+    keep = _candidates(aa, _excess(bb), float(np.max(np.abs(bb))))
     for y0 in range(0, n, COMPOSE_ROWS):
         y_end = min(n, y0 + COMPOSE_ROWS)
         zs = np.flatnonzero(np.any(keep[y0:y_end], axis=0))
@@ -285,18 +290,15 @@ def _karp(a: np.ndarray) -> float:
     Karp's source joined to every node by a free edge), and the mean is
     min_x max_{k < n} (D_n(x) - D_k(x)) / (n - k) (Karp, Discrete Math. 23,
     1978): n vector-matrix products. Each visits only the z that can attain
-    a minimum, by the bound of _compose_candidates with D_k as the one row
-    of its a, so it gives the same bits as visiting every z: one z for the
-    pendulum's one-period potential, every z under free flow.
+    a minimum (_candidates, with D_k as the one row and a as the matrix),
+    so it gives the same bits as visiting every z: one z for the pendulum's
+    one-period potential, every z under free flow.
     """
     n = len(a)
     d = np.zeros((n + 1, n))
-    excess = np.max(a - np.min(a, axis=0), axis=1)  # max_x a[z, x] - min_z' a[z', x]
-    scale = float(np.max(np.abs(a)))
+    excess, scale = _excess(a), float(np.max(np.abs(a)))
     for k in range(n):
-        z0 = np.argmin(d[k])
-        bound = d[k, z0] + excess[z0] + 4.0 * _EPS * (scale + float(np.max(np.abs(d[k]))))
-        zs = np.flatnonzero(d[k] <= bound)
+        zs = np.flatnonzero(_candidates(d[k, None], excess, scale)[0])
         d[k + 1] = np.min(d[k, zs, None] + (a if len(zs) == n else a[zs]), axis=0)
     return float(np.min(np.max((d[n] - d[:n]) / (n - np.arange(n))[:, None], axis=0)))
 

@@ -22,7 +22,7 @@ from .grids import GridFunction
 from .lax_oleinik import PotentialMatrix
 from .textio import write_csv, write_json, write_text
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 PLOT_WIDTH, PLOT_HEIGHT = 640, 420
 HISTOGRAM_BINS = 24
 

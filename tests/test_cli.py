@@ -120,7 +120,7 @@ def test_mane_reports_the_alpha0_the_pipelines_use(tmp_path, small_config):
 @pytest.mark.parametrize("hamiltonian, autonomous", [
     ("family = shifted_quadratic\nshift_coeffs = 1 1 0.0 0.05\ndrift = 0.3\n", False),
     ("family = shifted_quadratic\nshift_coeffs = 0 1 0.0 0.05\ndrift = 0.3\n", True),
-    ("family = mechanical\nkinetic = 0.5\npotential_coeffs = 1 0 0.3 -0.2; 0 0 0.1 0.0\noffset = 0.2\n", False),
+    ("family = mechanical\npotential_coeffs = 1 0 0.3 -0.2; 0 0 0.1 0.0\noffset = 0.2\n", False),
 ], ids=["default", "autonomous", "vt"])
 def test_solvable_pipelines_run_without_karp(tmp_path, small_curves, monkeypatch, hamiltonian, autonomous):
     # a solvable family's critical value is its closed form: no subcommand
@@ -312,13 +312,14 @@ def test_resolution_not_a_power_of_two_is_a_config_error(tmp_path, capsys, monke
     ("experiment", "limit_potential_coeffs = 0 1 0.0 0.05"),
     ("flow", "macro_step = 1e-2"),
     ("flow", "substeps_per_macro = 4"),
-], ids=["quad_nodes", "max_span", "alpha0", "limit_potential_coeffs", "macro_step", "substeps_per_macro"])
+    ("hamiltonian", "kinetic = 2.0"),
+], ids=["quad_nodes", "max_span", "alpha0", "limit_potential_coeffs", "macro_step", "substeps_per_macro", "kinetic"])
 def test_removed_experiment_key_is_a_config_error(tmp_path, capsys, monkeypatch, section, key):
     # the single-step span and node count are lax_oleinik constants, alpha0
     # is always the critical value, iterates are scored against the initial
-    # graph, and the macro step and its substeps are FlowSettings constants:
-    # a config that still sets one, even to its old default, is refused
-    # before any potential
+    # graph, the macro step and its substeps are FlowSettings constants, and
+    # the mechanical family's kinetic term is p^2/2: a config that still sets
+    # one, even to its old default, is refused before any potential
     monkeypatch.setattr(lax_oleinik._POTENTIAL_CACHE, "put", lambda *args: pytest.fail("potential built"))
     cfg = tmp_path / "removed.ini"
     cfg.write_text(f"[{section}]\n{key}\n", encoding="utf-8")

@@ -146,7 +146,7 @@ def test_config_echo_of_the_defaults(tmp_path):
     ini = tmp_path / "mechanical.ini"
     ini.write_text("[hamiltonian]\nfamily = mechanical\n", encoding="utf-8")
     assert config_echo(load_config(ini)) == {
-        "family": "mechanical", "kinetic": 1.0, "potential_coeffs": [], **common,
+        "family": "mechanical", "potential_coeffs": [], **common,
     }
 
 
@@ -163,7 +163,7 @@ def test_load_config_rejects_unknown_sections_and_keys(tmp_path, text):
 
 
 @pytest.mark.parametrize("text", [
-    "family = shifted_quadratic\nkinetic = 2.0\npotential_coeffs = 0 1 5.0 0.0\n",
+    "family = shifted_quadratic\npotential_coeffs = 0 1 5.0 0.0\n",
     "family = mechanical\nshift_coeffs = 1 1 0.0 0.5\ndrift = 7\n",
 ], ids=["mechanical-keys", "shifted-quadratic-keys"])
 def test_load_config_rejects_keys_of_the_other_family(tmp_path, text):
@@ -410,7 +410,7 @@ def test_emit_reports_roundtrip(tmp_path, shock):
     assert rows[0] == "n,hausdorff_to_candidate,gauge,is_graph,fold_count,node_count,primitive_osc"
     assert len(rows) - 1 == len(bundle.records)
     payload = json.loads((tmp_path / "report.json").read_text())
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     assert payload["verdict"] == "PASS"
     assert payload["config"]["n_max"] == 2
     svg = (tmp_path / "phase_portrait.svg").read_text()

@@ -261,7 +261,7 @@ def _reference_value(h, t, q, p):
     if h.family is Family.CUSTOM:
         return h.value(t, q, p)
     if h.family is Family.MECHANICAL:
-        return 0.5 * h.kinetic_coefficient * np.asarray(p) ** 2 + h.potential.value(t, q) + h.constant_offset
+        return 0.5 * np.asarray(p) ** 2 + h.potential.value(t, q) + h.constant_offset
     r = np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)
     return 0.5 * r**2 + h.drift * r - h.shift_profile.deriv(t, q, 1, 0) + h.constant_offset
 
@@ -270,7 +270,7 @@ def _reference_dH_dp(h, t, q, p):
     if h.family is Family.CUSTOM:
         return h.ops.dH_dp(h, t, q, p)
     if h.family is Family.MECHANICAL:
-        return h.kinetic_coefficient * np.asarray(p)
+        return np.asarray(p)
     return (np.asarray(p) - h.shift_profile.deriv(t, q, 0, 1)) + h.drift
 
 
@@ -286,7 +286,7 @@ def _reference_dH_dq(h, t, q, p):
 def _reference_substep(h, tau, q, p, dt):
     if h.family is Family.MECHANICAL:
         p1 = p - (0.5 * dt) * h.potential.deriv(tau, q, 0, 1)
-        q1 = q + dt * h.kinetic_coefficient * p1
+        q1 = q + dt * p1
         return q1, p1 - (0.5 * dt) * h.potential.deriv(tau + dt, q1, 0, 1)
     big_p = p - h.shift_profile.deriv(tau, q, 0, 1)
     q1 = q + dt * (big_p + h.drift)
@@ -369,14 +369,12 @@ def _reference_integrate_batch(h, q_lift, p, s, t, settings, substep=_reference_
 
 ORACLE_FAMILIES = {
     "pendulum": pendulum(),
-    "mechanical offset": mechanical([(0, 1, 0.3, -0.2), (0, 3, 0.0, 0.05)], kinetic=0.7, offset=0.4),
+    "mechanical offset": mechanical([(0, 1, 0.3, -0.2), (0, 3, 0.0, 0.05)], offset=0.4),
     "free": free_hamiltonian(),
     "shifted quadratic": shifted_quadratic([(0, 1, 0.0, 0.05), (0, 2, 0.01, 0.0)], drift=0.3, offset=0.2),
     "mechanical time-dependent": mechanical([(1, 1, 0.3, 0.0), (2, 0, 0.0, 0.1)]),
     "shifted quadratic time-dependent": shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
-    "mechanical time-only": mechanical(
-        [(1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1), (0, 0, 0.25, 0.0)], kinetic=0.7, offset=0.4
-    ),
+    "mechanical time-only": mechanical([(1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1), (0, 0, 0.25, 0.0)], offset=0.4),
     "custom quartic": TonelliHamiltonian(
         family=Family.CUSTOM,
         custom_fn=lambda t, q, p: 0.25 * p**4 + 0.5 * p**2 + 0.2 * np.cos(2 * np.pi * q),
@@ -414,7 +412,7 @@ def _fourth_derivative_bound(h, qdot):
         # P^2/2 - offset + d/dt u(t, q0 + qdot t): five derivatives of u
         terms, power = h.shift_profile.terms, 5
     else:
-        # k p^2/2 - offset - V(t): four derivatives of V
+        # p^2/2 - offset - V(t): four derivatives of V
         terms, power = h.potential.terms, 4
     return sum(np.hypot(a, b) * np.abs(TWO_PI * (j + k * qdot)) ** power for j, k, a, b in terms) + 0.0 * qdot
 

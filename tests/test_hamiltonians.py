@@ -50,11 +50,11 @@ def test_legendre_closed_forms():
     assert lag.value == 0.5 and lag.optimal_momentum == 1.0
     lag = legendre_transform(pendulum(), 0, 0, 0)
     assert lag.value == -1.0
-    # mechanical with mass: L = v^2/(2k) - V - offset
-    h = mechanical([(0, 1, 0.25, 0.0)], kinetic=2.0, offset=0.1)
+    # mechanical with an offset: L = v^2/2 - V - offset, p = v
+    h = mechanical([(0, 1, 0.25, 0.0)], offset=0.1)
     lag = legendre_transform(h, 0.0, 0.0, 1.0)
-    assert lag.value == pytest.approx(0.25 - 0.25 - 0.1, abs=1e-14)
-    assert lag.optimal_momentum == pytest.approx(0.5, abs=1e-14)
+    assert lag.value == pytest.approx(0.5 - 0.25 - 0.1, abs=1e-14)
+    assert lag.optimal_momentum == 1.0
 
 
 def test_legendre_custom_against_dense_grid():
@@ -105,11 +105,11 @@ def test_legendre_custom_supremum_on_box_edge_raises():
 
 
 def test_legendre_involution_mechanical():
-    h = mechanical([(0, 1, 0.3, 0.2), (0, 2, -0.1, 0.0)], kinetic=1.5, offset=0.05)
+    h = mechanical([(0, 1, 0.3, 0.2), (0, 2, -0.1, 0.0)], offset=0.05)
     rng = np.random.default_rng(3)
     for _ in range(50):
         t, q, p = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-3, 3)
-        vs = np.linspace(p * h.kinetic_coefficient - 0.4, p * h.kinetic_coefficient + 0.4, 4001)
+        vs = np.linspace(p - 0.4, p + 0.4, 4001)
         vals = [p * v - legendre_transform(h, t, q, v).value for v in vs]
         assert max(vals) == pytest.approx(float(h.value(t, q, p)), abs=1e-9)
 
@@ -187,13 +187,6 @@ def test_trig_polynomial_without_terms_keeps_shape():
 def test_trig_polynomial_harmonic_cap():
     with pytest.raises(ValueError):
         TrigPolynomial.from_coeffs([(9, 0, 1.0, 0.0)])
-
-
-@pytest.mark.parametrize("kinetic", [0.0, -1.0, np.inf, np.nan])
-def test_kinetic_coefficient_must_be_positive_and_finite(kinetic):
-    # an infinite kinetic coefficient makes every winding of a single step tie
-    with pytest.raises(ValueError, match="kinetic coefficient"):
-        mechanical([], kinetic=kinetic)
 
 
 @pytest.mark.parametrize("drift", [np.inf, -np.inf, np.nan])
@@ -277,7 +270,7 @@ def test_legendre_maximizer_not_found_for_concave():
 
 
 CONTRACT_FAMILIES = {
-    "mechanical_time_dependent": mechanical([(1, 1, 0.3, -0.2), (0, 2, 0.1, 0.05)], kinetic=1.5, offset=0.1),
+    "mechanical_time_dependent": mechanical([(1, 1, 0.3, -0.2), (0, 2, 0.1, 0.05)], offset=0.1),
     "shifted_quadratic": shifted_quadratic([(1, 1, 0.0, 0.05)], drift=0.3),
     "custom_quartic": custom_quartic(),
 }
@@ -288,7 +281,7 @@ def _reference_field(h, t, q, p):
     one `deriv` call per trig derivative for the closed forms, one complex
     evaluation per partial for a custom callable."""
     if h.family is Family.MECHANICAL:
-        return h.kinetic_coefficient * p, -(h.potential.deriv(t, q, 0, 1) + 0.0 * p)
+        return p, -(h.potential.deriv(t, q, 0, 1) + 0.0 * p)
     if h.family is Family.SHIFTED_QUADRATIC:
         u = h.shift_profile
         r = p - u.deriv(t, q, 0, 1)

@@ -201,12 +201,13 @@ def test_mane_divergence_guard():
 
 # the solvable families of the closed-form sweep, with the rest each one's
 # one-period potential subtracts: shifted quadratics over drift, with a time
-# harmonic in the shift and an offset, and mechanical V(t) over kinetic
+# harmonic in the shift and an offset, and a mechanical V(t) (its id names
+# the kinetic coefficient 1 of every mechanical H)
 _SOLVABLE_SWEEP = [
     *[pytest.param(shifted_quadratic([(1, 1, 0.0, 0.05), (0, 2, 0.02, 0.0)], drift=drift, offset=0.1), 0.1,
                    id=f"shift-drift{drift:.3g}") for drift in (0.0, 0.3, 1 / 3, 0.5, -0.7)],
-    *[pytest.param(mechanical([(0, 0, 0.25, 0.0), (1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1)], kinetic=kinetic, offset=-0.4),
-                   0.25 - 0.4, id=f"vt-kinetic{kinetic}") for kinetic in (0.5, 1.0, 2.0)],
+    pytest.param(mechanical([(0, 0, 0.25, 0.0), (1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1)], offset=-0.4),
+                 0.25 - 0.4, id="vt-kinetic1.0"),
 ]
 VT = _SOLVABLE_SWEEP[-1].values[0]
 
@@ -215,10 +216,10 @@ VT = _SOLVABLE_SWEEP[-1].values[0]
 @pytest.mark.parametrize("h, rest", _SOLVABLE_SWEEP)
 def test_closed_form_cycle_mean_matches_karp(h, rest, n):
     # Karp's formula on the closed-form matrix is the oracle, within the
-    # rounding bound that hamiltonians._hopf_lax_cycle_mean derives
+    # rounding bound that hamiltonians._ShiftedQuadratic.least_cycle_mean derives
     a = potential(h, 0, 1, n).entries
     closed = h.ops.least_cycle_mean(h, n)
-    scale = np.max(np.abs(a)) + abs(rest) + (2 + abs(h.drift)) / h.kinetic_coefficient
+    scale = np.max(np.abs(a)) + abs(rest) + 2 + abs(h.drift)
     assert abs(closed - _karp(a)) <= n * n * np.finfo(float).eps * scale
 
 
@@ -241,11 +242,11 @@ def test_mane_of_a_solvable_family_builds_no_potential(h):
 def test_barrier_of_a_solvable_family_at_the_closed_form(h, t, monkeypatch):
     # the closed-form lambda passes _star_barrier's least-diagonal check, also
     # at t = 0.3, where the time-dependent terms at t + 1 and t round
-    # differently: u(t + 1, x) - u(t, x) for the shifted quadratic, W(t + 1) - W(t)
-    # for the V(t), whose integral of V over [t, t + 1] is c + W(t + 1) - W(t)
+    # differently: u(t + 1, x) - u(t, x) for the shifted quadratic and for the
+    # V(t)'s gauge, whose profile u = -W has dW/dt = V - c
     if t:
         grid = np.arange(64) / 64
-        u = h.shift_profile if h.family is Family.SHIFTED_QUADRATIC else h.ops._time_primitive(h)[1]
+        u = (h._gauge or h).shift_profile
         assert np.any(u.value(t + 1.0, grid) != u.value(t, grid))
     monkeypatch.setattr(lax_oleinik, "_karp", mock.Mock(side_effect=AssertionError("Karp on a solvable family")))
     res = peierls_barrier(h, t, 64)
@@ -661,7 +662,7 @@ AUTONOMOUS_SHIFT = shifted_quadratic([(0, 1, 0.0, 0.05)], drift=0.3)  # the inva
     FREE,
     DEFAULT_SHIFT,
     shifted_quadratic([(0, 1, 0.0, 0.05), (2, -1, 0.03, 0.01)], drift=-1.7, offset=0.4),
-    mechanical([(0, 0, 0.3, 0.0), (2, 0, 0.5, -0.2)], kinetic=2.5, offset=-0.6),
+    mechanical([(0, 0, 0.3, 0.0), (2, 0, 0.5, -0.2)], offset=-0.6),
 ], ids=["free", "default", "shift", "time-wave"])
 def test_closed_form_potential_is_the_least_flow_action(h, s, t):
     # entry [y, x] is the family's own closed-form flow action from y at s,
@@ -678,7 +679,7 @@ def test_closed_form_potential_is_the_least_flow_action(h, s, t):
         if h.family is Family.SHIFTED_QUADRATIC:
             p = v - h.drift + h.shift_profile.deriv(s, y, 0, 1)
         else:
-            p = v / h.kinetic_coefficient
+            p = v
         q1, _, action, _ = h.ops.flow(h, y, p, s, t)
         assert np.max(np.abs(q1 - (x + w))) <= 1e-12
         best = np.minimum(best, action)
@@ -700,21 +701,20 @@ def _midpoint_u_error(u, tau, quad_nodes, speed):
 def test_closed_form_potential_agrees_with_single_steps_and_composes(h, n):
     # the one-period build of the straight single steps: k = 4 quarter
     # periods of QUAD_NODES midpoint nodes each, composed by halving. With
-    # T = 1, tau = T / k and kappa = 1, two sources part it from the closed
-    # form A:
+    # T = 1 and tau = T / k, two sources part it from the closed form A:
     # - the composes put the intermediate points on the grid. In the shear
-    #   frame the steps' kinetic sum_i (d_i - drift tau)^2 / (2 kappa tau) is
-    #   least, (D - drift T)^2 / (2 kappa T), at d_i = D / k; grid steps of
+    #   frame the steps' kinetic sum_i (d_i - drift tau)^2 / (2 tau) is
+    #   least, (D - drift T)^2 / (2 T), at d_i = D / k; grid steps of
     #   whole cells summing to D, the floors and ceilings of D / k, exceed it
-    #   by sum_i (d_i - D / k)^2 / (2 kappa tau) <= k (1 / (2n))^2 / (2 kappa tau)
-    #   = k^2 / (8 kappa n^2 T), 3.05e-5 for free flow at n = 256, and never
+    #   by sum_i (d_i - D / k)^2 / (2 tau) <= k (1 / (2n))^2 / (2 tau)
+    #   = k^2 / (8 n^2 T), 3.05e-5 for free flow at n = 256, and never
     #   fall below A. The u terms telescope along any path.
     # - the midpoint rule integrates d/dt u(t, q(t)) along each step within
     #   E = _midpoint_u_error at the step's speed, at most |drift| + 1 / (2 tau)
     #   on the nearest winding (profiles of amplitude 0.05 alias no other);
     #   a min-plus compose moves by at most the sum of its factors' moves,
     #   so k steps move the oracle by at most k E.
-    # So oracle - A lies in [-k E, k E + k^2 / (8 kappa n^2 T)], up to rounding
+    # So oracle - A lies in [-k E, k E + k^2 / (8 n^2 T)], up to rounding
     k, tau = 4, 0.25
     steps = [_dense_single_step(h, i * tau, (i + 1) * tau, n, lax_oleinik.QUAD_NODES, range(-3, 4)) for i in range(k)]
     halves = _dense_minplus_compose(steps[0], steps[1]), _dense_minplus_compose(steps[2], steps[3])
@@ -810,7 +810,6 @@ _Q_DEPENDENT_TERMS = st.tuples(
 
 @given(
     terms=_Q_DEPENDENT_TERMS,
-    kinetic=st.floats(0.25, 4),
     offset=st.floats(-1, 1),
     s=st.floats(0, 1, exclude_max=True),
     span=st.floats(1 / 32, 0.25),
@@ -818,8 +817,8 @@ _Q_DEPENDENT_TERMS = st.tuples(
     quad_nodes=st.integers(1, 8),
 )
 @settings(max_examples=40, deadline=None)
-def test_separable_single_step_matches_dense(terms, kinetic, offset, s, span, n, quad_nodes):
-    h = mechanical(terms, kinetic=kinetic, offset=offset)
+def test_separable_single_step_matches_dense(terms, offset, s, span, n, quad_nodes):
+    h = mechanical(terms, offset=offset)
     dense = _dense_single_step(h, s, s + span, n, quad_nodes).entries
     with mock.patch.object(lax_oleinik, "QUAD_NODES", quad_nodes):
         fast = lax_oleinik._single_step(h, s, s + span, n).entries
@@ -853,26 +852,27 @@ def test_single_step_walk_skips_a_midpoint_alias(monkeypatch):
 
 
 # a non-finite offset is refused, so finite inputs that overflow stand in for
-# the offsets inf (action -inf), -inf (action +inf) and nan (action inf - inf)
-@pytest.mark.parametrize("kinetic, terms, offset, action", [
-    pytest.param(1.0, [], 1e308, -np.inf, id="1.0-inf"),
-    pytest.param(1.0, [], -1e308, np.inf, id="1.0--inf"),
-    pytest.param(1.0, [(0, 0, 1e308, 0.0)], -1e308, np.nan, id="1.0-nan"),
-    pytest.param(1e40, [], 0.3, None, id="1e+40-0.3"),
+# the offsets inf (action -inf), -inf (action +inf) and nan (action inf - inf);
+# an offset of 1e20 is a finite tie, as every v^2 / 2 <= 32 rounds away
+# beside it (ids lead with the kinetic coefficient 1 of every mechanical H)
+@pytest.mark.parametrize("terms, offset, action", [
+    pytest.param([], 1e308, -np.inf, id="1.0-inf"),
+    pytest.param([], -1e308, np.inf, id="1.0--inf"),
+    pytest.param([(0, 0, 1e308, 0.0)], -1e308, np.nan, id="1.0-nan"),
+    pytest.param([], 1e20, -1e20 * 0.25, id="1.0-1e+20"),
 ])
-def test_single_step_walk_ends_on_ties(monkeypatch, kinetic, terms, offset, action):
-    # every winding ties at the same action (infinite, NaN, or -offset once
-    # v^2 / 2 kinetic rounds away): a tie improves no entry, so each side
-    # stops after one winding
-    h = mechanical(terms, kinetic=kinetic, offset=offset)
+def test_single_step_walk_ends_on_ties(monkeypatch, terms, offset, action):
+    # every winding ties at the same action (infinite, NaN, or -offset times
+    # the span once v^2 / 2 rounds away): a tie improves no entry, so each
+    # side stops after one winding
+    h = mechanical(terms, offset=offset)
     calls = []
     segment_lagrangian = type(h.ops).segment_lagrangian
     monkeypatch.setattr(type(h.ops), "segment_lagrangian", lambda *a: calls.append(1) or segment_lagrangian(*a))
     with np.errstate(over="ignore", invalid="ignore"):
         best = lax_oleinik._single_step(h, 0.0, 0.25, 16).entries
     assert len(calls) == 3
-    if action is not None:
-        assert np.array_equal(best, np.full_like(best, action), equal_nan=True)
+    assert np.array_equal(best, np.full_like(best, action), equal_nan=True)
 
 
 def test_custom_single_step_matches_dense(monkeypatch):
@@ -916,6 +916,47 @@ def test_a_zero_term_changes_nothing():
                                           for h in (zero, empty))
     for x, y in [*zip(ends_a, ends_b), *((rec_a[key], rec_b[key]) for key in rec_a)]:
         assert x.tobytes() == y.tobytes()
+
+
+def test_a_time_only_potential_is_its_gauge_bitwise():
+    # V = c + dW/dt with W's terms (j, 0, -b/(2 pi j), a/(2 pi j)) is free
+    # flow plus a function of t: the shifted quadratic with profile -W, no
+    # drift and offset c + offset, built here from the same floats
+    waves = [(1, 0, 0.3, -0.2), (2, 0, 0.0, 0.1)]
+    vt = mechanical([(0, 0, 0.25, 0.0), *waves], offset=-0.4)
+    gauge = shifted_quadratic([(j, 0, b / (2 * math.pi * j), -a / (2 * math.pi * j)) for j, _, a, b in waves],
+                              drift=0.0, offset=0.25 + -0.4)
+    assert vt._gauge == gauge
+    for s, t in ((0.0, 1.0), (0.3, 1.3)):
+        assert np.array_equal(potential(vt, s, t, 64).entries, potential(gauge, s, t, 64).entries)
+    assert mane_critical_value(vt, 64) == mane_critical_value(gauge, 64)
+    a, b = peierls_barrier(vt, 0.3, 64), peierls_barrier(gauge, 0.3, 64)
+    assert np.array_equal(a.matrix.entries, b.matrix.entries) and a.alpha0 == b.alpha0
+    q, p = np.array([0.1, 0.7, -0.4]), np.array([0.5, -1.2, 0.0])
+    (*ends_a, rec_a), (*ends_b, rec_b) = (integrate_batch(h, q, p, 0.2, 1.3, FlowSettings(), record_knots=True)
+                                          for h in (vt, gauge))
+    for x, y in [*zip(ends_a, ends_b), *((rec_a[key], rec_b[key]) for key in rec_a)]:
+        assert np.array_equal(x, y)
+
+
+def test_dead_terms_of_a_position_dependent_potential_change_nothing(monkeypatch):
+    # zero terms are skipped where V is evaluated, so the pendulum written with
+    # two of them takes the pendulum's cos passes, on the same arrays, and its
+    # potential, barrier and Strang flow are the pendulum's, bit for bit
+    dead = mechanical([(0, 1, 1.0, 0.0), (0, 2, 0.0, 0.0), (0, 3, 0.0, 0.0)])
+    assert not dead.ops.solvable(dead)
+    cos, passes = np.cos, []
+    monkeypatch.setattr(np, "cos", lambda x, *args, **kwargs: passes.append(np.shape(x)) or cos(x, *args, **kwargs))
+    q, p = np.array([0.1, 0.7, -0.4]), np.array([0.5, -1.2, 0.0])
+    runs = []
+    for h in (dead, PEND):
+        clear_potential_cache()
+        passes.clear()
+        barrier = peierls_barrier(h, 0.0, 64)
+        arrays = [potential(h, 0.3, 0.55, 64).entries, barrier.matrix.entries, np.array(barrier.alpha0)]
+        *ends, rec = integrate_batch(h, q, p, 0.2, 1.3, FlowSettings(), record_knots=True)
+        runs.append(([x.tobytes() for x in (*arrays, *ends, *rec.values())], list(passes)))
+    assert runs[0] == runs[1]
 
 
 def test_weak_kam_residual_uses_the_barrier_potential_settings():
